@@ -34,6 +34,8 @@ class CurveLift(object):
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
             raise ValueError("psi must have one row per sample")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(psi))):
+            raise ValueError("non-finite sample in curve")
         steps = np.diff(s)
         if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
             raise ValueError("sample grid must be uniform and increasing")

@@ -10,6 +10,7 @@ into a sum of halved solid angles on the sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,7 +163,8 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
     Defined as -2 times the argument of the cyclic spinor overlap product
     of the vertices, which makes half of it a two-level geometric phase.
     The magnitude is cross-checked against the oriented spherical excess.
-    Degenerate triangles give 0; antipodal vertex pairs are rejected.
+    Degenerate triangles give 0 and hemispheres 2*pi up to sign (equal
+    modulo 4*pi); antipodal vertex pairs are rejected.
     """
     stars = [np.asarray(v, dtype=float).reshape(3) for v in (n1, n2, n3)]
     for i in range(3):
@@ -186,7 +188,9 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
     excess = 4.0 * float(np.arctan(np.sqrt(max(0.0, t))))
     triple = float(np.dot(stars[0], np.cross(stars[1], stars[2])))
     oriented = -np.sign(triple) * excess
-    if abs(omega - oriented) > cross_tol:
+    if triple == 0.0 and abs(s - math.pi) <= cross_tol:
+        oriented = 2.0 * math.pi  # a hemisphere, where the excess is singular
+    if abs(math.remainder(omega - oriented, 4.0 * math.pi)) > cross_tol:
         raise ValueError(
             f"solid angle cross-check failed: {omega} vs excess {oriented}"
         )
@@ -214,41 +218,34 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3,
     return 0.5 * (omega_a + omega_b)
 
 
-def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
-
-
-def _lex_pair(stars: np.ndarray) -> np.ndarray:
-    order = sorted(range(len(stars)), key=lambda i: tuple(stars[i]))
-    return stars[order]
+def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.arccos(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
 
 
 def star_trajectory(lift) -> np.ndarray:
     """Star pairs along a dimension-3 curve, matched for continuity.
 
-    Each sample is factored into its two stars.  The first sample is
-    ordered lexicographically; every later sample is ordered to minimize
-    the total great-circle motion relative to the previous one, with ties
-    broken lexicographically.  Returns an array of shape (samples, 2, 3).
+    All samples are factored in one call.  The first sample is ordered
+    lexicographically; every later sample is ordered to minimize the
+    total great-circle motion relative to the previous one, with ties
+    broken lexicographically.  Swapping the previous pair swaps the two
+    costs, so between ties the order flips where swapping costs less.
+    Returns an array of shape (samples, 2, 3).
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
-    out = np.empty((lift.s.size, 2, 3))
-    for i, sample in enumerate(lift.psi):
-        stars = coefficients_to_roots(sample).stars()
-        if i == 0:
-            out[0] = _lex_pair(stars)
-            continue
-        prev = out[i - 1]
-        keep = _geodesic_gap(prev[0], stars[0]) + _geodesic_gap(prev[1], stars[1])
-        swap = _geodesic_gap(prev[0], stars[1]) + _geodesic_gap(prev[1], stars[0])
-        if abs(keep - swap) < 1e-12:
-            out[i] = _lex_pair(stars)
-        elif keep <= swap:
-            out[i] = stars
-        else:
-            out[i] = stars[::-1]
-    return out
+    stars = coefficients_to_roots(lift.psi).stars()
+    a, b = stars[:, 0], stars[:, 1]
+    keep = _geodesic_gap(a[:-1], a[1:]) + _geodesic_gap(b[:-1], b[1:])
+    swap = _geodesic_gap(a[:-1], b[1:]) + _geodesic_gap(b[:-1], a[1:])
+    restart = np.concatenate([[True], np.abs(keep - swap) < 1e-12])
+    flips = np.logical_xor.accumulate(
+        np.concatenate([[False], swap < keep]) & ~restart)
+    # a restart sorts the pair; the first differing coordinate outweighs the rest
+    lex = np.sign(b - a) @ [4.0, 2.0, 1.0] < 0
+    last = np.maximum.accumulate(np.where(restart, np.arange(restart.size), 0))
+    flip = lex[last] ^ flips ^ flips[last]
+    return np.where(flip[:, None, None], stars[:, ::-1], stars)
 
 
 def triad_summary(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> dict:

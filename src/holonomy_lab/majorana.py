@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .config import TAU_LEAD
-from .core import as_state, inner, normalize
+from .core import normalize
 
 SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -67,42 +67,55 @@ def dim_to_spin(n: int) -> float:
 
 @dataclass(frozen=True)
 class MajoranaRep:
-    """Unordered spinor multiset plus a complex scale."""
+    """Unordered spinor multiset plus a complex scale.
 
-    spinors: np.ndarray  # shape (n-1, 2), unit rows
-    scale: complex
+    One decomposition has spinors of shape (n-1, 2) and a complex scale; a
+    batch of B has spinors of shape (B, n-1, 2) and an array of B scales.
+    """
+
+    spinors: np.ndarray
+    scale: complex | np.ndarray
 
     def __post_init__(self) -> None:
-        spinors = np.asarray(self.spinors, dtype=complex).reshape(-1, 2)
+        scale = np.asarray(self.scale, dtype=complex)
+        spinors = np.asarray(self.spinors, dtype=complex).reshape(
+            scale.shape + (-1, 2))
         object.__setattr__(self, "spinors", spinors)
-        object.__setattr__(self, "scale", complex(self.scale))
-        if self.scale == 0:
-            raise ValueError("scale must be nonzero")
-        norms = np.linalg.norm(spinors, axis=1)
-        if spinors.size and np.max(np.abs(norms - 1.0)) > 1e-12:
+        object.__setattr__(self, "scale", scale if scale.ndim else complex(scale))
+        if not (np.isfinite(scale).all() and scale.all()):
+            raise ValueError("scale must be finite and nonzero")
+        norms = np.hypot.reduce(np.abs(spinors), axis=-1)
+        if not (np.abs(norms - 1.0) <= 1e-12).all():
             raise ValueError("spinors must be unit normalized")
 
     @property
     def dim(self) -> int:
-        return self.spinors.shape[0] + 1
+        return self.spinors.shape[-2] + 1
 
     def stars(self) -> np.ndarray:
-        return np.array([spinor_to_star(s) for s in self.spinors])
+        return spinor_to_star(self.spinors)
 
 
 def as_spinor(xi) -> np.ndarray:
-    xi = np.asarray(xi, dtype=complex).reshape(2)
-    n = np.linalg.norm(xi)
-    if n == 0:
+    """Unit spinor, or unit rows of a (..., 2) array of spinors."""
+    xi = np.asarray(xi, dtype=complex)
+    if xi.shape[-1:] != (2,):
+        xi = xi.reshape(2)
+    n = np.hypot.reduce(np.abs(xi), axis=-1, keepdims=True)
+    if not n.all():
         raise ValueError("zero spinor")
     return xi / n
 
 
 def spinor_to_star(xi) -> np.ndarray:
+    """Star n_hat = xi^dagger sigma xi of each spinor; shape (..., 3)."""
     xi = as_spinor(xi)
-    ab = np.conjugate(xi[0]) * xi[1]
-    return np.array([2.0 * ab.real, 2.0 * ab.imag,
-                     abs(xi[0]) ** 2 - abs(xi[1]) ** 2])
+    a, b = xi[..., 0], xi[..., 1]
+    ab = np.conjugate(a) * b
+    star = np.empty(ab.shape + (3,))
+    star[..., 0], star[..., 1] = 2.0 * ab.real, 2.0 * ab.imag
+    star[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
+    return star
 
 
 def star_to_spinor(nhat) -> np.ndarray:
@@ -120,83 +133,117 @@ def star_to_spinor(nhat) -> np.ndarray:
 def canonical_spinor(xi) -> np.ndarray:
     # same phase convention as star_to_spinor, without the trip through R^3
     xi = as_spinor(xi)
-    pivot = xi[0] if xi[0] != 0 else xi[1]
-    return xi * (np.conjugate(pivot) / abs(pivot))
+    pivot = np.where(xi[..., 0] != 0, xi[..., 0], xi[..., 1])
+    return xi * (np.conjugate(pivot) / np.abs(pivot))[..., None]
 
 
-def _majorana_coeffs(psi: np.ndarray) -> np.ndarray:
-    n = psi.size
-    weights = np.sqrt([math.comb(n - 1, k) for k in range(n)])
-    return psi * weights
+@lru_cache(maxsize=None)
+def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only weights sqrt(C(n-1, k)) and sqrt(k! (n-1-k)!).
 
-
-def _polish_roots(coeffs_desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One guarded Newton step per root.
-
-    Eigenvalue roots of the companion matrix are backward stable but can
-    lose a few digits on clustered roots.  A Newton step is applied only
-    when it is small and actually reduces |p|, which leaves multiple roots
-    untouched instead of scattering them.
+    The first turns amplitudes into star-polynomial coefficients; the
+    second turns the expanded spinor product back into amplitudes.
     """
-    roots = np.asarray(roots, dtype=complex)
-    if roots.size == 0:
-        return roots
-    deriv = np.polyder(coeffs_desc)
-    p = np.polyval(coeffs_desc, roots)
-    dp = np.polyval(deriv, roots)
-    ok = dp != 0
-    step = np.zeros_like(roots)
-    step[ok] = -p[ok] / dp[ok]
+    binomial = np.sqrt([math.comb(n - 1, k) for k in range(n)])
+    factorial = np.array([math.sqrt(math.factorial(k) * math.factorial(n - 1 - k))
+                          for k in range(n)])
+    binomial.flags.writeable = factorial.flags.writeable = False
+    return binomial, factorial
+
+
+def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row r of desc (highest power first) evaluated at the points x[r]."""
+    y = np.zeros_like(x)
+    for c in desc.T[:, :, None]:
+        y = y * x + c  # as np.polyval; in-place products may round differently
+    return y
+
+
+def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """One guarded Newton step per root (row r of desc at the points roots[r]).
+
+    Companion-matrix roots are backward stable but can lose a few digits
+    on clusters.  A step is taken only when it is small and reduces |p|,
+    which leaves multiple roots untouched instead of scattering them.
+    """
+    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
+    p = _horner(desc, roots)
+    dp = _horner(deriv, roots)
+    step = np.divide(-p, dp, out=np.zeros_like(roots), where=dp != 0)
     small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
     candidate = roots + np.where(small, step, 0.0)
-    better = np.abs(np.polyval(coeffs_desc, candidate)) <= np.abs(p)
+    better = np.abs(_horner(desc, candidate)) <= np.abs(p)
     return np.where(small & better, candidate, roots)
 
 
 def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
-    """Factor a state into its n-1 spinors and a scale.
+    """Factor a state, or each row of a (B, n) batch, into n-1 spinors and a scale.
 
     Roots come from the companion-matrix eigenvalues of the star
     polynomial; coefficients below ``tau_lead`` times the largest one are
     treated as zero when fixing the effective degree, and each missing
-    degree contributes a north-pole spinor (1, 0), listed first.
+    degree contributes a north-pole spinor (1, 0), listed first.  Rows
+    with equal degree and equal count of exact roots at 0 share one
+    eigvals call on companion matrices built as np.roots builds them.
     """
-    psi = as_state(psi)
-    if np.max(np.abs(psi)) == 0.0:
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.size == 0:
+        raise ValueError("expected a nonempty state or a (B, n) batch of states")
+    if not np.isfinite(psi).all():
+        raise ValueError("non-finite amplitude")
+    batch = psi.reshape(-1, psi.shape[-1])
+    count, n = batch.shape
+    coeffs = batch * _weights(n)[0]
+    mags = np.abs(coeffs)
+    peak = mags.max(axis=1)
+    if not peak.all():
         raise ValueError("zero vector has no star decomposition")
-    n = psi.size
-    coeffs = _majorana_coeffs(psi)
-    cutoff = tau_lead * np.max(np.abs(coeffs))
-    degree = int(np.max(np.flatnonzero(np.abs(coeffs) > cutoff)))
-    spinors = [np.array([1.0, 0.0], dtype=complex)] * (n - 1 - degree)
-    if degree > 0:
-        desc = coeffs[degree::-1]
-        roots = _polish_roots(desc, np.roots(desc))
-        residual = np.max(np.abs(np.polyval(desc, roots))) if roots.size else 0.0
-        if not np.all(np.isfinite(roots)):
-            raise ValueError(f"root finding failed (residual {residual:.3e})")
-        for w in roots:
-            spinors.append(canonical_spinor(np.array([-w, 1.0], dtype=complex)))
-    spinors = np.array(spinors, dtype=complex).reshape(n - 1, 2)
+    degree = n - 1 - (mags[:, ::-1] > tau_lead * peak[:, None]).argmax(axis=1)
+    zeros = (coeffs != 0).argmax(axis=1)
+    spinors = np.zeros((count, n - 1, 2), dtype=complex)
+    spinors[..., 0] = 1.0
+    lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)
+    groups = set(zip(degree.tolist(), zeros.tolist()))
+    for d, z in groups - {(0, 0)}:
+        rows = (slice(None) if len(groups) == 1
+                else np.flatnonzero((degree == d) & (zeros == z)))
+        desc, m = coeffs[rows, d::-1], d - z
+        roots = np.zeros((desc.shape[0], d), dtype=complex)
+        if m > 0:
+            companion = np.zeros((desc.shape[0], m, m), dtype=complex)
+            companion[:, 0, :] = -desc[:, 1:m + 1] / desc[:, :1]
+            companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            roots[:, :m] = np.linalg.eigvals(companion)
+        roots = _polish_roots(desc, roots)
+        if not np.isfinite(roots).all():
+            raise ValueError("root finding failed")
+        pairs = np.ones(roots.shape + (2,), dtype=complex)
+        pairs[..., 0] = -roots
+        pairs = canonical_spinor(pairs)
+        spinors[rows, n - 1 - d:] = pairs
+        lead[rows] = pairs[..., 1].prod(axis=-1)
     # the highest surviving coefficient fixes the scale
-    factor_poly = np.ones(1, dtype=complex)
-    for s in spinors:
-        factor_poly = np.convolve(factor_poly, s)
-    scale = coeffs[degree] / (math.sqrt(math.factorial(n - 1)) * factor_poly[degree])
-    return MajoranaRep(spinors, complex(scale))
+    scale = coeffs[np.arange(count), degree] / (math.sqrt(math.factorial(n - 1)) * lead)
+    return MajoranaRep(spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
+                       scale.reshape(psi.shape[:-1]))
+
+
+def _expand(spinors: np.ndarray) -> np.ndarray:
+    """Coefficients of prod_k (alpha_k + beta_k z), lowest power first."""
+    count = spinors.shape[-2]
+    poly = np.zeros(spinors.shape[:-2] + (count + 1,), dtype=complex)
+    poly[..., :2] = spinors[..., 0, :] if count else 1.0
+    for k in range(1, count):
+        shifted = poly[..., :-1] * spinors[..., k, 1, None]
+        poly *= spinors[..., k, 0, None]
+        poly[..., 1:] += shifted
+    return poly
 
 
 def roots_to_coefficients(rep: MajoranaRep) -> np.ndarray:
-    """Expand a spinor multiset times scale back into amplitudes."""
-    n = rep.dim
-    poly = np.ones(1, dtype=complex)
-    for s in rep.spinors:
-        poly = np.convolve(poly, np.asarray(s, dtype=complex))
-    amps = np.empty(n, dtype=complex)
-    for k in range(n):
-        amps[k] = (rep.scale * poly[k]
-                   * math.sqrt(math.factorial(n - 1 - k) * math.factorial(k)))
-    return amps
+    """Expand a spinor multiset times scale (or a batch of them) into amplitudes."""
+    scale = np.asarray(rep.scale)[..., None]
+    return scale * _expand(rep.spinors) * _weights(rep.dim)[1]
 
 
 def pure_product_state(xi, n: int) -> np.ndarray:
@@ -265,15 +312,14 @@ def _check_su2(u) -> np.ndarray:
 
 
 def su2_apply(u, psi) -> np.ndarray:
-    """Apply the spin-J representation of u in SU(2) to a state.
+    """Apply the spin-J representation of u in SU(2) to a state or a batch.
 
     Implemented through the star decomposition: every spinor is rotated by
     u and the product is re-expanded with the same scale.
     """
     u = _check_su2(u)
     rep = coefficients_to_roots(psi)
-    rotated = rep.spinors @ u.T
-    return roots_to_coefficients(MajoranaRep(rotated, rep.scale))
+    return roots_to_coefficients(MajoranaRep(rep.spinors @ u.T, rep.scale))
 
 
 def random_su2(seed=None) -> np.ndarray:
@@ -320,6 +366,8 @@ def star_matching_distance(stars_a, stars_b) -> float:
         raise ValueError("star sets must have equal size")
     if a.shape[0] == 0:
         return 0.0
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].max())

@@ -1,0 +1,109 @@
+"""Reference star decomposition and trajectory matching, one row at a time.
+
+The library factors whole batches of star polynomials in one array
+kernel and orders a trajectory without a per-sample loop.  These helpers
+keep the straightforward route it replaced: one ``np.roots`` call per
+state, one guarded Newton step per root, one ``np.convolve`` per spinor,
+and a loop that orders each sample against the previous one.  The parity
+tests compare the kernel against them.
+"""
+
+import math
+
+import numpy as np
+
+
+def _canonical_spinor(xi):
+    xi = np.asarray(xi, dtype=complex)
+    xi = xi / np.linalg.norm(xi)
+    pivot = xi[0] if xi[0] != 0 else xi[1]
+    return xi * (np.conjugate(pivot) / abs(pivot))
+
+
+def oracle_star(xi):
+    xi = np.asarray(xi, dtype=complex)
+    xi = xi / np.linalg.norm(xi)
+    ab = np.conjugate(xi[0]) * xi[1]
+    return np.array([2.0 * ab.real, 2.0 * ab.imag,
+                     abs(xi[0]) ** 2 - abs(xi[1]) ** 2])
+
+
+def _polish_roots(desc, roots):
+    roots = np.asarray(roots, dtype=complex)
+    if roots.size == 0:
+        return roots
+    p = np.polyval(desc, roots)
+    dp = np.polyval(np.polyder(desc), roots)
+    ok = dp != 0
+    step = np.zeros_like(roots)
+    step[ok] = -p[ok] / dp[ok]
+    small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
+    candidate = roots + np.where(small, step, 0.0)
+    better = np.abs(np.polyval(desc, candidate)) <= np.abs(p)
+    return np.where(small & better, candidate, roots)
+
+
+def oracle_decomposition(psi, tau_lead=1e-10):
+    """Spinors (n-1, 2) and scale of one state by ``np.roots``."""
+    psi = np.asarray(psi, dtype=complex)
+    n = psi.size
+    coeffs = psi * np.sqrt([math.comb(n - 1, k) for k in range(n)])
+    cutoff = tau_lead * np.max(np.abs(coeffs))
+    degree = int(np.max(np.flatnonzero(np.abs(coeffs) > cutoff)))
+    spinors = [np.array([1.0, 0.0], dtype=complex)] * (n - 1 - degree)
+    if degree > 0:
+        desc = coeffs[degree::-1]
+        for w in _polish_roots(desc, np.roots(desc)):
+            spinors.append(_canonical_spinor([-w, 1.0]))
+    spinors = np.array(spinors, dtype=complex).reshape(n - 1, 2)
+    poly = oracle_expand(spinors)
+    scale = coeffs[degree] / (math.sqrt(math.factorial(n - 1)) * poly[degree])
+    return spinors, complex(scale)
+
+
+def oracle_expand(spinors):
+    """Coefficients of the product of (alpha + beta z), lowest power first."""
+    poly = np.ones(1, dtype=complex)
+    for s in spinors:
+        poly = np.convolve(poly, np.asarray(s, dtype=complex))
+    return poly
+
+
+def oracle_stars(psi, tau_lead=1e-10):
+    spinors, _ = oracle_decomposition(psi, tau_lead)
+    return np.array([oracle_star(s) for s in spinors]).reshape(-1, 3)
+
+
+def _gap(a, b):
+    return float(np.arccos(np.clip(np.dot(a, b), -1.0, 1.0)))
+
+
+def _lex_pair(stars):
+    order = sorted(range(len(stars)), key=lambda i: tuple(stars[i]))
+    return stars[order]
+
+
+def oracle_trajectory(psi_rows):
+    """Star pairs of dimension-3 samples, matched one sample at a time.
+
+    Returns the (samples, 2, 3) trajectory and the indices of the later
+    samples whose two costs tied, which were sorted lexicographically.
+    """
+    out = np.empty((len(psi_rows), 2, 3))
+    ties = []
+    for i, sample in enumerate(psi_rows):
+        stars = oracle_stars(sample)
+        if i == 0:
+            out[0] = _lex_pair(stars)
+            continue
+        prev = out[i - 1]
+        keep = _gap(prev[0], stars[0]) + _gap(prev[1], stars[1])
+        swap = _gap(prev[0], stars[1]) + _gap(prev[1], stars[0])
+        if abs(keep - swap) < 1e-12:
+            ties.append(i)
+            out[i] = _lex_pair(stars)
+        elif keep <= swap:
+            out[i] = stars
+        else:
+            out[i] = stars[::-1]
+    return out, ties

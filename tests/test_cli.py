@@ -228,6 +228,19 @@ class TestNpc:
         assert report["ok"] is False
         assert report["violations"]
 
+    def test_nan_curve_is_rejected(self, tmp_path, capsys):
+        path = self.generate(tmp_path, capsys)
+        lines = open(path).read().splitlines()
+        cells = lines[5].split(",")
+        cells[3] = "nan"
+        lines[5] = ",".join(cells)
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run(["npc", "verify", str(bad)], capsys)
+        assert code != 0
+        assert '"ok": true' not in out
+        assert "non-finite" in err
+
     def test_open_curve_phase(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)
         out = run_json(["npc", "phase", path], capsys)

@@ -127,6 +127,14 @@ class TestSolidAngle:
     def test_repeated_vertex_gives_zero(self):
         assert solid_angle(Z, Z, X) == pytest.approx(0.0)
 
+    def test_hemisphere_is_two_pi(self):
+        # three vertices spread around the equator bound a hemisphere
+        r = np.sqrt(3.0) / 2.0
+        ring = [X, np.array([-0.5, r, 0.0]), np.array([-0.5, -r, 0.0])]
+        assert abs(solid_angle(*ring)) == pytest.approx(2 * np.pi)
+        assert abs(solid_angle(ring[0], ring[2], ring[1])) == pytest.approx(
+            2 * np.pi)
+
     def test_antipodal_vertices_rejected(self):
         with pytest.raises(ValueError, match="antipodal"):
             solid_angle(Z, -Z, X)

@@ -125,6 +125,15 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 2"):
             formats.curve_from_csv("\n".join(lines) + "\n")
 
+    def test_curve_with_nan_rejected(self, rng):
+        a = core.random_state(3, rng)
+        b = core.random_state(3, rng)
+        lines = formats.curve_to_csv(
+            geodesic_lift(*in_phase_gauge(a, b), grid=5)).splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        with pytest.raises(ValueError, match="non-finite"):
+            formats.curve_from_csv("\n".join(lines) + "\n")
+
     def test_curve_empty_rejected(self):
         with pytest.raises(ValueError, match="no data"):
             formats.curve_from_csv("s,re_0,im_0\n")
