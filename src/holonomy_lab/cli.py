@@ -212,8 +212,6 @@ def _cmd_npc(args, config: RunConfig) -> int:
             "violations": report.violations,
             "min_real": report.min_real,
             "max_rel_imag": report.max_rel_imag,
-            "fixed_point_ok": report.fixed_point_ok,
-            "variants_agree": report.variants_agree,
             "ok": report.ok,
         }, config)
         return 0 if report.ok else 2
@@ -298,7 +296,7 @@ def build_parser() -> _Parser:
     group.add_argument("--seed", type=int, help="seed for randomized checks")
     group.add_argument("--grid", type=int, help="curve sample count")
     group.add_argument("--subgrid", type=int,
-                       help="subsample count for triple scans")
+                       help="samples for the null-phase check")
     group.add_argument("--tol-deg", type=float, dest="tol_deg",
                        help="degeneracy tolerance")
     group.add_argument("--tol-npc", type=float, dest="tol_npc",

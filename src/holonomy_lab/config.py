@@ -43,8 +43,11 @@ class RunConfig:
         for name in ("tau_deg", "tau_npc", "tau_lead"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.grid < 3 or self.subgrid < 3:
-            raise ValueError("grid sizes must be at least 3")
+        if self.grid < 5 or self.grid % 2 == 0:
+            # the connection integral runs Simpson's rule over the grid
+            raise ValueError("grid must be odd and at least 5")
+        if self.subgrid < 3:
+            raise ValueError("subgrid must be at least 3")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

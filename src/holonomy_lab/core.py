@@ -8,6 +8,8 @@ with J = (n - 1)/2, so index 0 is the highest-weight direction.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .config import TAU_DEG
@@ -104,7 +106,7 @@ def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
     For three states this equals the trace of the product of their ray
     projectors, so it is a function on ray space.  Raises
     :class:`DegenerateTriadError` when any cyclic overlap is degenerate
-    relative to the norms involved.
+    relative to the norms involved, and ``ValueError`` on a non-finite input.
     """
     states = [as_state(s) for s in states]
     if len(states) < 3:
@@ -116,6 +118,8 @@ def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
     for i, cur in enumerate(states):
         nxt = states[(i + 1) % len(states)]
         ov = inner(cur, nxt)
+        if not cmath.isfinite(ov):  # every amplitude enters two overlaps
+            raise ValueError("non-finite amplitude")
         floor = tau_deg * np.linalg.norm(cur) * np.linalg.norm(nxt)
         if abs(ov) <= floor:
             raise DegenerateTriadError(

@@ -10,6 +10,7 @@ composite Simpson quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,14 +100,12 @@ class ProfileReport:
 
 @dataclass
 class NpcReport:
-    """Outcome of the null-phase scan over sample triples."""
+    """Outcome of the null-phase check on a subgrid of samples."""
 
-    checked: int = 0
-    violations: list = field(default_factory=list)
-    min_real: float = np.inf
-    max_rel_imag: float = 0.0
-    fixed_point_ok: bool = True
-    variants_agree: bool = True
+    checked: int
+    violations: list
+    min_real: float
+    max_rel_imag: float
 
     @property
     def ok(self) -> bool:
@@ -274,42 +273,38 @@ def _subgrid_indices(n_samples: int, subgrid: int) -> np.ndarray:
 
 def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
                tau_npc: float = TAU_NPC) -> NpcReport:
-    """Scan sample triples for the real-positive invariant condition.
+    """Check the real-positive invariant condition on a subgrid of samples.
 
-    Every triple (i, j, k) drawn from a subgrid must give a three-point
-    invariant with positive real part and relative imaginary part at most
-    ``tau_npc``.  The variant with the first sample held fixed is scanned
-    as well and the two verdicts are compared.
+    A curve is null phase exactly when some lift has all pairwise overlaps
+    real and positive.  Rephasing against a pivot sample p gives that lift,
+    G'_jk = Delta(p, j, k) / (|G_pj| |G_pk|), so only the triples through
+    p are formed.  As arg Delta(i, j, k) = arg G'_ij + arg G'_jk + arg G'_ki,
+    holding each to ``tau_npc / 3`` holds all ``checked`` subgrid triples
+    to ``tau_npc``.  The pivot maximizes its smallest overlap; a sample
+    within ``TAU_DEG`` of orthogonal to it fails.  Violations, ``min_real``
+    and ``max_rel_imag`` refer to the pivot triples [p, j, k].
     """
     idx = _subgrid_indices(lift.s.size, subgrid)
     p = lift.psi[idx]
     gram = np.conjugate(p) @ p.T
-    report = NpcReport()
-    k = idx.size
-    fixed_violation = False
-    for a in range(k - 2):
-        # delta[b, c] = G[a,b] G[b,c] G[c,a] over b < c, both beyond a
-        block = gram[a, :, None] * gram * gram[:, a][None, :]
-        rows, cols = np.triu_indices(k, k=1)
-        keep = rows > a
-        rows, cols = rows[keep], cols[keep]
-        deltas = block[rows, cols]
-        mags = np.abs(deltas)
-        rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
-        bad = (deltas.real <= 0.0) | (rel_imag > tau_npc)
-        report.checked += deltas.size
-        report.min_real = min(report.min_real, float(deltas.real.min()))
-        report.max_rel_imag = max(report.max_rel_imag, float(rel_imag.max()))
-        for b, c, d in zip(rows[bad], cols[bad], deltas[bad]):
-            report.violations.append({
-                "indices": [int(idx[a]), int(idx[b]), int(idx[c])],
-                "delta": [float(d.real), float(d.imag)],
-            })
-            if a == 0:
-                fixed_violation = True
-    report.fixed_point_ok = not fixed_violation
-    report.variants_agree = report.fixed_point_ok == report.ok
-    return report
+    mods = np.abs(gram)
+    pivot = int(np.argmax(mods.min(axis=1)))
+    n = np.arange(idx.size)
+    j, k = np.nonzero((n[:, None] < n) & (n[:, None] != pivot) & (n != pivot))
+    deltas = gram[pivot, j] * gram[j, k] * gram[k, pivot]
+    mags = np.abs(deltas)
+    rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
+    bad = ~((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
+            & (mods[pivot, j] > TAU_DEG) & (mods[pivot, k] > TAU_DEG))
+    named = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)[bad]]
+    parts = np.stack([deltas.real, deltas.imag], axis=1)[bad]
+    return NpcReport(
+        checked=math.comb(idx.size, 3),
+        violations=[{"indices": t, "delta": d}
+                    for t, d in zip(named.tolist(), parts.tolist())],
+        min_real=float(deltas.real.min()),
+        max_rel_imag=float(rel_imag.max()),
+    )
 
 
 def _derivative(values: np.ndarray, h: float) -> np.ndarray:
@@ -381,8 +376,7 @@ def open_curve_phase(lift: CurveLift) -> float:
 
 def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
                          tau_npc: float = TAU_NPC,
-                         junction_tol: float = 1e-9,
-                         check_npc: bool = True) -> float:
+                         junction_tol: float = 1e-9) -> float:
     """Geometric phase of a closed loop built from three null phase curves.
 
     Segment ends must match the next segment's start ray.  Junction phase
@@ -402,10 +396,9 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
         if not rays_equal(seg.psi[-1], nxt.psi[0], tol=junction_tol):
             raise ValueError(f"segment {a} does not end on the ray "
                              f"where segment {(a + 1) % 3} starts")
-    if check_npc:
-        for a, seg in enumerate(segments):
-            if not verify_npc(seg, subgrid=subgrid, tau_npc=tau_npc).ok:
-                raise ValueError(f"segment {a} is not a null phase curve")
+    for a, seg in enumerate(segments):
+        if not verify_npc(seg, subgrid=subgrid, tau_npc=tau_npc).ok:
+            raise ValueError(f"segment {a} is not a null phase curve")
     total = 0.0
     for a, seg in enumerate(segments):
         nxt = segments[(a + 1) % 3]

@@ -162,9 +162,11 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
 
     Defined as -2 times the argument of the cyclic spinor overlap product
     of the vertices, which makes half of it a two-level geometric phase.
-    The magnitude is cross-checked against the oriented spherical excess.
-    Degenerate triangles give 0 and hemispheres 2*pi up to sign (equal
-    modulo 4*pi); antipodal vertex pairs are rejected.
+    It is cross-checked, modulo 4*pi, against the oriented spherical
+    excess from the triple product and the pairwise dots (Van Oosterom and
+    Strackee, IEEE Trans. Biomed. Eng. 30 (1983) 125), which stays
+    accurate up to the hemisphere.  Degenerate triangles give 0 and
+    hemispheres 2*pi up to sign; antipodal vertex pairs are rejected.
     """
     stars = [np.asarray(v, dtype=float).reshape(3) for v in (n1, n2, n3)]
     for i in range(3):
@@ -175,21 +177,9 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
     prod = inner(s1, s2) * inner(s2, s3) * inner(s3, s1)
     omega = -2.0 * float(np.angle(prod))
 
-    # independent magnitude and orientation check via the spherical excess
-    def arc(u, v):
-        return float(np.arctan2(np.linalg.norm(np.cross(u, v)), np.dot(u, v)))
-
-    a = arc(stars[1], stars[2])
-    b = arc(stars[2], stars[0])
-    c = arc(stars[0], stars[1])
-    s = 0.5 * (a + b + c)
-    t = (np.tan(0.5 * s) * np.tan(0.5 * (s - a))
-         * np.tan(0.5 * (s - b)) * np.tan(0.5 * (s - c)))
-    excess = 4.0 * float(np.arctan(np.sqrt(max(0.0, t))))
-    triple = float(np.dot(stars[0], np.cross(stars[1], stars[2])))
-    oriented = -np.sign(triple) * excess
-    if triple == 0.0 and abs(s - math.pi) <= cross_tol:
-        oriented = 2.0 * math.pi  # a hemisphere, where the excess is singular
+    a, b, c = stars
+    triple = float(np.dot(a, np.cross(b, c)))
+    oriented = -2.0 * math.atan2(triple, 1.0 + a @ b + b @ c + c @ a)
     if abs(math.remainder(omega - oriented, 4.0 * math.pi)) > cross_tol:
         raise ValueError(
             f"solid angle cross-check failed: {omega} vs excess {oriented}"
@@ -210,12 +200,14 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3,
     if v1.size != 3:
         raise ValueError("this identity is specific to dimension 3")
     red = reduce_triad(v1, psi2, psi3, tau_deg=tau_deg)
+    return 0.5 * sum(_solid_angle_pair(red))
+
+
+def _solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
+    """Solid angles of (north, star of xi, each star of psi3), dimension 3."""
     north = np.array([0.0, 0.0, 1.0])
     n2hat = spinor_to_star(red.xi)
-    stars = red.rep3.stars()
-    omega_a = solid_angle(north, n2hat, stars[0])
-    omega_b = solid_angle(north, n2hat, stars[1])
-    return 0.5 * (omega_a + omega_b)
+    return tuple(solid_angle(north, n2hat, star) for star in red.rep3.stars())
 
 
 def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -266,11 +258,6 @@ def triad_summary(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> dict:
         "geometric_phase": principal_angle(-float(np.angle(delta))),
     }
     if v1.size == 3:
-        north = np.array([0.0, 0.0, 1.0])
-        n2hat = spinor_to_star(red.xi)
-        stars = red.rep3.stars()
-        omega_a = solid_angle(north, n2hat, stars[0])
-        omega_b = solid_angle(north, n2hat, stars[1])
-        summary["solid_angles"] = (omega_a, omega_b)
-        summary["half_sum"] = 0.5 * (omega_a + omega_b)
+        summary["solid_angles"] = _solid_angle_pair(red)
+        summary["half_sum"] = 0.5 * sum(summary["solid_angles"])
     return summary

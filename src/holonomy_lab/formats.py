@@ -8,6 +8,7 @@ a message naming the offending field.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import io
 import json
@@ -35,7 +36,13 @@ def _as_complex(pair, label: str) -> complex:
         or not all(isinstance(v, (int, float)) for v in pair)
     ):
         raise ValueError(f"{label}: expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        z = complex(pair[0], pair[1])
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{label}: non-finite value") from None
+    if not cmath.isfinite(z):
+        raise ValueError(f"{label}: non-finite value")
+    return z
 
 
 def json_dumps(obj) -> str:

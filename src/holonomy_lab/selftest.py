@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import angles as ang
 from . import core, curves, decompose, majorana
@@ -130,7 +129,8 @@ def _check_dependent_pair_n2(config: RunConfig) -> tuple[bool, str]:
 def _fock_coherent(z: complex, nmax: int = 64) -> np.ndarray:
     """Number-basis expansion of a coherent state, truncated at nmax terms."""
     k = np.arange(nmax)
-    weights = np.exp(-0.5 * abs(z) ** 2 - 0.5 * gammaln(k + 1.0))
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(nmax)])
+    weights = np.exp(-0.5 * abs(z) ** 2 - 0.5 * log_fact)
     return weights * np.power(complex(z), k)
 
 

@@ -1,0 +1,46 @@
+"""Reference null-phase check: every triple of the subgrid, one row at a time.
+
+The library rephases a curve against one pivot sample and forms only the
+triples through it.  This keeps the scan it replaced: for each subgrid
+sample a, the invariants Delta(a, b, c) = G_ab G_bc G_ca of all later
+pairs b < c are formed from the Gram matrix and held to a positive real
+part and a relative imaginary part of at most ``tau_npc``.  The parity
+tests compare the pivot check against it.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+
+from holonomy_lab.config import DEFAULT_SUBGRID, TAU_NPC
+from holonomy_lab.curves import _subgrid_indices
+
+
+def oracle_scan(lift, subgrid=DEFAULT_SUBGRID, tau_npc=TAU_NPC):
+    """Scan all C(k, 3) subgrid triples; returns ok, checked, extremes, violations."""
+    idx = _subgrid_indices(lift.s.size, subgrid)
+    p = lift.psi[idx]
+    gram = np.conjugate(p) @ p.T
+    k = idx.size
+    out = SimpleNamespace(checked=0, violations=[], min_real=np.inf,
+                          max_rel_imag=0.0)
+    for a in range(k - 2):
+        # delta[b, c] = G[a,b] G[b,c] G[c,a] over b < c, both beyond a
+        block = gram[a, :, None] * gram * gram[:, a][None, :]
+        rows, cols = np.triu_indices(k, k=1)
+        keep = rows > a
+        rows, cols = rows[keep], cols[keep]
+        deltas = block[rows, cols]
+        mags = np.abs(deltas)
+        rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
+        bad = (deltas.real <= 0.0) | (rel_imag > tau_npc)
+        out.checked += deltas.size
+        out.min_real = min(out.min_real, float(deltas.real.min()))
+        out.max_rel_imag = max(out.max_rel_imag, float(rel_imag.max()))
+        for b, c, d in zip(rows[bad], cols[bad], deltas[bad]):
+            out.violations.append({
+                "indices": [int(idx[a]), int(idx[b]), int(idx[c])],
+                "delta": [float(d.real), float(d.imag)],
+            })
+    out.ok = not out.violations
+    return out

@@ -4,19 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from conftest import assert_angle_close, random_triad
 from holonomy_lab import angles as ang
 from holonomy_lab import core
 from holonomy_lab.core import DegenerateTriadError
-
-
-def fock_expansion(z, nmax=64):
-    """Independent number-basis oracle for coherent-state overlaps."""
-    k = np.arange(nmax)
-    weights = np.exp(-0.5 * abs(z) ** 2 - 0.5 * gammaln(k + 1.0))
-    return weights * np.power(complex(z), k)
+# independent number-basis oracle for coherent-state overlaps
+from holonomy_lab.selftest import _fock_coherent as fock_expansion
 
 
 class TestExtraction:

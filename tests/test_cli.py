@@ -2,11 +2,16 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from holonomy_lab import cli, core, formats
+from holonomy_lab.config import RunConfig
 from holonomy_lab.curves import CurveLift
 
 from conftest import assert_angle_close
@@ -317,6 +322,16 @@ class TestSelftest:
         assert "no matching criteria" in err
 
 
+class TestImport:
+    def test_cli_import_loads_no_scipy(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, holonomy_lab.cli; "
+                "sys.exit('scipy' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env)
+        assert done.returncode == 0
+
+
 class TestConfigPlumbing:
     def test_config_file_and_flag_precedence(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -333,6 +348,19 @@ class TestConfigPlumbing:
                           "--output", str(out_flag)], capsys)
         assert code == 0
         assert len(out_flag.read_text().splitlines()) == 10
+
+    @pytest.mark.parametrize("grid", ["256", "3"])
+    def test_unusable_grid_is_usage_error(self, tmp_path, capsys, grid):
+        # the connection integral needs an odd grid of at least 5 samples
+        with pytest.raises(ValueError, match="odd"):
+            RunConfig(grid=int(grid))
+        code, _, err = run(["selftest", "--criterion", "10", "--grid", grid],
+                           capsys)
+        assert code == 1 and "odd" in err
+        code, _, err = run(["npc", "generate", "--theta0", "1.0", "--grid",
+                            grid, "--output", str(tmp_path / "c.csv")], capsys)
+        assert code == 1 and "odd" in err
+        assert not (tmp_path / "c.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -130,6 +130,14 @@ class TestBargmann:
         with pytest.raises(ValueError):
             core.bargmann([core.random_state(2, rng)] * 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_amplitude_rejected(self, octant, bad):
+        for k in range(3):
+            states = [v.copy() for v in octant]
+            states[k][1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                core.bargmann(states)
+
     def test_orthogonal_link_is_degenerate(self):
         e1 = np.array([1.0, 0.0], dtype=complex)
         e2 = np.array([0.0, 1.0], dtype=complex)

@@ -1,9 +1,10 @@
-"""Lifts, profiles, the null-phase scan and connection quadrature."""
+"""Lifts, profiles, the null-phase check and connection quadrature."""
 
 import numpy as np
 import pytest
 
 from holonomy_lab import core
+from holonomy_lab.config import TAU_NPC
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -22,8 +23,10 @@ from holonomy_lab.curves import (
     _derivative,
     _simpson,
 )
+from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_triad
+from npc_oracle import oracle_scan
 
 
 def make_geodesic(rng, dim=3, grid=257):
@@ -261,7 +264,6 @@ class TestVerifyNpc:
         assert report.ok
         assert report.checked == 1330  # C(21, 3) triples
         assert report.min_real > 0
-        assert report.fixed_point_ok and report.variants_agree
 
     def test_component_wobble_is_caught(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
@@ -273,13 +275,138 @@ class TestVerifyNpc:
         report = verify_npc(CurveLift(lift.s, psi))
         assert not report.ok
         assert report.violations
-        assert not report.fixed_point_ok
-        assert report.variants_agree
 
     def test_subgrid_larger_than_curve_uses_all_samples(self, rng):
         lift = make_geodesic(rng, grid=9)
         report = verify_npc(lift, subgrid=50)
         assert report.checked == 84  # C(9, 3)
+
+
+def wobble(rng, amplitude, grid=129):
+    """Eps-family lift whose third frame component picks up a phase."""
+    frame = frame_from_pair(core.random_state(4, rng),
+                            core.random_state(4, rng), size=3)
+    lift = profile_to_lift(frame, generate_npc_profile(frame.theta0, 3, 0.6,
+                                                       grid=grid))
+    psi = lift.psi.copy()
+    psi[:, 2] *= np.exp(1j * amplitude * np.sin(np.pi * lift.s))
+    return CurveLift(lift.s, psi)
+
+
+def latitude_arc(theta, span, n, grid=257):
+    """Spin-coherent states along a latitude circle: not a null phase curve."""
+    s = np.linspace(0.0, 1.0, grid)
+    psi = [pure_product_state([np.cos(theta / 2),
+                               np.exp(1j * span * t) * np.sin(theta / 2)], n)
+           for t in s]
+    return CurveLift(s, np.array(psi))
+
+
+def quarter_circle(grid=257):
+    """Geodesic from e1 to e2 exactly: its end samples are orthogonal."""
+    a = 0.5 * np.pi * np.linspace(0.0, 1.0, grid)
+    psi = np.stack([np.cos(a), np.sin(a), np.zeros(grid)], axis=1)
+    psi[-1] = [0.0, 1.0, 0.0]
+    return CurveLift(np.linspace(0.0, 1.0, grid), psi.astype(complex))
+
+
+def octant_edges(grid=259):
+    """Path e1 -> e2 -> e3 along the octant edges: every sample has an
+    exactly orthogonal partner on the subgrid, so every pivot is degenerate."""
+    t = np.linspace(0.0, 1.0, grid)
+    a = np.pi * np.minimum(t, 0.5)
+    b = np.pi * np.maximum(t - 0.5, 0.0)
+    psi = np.stack([np.cos(a), np.sin(a) * np.cos(b), np.sin(b)], axis=1)
+    psi[np.abs(psi) < 1e-15] = 0.0
+    return CurveLift(t, psi.astype(complex))
+
+
+class TestPivotCheckMatchesTripleScan:
+    """The pivot check against the all-triples scan in ``npc_oracle``."""
+
+    def assert_parity(self, lift, **kwargs):
+        got = verify_npc(lift, **kwargs)
+        want = oracle_scan(lift, **kwargs)
+        assert got.ok == want.ok
+        assert got.checked == want.checked
+        tau = kwargs.get("tau_npc", TAU_NPC)
+        if got.ok:
+            # every subgrid triple, not just those through the pivot
+            assert want.max_rel_imag <= tau
+            assert want.min_real > 0
+        # the pivot triples are among the scanned ones, up to the rounding
+        # of a product taken in another order
+        assert got.max_rel_imag <= want.max_rel_imag + 1e-14
+        assert got.min_real >= want.min_real - 1e-14
+        return got, want
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_geodesics(self, rng, n):
+        for _ in range(5):
+            got, _ = self.assert_parity(make_geodesic(rng, dim=n))
+            assert got.ok
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3, 0.8, 1.2])
+    def test_eps_family(self, rng, eps):
+        for theta0 in (np.pi / 6, np.pi / 2, 5 * np.pi / 6):
+            frame = CurveFrame(np.eye(3, dtype=complex), theta0)
+            lift = profile_to_lift(frame, generate_npc_profile(theta0, 3, eps))
+            got, _ = self.assert_parity(lift)
+            assert got.ok
+            frame = frame_from_pair(core.random_state(5, rng),
+                                    core.random_state(5, rng), size=4)
+            lift = profile_to_lift(frame, generate_npc_profile(
+                frame.theta0, 4, eps))
+            got, _ = self.assert_parity(lift)
+            assert got.ok
+
+    def test_component_wobble(self, rng):
+        got, want = self.assert_parity(wobble(rng, 0.3))
+        assert not got.ok
+        assert got.violations and want.violations
+
+    def test_small_wobbles_accept_only_what_the_scan_accepts(self, rng):
+        verdicts = []
+        for amplitude in np.logspace(-13, -8, 11):
+            lift = wobble(rng, amplitude)
+            got = verify_npc(lift)
+            want = oracle_scan(lift)
+            verdicts.append(got.ok)
+            if got.ok:
+                assert want.ok and want.max_rel_imag <= TAU_NPC
+        assert verdicts[0] and not verdicts[-1]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_latitude_arcs(self, n):
+        for theta in (0.7, 2.2):
+            got, _ = self.assert_parity(latitude_arc(theta, 1.5, n))
+            assert not got.ok
+
+    def test_orthogonal_end_samples(self):
+        lift = quarter_circle()
+        assert abs(core.inner(lift.psi[0], lift.psi[-1])) == 0.0
+        got, want = self.assert_parity(lift)
+        assert not got.ok
+        # the pivot avoids both orthogonal samples, which meet in one pair
+        assert len(got.violations) == 1
+        assert got.violations[0]["indices"][1:] == [0, 256]
+
+    def test_every_pivot_degenerate(self):
+        got, _ = self.assert_parity(octant_edges())
+        assert not got.ok
+
+    def test_small_subgrids(self, rng):
+        for subgrid in (3, 4, 9):
+            self.assert_parity(make_geodesic(rng), subgrid=subgrid)
+            self.assert_parity(wobble(rng, 0.3), subgrid=subgrid)
+
+    def test_violations_name_pivot_triples(self, rng):
+        report = verify_npc(wobble(rng, 0.3))
+        pivots = {v["indices"][0] for v in report.violations}
+        assert len(pivots) == 1
+        for v in report.violations:
+            assert all(type(i) is int for i in v["indices"])
+            assert all(type(x) is float for x in v["delta"])
 
 
 class TestQuadrature:

@@ -139,6 +139,27 @@ class TestSolidAngle:
         with pytest.raises(ValueError, match="antipodal"):
             solid_angle(Z, -Z, X)
 
+    @pytest.mark.parametrize("z", [1e-7, 1e-9])
+    def test_near_hemisphere(self, z):
+        # next to a hemisphere the half-angle excess formulas lose half
+        # their digits; the triple-product form matches the spinor value
+        t = 2 * np.pi * np.arange(3) / 3
+        ring = np.stack([np.cos(t), np.sin(t), np.full(3, z)], axis=1)
+        ring /= np.linalg.norm(ring, axis=1)[:, None]
+        for vertices in (ring, ring[::-1]):
+            a, b, c = vertices
+            excess = -2 * math.atan2(a @ np.cross(b, c),
+                                     1 + a @ b + b @ c + c @ a)
+            got = solid_angle(*vertices)
+            assert abs(math.remainder(got - excess, 4 * np.pi)) < 1e-14
+            assert 2 * np.pi - 20 * z < abs(got) < 2 * np.pi
+
+    def test_random_triangles_pass_the_cross_check(self, rng):
+        ns = rng.normal(size=(2000, 3, 3))
+        ns /= np.linalg.norm(ns, axis=2)[:, :, None]
+        for vertices in ns:
+            solid_angle(*vertices)  # raises when the two routes disagree
+
 
 class TestSolidAnglePhase:
     def test_matches_triad_phase(self, rng):

@@ -48,6 +48,14 @@ class TestStates:
         with pytest.raises(ValueError, match="pair"):
             formats.state_from_dict({"amplitudes": [[1.0, 0.0], [2.0]]})
 
+    def test_non_finite_amplitude_rejected(self):
+        # json.loads reads NaN and Infinity as floats, and integers of any size
+        for text in ('[NaN, 0]', '[0, Infinity]', f'[1{"0" * 400}, 0]'):
+            d = formats.json_loads(
+                '{"amplitudes": [[1, 0], ' + text + ']}')
+            with pytest.raises(ValueError, match="non-finite"):
+                formats.state_from_dict(d)
+
     def test_bare_state_wraps_to_singleton(self, rng):
         psi = core.random_state(2, rng)
         got = formats.states_from_dict(formats.state_to_dict(psi), minimum=1)
