@@ -9,6 +9,7 @@ the config alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 # Overlap moduli below TAU_DEG (relative to the norms involved) count as
@@ -41,8 +42,9 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for name in ("tau_deg", "tau_npc", "tau_lead"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0:
+                raise ValueError(f"{name} must be positive and finite")
         if self.grid < 5 or self.grid % 2 == 0:
             # the connection integral runs Simpson's rule over the grid
             raise ValueError("grid must be odd and at least 5")

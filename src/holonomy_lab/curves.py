@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class RealProfile:
         object.__setattr__(self, "x", x)
         if x.ndim != 2 or x.shape[0] != s.size:
             raise ValueError("x must have one row per sample")
+        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
+            raise ValueError("non-finite sample in profile")
 
 
 @dataclass
@@ -207,6 +210,47 @@ def generate_npc_profile(theta0: float, n: int, eps: float,
     return RealProfile(s, x)
 
 
+def _nonlocal_certified(x: np.ndarray, tol: float) -> bool:
+    """Whether per-component bounds alone settle the nonlocal condition.
+
+    With lo_r, hi_r the extremes of component r over the samples, each
+    product x_r(s) x_r(s') lies on the box [lo_r, hi_r]^2, where the
+    bilinear form is smallest at a corner: it is at least
+    min(lo_r hi_r, lo_r^2, hi_r^2), and the sum of these bounds every
+    dot product from below.  Cauchy-Schwarz bounds it from above by
+    T = max_s |x(s)|^2.
+
+    Soundness in floating point, with u = eps/2 and g_m = m u / (1 - m u):
+    whatever its summation order, a computed Gram entry is off by at most
+    g_m sum_r |x_r(s) x_r(s')| <= g_m T; the computed lower bound is off
+    by at most g_m sum_r max(lo_r^2, hi_r^2) <= m g_m T, and the computed
+    T by at most g_m T.  Together that is (m + 2) g_m T < 2 m^2 eps T,
+    which the slack 16 m^2 eps max(T, 1) covers eight times over, leaving
+    room for the roundings of the two comparisons; the floor of 1 covers
+    absolute errors from underflow.  So when the lower bound exceeds the
+    slack and T plus the slack is at most 1 + tol, no Gram entry the scan
+    computes is <= 0 or > 1 + tol.  Overflow or NaN fails a comparison
+    and leaves the decision to the scan.
+    """
+    m = x.shape[1]
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    floor = float(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi)).sum())
+    top = float(np.einsum("ij,ij->i", x, x).max())
+    slack = 16.0 * m * m * np.finfo(float).eps * max(top, 1.0)
+    return floor > slack and top + slack <= 1.0 + tol
+
+
+def _nonlocal_violations(x: np.ndarray, tol: float) -> list:
+    """Scan the full Gram matrix for pairs i < j outside (0, 1 + tol]."""
+    gram = x @ x.T
+    bad = (gram <= 0.0) | (gram > 1.0 + tol)
+    bad &= np.triu(np.ones_like(bad, dtype=bool), k=1)
+    return [{"kind": "nonlocal", "pair": [int(i), int(j)],
+             "detail": f"overlap {gram[i, j]:.6e} outside (0, 1]"}
+            for i, j in zip(*np.nonzero(bad))]
+
+
 def validate_profile(profile: RealProfile, theta0: float,
                      tol: float = 1e-9) -> ProfileReport:
     """Check boundary, local and nonlocal conditions of a profile.
@@ -214,7 +258,10 @@ def validate_profile(profile: RealProfile, theta0: float,
     Boundary: x starts at (1, 0, ...) and ends at (cos(theta0/2),
     sin(theta0/2), 0, ...).  Local: unit norm, x_1 > 0 and
     C0 x_1 + S0 x_2 > 0 at every sample.  Nonlocal: every pairwise dot
-    product must lie in (0, 1].
+    product must lie in (0, 1].  Per-component bounds settle the nonlocal
+    condition in O(k m) for k samples of m components; only when they
+    cannot (signed components, norms at the tolerance) are all k^2 pairs
+    scanned.
     """
     report = ProfileReport()
     x = profile.x
@@ -241,12 +288,8 @@ def validate_profile(profile: RealProfile, theta0: float,
     for i in np.flatnonzero(combo <= 0.0):
         report.violations.append({"kind": "local", "index": int(i),
                                   "detail": "C0 x1 + S0 x2 not positive"})
-    gram = x @ x.T
-    bad = (gram <= 0.0) | (gram > 1.0 + tol)
-    bad &= np.triu(np.ones_like(bad, dtype=bool), k=1)
-    for i, j in zip(*np.nonzero(bad)):
-        report.violations.append({"kind": "nonlocal", "pair": [int(i), int(j)],
-                                  "detail": f"overlap {gram[i, j]:.6e} outside (0, 1]"})
+    if not _nonlocal_certified(x, tol):
+        report.violations.extend(_nonlocal_violations(x, tol))
     return report
 
 
@@ -265,10 +308,15 @@ def profile_to_lift(frame: CurveFrame, profile: RealProfile,
     return CurveLift(profile.s, profile.x.astype(complex) @ frame.vectors)
 
 
+@lru_cache(maxsize=256)
 def _subgrid_indices(n_samples: int, subgrid: int) -> np.ndarray:
+    """Read-only indices of about ``subgrid`` evenly spread samples."""
     if subgrid >= n_samples:
-        return np.arange(n_samples)
-    return np.unique(np.linspace(0, n_samples - 1, subgrid).round().astype(int))
+        idx = np.arange(n_samples)
+    else:
+        idx = np.unique(np.linspace(0, n_samples - 1, subgrid).round().astype(int))
+    idx.flags.writeable = False
+    return idx
 
 
 def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,

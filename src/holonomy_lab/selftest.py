@@ -259,7 +259,7 @@ def _check_npc_verifier(config: RunConfig) -> tuple[bool, str]:
             if not pr.ok:
                 return False, f"profile rejected: {pr.violations[0]}"
             frame = curves.CurveFrame(np.eye(3, dtype=complex), theta0)
-            lift = curves.profile_to_lift(frame, profile)
+            lift = curves.profile_to_lift(frame, profile, validate=False)
             report = curves.verify_npc(lift, subgrid=config.subgrid,
                                        tau_npc=config.tau_npc)
             if not report.ok:

@@ -373,6 +373,40 @@ class TestConfigPlumbing:
         code, _, err = run(["bi", octant_file, "--tol-deg", "-1"], capsys)
         assert code == 1
 
+    @pytest.fixture
+    def orthogonal_pair_file(self, tmp_path):
+        # states 0 and 1 are orthogonal, so the invariant is degenerate
+        path = tmp_path / "orthogonal.json"
+        path.write_text(json.dumps({"states": [
+            {"dim": 3, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
+            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]},
+            {"dim": 3, "amplitudes": [[0.6, 0], [0.8, 0], [0, 0]]},
+        ]}))
+        return str(path)
+
+    @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-npc", "--tol-lead"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_flag_is_usage_error(
+            self, orthogonal_pair_file, capsys, flag, value):
+        code, _, err = run(["bi", orthogonal_pair_file], capsys)
+        assert code == 2 and "degenerate" in err
+        # a NaN tolerance compares False, so it would let the pair through
+        code, out, err = run(["bi", orthogonal_pair_file, flag, value], capsys)
+        assert code == 1 and "finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["tau_deg", "tau_npc", "tau_lead"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_tolerance_in_config_file(
+            self, tmp_path, orthogonal_pair_file, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{key}": {value}}}')
+        with pytest.raises(ValueError, match="finite"):
+            RunConfig.from_file(str(cfg))
+        code, _, err = run(["bi", orthogonal_pair_file, "--config", str(cfg)],
+                           capsys)
+        assert code == 1 and "finite" in err
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])

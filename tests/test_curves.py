@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from holonomy_lab import core
-from holonomy_lab.config import TAU_NPC
+from holonomy_lab import core, curves, selftest
+from holonomy_lab.config import TAU_NPC, RunConfig
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -22,11 +22,13 @@ from holonomy_lab.curves import (
     verify_npc,
     _derivative,
     _simpson,
+    _subgrid_indices,
 )
 from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_triad
 from npc_oracle import oracle_scan
+from profile_oracle import oracle_violations
 
 
 def make_geodesic(rng, dim=3, grid=257):
@@ -159,6 +161,30 @@ class TestFrameFromPair:
             frame_from_pair(a, b, size=1)
 
 
+def nonlocal_only_profile(theta0):
+    c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
+    rows = np.array([
+        [1.0, 0.0, 0.0],
+        [0.1, 0.3, -0.95],
+        [0.6, -0.45, 0.66],
+        [c0, s0, 0.0],
+    ])
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return RealProfile(np.linspace(0, 1, 4), rows)
+
+
+def signed_profile(theta0, eps, n=3, grid=257):
+    """Valid profile whose third component changes sign: b = eps sin(2 pi s)."""
+    s = np.linspace(0.0, 1.0, grid)
+    a = 0.5 * theta0 * s
+    b = eps * np.sin(2 * np.pi * s)
+    x = np.zeros((grid, n))
+    x[:, 0] = np.cos(a)
+    x[:, 1] = np.sin(a) * np.cos(b)
+    x[:, 2] = np.sin(a) * np.sin(b)
+    return RealProfile(s, x)
+
+
 class TestProfileFamily:
     def test_boundary_values(self):
         theta0 = 2 * np.pi / 3
@@ -214,18 +240,22 @@ class TestValidateProfile:
         # two interior samples pass every pointwise check yet point almost
         # opposite ways, so only their pairwise overlap trips the scan
         theta0 = 0.4
-        c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
-        rows = np.array([
-            [1.0, 0.0, 0.0],
-            [0.1, 0.3, -0.95],
-            [0.6, -0.45, 0.66],
-            [c0, s0, 0.0],
-        ])
-        rows /= np.linalg.norm(rows, axis=1)[:, None]
-        report = validate_profile(RealProfile(np.linspace(0, 1, 4), rows),
-                                  theta0)
+        report = validate_profile(nonlocal_only_profile(theta0), theta0)
         kinds = [v["kind"] for v in report.violations]
         assert kinds and set(kinds) == {"nonlocal"}
+
+    @pytest.mark.parametrize("where", ["x", "s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_sample_is_rejected(self, where, value):
+        # NaN compares False both ways, so no check downstream would flag it
+        profile = generate_npc_profile(1.0, 3, 0.5, grid=17)
+        s, x = profile.s.copy(), profile.x.copy()
+        if where == "x":
+            x[8, 1] = value
+        else:
+            s[8] = value
+        with pytest.raises(ValueError, match="non-finite sample in profile"):
+            RealProfile(s, x)
 
 
 class TestProfileToLift:
@@ -256,6 +286,142 @@ class TestProfileToLift:
         lift = profile_to_lift(frame, profile)
         want = profile.x.astype(complex) @ frame.vectors
         assert np.allclose(lift.psi, want)
+
+
+class TestProfileCheckMatchesFullScan:
+    """``validate_profile`` against the all-pairs check in ``profile_oracle``."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = curves._nonlocal_violations
+
+        def counted(x, tol):
+            calls.append(x.shape)
+            return scan(x, tol)
+
+        monkeypatch.setattr(curves, "_nonlocal_violations", counted)
+        return calls
+
+    def assert_parity(self, profile, theta0, **kwargs):
+        got = validate_profile(profile, theta0, **kwargs).violations
+        assert got == oracle_violations(profile, theta0, **kwargs)
+        return got
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("grid", [5, 17, 257, 1025])
+    def test_eps_family(self, n, grid):
+        for eps in (0.0, 0.8, 1.2):
+            for theta0 in (np.pi / 6, 5 * np.pi / 6):
+                profile = generate_npc_profile(theta0, n, eps, grid=grid)
+                assert self.assert_parity(profile, theta0) == []
+
+    def test_eps_family_never_reaches_the_scan(self, monkeypatch):
+        def refuse(x, tol):
+            raise AssertionError("the Gram scan ran on a certified profile")
+
+        monkeypatch.setattr(curves, "_nonlocal_violations", refuse)
+        for n in (3, 4, 5, 8):
+            for grid in (5, 17, 257, 1025):
+                for eps in (0.0, 0.3, 0.8, 1.2, 1.5):
+                    for theta0 in (0.05, np.pi / 2, 3.0):
+                        profile = generate_npc_profile(theta0, n, eps, grid=grid)
+                        assert validate_profile(profile, theta0).ok
+
+    @pytest.mark.parametrize("theta0, eps", [(2.5, 0.9), (2.8, 0.3), (3.0, 1.2)])
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_signed_valid_profiles_run_the_scan(self, scans, theta0, eps, n):
+        profile = signed_profile(theta0, eps, n=n)
+        assert self.assert_parity(profile, theta0) == []
+        assert scans == [profile.x.shape]
+
+    def test_signed_profile_with_room_is_certified(self, scans):
+        # the sign change of x_3 costs less than x_1 alone guarantees
+        profile = signed_profile(2.0, 0.6)
+        assert self.assert_parity(profile, 2.0) == []
+        assert scans == []
+
+    def test_nonlocal_violation_alone(self, scans):
+        got = self.assert_parity(nonlocal_only_profile(0.4), 0.4)
+        assert {v["kind"] for v in got} == {"nonlocal"}
+        assert len(scans) == 1
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-6])
+    @pytest.mark.parametrize("gap", [-0.5, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 0.5])
+    def test_norms_at_the_tolerance(self, scans, tol, gap):
+        # a repeated sample makes an off-diagonal Gram entry equal its
+        # squared norm, 1 + tol + gap (gap = +-0.5 stands for +-tol/2)
+        theta0 = 1.0
+        profile = generate_npc_profile(theta0, 3, 0.5, grid=17)
+        x = profile.x.copy()
+        x[9] = x[8]
+        shift = gap * tol if abs(gap) == 0.5 else gap
+        x[8:10] *= np.sqrt(1 + tol + shift)
+        got = self.assert_parity(RealProfile(profile.s, x), theta0, tol=tol)
+        nonlocal_pairs = [v["pair"] for v in got if v["kind"] == "nonlocal"]
+        if gap >= 1e-13:
+            assert nonlocal_pairs == [[8, 9]]
+        if gap <= -1e-13:
+            assert nonlocal_pairs == []
+            assert scans == []  # clear of the rounding slack: certified
+        if abs(gap) <= 1e-15:
+            assert scans  # within the rounding slack: the scan decides
+
+    def test_exactly_orthogonal_pair(self, scans):
+        theta0 = 1.0
+        c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
+        rows = np.array([[1.0, 0.0, 0.0, 0.0],
+                         [0.5, 0.5, 0.5, 0.5],
+                         [0.5, -0.5, 0.5, -0.5],
+                         [c0, s0, 0.0, 0.0]])
+        got = self.assert_parity(RealProfile(np.linspace(0, 1, 4), rows), theta0)
+        assert got == [{"kind": "nonlocal", "pair": [1, 2],
+                        "detail": "overlap 0.000000e+00 outside (0, 1]"}]
+        assert len(scans) == 1
+
+    def test_random_profiles(self, rng, scans):
+        # unit rows with positive or signed components, some repeated and
+        # rescaled around the tolerance, through both paths
+        certified = 0
+        for trial in range(400):
+            m = int(rng.integers(2, 6))
+            x = rng.uniform(-0.2 if trial % 2 else 0.05, 1.0, size=(6, m))
+            x[:, 0] = np.abs(x[:, 0]) + 0.1
+            x /= np.linalg.norm(x, axis=1)[:, None]
+            x[3] = x[2]
+            x[2:4] *= np.sqrt(1 + 1e-9 * rng.uniform(-2.0, 2.0))
+            before = len(scans)
+            self.assert_parity(RealProfile(np.linspace(0, 1, 6), x), 1.0)
+            certified += len(scans) == before
+        assert 0 < certified < 400
+
+    def test_criterion_8_validates_each_profile_once(self, monkeypatch):
+        calls = []
+        check = curves.validate_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(curves, "validate_profile", counted)
+        passed, detail = selftest._check_npc_verifier(RunConfig())
+        assert passed, detail
+        assert len(calls) == 60
+
+
+class TestSubgridIndices:
+    def test_cached_indices_match_the_formula(self):
+        for n_samples in range(3, 300, 7):
+            for subgrid in (3, 4, 5, 9, 21, 64, 257, 1025):
+                got = _subgrid_indices(n_samples, subgrid)
+                if subgrid >= n_samples:
+                    want = np.arange(n_samples)
+                else:
+                    want = np.unique(np.linspace(0, n_samples - 1, subgrid)
+                                     .round().astype(int))
+                assert np.array_equal(got, want)
+                assert not got.flags.writeable
+                assert _subgrid_indices(n_samples, subgrid) is got
 
 
 class TestVerifyNpc:
