@@ -17,6 +17,8 @@ invariant angles.
 
 from __future__ import annotations
 
+import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -26,7 +28,6 @@ from .config import TAU_DEG
 from .core import (
     DegenerateTriadError,
     as_state,
-    inner,
     normalize,
     principal_angle,
     wrap_angle_positive,
@@ -63,6 +64,8 @@ class CanonicalParamsN2:
     def __post_init__(self) -> None:
         _check_open_interval("theta_12", self.theta_12, 0.0, np.pi)
         _check_open_interval("theta_31", self.theta_31, 0.0, np.pi)
+        for name in ("phi_12", "phi_31", "phi"):
+            _check_finite(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -73,8 +76,7 @@ class CanonicalParamsN3(CanonicalParamsN2):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not 0.0 <= self.xi <= np.pi / 2:
-            raise ValueError("xi must lie in [0, pi/2]")
+        _check_xi(self.xi)
         if self.xi == 0.0 or self.xi == np.pi / 2:
             warnings.warn(
                 "xi at the boundary reduces the triad to a dimension-2 configuration",
@@ -93,6 +95,7 @@ class CoherentTriadParams:
     def __post_init__(self) -> None:
         _check_open_interval("theta_12", self.theta_12, 0.0, np.pi)
         _check_open_interval("theta_31", self.theta_31, 0.0, np.pi)
+        _check_finite("phi_prime", self.phi_prime)
 
     @property
     def r(self) -> float:
@@ -104,19 +107,34 @@ class CoherentTriadParams:
 
 
 def _check_open_interval(name: str, value: float, lo: float, hi: float) -> None:
-    if not lo < value < hi:
+    if not lo < value < hi:  # NaN fails too
         raise ValueError(f"{name} must lie strictly inside ({lo}, {hi})")
 
 
-def _overlap_angles(a, b, tau_deg: float) -> tuple[float, float]:
-    """(theta, phi) of a single overlap of unit vectors."""
-    ov = inner(a, b)
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite")
+
+
+def _check_xi(xi: float) -> None:
+    if not 0.0 <= xi <= np.pi / 2:  # NaN fails too
+        raise ValueError("xi must lie in [0, pi/2]")
+
+
+def _check_triad_angles(theta_12: float, theta_31: float, phi: float) -> None:
+    _check_open_interval("theta_12", theta_12, 0.0, np.pi)
+    _check_open_interval("theta_31", theta_31, 0.0, np.pi)
+    _check_finite("phi", phi)
+
+
+def _overlap_angles(ov: complex, tau_deg: float) -> tuple[float, float]:
+    """(theta, phi) of the overlap of two unit vectors."""
     c = abs(ov)
     if c <= tau_deg:
         raise DegenerateTriadError("orthogonal pair: theta at the upper boundary")
     if c >= 1.0 - tau_deg:
         raise DegenerateTriadError("coincident rays: theta at the lower boundary")
-    return 2.0 * float(np.arccos(c)), wrap_angle_positive(float(np.angle(ov)))
+    return 2.0 * math.acos(c), wrap_angle_positive(cmath.phase(ov))
 
 
 def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngles:
@@ -135,12 +153,13 @@ def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngle
         theta_jk in (0, pi) and phi_jk in [0, 2*pi) for the pairs
         (1,2), (2,3), (3,1).
     """
-    v1 = normalize(psi1)
-    v2 = normalize(psi2)
-    v3 = normalize(psi3)
-    t12, p12 = _overlap_angles(v1, v2, tau_deg)
-    t23, p23 = _overlap_angles(v2, v3, tau_deg)
-    t31, p31 = _overlap_angles(v3, v1, tau_deg)
+    v = [normalize(psi) for psi in (psi1, psi2, psi3)]
+    if not v[0].shape == v[1].shape == v[2].shape:
+        raise ValueError("dimension mismatch: "
+                         + " vs ".join(str(s.size) for s in v))
+    (t12, p12), (t23, p23), (t31, p31) = (
+        _overlap_angles(complex(np.vdot(a, b)), tau_deg)
+        for a, b in zip(v, v[1:] + v[:1]))
     return IntrinsicAngles(t12, t23, t31, p12, p23, p31)
 
 
@@ -174,8 +193,7 @@ def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
 
     Raises when the derived overlap hits either boundary of (0, 1).
     """
-    _check_open_interval("theta_12", theta_12, 0.0, np.pi)
-    _check_open_interval("theta_31", theta_31, 0.0, np.pi)
+    _check_triad_angles(theta_12, theta_31, phi)
     w = (np.cos(theta_12 / 2) * np.cos(theta_31 / 2)
          + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2))
     return _solve_dependent(theta_12, theta_31, complex(w), tau_deg)
@@ -184,10 +202,8 @@ def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
 def solve_dependent_n3(theta_12: float, theta_31: float, phi: float, xi: float,
                        tau_deg: float = TAU_DEG) -> tuple[float, float]:
     """Dependent pair for a dimension-3 triad; xi = 0 recovers the n=2 case."""
-    _check_open_interval("theta_12", theta_12, 0.0, np.pi)
-    _check_open_interval("theta_31", theta_31, 0.0, np.pi)
-    if not 0.0 <= xi <= np.pi / 2:
-        raise ValueError("xi must lie in [0, pi/2]")
+    _check_triad_angles(theta_12, theta_31, phi)
+    _check_xi(xi)
     w = (np.cos(theta_12 / 2) * np.cos(theta_31 / 2)
          + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2) * np.cos(xi))
     return _solve_dependent(theta_12, theta_31, complex(w), tau_deg)
@@ -275,12 +291,10 @@ def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
     and with ``xi`` the tangent product picks up a factor cos(xi).  The
     argument of the complex quantity must stay away from zero.
     """
-    _check_open_interval("theta_12", theta_12, 0.0, np.pi)
-    _check_open_interval("theta_31", theta_31, 0.0, np.pi)
+    _check_triad_angles(theta_12, theta_31, phi)
     factor = np.tan(theta_12 / 2) * np.tan(theta_31 / 2)
     if xi is not None:
-        if not 0.0 <= xi <= np.pi / 2:
-            raise ValueError("xi must lie in [0, pi/2]")
+        _check_xi(xi)
         factor *= np.cos(xi)
     w = 1.0 + np.exp(1j * phi) * factor
     if abs(w) <= tau_deg:
@@ -296,6 +310,8 @@ def coherent_overlap(z_prime: complex, z: complex) -> complex:
     """Overlap of two oscillator coherent states with labels z' and z."""
     z_prime = complex(z_prime)
     z = complex(z)
+    if not (cmath.isfinite(z_prime) and cmath.isfinite(z)):
+        raise ValueError("coherent-state labels must be finite")
     return complex(
         np.exp(-0.5 * abs(z_prime - z) ** 2 + 1j * (np.conjugate(z_prime) * z).imag)
     )
@@ -312,6 +328,8 @@ def g4_action(alpha0: float, z0: complex, theta0: float,
     """
     z = complex(z)
     z0 = complex(z0)
+    if not all(cmath.isfinite(v) for v in (alpha0, z0, theta0, alpha, z)):
+        raise ValueError("group element and labels must be finite")
     alpha2 = wrap_angle_positive(
         alpha + alpha0 + float((z0 * np.conjugate(z) * np.exp(1j * theta0)).imag)
     )

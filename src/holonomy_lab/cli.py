@@ -8,6 +8,7 @@ deterministic for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -69,7 +70,13 @@ def _float_field(d: dict, key: str) -> float:
     value = d[key]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise _InputError(f"parameter '{key}' must be a number")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise _InputError(f"parameter '{key}' must be finite")
+    return value
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields
 
 # Overlap moduli below TAU_DEG (relative to the norms involved) count as
@@ -43,8 +44,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         for name in ("tau_deg", "tau_npc", "tau_lead"):
             value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool):
+                raise ValueError(f"{name} must be a real number")
             if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("grid", "subgrid", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError("output must be a file name")
         if self.grid < 5 or self.grid % 2 == 0:
             # the connection integral runs Simpson's rule over the grid
             raise ValueError("grid must be odd and at least 5")

@@ -9,12 +9,13 @@ with J = (n - 1)/2, so index 0 is the highest-weight direction.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from .config import TAU_DEG
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 class DegenerateTriadError(ValueError):
@@ -39,13 +40,14 @@ def inner(phi, psi) -> complex:
 
 
 def norm(psi) -> float:
-    return float(np.linalg.norm(as_state(psi)))
+    psi = as_state(psi)
+    return math.sqrt(np.vdot(psi, psi).real)
 
 
 def normalize(psi) -> np.ndarray:
     psi = as_state(psi)
-    n = np.linalg.norm(psi)
-    if n == 0.0 or not np.isfinite(n):
+    n = norm(psi)
+    if not 0.0 < n < math.inf:
         raise ValueError("cannot normalize a zero or non-finite vector")
     return psi / n
 
@@ -58,7 +60,7 @@ def projector(psi) -> np.ndarray:
 
 def principal_angle(x: float) -> float:
     """Wrap a phase to the principal branch (-pi, pi]."""
-    y = float(np.remainder(x, TWO_PI))
+    y = float(x) % TWO_PI  # floor modulo, as np.remainder
     if y >= TWO_PI:  # catches rounding of tiny negatives
         y = 0.0
     if y > np.pi:
@@ -68,7 +70,7 @@ def principal_angle(x: float) -> float:
 
 def wrap_angle_positive(x: float) -> float:
     """Wrap a phase into [0, 2*pi)."""
-    y = float(np.remainder(x, TWO_PI))
+    y = float(x) % TWO_PI
     if y >= TWO_PI:
         y = 0.0
     return y
@@ -114,17 +116,15 @@ def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
     dims = {s.size for s in states}
     if len(dims) != 1:
         raise ValueError("all states must share one dimension")
+    norms = [norm(s) for s in states]
     result = 1.0 + 0.0j
     for i, cur in enumerate(states):
-        nxt = states[(i + 1) % len(states)]
-        ov = inner(cur, nxt)
+        j = (i + 1) % len(states)
+        ov = complex(np.vdot(cur, states[j]))
         if not cmath.isfinite(ov):  # every amplitude enters two overlaps
             raise ValueError("non-finite amplitude")
-        floor = tau_deg * np.linalg.norm(cur) * np.linalg.norm(nxt)
-        if abs(ov) <= floor:
-            raise DegenerateTriadError(
-                f"overlap of states {i} and {(i + 1) % len(states)} is degenerate"
-            )
+        if abs(ov) <= tau_deg * norms[i] * norms[j]:
+            raise DegenerateTriadError(f"overlap of states {i} and {j} is degenerate")
         result *= ov
     return result
 
@@ -143,7 +143,7 @@ def assert_unitary(u, tol: float = 1e-12) -> np.ndarray:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("unitary must be a square matrix")
     defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if defect > tol:
+    if not defect <= tol:  # NaN fails too
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 

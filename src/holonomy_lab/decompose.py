@@ -10,6 +10,7 @@ into a sum of halved solid angles on the sphere.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -18,8 +19,9 @@ import numpy as np
 from .config import TAU_DEG
 from .core import (
     DegenerateTriadError,
+    as_state,
     bargmann,
-    inner,
+    norm,
     normalize,
     principal_angle,
 )
@@ -27,7 +29,6 @@ from .majorana import (
     MajoranaRep,
     coefficients_to_roots,
     pure_product_state,
-    roots_to_coefficients,
     spinor_to_star,
     star_to_spinor,
 )
@@ -59,14 +60,15 @@ def _to_e1_unitary(x: np.ndarray) -> np.ndarray:
     A phase-fixed Householder reflection: numerically stable for every x,
     including x already along the first direction.
     """
-    n = x.size
-    delta = np.angle(x[0]) if abs(x[0]) > 0 else 0.0
+    x0 = complex(x[0])
+    phase = x0 / abs(x0) if x0 else 1.0
     u = x.copy()
-    u[0] += np.exp(1j * delta)
-    h = np.eye(n, dtype=complex) - 2.0 * np.outer(u, u.conj()) / np.vdot(u, u).real
-    d = np.ones(n, dtype=complex)
-    d[0] = -np.exp(-1j * delta)
-    return d[:, None] * h
+    u[0] += phase
+    # |u|^2 = |x|^2 + 2|x0| + 1 for unit x
+    h = np.multiply.outer(u, u.conj() * (-2.0 / (2.0 + 2.0 * abs(x0))))
+    h.ravel()[::x.size + 1] += 1.0
+    h[0] *= -phase.conjugate()
+    return h
 
 
 def _unitary_mapping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -90,53 +92,40 @@ def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReducti
     image of psi3 is factored into its stars; the factorization must
     reproduce the overlap with e1 to 1e-8 or the reduction is rejected.
     """
-    v1 = normalize(psi1)
-    v2 = normalize(psi2)
-    v3 = normalize(psi3)
-    n = v1.size
-    if v2.size != n or v3.size != n:
+    v = [normalize(psi) for psi in (psi1, psi2, psi3)]
+    n = v[0].size
+    if v[1].size != n or v[2].size != n:
         raise ValueError("triad states must share one dimension")
     if n < 2:
         raise ValueError("reduction needs dimension at least 2")
-    # raises DegenerateTriadError when a cyclic overlap vanishes
-    bargmann([v1, v2, v3], tau_deg=tau_deg)
-    ov12 = inner(v1, v2)
+    ov12, ov23, ov31 = (complex(np.vdot(a, b)) for a, b in zip(v, v[1:] + v[:1]))
+    for i, ov in enumerate((ov12, ov23, ov31)):
+        if abs(ov) <= tau_deg:
+            raise DegenerateTriadError(
+                f"overlap of states {i} and {(i + 1) % 3} is degenerate")
     c12 = abs(ov12)
     if c12 >= 1.0 - tau_deg:
         raise DegenerateTriadError("first two rays coincide")
-    phi12 = float(np.angle(ov12))
 
-    u1 = _to_e1_unitary(v1)
-    p2 = u1 @ v2
+    u = _to_e1_unitary(v[0])
+    v_perp = u[1:] @ v[1]
+    alpha = cmath.exp(1j * cmath.phase(ov12) / (n - 1)) * c12 ** (1.0 / (n - 1))
+    xi = np.array([alpha, math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))])
+    w_perp = pure_product_state(xi, n)[1:]
+    nv, nw = norm(v_perp), norm(w_perp)
+    if nv <= tau_deg or nw <= tau_deg:
+        raise DegenerateTriadError("no component orthogonal to e1 to rotate")
+    # the second stage fixes e1 and rotates its orthogonal complement
+    u[1:] = _unitary_mapping(v_perp / nv, w_perp / nw) @ u[1:]
 
-    alpha = np.exp(1j * phi12 / (n - 1)) * c12 ** (1.0 / (n - 1))
-    beta = np.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
-    xi = np.array([alpha, beta], dtype=complex)
-    target = pure_product_state(xi, n)
-
-    u2 = np.eye(n, dtype=complex)
-    if n > 1:
-        v_perp = p2.copy()
-        v_perp[0] = 0.0
-        w_perp = target.copy()
-        w_perp[0] = 0.0
-        nv = np.linalg.norm(v_perp)
-        nw = np.linalg.norm(w_perp)
-        if nv <= tau_deg or nw <= tau_deg:
-            raise DegenerateTriadError("no component orthogonal to e1 to rotate")
-        u2[1:, 1:] = _unitary_mapping(v_perp[1:] / nv, w_perp[1:] / nw)
-
-    u = u2 @ u1
-    out1 = u @ v1
-    out2 = u @ v2
-    out3 = u @ v3
-    rep3 = coefficients_to_roots(out3)
-
-    rebuilt = roots_to_coefficients(rep3)
-    ov31 = inner(v3, v1)
-    if abs(np.conjugate(rebuilt[0]) - ov31) > 1e-8:
+    out = np.array(v) @ u.T
+    rep3 = coefficients_to_roots(out[2])
+    # the spinor product's constant term rebuilds the overlap of psi3 with e1
+    rebuilt = rep3.scale * np.prod(rep3.spinors[:, 0]) * math.sqrt(
+        math.factorial(n - 1))
+    if abs(rebuilt.conjugate() - ov31) > 1e-8:
         raise ValueError("star factorization failed to reproduce the triad overlap")
-    return CanonicalReduction(out1, out2, out3, u, xi, rep3)
+    return CanonicalReduction(out[0], out[1], out[2], u, xi, rep3)
 
 
 def bi_factorization(red: CanonicalReduction, tau_deg: float = TAU_DEG) -> np.ndarray:
@@ -147,14 +136,11 @@ def bi_factorization(red: CanonicalReduction, tau_deg: float = TAU_DEG) -> np.nd
     modulo 2*pi; the moduli differ from it only by a positive overall
     normalization.
     """
-    chi0 = np.array([1.0, 0.0], dtype=complex)
-    factors = []
-    for spin in red.rep3.spinors:
-        f = (inner(chi0, red.xi) * inner(red.xi, spin) * inner(spin, chi0))
-        if abs(f) <= tau_deg:
-            raise DegenerateTriadError("vanishing two-level factor")
-        factors.append(f)
-    return np.array(factors, dtype=complex)
+    spinors = red.rep3.spinors
+    factors = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
+    if (np.abs(factors) <= tau_deg).any():
+        raise DegenerateTriadError("vanishing two-level factor")
+    return factors
 
 
 def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
@@ -166,25 +152,41 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
     excess from the triple product and the pairwise dots (Van Oosterom and
     Strackee, IEEE Trans. Biomed. Eng. 30 (1983) 125), which stays
     accurate up to the hemisphere.  Degenerate triangles give 0 and
-    hemispheres 2*pi up to sign; antipodal vertex pairs are rejected.
+    hemispheres 2*pi up to sign; antipodal vertex pairs and non-finite or
+    non-unit vertices are rejected.
     """
-    stars = [np.asarray(v, dtype=float).reshape(3) for v in (n1, n2, n3)]
-    for i in range(3):
-        a, b = stars[i], stars[(i + 1) % 3]
-        if np.linalg.norm(a + b) <= 1e-8:
-            raise ValueError("antipodal vertices do not span a triangle")
-    s1, s2, s3 = (star_to_spinor(v) for v in stars)
-    prod = inner(s1, s2) * inner(s2, s3) * inner(s3, s1)
-    omega = -2.0 * float(np.angle(prod))
+    return _triangle(_vertex(n1), _vertex(n2), _vertex(n3), cross_tol)
 
-    a, b, c = stars
-    triple = float(np.dot(a, np.cross(b, c)))
-    oriented = -2.0 * math.atan2(triple, 1.0 + a @ b + b @ c + c @ a)
+
+def _vertex(nhat) -> tuple[list[float], list[complex]]:
+    """A star as three floats, with its spinor from star_to_spinor."""
+    star = np.asarray(nhat, dtype=float).reshape(3)
+    return star.tolist(), star_to_spinor(star).tolist()
+
+
+def _triangle(va, vb, vc, cross_tol: float) -> float:
+    """solid_angle of three (star, spinor) vertices made by _vertex."""
+    (a, sa), (b, sb), (c, sc) = va, vb, vc
+    sides = ((a, b), (b, c), (c, a))
+    if any(math.hypot(*(x + y for x, y in zip(p, q))) <= 1e-8 for p, q in sides):
+        raise ValueError("antipodal vertices do not span a triangle")
+    prod = _overlap(sa, sb) * _overlap(sb, sc) * _overlap(sc, sa)
+    omega = -2.0 * cmath.phase(prod)
+
+    triple = (a[0] * (b[1] * c[2] - b[2] * c[1]) + a[1] * (b[2] * c[0] - b[0] * c[2])
+              + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    ab, bc, ca = (p[0] * q[0] + p[1] * q[1] + p[2] * q[2] for p, q in sides)
+    oriented = -2.0 * math.atan2(triple, 1.0 + ab + bc + ca)
     if abs(math.remainder(omega - oriented, 4.0 * math.pi)) > cross_tol:
         raise ValueError(
             f"solid angle cross-check failed: {omega} vs excess {oriented}"
         )
     return omega
+
+
+def _overlap(s: list[complex], t: list[complex]) -> complex:
+    """Inner product of two spinors given as pairs of Python complex."""
+    return s[0].conjugate() * t[0] + s[1].conjugate() * t[1]
 
 
 def phase_from_solid_angles_n3(psi1, psi2, psi3,
@@ -196,18 +198,18 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3,
     is half the sum of the solid angles of the two triangles they make,
     modulo 2*pi.
     """
-    v1 = normalize(psi1)
-    if v1.size != 3:
+    if as_state(psi1).size != 3:
         raise ValueError("this identity is specific to dimension 3")
-    red = reduce_triad(v1, psi2, psi3, tau_deg=tau_deg)
+    red = reduce_triad(psi1, psi2, psi3, tau_deg=tau_deg)
     return 0.5 * sum(_solid_angle_pair(red))
 
 
 def _solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
     """Solid angles of (north, star of xi, each star of psi3), dimension 3."""
-    north = np.array([0.0, 0.0, 1.0])
-    n2hat = spinor_to_star(red.xi)
-    return tuple(solid_angle(north, n2hat, star) for star in red.rep3.stars())
+    north = _vertex([0.0, 0.0, 1.0])
+    xi = _vertex(spinor_to_star(red.xi))
+    return tuple(_triangle(north, xi, _vertex(star), 1e-9)
+                 for star in red.rep3.stars())
 
 
 def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -121,8 +121,8 @@ def spinor_to_star(xi) -> np.ndarray:
 def star_to_spinor(nhat) -> np.ndarray:
     """Inverse of spinor_to_star with the phase fixed: alpha real >= 0."""
     nhat = np.asarray(nhat, dtype=float).reshape(3)
-    if abs(np.linalg.norm(nhat) - 1.0) > 1e-12:
-        raise ValueError("star must be a unit vector")
+    if not abs(math.hypot(*nhat.tolist()) - 1.0) <= 1e-12:  # NaN fails too
+        raise ValueError("star must be a finite unit vector")
     a = math.sqrt(max(0.0, (1.0 + nhat[2]) / 2.0))
     if a < 1e-14:
         return np.array([0.0, 1.0], dtype=complex)
@@ -152,9 +152,14 @@ def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row r of desc (highest power first) evaluated at the points x[r]."""
-    y = np.zeros_like(x)
-    for c in desc.T[:, :, None]:
+    """Row r of desc (highest power first) evaluated at the points x[r].
+
+    desc has more than one column, or x has one: the first step of
+    np.polyval, 0 * x + desc[:, 0], is desc[:, 0] up to the sign of zero,
+    so it is skipped.
+    """
+    y = desc[:, :1]
+    for c in desc.T[1:, :, None]:
         y = y * x + c  # as np.polyval; in-place products may round differently
     return y
 
@@ -209,10 +214,13 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
                 else np.flatnonzero((degree == d) & (zeros == z)))
         desc, m = coeffs[rows, d::-1], d - z
         roots = np.zeros((desc.shape[0], d), dtype=complex)
-        if m > 0:
+        top = -desc[:, 1:m + 1] / desc[:, :1]  # first row of the companion matrix
+        if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
+            roots[:, :1] = top
+        elif m > 1:
             companion = np.zeros((desc.shape[0], m, m), dtype=complex)
-            companion[:, 0, :] = -desc[:, 1:m + 1] / desc[:, :1]
-            companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            companion[:, 0, :] = top
+            companion.reshape(-1, m * m)[:, m::m + 1] = 1.0  # ones below the diagonal
             roots[:, :m] = np.linalg.eigvals(companion)
         roots = _polish_roots(desc, roots)
         if not np.isfinite(roots).all():
@@ -248,15 +256,11 @@ def roots_to_coefficients(rep: MajoranaRep) -> np.ndarray:
 
 def pure_product_state(xi, n: int) -> np.ndarray:
     """Unit state with all n-1 stars at the star of xi."""
-    xi = as_spinor(xi)
+    a, b = as_spinor(xi)
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    a, b = xi
-    amps = np.array([
-        math.sqrt(math.comb(n - 1, k)) * a ** (n - 1 - k) * b ** k
-        for k in range(n)
-    ], dtype=complex)
-    return amps
+    k = np.arange(n)
+    return _weights(n)[0] * a ** (n - 1 - k) * b ** k
 
 
 def permanent(matrix) -> complex:
@@ -304,6 +308,8 @@ def _check_su2(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix must be finite")
     if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
         raise ValueError("matrix is not unitary")
     if abs(np.linalg.det(u) - 1.0) > 1e-10:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab.core import principal_angle
+from holonomy_lab.selftest import _triad
 
 
 def assert_angle_close(a: float, b: float, tol: float = 1e-10) -> None:
@@ -14,14 +15,7 @@ def assert_angle_close(a: float, b: float, tol: float = 1e-10) -> None:
 
 def random_triad(rng, n, min_overlap=0.05):
     """Random triad with pairwise overlaps bounded away from degeneracy."""
-    from holonomy_lab.core import inner, random_state
-
-    while True:
-        t = [random_state(n, rng) for _ in range(3)]
-        ovs = [abs(inner(t[0], t[1])), abs(inner(t[1], t[2])),
-               abs(inner(t[2], t[0]))]
-        if min(ovs) >= min_overlap and max(ovs) <= 1.0 - 1e-6:
-            return t
+    return _triad(rng, n, min_overlap, max_overlap=1.0 - 1e-6)
 
 
 @pytest.fixture

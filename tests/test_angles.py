@@ -217,3 +217,64 @@ class TestGauge:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             ang.gauge_transform(random_triad(rng, 2), [0.1, 0.2])
+
+
+class TestNonFiniteParameters:
+    # a NaN compares False both ways, so each parameter needs its own gate
+    BAD = [np.nan, np.inf, -np.inf]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("slot", range(3))
+    def test_dependent_solvers(self, bad, slot):
+        args = [1.0, 1.2, 0.7]
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            ang.solve_dependent_n2(*args)
+        with pytest.raises(ValueError):
+            ang.solve_dependent_n3(*args, 0.4)
+        with pytest.raises(ValueError):
+            ang.solve_dependent_coherent(*args)
+        with pytest.raises(ValueError):
+            ang.pancharatnam_phase(*args)
+        with pytest.raises(ValueError):
+            ang.pancharatnam_phase(*args, xi=0.4)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_xi(self, bad):
+        with pytest.raises(ValueError, match="xi"):
+            ang.solve_dependent_n3(1.0, 1.2, 0.7, bad)
+        with pytest.raises(ValueError, match="xi"):
+            ang.pancharatnam_phase(1.0, 1.2, 0.7, xi=bad)
+        with pytest.raises(ValueError, match="xi"):
+            ang.CanonicalParamsN3(1.0, 1.2, 0.3, 0.4, 0.7, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("slot", range(5))
+    def test_canonical_params(self, bad, slot):
+        args = [1.0, 1.2, 0.3, 0.4, 0.7]
+        args[slot] = bad
+        with pytest.raises(ValueError):
+            ang.CanonicalParamsN2(*args)
+        with pytest.raises(ValueError):
+            ang.CanonicalParamsN3(*args, 0.5)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_coherent_params(self, bad):
+        with pytest.raises(ValueError, match="phi_prime"):
+            ang.CoherentTriadParams(1.0, 1.2, bad)
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_coherent_labels_and_group_action(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ang.coherent_overlap(complex(bad, 0.0), 0.3j)
+        with pytest.raises(ValueError, match="finite"):
+            ang.coherent_overlap(0.3, complex(0.1, bad))
+        for slot in range(5):
+            args = [0.2, 0.4 + 0.1j, 0.7, 0.3, -0.2 + 0.5j]
+            args[slot] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ang.g4_action(*args)
+
+    def test_finite_phases_outside_one_turn_still_accepted(self):
+        a = ang.solve_dependent_n2(1.0, 1.2, 0.7)
+        assert ang.solve_dependent_n2(1.0, 1.2, 0.7 + 4 * np.pi) == pytest.approx(a)

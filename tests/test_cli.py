@@ -163,6 +163,22 @@ class TestReconstruct:
                            capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("space, key", [
+        ("n2", "phi"), ("n2", "phi_12"), ("n3", "phi_31"), ("n3", "xi"),
+        ("coherent", "phi_prime")])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys,
+                                                 space, key, value):
+        params = dict(self.PARAMS, xi=0.9, phi_prime=1.1)
+        text = json.dumps(dict(params, **{key: 0.0})).replace(
+            f'"{key}": 0.0', f'"{key}": {value}')
+        path = tmp_path / "params.json"
+        path.write_text(text)
+        code, out, err = run(["reconstruct", "--space", space, str(path)],
+                             capsys)
+        assert code == 1 and f"'{key}' must be finite" in err
+        assert out == ""
+
 
 class TestPhase:
     def test_formula_inferred_from_xi(self, tmp_path, capsys):
@@ -183,6 +199,19 @@ class TestPhase:
         path.write_text(json.dumps(base))
         out = run_json(["phase", "--formula", "n2", str(path)], capsys)
         assert out["formula"] == "n2"
+
+    @pytest.mark.parametrize("text", [
+        '{"theta_12": 1.0, "theta_31": 1.0, "phi": NaN}',
+        '{"theta_12": 1.0, "theta_31": 1.0, "phi": -Infinity}',
+        '{"theta_12": 1.0, "theta_31": 1.0, "phi": 0.5, "xi": NaN}',
+        '{"theta_12": 1.0, "theta_31": 1.0, "phi": 1%s}' % ("0" * 400),
+    ])
+    def test_non_finite_parameter_is_usage_error(self, tmp_path, capsys, text):
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        code, out, err = run(["phase", str(path)], capsys)
+        assert code == 1 and "must be finite" in err
+        assert out == ""
 
 
 class TestMajorana:
@@ -406,6 +435,37 @@ class TestConfigPlumbing:
         code, _, err = run(["bi", orthogonal_pair_file, "--config", str(cfg)],
                            capsys)
         assert code == 1 and "finite" in err
+
+    @pytest.mark.parametrize("entry, message", [
+        ('"tau_deg": "x"', "tau_deg must be a real number"),
+        ('"tau_npc": true', "tau_npc must be a real number"),
+        ('"tau_lead": [1e-10]', "tau_lead must be a real number"),
+        ('"grid": 17.5', "grid must be an integer"),
+        ('"grid": 17.0', "grid must be an integer"),
+        ('"subgrid": "21"', "subgrid must be an integer"),
+        ('"seed": "a"', "seed must be an integer"),
+        ('"seed": false', "seed must be an integer"),
+        ('"output": 3', "output must be a file name"),
+    ])
+    def test_config_value_of_the_wrong_type(self, tmp_path, octant_file, capsys,
+                                            entry, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{%s}" % entry)
+        with pytest.raises(ValueError, match=message):
+            RunConfig.from_file(str(cfg))
+        for argv in (["bi", octant_file],
+                     ["npc", "generate", "--theta0", "1.0"]):
+            code, out, err = run(argv + ["--config", str(cfg)], capsys)
+            assert code == 1 and message in err
+            assert out == "" and "Traceback" not in err
+
+    def test_config_integers_and_reals_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tau_deg": 1, "tau_npc": 2e-10, "grid": 17, "seed": -3,'
+                       ' "output": "out.json"}')
+        config = RunConfig.from_file(str(cfg))
+        assert (config.tau_deg, config.grid, config.seed) == (1, 17, -3)
+        assert RunConfig(grid=np.int64(9), seed=np.int32(1)).grid == 9
 
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -170,6 +170,10 @@ class TestRandomSampling:
         with pytest.raises(ValueError):
             core.assert_unitary(np.diag([1.0, 2.0]))
 
+    def test_assert_unitary_rejects_nan(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            core.assert_unitary(np.full((2, 2), np.nan))
+
     def test_apply_unitary_checks_dimensions(self, rng):
         u = core.random_unitary(3, rng)
         with pytest.raises(ValueError):

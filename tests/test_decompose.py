@@ -223,3 +223,14 @@ class TestTriadSummary:
         summary = triad_summary(*random_triad(rng, 5))
         assert "solid_angles" not in summary
         assert len(summary["factors"]) == 4
+
+
+class TestSolidAngleInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_non_finite_vertex_rejected(self, bad, slot):
+        # NaN compares False with every tolerance, so only a gate stops it
+        vertices = [Z.copy(), X.copy(), Y.copy()]
+        vertices[slot][slot] = bad
+        with pytest.raises(ValueError, match="finite unit vector"):
+            solid_angle(*vertices)

@@ -232,6 +232,13 @@ class TestRotations:
         with pytest.raises(ValueError):
             mj.su2_apply(np.diag([1.0, 2.0]), np.ones(3, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        u = np.eye(2, dtype=complex)
+        u[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mj.su2_apply(u, np.ones(3, dtype=complex))
+
     def test_random_su2_has_unit_determinant(self, rng):
         u = mj.random_su2(rng)
         core.assert_unitary(u, tol=1e-10)
