@@ -9,14 +9,11 @@ the null-phase property.
 from .config import RunConfig, TAU_DEG, TAU_LEAD, TAU_NPC
 from .core import (
     DegenerateTriadError,
-    angle_distance,
-    apply_unitary,
     bargmann,
     bi_phase,
     inner,
     normalize,
     principal_angle,
-    projector,
     random_state,
     random_unitary,
     ray_representative,
@@ -29,22 +26,17 @@ from .angles import (
     IntrinsicAngles,
     build_canonical_n2,
     build_canonical_n3,
-    coherent_overlap,
     extract_angles,
-    g4_action,
     gauge_transform,
     pancharatnam_phase,
-    psi3_in_span,
     solve_dependent_coherent,
     solve_dependent_n2,
     solve_dependent_n3,
 )
 from .majorana import (
-    BasisIndex,
     MajoranaRep,
     coefficients_to_roots,
     dim_to_spin,
-    highest_weight_check,
     overlap_general,
     permanent,
     pure_product_state,
@@ -54,7 +46,6 @@ from .majorana import (
     spinor_to_star,
     star_matching_distance,
     star_to_spinor,
-    stars_equal,
     su2_apply,
     su2_rotation,
     weight_residual,

@@ -251,35 +251,6 @@ def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarra
     return psi1, psi2, psi3
 
 
-def psi3_in_span(angles: IntrinsicAngles, tol: float = 1e-8) -> tuple[complex, complex]:
-    """Coefficients (a, b) with psi3 = a psi1 + b psi2 for a dimension-2 triad.
-
-    Solving the 2x2 Gram system gives, with phi_g the geometric phase,
-
-        a = e^{-i phi_31} (C31 - e^{-i phi_g} C12 C23) / S12^2
-        b = e^{+i phi_23} (C23 - e^{+i phi_g} C31 C12) / S12^2
-
-    The angle set must satisfy the dimension-2 consistency relation; sets
-    violating it beyond ``tol`` are rejected.
-    """
-    c12 = np.cos(angles.theta_12 / 2)
-    s12 = np.sin(angles.theta_12 / 2)
-    c23 = np.cos(angles.theta_23 / 2)
-    c31 = np.cos(angles.theta_31 / 2)
-    s31 = np.sin(angles.theta_31 / 2)
-    phi_g = angles.phi_g
-    # in dimension 2 the derived overlap must sit at distance S12*S31 from
-    # C12*C31 in the complex plane
-    residual = abs(abs(c23 * np.exp(-1j * phi_g) - c12 * c31) - s12 * s31)
-    if residual > tol:
-        raise ValueError(
-            f"angle set is not realizable in dimension 2 (residual {residual:.3e})"
-        )
-    a = np.exp(-1j * angles.phi_31) * (c31 - c12 * c23 * np.exp(-1j * phi_g)) / s12**2
-    b = np.exp(1j * angles.phi_23) * (c23 - c12 * c31 * np.exp(1j * phi_g)) / s12**2
-    return complex(a), complex(b)
-
-
 def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
                        xi: float | None = None, tau_deg: float = TAU_DEG) -> float:
     """Closed-form geometric phase of a canonical triad.
@@ -304,36 +275,6 @@ def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
 
 # ---------------------------------------------------------------------------
 # coherent states, handled analytically
-
-
-def coherent_overlap(z_prime: complex, z: complex) -> complex:
-    """Overlap of two oscillator coherent states with labels z' and z."""
-    z_prime = complex(z_prime)
-    z = complex(z)
-    if not (cmath.isfinite(z_prime) and cmath.isfinite(z)):
-        raise ValueError("coherent-state labels must be finite")
-    return complex(
-        np.exp(-0.5 * abs(z_prime - z) ** 2 + 1j * (np.conjugate(z_prime) * z).imag)
-    )
-
-
-def g4_action(alpha0: float, z0: complex, theta0: float,
-              alpha: float, z: complex) -> tuple[float, complex]:
-    """Action of the phase-space group element (alpha0, z0, theta0).
-
-    Returns the transformed label pair (alpha'', z'') with
-
-        alpha'' = alpha + alpha0 + Im(z0 * conj(z) * e^{i theta0})  (mod 2*pi)
-        z''     = z * e^{-i theta0} + z0
-    """
-    z = complex(z)
-    z0 = complex(z0)
-    if not all(cmath.isfinite(v) for v in (alpha0, z0, theta0, alpha, z)):
-        raise ValueError("group element and labels must be finite")
-    alpha2 = wrap_angle_positive(
-        alpha + alpha0 + float((z0 * np.conjugate(z) * np.exp(1j * theta0)).imag)
-    )
-    return alpha2, z * np.exp(-1j * theta0) + z0
 
 
 def solve_dependent_coherent(theta_12: float, theta_31: float, phi_prime: float,

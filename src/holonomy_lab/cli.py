@@ -236,12 +236,11 @@ def _cmd_npc(args, config: RunConfig) -> int:
     if len(args.curves) != 1:
         raise _InputError("open-curve phase takes exactly one curve file")
     lift = _load(args.curves[0], formats.curve_from_csv)
-    integral = curves.connection_integral(lift)
-    endpoint = float(np.angle(core.inner(lift.psi[0], lift.psi[-1])))
+    integral, endpoint, phase = curves.open_curve_phase(lift)
     _emit_json({
         "connection_integral": integral,
         "endpoint_phase": endpoint,
-        "geometric_phase": core.principal_angle(endpoint - integral),
+        "geometric_phase": phase,
     }, config)
     return 0
 

@@ -52,12 +52,6 @@ def normalize(psi) -> np.ndarray:
     return psi / n
 
 
-def projector(psi) -> np.ndarray:
-    """Rank-1 projector onto the ray of psi."""
-    psi = normalize(psi)
-    return np.outer(psi, psi.conj())
-
-
 def principal_angle(x: float) -> float:
     """Wrap a phase to the principal branch (-pi, pi]."""
     y = float(x) % TWO_PI  # floor modulo, as np.remainder
@@ -74,11 +68,6 @@ def wrap_angle_positive(x: float) -> float:
     if y >= TWO_PI:
         y = 0.0
     return y
-
-
-def angle_distance(a: float, b: float) -> float:
-    """Wrap-aware distance between two phases, in [0, pi]."""
-    return abs(principal_angle(a - b))
 
 
 def ray_representative(psi, tol: float = 1e-9) -> np.ndarray:
@@ -146,16 +135,6 @@ def assert_unitary(u, tol: float = 1e-12) -> np.ndarray:
     if not defect <= tol:  # NaN fails too
         raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
     return u
-
-
-def apply_unitary(u, psi) -> np.ndarray:
-    psi = as_state(psi)
-    u = np.asarray(u, dtype=complex)
-    if u.shape != (psi.size, psi.size):
-        raise ValueError(
-            f"dimension mismatch: matrix {u.shape} on vector of size {psi.size}"
-        )
-    return u @ psi
 
 
 def _as_rng(seed) -> np.random.Generator:

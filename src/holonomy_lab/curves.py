@@ -416,10 +416,15 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     return result
 
 
-def open_curve_phase(lift: CurveLift) -> float:
-    """Geometric phase of an open curve: endpoint phase minus the integral."""
+def open_curve_phase(lift: CurveLift) -> tuple[float, float, float]:
+    """(connection integral, endpoint phase, geometric phase) of an open curve.
+
+    The geometric phase is the endpoint phase minus the integral, on the
+    principal branch.
+    """
+    integral = connection_integral(lift)
     endpoint = float(np.angle(inner(lift.psi[0], lift.psi[-1])))
-    return principal_angle(endpoint - connection_integral(lift))
+    return integral, endpoint, principal_angle(endpoint - integral)
 
 
 def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,

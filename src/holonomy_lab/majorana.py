@@ -30,35 +30,6 @@ SIGMA = np.array([
 ], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BasisIndex:
-    """Spin labels (j, m) of one basis direction; n1 = j+m, n2 = j-m quanta."""
-
-    j: float
-    m: float
-
-    def __post_init__(self) -> None:
-        if self.j < 0 or abs(2 * self.j - round(2 * self.j)) > 0:
-            raise ValueError("j must be a nonnegative half-integer")
-        if abs(self.m) > self.j or abs(self.j - self.m - round(self.j - self.m)) > 0:
-            raise ValueError("m must differ from j by an integer and satisfy |m| <= j")
-
-    @property
-    def n1(self) -> int:
-        return round(self.j + self.m)
-
-    @property
-    def n2(self) -> int:
-        return round(self.j - self.m)
-
-    @classmethod
-    def from_dim_index(cls, n: int, k: int) -> "BasisIndex":
-        if not 0 <= k < n:
-            raise ValueError("index out of range")
-        j = (n - 1) / 2.0
-        return cls(j, j - k)
-
-
 def dim_to_spin(n: int) -> float:
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -102,8 +73,8 @@ def as_spinor(xi) -> np.ndarray:
     if xi.shape[-1:] != (2,):
         xi = xi.reshape(2)
     n = np.hypot.reduce(np.abs(xi), axis=-1, keepdims=True)
-    if not n.all():
-        raise ValueError("zero spinor")
+    if not (0.0 < n.min(initial=1.0) and n.max(initial=1.0) < math.inf):  # NaN fails too
+        raise ValueError("spinor must be finite and nonzero")
     return xi / n
 
 
@@ -118,11 +89,16 @@ def spinor_to_star(xi) -> np.ndarray:
     return star
 
 
-def star_to_spinor(nhat) -> np.ndarray:
-    """Inverse of spinor_to_star with the phase fixed: alpha real >= 0."""
+def _check_unit_vector(nhat) -> np.ndarray:
     nhat = np.asarray(nhat, dtype=float).reshape(3)
     if not abs(math.hypot(*nhat.tolist()) - 1.0) <= 1e-12:  # NaN fails too
         raise ValueError("star must be a finite unit vector")
+    return nhat
+
+
+def star_to_spinor(nhat) -> np.ndarray:
+    """Inverse of spinor_to_star with the phase fixed: alpha real >= 0."""
+    nhat = _check_unit_vector(nhat)
     a = math.sqrt(max(0.0, (1.0 + nhat[2]) / 2.0))
     if a < 1e-14:
         return np.array([0.0, 1.0], dtype=complex)
@@ -294,16 +270,6 @@ def overlap_general(rep_prime: MajoranaRep, rep: MajoranaRep) -> complex:
     return complex(np.conjugate(rep_prime.scale) * rep.scale * permanent(gram))
 
 
-def su2_rotation(u) -> np.ndarray:
-    """3x3 rotation matrix induced on stars by a special unitary u."""
-    u = np.asarray(u, dtype=complex)
-    r = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            r[i, j] = 0.5 * np.trace(SIGMA[i] @ u @ SIGMA[j] @ u.conj().T).real
-    return r
-
-
 def _check_su2(u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -315,6 +281,15 @@ def _check_su2(u) -> np.ndarray:
     if abs(np.linalg.det(u) - 1.0) > 1e-10:
         raise ValueError("matrix must have determinant 1")
     return u
+
+
+def su2_rotation(u) -> np.ndarray:
+    """3x3 rotation induced on stars by u in SU(2).
+
+    R_ij = Re tr(sigma_i u sigma_j u^dagger) / 2.
+    """
+    u = _check_su2(u)
+    return 0.5 * np.einsum("iab,bc,jcd,ad->ij", SIGMA, u, SIGMA, u.conj()).real
 
 
 def su2_apply(u, psi) -> np.ndarray:
@@ -348,36 +323,66 @@ def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def weight_residual(psi, nhat) -> float:
-    """Norm of (n_hat . J) psi - J psi for a unit state psi."""
+    """Norm of (n_hat . J) psi - J psi for a unit state psi and unit n_hat.
+
+    It vanishes exactly when psi is the highest weight along n_hat, that
+    is, the pure product whose stars all sit at n_hat.
+    """
     psi = normalize(psi)
+    nhat = _check_unit_vector(nhat)
     n = psi.size
     j1, j2, j3 = spin_matrices(n)
-    nhat = np.asarray(nhat, dtype=float)
     h = nhat[0] * j1 + nhat[1] * j2 + nhat[2] * j3
     return float(np.linalg.norm(h @ psi - dim_to_spin(n) * psi))
 
 
-def highest_weight_check(xi, n: int, tol: float = 1e-10) -> tuple[bool, float]:
-    """Verify that the pure product of xi is highest weight along its star."""
-    xi = as_spinor(xi)
-    residual = weight_residual(pure_product_state(xi, n), spinor_to_star(xi))
-    return residual < tol, residual
+def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
+    """Column paired with each row under the least total of a square cost.
+
+    Hungarian method by shortest augmenting paths with row and column
+    potentials, O(m^3).  Row and column 0 of the padded arrays are a
+    virtual pair that holds the row being inserted.
+    """
+    m = cost.shape[0]
+    cost = np.pad(cost, ((1, 0), (1, 0)))
+    u, v = np.zeros(m + 1), np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=int)  # row on each column, 0 if free
+    way = np.zeros(m + 1, dtype=int)
+    for i in range(1, m + 1):
+        row_of[0], col = i, 0
+        dist = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[col]:
+            used[col] = True
+            r = row_of[col]
+            reduced = cost[r] - u[r] - v
+            closer = reduced < dist
+            closer[used] = False
+            dist[closer] = reduced[closer]
+            way[closer] = col
+            masked = np.where(used, np.inf, dist)
+            col = int(masked.argmin())
+            delta = masked[col]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist -= delta
+        while col:  # flip the augmenting path back to the virtual column
+            row_of[col] = row_of[way[col]]
+            col = way[col]
+    cols = np.empty(m, dtype=int)
+    cols[row_of[1:] - 1] = np.arange(m)
+    return cols
 
 
 def star_matching_distance(stars_a, stars_b) -> float:
-    """Largest chordal distance under the best pairing of two star sets."""
+    """Largest chordal distance under the min-sum pairing of two star sets."""
     a = np.asarray(stars_a, dtype=float).reshape(-1, 3)
     b = np.asarray(stars_b, dtype=float).reshape(-1, 3)
     if a.shape != b.shape:
         raise ValueError("star sets must have equal size")
     if a.shape[0] == 0:
         return 0.0
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
-
-
-def stars_equal(stars_a, stars_b, tol: float = 1e-7) -> bool:
-    return star_matching_distance(stars_a, stars_b) <= tol
+    if not np.isfinite(cost).all():
+        raise ValueError("star sets must be finite")
+    return float(cost[np.arange(a.shape[0]), _min_sum_assignment(cost)].max())

@@ -5,12 +5,16 @@ kernel and orders a trajectory without a per-sample loop.  These helpers
 keep the straightforward route it replaced: one ``np.roots`` call per
 state, one guarded Newton step per root, one ``np.convolve`` per spinor,
 and a loop that orders each sample against the previous one.  The parity
-tests compare the kernel against them.
+tests compare the kernel against them.  ``oracle_su2_rotation`` keeps
+the nine-trace form of the rotation a matrix in SU(2) induces on stars.
 """
 
 import math
 
 import numpy as np
+
+SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+                 dtype=complex)
 
 
 def _canonical_spinor(xi):
@@ -107,3 +111,13 @@ def oracle_trajectory(psi_rows):
         else:
             out[i] = stars[::-1]
     return out, ties
+
+
+def oracle_su2_rotation(u):
+    """Rotation on stars induced by u in SU(2), one trace per entry."""
+    u = np.asarray(u, dtype=complex)
+    r = np.empty((3, 3))
+    for i in range(3):
+        for j in range(3):
+            r[i, j] = 0.5 * np.trace(SIGMA[i] @ u @ SIGMA[j] @ u.conj().T).real
+    return r

@@ -352,13 +352,26 @@ class TestSelftest:
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy(self):
+    @staticmethod
+    def run_child(code):
         src = pathlib.Path(cli.__file__).resolve().parents[1]
-        code = ("import sys, holonomy_lab.cli; "
-                "sys.exit('scipy' in sys.modules)")
         env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", code], env=env)
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+
+    def test_cli_import_loads_no_scipy(self):
+        done = self.run_child("import sys, holonomy_lab.cli; "
+                              "sys.exit('scipy' in sys.modules)")
         assert done.returncode == 0
+
+    def test_star_checks_run_with_scipy_blocked(self):
+        # a None entry makes every later "import scipy..." raise ImportError
+        done = self.run_child(
+            "import sys; sys.modules['scipy'] = None; "
+            "from holonomy_lab.cli import main; "
+            "sys.exit(main(['selftest', '--criterion', '0', '--criterion', '11']))")
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert done.stdout.rstrip().endswith("2/2 checks passed")
 
 
 class TestConfigPlumbing:

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from holonomy_lab import core, majorana as mj
 
+from star_oracle import oracle_su2_rotation
+
 
 def brute_permanent(a):
     total = 0.0 + 0.0j
@@ -20,27 +22,6 @@ def brute_permanent(a):
             term *= a[i, j]
         total += term
     return total
-
-
-class TestBasisIndex:
-    def test_spin_labels_from_dimension(self):
-        idx = mj.BasisIndex.from_dim_index(3, 0)
-        assert idx.j == pytest.approx(1.0)
-        assert idx.m == pytest.approx(1.0)
-        assert (idx.n1, idx.n2) == (2, 0)
-
-    def test_last_index_is_lowest_weight(self):
-        idx = mj.BasisIndex.from_dim_index(4, 3)
-        assert idx.m == pytest.approx(-idx.j)
-        assert (idx.n1, idx.n2) == (0, 3)
-
-    def test_invalid_magnetic_label_rejected(self):
-        with pytest.raises(ValueError):
-            mj.BasisIndex(1.0, 0.5)
-
-    def test_dim_to_spin(self):
-        assert mj.dim_to_spin(2) == pytest.approx(0.5)
-        assert mj.dim_to_spin(5) == pytest.approx(2.0)
 
 
 class TestSpinorsAndStars:
@@ -67,6 +48,15 @@ class TestSpinorsAndStars:
         with pytest.raises(ValueError):
             mj.star_to_spinor(np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_spinor_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            mj.spinor_to_star([bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            mj.pure_product_state([1.0, complex(0.0, bad)], 3)
+        with pytest.raises(ValueError, match="finite"):
+            mj.as_spinor([[1.0, 0.0], [bad, 1.0]])
+
     def test_canonical_spinor_pivot_is_real(self, rng):
         xi = mj.canonical_spinor(mj.as_spinor(core.random_state(2, rng)))
         pivot = xi[np.flatnonzero(np.abs(xi) > 1e-9)[0]]
@@ -92,6 +82,11 @@ class TestRootsAndCoefficients:
         rep = mj.coefficients_to_roots(psi)
         assert np.allclose(rep.spinors[:2], [[1, 0], [1, 0]])
         assert np.allclose(mj.roots_to_coefficients(rep), psi, atol=1e-10)
+
+    def test_dimension_one_has_no_stars(self):
+        rep = mj.coefficients_to_roots(np.array([2.0j]))
+        assert rep.stars().shape == (0, 3)
+        assert rep.scale == pytest.approx(2.0j)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -199,6 +194,18 @@ class TestRotations:
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
 
+    def test_rotation_matches_trace_loop(self, rng):
+        for _ in range(200):
+            u = mj.random_su2(rng)
+            assert np.max(np.abs(mj.su2_rotation(u) - oracle_su2_rotation(u))) <= 1e-14
+
+    @pytest.mark.parametrize("u", [np.full((2, 2), np.nan), np.full((2, 2), np.inf),
+                                   np.diag([1.0, 2.0]), np.diag([1.0, np.exp(0.3j)]),
+                                   np.eye(3)])
+    def test_rotation_rejects_non_su2(self, u):
+        with pytest.raises(ValueError):
+            mj.su2_rotation(u)
+
     def test_rotation_moves_single_star(self, rng):
         u = mj.random_su2(rng)
         xi = mj.as_spinor(core.random_state(2, rng))
@@ -264,22 +271,35 @@ class TestSpinMatrices:
         _, _, j3 = mj.spin_matrices(3)
         assert np.allclose(np.diag(j3), [1.0, 0.0, -1.0])
 
+    def test_dim_to_spin(self):
+        assert mj.dim_to_spin(2) == pytest.approx(0.5)
+        assert mj.dim_to_spin(5) == pytest.approx(2.0)
+
 
 class TestHighestWeight:
     def test_north_product_is_highest_weight(self):
-        ok, residual = mj.highest_weight_check(np.array([1.0, 0.0]), 4)
-        assert ok and residual < 1e-12
+        north = np.array([1.0, 0.0])
+        assert mj.weight_residual(mj.pure_product_state(north, 4),
+                                  mj.spinor_to_star(north)) < 1e-12
 
     def test_random_pure_product_passes(self, rng):
-        xi = mj.as_spinor(core.random_state(2, rng))
-        ok, residual = mj.highest_weight_check(xi, 5)
-        assert ok, f"residual {residual}"
+        for n in (2, 5, 9):
+            xi = mj.as_spinor(core.random_state(2, rng))
+            residual = mj.weight_residual(mj.pure_product_state(xi, n),
+                                          mj.spinor_to_star(xi))
+            assert residual < 1e-10, f"residual {residual} at n={n}"
 
     def test_non_product_vector_fails_loudly(self):
         e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
         xi = np.array([1.0, 0.0], dtype=complex)
         residual = mj.weight_residual(e2, mj.spinor_to_star(xi))
         assert residual > 0.5
+
+    @pytest.mark.parametrize("nhat", [[np.nan, 0.0, 1.0], [0.0, 0.0, np.inf],
+                                      [0.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
+    def test_direction_must_be_finite_unit(self, nhat):
+        with pytest.raises(ValueError, match="finite unit"):
+            mj.weight_residual(np.array([1.0, 0.0, 0.0]), nhat)
 
 
 class TestStarMatching:
@@ -293,8 +313,26 @@ class TestStarMatching:
         b = np.array([[0, 0, 1.0], [0, 1.0, 0]])
         assert mj.star_matching_distance(a, b) == pytest.approx(np.sqrt(2))
 
-    def test_stars_equal_threshold(self):
-        a = np.array([[0, 0, 1.0]])
-        b = np.array([[0, 1e-8, np.sqrt(1 - 1e-16)]])
-        assert mj.stars_equal(a, b)
-        assert not mj.stars_equal(a, np.array([[0, 1e-4, 1.0]]))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stars_rejected(self, bad):
+        a = np.array([[0, 0, 1.0], [1.0, 0, 0]])
+        b = a.copy()
+        b[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            mj.star_matching_distance(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            mj.star_matching_distance(b, a)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 9, 19])
+    def test_min_sum_pairing_matches_scipy(self, m):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(m)
+        for _ in range(500):
+            a, b = rng.normal(size=(2, m, 3))
+            a /= np.linalg.norm(a, axis=1)[:, None]
+            b /= np.linalg.norm(b, axis=1)[:, None]
+            cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+            rows, cols = scipy_optimize.linear_sum_assignment(cost)
+            ours = cost[np.arange(m), mj._min_sum_assignment(cost)]
+            assert abs(ours.sum() - cost[rows, cols].sum()) <= 1e-12
+            assert mj.star_matching_distance(a, b) == cost[rows, cols].max()

@@ -6,7 +6,8 @@ in one array expression and the solid-angle pair from floats.  These
 helpers keep the route it replaced: a nested ``bargmann`` and two more
 inner products, one matrix-vector product per state, one factor per
 star, and each triangle through ``np.cross`` and three ``vdot`` calls.
-The parity tests compare the library against them.
+The parity tests compare the library against them.  The rank-1 projector
+gives the invariant a second route, as the trace of a projector product.
 """
 
 import math
@@ -26,6 +27,12 @@ def _normalize(psi):
     if n == 0.0 or not np.isfinite(n):
         raise ValueError("cannot normalize a zero or non-finite vector")
     return psi / n
+
+
+def oracle_projector(psi):
+    """Rank-1 projector onto the ray of psi."""
+    psi = _normalize(psi)
+    return np.outer(psi, psi.conj())
 
 
 def _pure_product(xi, n):
