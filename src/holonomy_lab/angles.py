@@ -163,13 +163,20 @@ def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngle
     return IntrinsicAngles(t12, t23, t31, p12, p23, p31)
 
 
-def _solve_dependent(theta_12: float, theta_31: float, w: complex,
-                     tau_deg: float) -> tuple[float, float]:
-    """Shared tail of the dependent-angle solvers.
+def _dependent_overlap(theta_12: float, theta_31: float, phi: float,
+                       xi: float = 0.0) -> complex:
+    """w = C12*C31 + exp(i phi) * S12*S31 * cos(xi) of a canonical triad.
 
-    ``w`` is the complex combination whose modulus is cos(theta_23 / 2) and
-    whose argument is -phi_g.
+    Its modulus is cos(theta_23 / 2) and its argument is -phi_g; xi = 0
+    is the dimension-2 case (cos 0.0 is exactly 1.0).
     """
+    return complex(
+        np.cos(theta_12 / 2) * np.cos(theta_31 / 2)
+        + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2) * np.cos(xi))
+
+
+def _solve_dependent(w: complex, tau_deg: float) -> tuple[float, float]:
+    """Shared tail of the dependent-angle solvers; w from _dependent_overlap."""
     c23 = abs(w)
     if c23 <= tau_deg:
         raise DegenerateTriadError("derived overlap is degenerate (theta_23 -> pi)")
@@ -194,9 +201,7 @@ def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
     Raises when the derived overlap hits either boundary of (0, 1).
     """
     _check_triad_angles(theta_12, theta_31, phi)
-    w = (np.cos(theta_12 / 2) * np.cos(theta_31 / 2)
-         + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2))
-    return _solve_dependent(theta_12, theta_31, complex(w), tau_deg)
+    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi), tau_deg)
 
 
 def solve_dependent_n3(theta_12: float, theta_31: float, phi: float, xi: float,
@@ -204,9 +209,7 @@ def solve_dependent_n3(theta_12: float, theta_31: float, phi: float, xi: float,
     """Dependent pair for a dimension-3 triad; xi = 0 recovers the n=2 case."""
     _check_triad_angles(theta_12, theta_31, phi)
     _check_xi(xi)
-    w = (np.cos(theta_12 / 2) * np.cos(theta_31 / 2)
-         + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2) * np.cos(xi))
-    return _solve_dependent(theta_12, theta_31, complex(w), tau_deg)
+    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi, xi), tau_deg)
 
 
 def build_canonical_n2(params: CanonicalParamsN2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

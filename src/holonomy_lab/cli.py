@@ -204,6 +204,10 @@ def _cmd_majorana(args, config: RunConfig) -> int:
 
 def _cmd_npc(args, config: RunConfig) -> int:
     if args.action == "generate":
+        if args.theta0 is None:
+            raise _InputError("generate requires --theta0")
+        if args.curves or args.loop:
+            raise _InputError("generate takes no curve files")
         profile = curves.generate_npc_profile(args.theta0, args.dim, args.eps,
                                               grid=config.grid)
         frame = curves.CurveFrame(np.eye(args.dim, dtype=complex), args.theta0)
@@ -211,6 +215,8 @@ def _cmd_npc(args, config: RunConfig) -> int:
         _emit(formats.curve_to_csv(lift), config)
         return 0
     if args.action == "verify":
+        if args.loop or len(args.curves) != 1:
+            raise _InputError("verify takes exactly one curve file")
         lift = _load(args.curves[0], formats.curve_from_csv)
         report = curves.verify_npc(lift, subgrid=config.subgrid,
                                    tau_npc=config.tau_npc)
@@ -233,6 +239,8 @@ def _cmd_npc(args, config: RunConfig) -> int:
                                tau_deg=config.tau_deg)
         _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
         return 0
+    if not args.curves:
+        raise _InputError("phase needs a curve file or --loop")
     if len(args.curves) != 1:
         raise _InputError("open-curve phase takes exactly one curve file")
     lift = _load(args.curves[0], formats.curve_from_csv)
@@ -384,17 +392,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _config_from_args(args)
-        if args.command == "npc":
-            if args.action == "generate":
-                if args.theta0 is None:
-                    raise _InputError("generate requires --theta0")
-                if args.curves or args.loop:
-                    raise _InputError("generate takes no curve files")
-            elif args.action == "verify":
-                if args.loop or len(args.curves) != 1:
-                    raise _InputError("verify takes exactly one curve file")
-            elif not args.loop and not args.curves:
-                raise _InputError("phase needs a curve file or --loop")
         return args.func(args, config)
     except _InputError as exc:
         print(f"holonomy-lab: error: {exc}", file=sys.stderr)

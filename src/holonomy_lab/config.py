@@ -60,9 +60,6 @@ class RunConfig:
         if self.subgrid < 3:
             raise ValueError("subgrid must be at least 3")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
         with open(path, encoding="utf-8") as handle:

@@ -383,10 +383,9 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return float(np.dot(weights, values) * h / 3.0)
 
 
-def _raw_connection_integral(psi: np.ndarray, h: float) -> float:
-    dpsi = _derivative(psi, h)
-    integrand = np.imag(np.sum(np.conjugate(psi) * dpsi, axis=1))
-    return _simpson(integrand, h)
+def _connection_integrand(psi: np.ndarray, h: float) -> np.ndarray:
+    """Im (psi, dpsi/ds) at each sample of a grid with spacing h."""
+    return np.imag(np.sum(np.conjugate(psi) * _derivative(psi, h), axis=1))
 
 
 def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
@@ -400,15 +399,13 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
     h = float(lift.s[1] - lift.s[0])
-    result = _raw_connection_integral(lift.psi, h)
+    integrand = _connection_integrand(lift.psi, h)
+    result = _simpson(integrand, h)
     if (n - 1) % 4 == 0:
-        coarse = _raw_connection_integral(lift.psi[::2], 2.0 * h)
+        coarse = _simpson(_connection_integrand(lift.psi[::2], 2.0 * h), 2.0 * h)
         estimate = abs(result - coarse) / 15.0
     else:
-        dpsi = _derivative(lift.psi, h)
-        integrand = np.imag(np.sum(np.conjugate(lift.psi) * dpsi, axis=1))
-        trapezoid = float(np.trapezoid(integrand, dx=h))
-        estimate = abs(result - trapezoid)
+        estimate = abs(result - float(np.trapezoid(integrand, dx=h)))
     if estimate > max_quad_error:
         raise ValueError(
             f"grid too coarse: estimated quadrature error {estimate:.3e}"

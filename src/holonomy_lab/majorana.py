@@ -89,16 +89,18 @@ def spinor_to_star(xi) -> np.ndarray:
     return star
 
 
-def _check_unit_vector(nhat) -> np.ndarray:
-    nhat = np.asarray(nhat, dtype=float).reshape(3)
-    if not abs(math.hypot(*nhat.tolist()) - 1.0) <= 1e-12:  # NaN fails too
+def _check_unit_vectors(nhat, shape) -> np.ndarray:
+    """nhat as floats of the given (..., 3) shape; each row a finite unit vector."""
+    nhat = np.asarray(nhat, dtype=float).reshape(shape)
+    # hypot does not overflow; NaN fails the comparison
+    if not (abs(np.hypot.reduce(nhat, axis=-1) - 1.0) <= 1e-12).all():
         raise ValueError("star must be a finite unit vector")
     return nhat
 
 
 def star_to_spinor(nhat) -> np.ndarray:
     """Inverse of spinor_to_star with the phase fixed: alpha real >= 0."""
-    nhat = _check_unit_vector(nhat)
+    nhat = _check_unit_vectors(nhat, 3)
     a = math.sqrt(max(0.0, (1.0 + nhat[2]) / 2.0))
     if a < 1e-14:
         return np.array([0.0, 1.0], dtype=complex)
@@ -329,7 +331,7 @@ def weight_residual(psi, nhat) -> float:
     is, the pure product whose stars all sit at n_hat.
     """
     psi = normalize(psi)
-    nhat = _check_unit_vector(nhat)
+    nhat = _check_unit_vectors(nhat, 3)
     n = psi.size
     j1, j2, j3 = spin_matrices(n)
     h = nhat[0] * j1 + nhat[1] * j2 + nhat[2] * j3
@@ -376,13 +378,11 @@ def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
 
 def star_matching_distance(stars_a, stars_b) -> float:
     """Largest chordal distance under the min-sum pairing of two star sets."""
-    a = np.asarray(stars_a, dtype=float).reshape(-1, 3)
-    b = np.asarray(stars_b, dtype=float).reshape(-1, 3)
+    a = _check_unit_vectors(stars_a, (-1, 3))
+    b = _check_unit_vectors(stars_b, (-1, 3))
     if a.shape != b.shape:
         raise ValueError("star sets must have equal size")
     if a.shape[0] == 0:
         return 0.0
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
-    if not np.isfinite(cost).all():
-        raise ValueError("star sets must be finite")
     return float(cost[np.arange(a.shape[0]), _min_sum_assignment(cost)].max())

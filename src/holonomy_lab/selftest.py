@@ -1,9 +1,12 @@
 """Built-in acceptance checks.
 
-Each checker draws its own deterministic random stream from the run
-seed, exercises one advertised identity of the library against an
-independent route to the same number, and reports the worst error it
-saw.  The test suite and the ``selftest`` CLI command both run these.
+Each checker exercises one advertised identity of the library against an
+independent route to the same number and returns its measures: the worst
+error it saw next to the bound that error must stay under.  ``run`` gives
+criterion k the random stream seeded with ``seed + 1000 k`` and derives
+pass/fail and the report line from the measures, so each bound is written
+once and a NaN error fails.  The test suite and the ``selftest`` CLI
+command both run these.
 
 Samplers reject parameter draws that sit on a degeneracy of the
 identity under test (coincident or orthogonal rays, vanishing phase
@@ -15,21 +18,52 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 
 import numpy as np
 
 from . import angles as ang
-from . import core, curves, decompose, majorana
+from . import core, curves, decompose, formats, majorana
 from .config import RunConfig
+
+
+@dataclass(frozen=True)
+class Measure:
+    """The largest error one check saw and the bound it must stay under."""
+
+    label: str
+    worst: float
+    bound: float
+
+    @property
+    def ok(self) -> bool:
+        return self.worst < self.bound  # NaN fails too
+
+    def __str__(self) -> str:
+        return f"{self.label} {self.worst:.2e} (< {self.bound:g})"
+
+
+def _measure(label: str, errors, bound: float) -> Measure:
+    """Measure over every collected error; np.max keeps a NaN."""
+    return Measure(label, float(np.max(errors)), bound)
 
 
 @dataclass(frozen=True)
 class CheckResult:
     number: int
     name: str
-    passed: bool
-    detail: str
+    measures: tuple[Measure, ...] = ()
+    error: str | None = None  # set when the checker raised
+
+    @property
+    def passed(self) -> bool:
+        return (self.error is None and bool(self.measures)
+                and all(m.ok for m in self.measures))
+
+    @property
+    def detail(self) -> str:
+        return self.error or "; ".join(map(str, self.measures))
 
 
 def _wrap_err(a: float, b: float) -> float:
@@ -57,73 +91,48 @@ def _triad(rng, n: int, min_overlap: float = 0.05,
 # criteria 1-4: closed forms for triad phases
 
 
-def _check_closed_form_n2(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 1000)
-    worst = 0.0
+def _canonical_triads(rng, n: int, count: int, max_overlap: float = math.inf):
+    """count canonical (params, triad) pairs of dimension n = 2 or 3.
+
+    Draw order: theta_12 and theta_31, phi, xi (n = 3 only), then phi_12
+    and phi_31 once the dependent overlap |w| lies in [1e-3, max_overlap].
+    """
     done = 0
-    while done < 1000:
+    while done < count:
         t12, t31 = rng.uniform(0.2, np.pi - 0.2, size=2)
         phi = rng.uniform(0.0, 2.0 * np.pi)
-        w = (np.cos(t12 / 2) * np.cos(t31 / 2)
-             + np.exp(1j * phi) * np.sin(t12 / 2) * np.sin(t31 / 2))
-        if abs(w) < 1e-3:
+        xi = rng.uniform(0.05, np.pi / 2 - 0.05) if n == 3 else 0.0
+        if not 1e-3 <= abs(ang._dependent_overlap(t12, t31, phi, xi)) <= max_overlap:
             continue
-        params = ang.CanonicalParamsN2(
-            t12, t31, rng.uniform(0.0, 2.0 * np.pi),
-            rng.uniform(0.0, 2.0 * np.pi), phi)
-        triad = ang.build_canonical_n2(params)
-        direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
-        formula = ang.pancharatnam_phase(t12, t31, phi, tau_deg=config.tau_deg)
-        worst = max(worst, _wrap_err(direct, formula))
+        phi_12, phi_31 = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)
+        if n == 3:
+            params = ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi)
+            yield params, ang.build_canonical_n3(params)
+        else:
+            params = ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi)
+            yield params, ang.build_canonical_n2(params)
         done += 1
-    return worst < 1e-10, f"max phase error {worst:.2e} over 1000 triads (< 1e-10)"
 
 
-def _check_closed_form_n3(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 2000)
-    worst = 0.0
-    done = 0
-    while done < 1000:
-        t12, t31 = rng.uniform(0.2, np.pi - 0.2, size=2)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        xi = rng.uniform(0.05, np.pi / 2 - 0.05)
-        w = (np.cos(t12 / 2) * np.cos(t31 / 2)
-             + np.exp(1j * phi) * np.sin(t12 / 2) * np.sin(t31 / 2) * np.cos(xi))
-        if abs(w) < 1e-3:
-            continue
-        params = ang.CanonicalParamsN3(
-            t12, t31, rng.uniform(0.0, 2.0 * np.pi),
-            rng.uniform(0.0, 2.0 * np.pi), phi, xi)
-        triad = ang.build_canonical_n3(params)
+def _check_closed_form(config: RunConfig, rng, n: int) -> tuple[Measure, ...]:
+    errs = []
+    for p, triad in _canonical_triads(rng, n, 1000):
         direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
-        formula = ang.pancharatnam_phase(t12, t31, phi, xi=xi,
+        formula = ang.pancharatnam_phase(p.theta_12, p.theta_31, p.phi,
+                                         xi=p.xi if n == 3 else None,
                                          tau_deg=config.tau_deg)
-        worst = max(worst, _wrap_err(direct, formula))
-        done += 1
-    return worst < 1e-10, f"max phase error {worst:.2e} over 1000 triads (< 1e-10)"
+        errs.append(_wrap_err(direct, formula))
+    return (_measure("1000 triads, max phase error", errs, 1e-10),)
 
 
-def _check_dependent_pair_n2(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 3000)
-    worst = 0.0
-    done = 0
-    while done < 1000:
-        t12, t31 = rng.uniform(0.2, np.pi - 0.2, size=2)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        w = (np.cos(t12 / 2) * np.cos(t31 / 2)
-             + np.exp(1j * phi) * np.sin(t12 / 2) * np.sin(t31 / 2))
-        if abs(w) < 1e-3 or abs(w) > 1.0 - 1e-6:
-            continue
-        params = ang.CanonicalParamsN2(
-            t12, t31, rng.uniform(0.0, 2.0 * np.pi),
-            rng.uniform(0.0, 2.0 * np.pi), phi)
-        solved_theta, solved_phi_g = ang.solve_dependent_n2(t12, t31, phi)
-        got = ang.extract_angles(*ang.build_canonical_n2(params),
-                                 tau_deg=config.tau_deg)
-        worst = max(worst, abs(got.theta_23 - solved_theta),
-                    _wrap_err(got.phi_g, solved_phi_g))
-        done += 1
-    return worst < 1e-10, f"max angle error {worst:.2e} over 1000 sets (< 1e-10)"
+def _check_dependent_pair_n2(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
+    for p, triad in _canonical_triads(rng, 2, 1000, max_overlap=1.0 - 1e-6):
+        solved_theta, solved_phi_g = ang.solve_dependent_n2(p.theta_12, p.theta_31,
+                                                            p.phi)
+        got = ang.extract_angles(*triad, tau_deg=config.tau_deg)
+        errs += [abs(got.theta_23 - solved_theta), _wrap_err(got.phi_g, solved_phi_g)]
+    return (_measure("1000 sets, max angle error", errs, 1e-10),)
 
 
 def _fock_coherent(z: complex, nmax: int = 64) -> np.ndarray:
@@ -134,9 +143,8 @@ def _fock_coherent(z: complex, nmax: int = 64) -> np.ndarray:
     return weights * np.power(complex(z), k)
 
 
-def _check_coherent_pair(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 4000)
-    worst = 0.0
+def _check_coherent_pair(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     done = 0
     while done < 200:
         r = rng.uniform(0.3, 2.0)
@@ -153,11 +161,11 @@ def _check_coherent_pair(config: RunConfig) -> tuple[bool, str]:
         ov12 = core.inner(f1, f2)
         ov23 = core.inner(f2, f3)
         ov31 = core.inner(f3, f1)
-        theta_ref = 2.0 * float(np.arccos(min(1.0, abs(ov23))))
+        theta_ref = 2.0 * float(np.arccos(np.minimum(1.0, abs(ov23))))
         phi_ref = core.principal_angle(-float(np.angle(ov12 * ov23 * ov31)))
-        worst = max(worst, abs(theta_23 - theta_ref), _wrap_err(phi_g, phi_ref))
+        errs += [abs(theta_23 - theta_ref), _wrap_err(phi_g, phi_ref)]
         done += 1
-    return worst < 1e-8, f"max error vs 64-term series {worst:.2e} over 200 sets (< 1e-8)"
+    return (_measure("200 sets, max error vs 64-term series", errs, 1e-8),)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +182,8 @@ def _round_trip_errors(psi: np.ndarray, tau_lead: float) -> np.ndarray:
             / np.linalg.norm(psi, axis=-1))
 
 
-def _check_root_round_trip(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 5000)
-    worst = 0.0
+def _check_root_round_trip(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     for n in range(2, 21):
         batch = np.empty((1000, n), dtype=complex)
         for i in range(1000):
@@ -186,15 +193,13 @@ def _check_root_round_trip(config: RunConfig) -> tuple[bool, str]:
                 psi[n - zeros:] = 0.0
                 psi = core.normalize(psi)
             batch[i] = psi
-        worst = max(worst, float(np.max(_round_trip_errors(batch, config.tau_lead))))
-    return worst < 1e-8, (
-        f"max relative error {worst:.2e} over 19000 vectors, n = 2..20,"
-        " 100 per n with forced leading zeros (< 1e-8)")
+        errs.append(_round_trip_errors(batch, config.tau_lead))
+    return (_measure("19000 vectors (n = 2..20, 100 per n with forced leading"
+                     " zeros), max relative error", errs, 1e-8),)
 
 
-def _check_factorization(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 6000)
-    worst = 0.0
+def _check_factorization(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     for n in range(2, 9):
         for _ in range(200):
             triad = _triad(rng, n)
@@ -202,39 +207,34 @@ def _check_factorization(config: RunConfig) -> tuple[bool, str]:
             red = decompose.reduce_triad(*triad, tau_deg=config.tau_deg)
             factors = decompose.bi_factorization(red, tau_deg=config.tau_deg)
             total = float(np.sum(np.angle(factors)))
-            worst = max(worst, _wrap_err(total, float(np.angle(delta))))
-    return worst < 1e-8, (
-        f"max phase mismatch {worst:.2e} over 1400 triads, n = 2..8 (< 1e-8)")
+            errs.append(_wrap_err(total, float(np.angle(delta))))
+    return (_measure("1400 triads (n = 2..8), max phase mismatch", errs, 1e-8),)
 
 
-def _check_solid_angles(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 7000)
-    worst = 0.0
+def _check_solid_angles(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     for _ in range(500):
         triad = _triad(rng, 3)
         half_sum = decompose.phase_from_solid_angles_n3(
             *triad, tau_deg=config.tau_deg)
         direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
-        worst = max(worst, _wrap_err(half_sum, direct))
+        errs.append(_wrap_err(half_sum, direct))
     golden = _load_golden()["octant"]
-    states = [_state_from_golden(s) for s in golden["states"]]
+    states = [_golden_state(s) for s in golden["states"]]
     octant_phase = core.bi_phase(*states, tau_deg=config.tau_deg)
-    octant_err = abs(octant_phase - golden["geometric_phase"])
     embedded = [np.concatenate([s, [0.0]]) for s in states]
-    octant_err = max(octant_err, _wrap_err(
-        decompose.phase_from_solid_angles_n3(*embedded), octant_phase))
-    ok = worst < 1e-8 and octant_err < 1e-8
-    return ok, (f"max phase mismatch {worst:.2e} over 500 triads,"
-                f" octant value off by {octant_err:.2e} (< 1e-8)")
+    octant_errs = [abs(octant_phase - golden["geometric_phase"]), _wrap_err(
+        decompose.phase_from_solid_angles_n3(*embedded), octant_phase)]
+    return (_measure("500 triads, max phase mismatch", errs, 1e-8),
+            _measure("octant value, max error", octant_errs, 1e-8))
 
 
 # ---------------------------------------------------------------------------
 # criteria 8-10: curves
 
 
-def _check_npc_verifier(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 8000)
-    worst_imag = 0.0
+def _check_npc_verifier(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     for n in range(2, 9):
         done = 0
         while done < 100:
@@ -247,8 +247,8 @@ def _check_npc_verifier(config: RunConfig) -> tuple[bool, str]:
             report = curves.verify_npc(lift, subgrid=config.subgrid,
                                        tau_npc=config.tau_npc)
             if not report.ok:
-                return False, f"geodesic rejected at n={n}: {report.violations[0]}"
-            worst_imag = max(worst_imag, report.max_rel_imag)
+                raise ValueError(f"geodesic rejected at n={n}: {report.violations[0]}")
+            errs.append(report.max_rel_imag)
             done += 1
     for eps in np.arange(0.1, 1.25, 0.1):
         for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3,
@@ -257,18 +257,17 @@ def _check_npc_verifier(config: RunConfig) -> tuple[bool, str]:
                                                   grid=config.grid)
             pr = curves.validate_profile(profile, theta0)
             if not pr.ok:
-                return False, f"profile rejected: {pr.violations[0]}"
+                raise ValueError(f"profile rejected: {pr.violations[0]}")
             frame = curves.CurveFrame(np.eye(3, dtype=complex), theta0)
             lift = curves.profile_to_lift(frame, profile, validate=False)
             report = curves.verify_npc(lift, subgrid=config.subgrid,
                                        tau_npc=config.tau_npc)
             if not report.ok:
-                return False, (f"family member eps={eps:.1f},"
-                               f" theta0={theta0:.3f} rejected")
-            worst_imag = max(worst_imag, report.max_rel_imag)
-    return worst_imag < 1e-10, (
-        f"700 geodesics and 60 family members pass;"
-        f" max relative imaginary part {worst_imag:.2e} (< 1e-10)")
+                raise ValueError(f"family member eps={eps:.1f},"
+                                 f" theta0={theta0:.3f} rejected")
+            errs.append(report.max_rel_imag)
+    return (_measure("700 geodesics and 60 family members pass,"
+                     " max relative imaginary part", errs, 1e-10),)
 
 
 def _random_real_lift(rng, dim: int, grid: int) -> tuple[curves.CurveLift, np.ndarray]:
@@ -284,30 +283,25 @@ def _random_real_lift(rng, dim: int, grid: int) -> tuple[curves.CurveLift, np.nd
     return curves.CurveLift(s, x.astype(complex)), s
 
 
-def _check_horizontal_lifts(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 9000)
+def _check_horizontal_lifts(config: RunConfig, rng) -> tuple[Measure, ...]:
     grid = 1025  # 1024 quadrature panels
-    worst_flat = 0.0
-    worst_shift = 0.0
+    flat_errs, shift_errs = [], []
     for i in range(100):
         dim = 3 + i % 3
         lift, s = _random_real_lift(rng, dim, grid)
         flat = curves.connection_integral(lift)
-        worst_flat = max(worst_flat, abs(flat))
+        flat_errs.append(abs(flat))
         c = rng.uniform(-1.0, 1.0, size=3)
         chi = c[0] + c[1] * s + c[2] * np.sin(2 * np.pi * s)
         twisted = curves.CurveLift(s, np.exp(1j * chi)[:, None] * lift.psi)
         shifted = curves.connection_integral(twisted)
-        worst_shift = max(worst_shift, abs(shifted - flat - (chi[-1] - chi[0])))
-    ok = worst_flat < 1e-8 and worst_shift < 1e-8
-    return ok, (f"max |integral| {worst_flat:.2e} on 100 real lifts;"
-                f" max twist-shift error {worst_shift:.2e} (< 1e-8)")
+        shift_errs.append(abs(shifted - flat - (chi[-1] - chi[0])))
+    return (_measure("100 real lifts, max |integral|", flat_errs, 1e-8),
+            _measure("100 gauge twists, max twist-shift error", shift_errs, 1e-8))
 
 
-def _check_loop_phase(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 10000)
-    worst_base = 0.0
-    worst_swap = 0.0
+def _check_loop_phase(config: RunConfig, rng) -> tuple[Measure, ...]:
+    base_errs, swap_errs = [], []
     for _ in range(50):
         triad = _triad(rng, 3)
         sides = []
@@ -318,7 +312,7 @@ def _check_loop_phase(config: RunConfig) -> tuple[bool, str]:
         base = curves.loop_geometric_phase(sides, subgrid=config.subgrid,
                                            tau_npc=config.tau_npc)
         direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
-        worst_base = max(worst_base, _wrap_err(base, direct))
+        base_errs.append(_wrap_err(base, direct))
         for a in range(3):
             frame = curves.frame_from_pair(triad[a], triad[(a + 1) % 3], size=3,
                                            tau_deg=config.tau_deg)
@@ -328,21 +322,17 @@ def _check_loop_phase(config: RunConfig) -> tuple[bool, str]:
             replaced[a] = curves.profile_to_lift(frame, profile)
             looped = curves.loop_geometric_phase(replaced, subgrid=config.subgrid,
                                                  tau_npc=config.tau_npc)
-            worst_swap = max(worst_swap, _wrap_err(looped, base))
-    ok = worst_base < 1e-8 and worst_swap < 1e-6
-    return ok, (f"max loop-vs-triad error {worst_base:.2e} (< 1e-8);"
-                f" max change under side replacement {worst_swap:.2e} (< 1e-6)")
+            swap_errs.append(_wrap_err(looped, base))
+    return (_measure("50 loops, max loop-vs-triad error", base_errs, 1e-8),
+            _measure("150 side replacements, max phase change", swap_errs, 1e-6))
 
 
 # ---------------------------------------------------------------------------
 # criteria 11-12: covariance
 
 
-def _check_rotation_covariance(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 11000)
-    worst_delta = 0.0
-    worst_pure = 0.0
-    worst_star = 0.0
+def _check_rotation_covariance(config: RunConfig, rng) -> tuple[Measure, ...]:
+    delta_errs, pure_errs, star_errs = [], [], []
     for i in range(200):
         n = 2 + i % 9
         u = majorana.random_su2(rng)
@@ -350,29 +340,26 @@ def _check_rotation_covariance(config: RunConfig) -> tuple[bool, str]:
         before = core.bargmann(triad, tau_deg=config.tau_deg)
         after = core.bargmann(list(majorana.su2_apply(u, np.array(triad))),
                               tau_deg=config.tau_deg)
-        worst_delta = max(worst_delta, abs(after - before))
+        delta_errs.append(abs(after - before))
         xi = majorana.as_spinor(core.random_state(2, rng))
         pure = majorana.pure_product_state(xi, n)
         moved = majorana.su2_apply(u, pure)
         target = majorana.pure_product_state(u @ xi, n)
         fidelity = abs(core.inner(core.normalize(moved), target))
-        worst_pure = max(worst_pure, abs(1.0 - fidelity))
+        pure_errs.append(abs(1.0 - fidelity))
         psi = core.random_state(n, rng)
         rotated = majorana.coefficients_to_roots(
             majorana.su2_apply(u, psi), tau_lead=config.tau_lead).stars()
         oracle = majorana.coefficients_to_roots(
             psi, tau_lead=config.tau_lead).stars() @ majorana.su2_rotation(u).T
-        worst_star = max(worst_star,
-                         majorana.star_matching_distance(rotated, oracle))
-    ok = worst_delta < 1e-12 and worst_pure < 1e-10 and worst_star < 1e-10
-    return ok, (f"max invariant drift {worst_delta:.2e} (< 1e-12);"
-                f" max pure-product infidelity {worst_pure:.2e} (< 1e-10);"
-                f" max star mismatch {worst_star:.2e} (< 1e-10), 200 pairs")
+        star_errs.append(majorana.star_matching_distance(rotated, oracle))
+    return (_measure("200 pairs, max invariant drift", delta_errs, 1e-12),
+            _measure("max pure-product infidelity", pure_errs, 1e-10),
+            _measure("max star mismatch", star_errs, 1e-10))
 
 
-def _check_gauge_covariance(config: RunConfig) -> tuple[bool, str]:
-    rng = np.random.default_rng(config.seed + 12000)
-    worst = 0.0
+def _check_gauge_covariance(config: RunConfig, rng) -> tuple[Measure, ...]:
+    errs = []
     for i in range(200):
         n = 2 + i % 5
         triad = _triad(rng, n)
@@ -380,8 +367,7 @@ def _check_gauge_covariance(config: RunConfig) -> tuple[bool, str]:
         before = ang.extract_angles(*triad, tau_deg=config.tau_deg)
         after = ang.extract_angles(*ang.gauge_transform(triad, alphas),
                                    tau_deg=config.tau_deg)
-        worst = max(
-            worst,
+        errs += [
             abs(after.theta_12 - before.theta_12),
             abs(after.theta_23 - before.theta_23),
             abs(after.theta_31 - before.theta_31),
@@ -389,8 +375,8 @@ def _check_gauge_covariance(config: RunConfig) -> tuple[bool, str]:
             _wrap_err(after.phi_12, before.phi_12 - alphas[0] + alphas[1]),
             _wrap_err(after.phi_23, before.phi_23 - alphas[1] + alphas[2]),
             _wrap_err(after.phi_31, before.phi_31 - alphas[2] + alphas[0]),
-        )
-    return worst < 1e-12, f"max deviation {worst:.2e} over 200 triads (< 1e-12)"
+        ]
+    return (_measure("200 triads, max deviation", errs, 1e-12),)
 
 
 # ---------------------------------------------------------------------------
@@ -402,41 +388,63 @@ def _load_golden() -> dict:
     return json.loads(path.read_text())
 
 
-def _state_from_golden(d: dict) -> np.ndarray:
-    amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-    return core.normalize(amps)
+def _golden_state(d: dict) -> np.ndarray:
+    return core.normalize(formats.state_from_dict(d))
 
 
-def _spinor_from_golden(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs])
+def _trajectory_mismatch(fix: dict, axis: int, expected_stars) -> float:
+    """Largest star mismatch along the geodesic from e_0 toward e_axis.
+
+    expected_stars(c, s) gives the known star pairs at each sample from
+    c, s = cos, sin of half the arc length travelled.
+    """
+    theta0 = fix["theta0"]
+    psi2 = np.zeros(3, dtype=complex)
+    psi2[0], psi2[axis] = np.cos(theta0 / 2), np.sin(theta0 / 2)
+    lift = curves.geodesic_lift(np.eye(3, dtype=complex)[0], psi2, grid=fix["grid"])
+    traj = decompose.star_trajectory(lift)
+    a = 0.5 * theta0 * lift.s
+    expected = expected_stars(np.cos(a), np.sin(a))
+    return float(np.max([majorana.star_matching_distance(got, want)
+                         for got, want in zip(traj, expected)]))
 
 
-def _check_golden(config: RunConfig) -> tuple[bool, str]:
+def _meridian_stars(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    y = 2.0 * np.sqrt(c * s) / (c + s)
+    z = (c - s) / (c + s)
+    zero = np.zeros_like(y)
+    return np.stack([np.stack([zero, -y, z], axis=1),
+                     np.stack([zero, y, z], axis=1)], axis=1)
+
+
+def _two_component_stars(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    denom = 1.0 + s * s
+    moving = np.stack([2.0 * np.sqrt(2.0) * c * s / denom,
+                       np.zeros_like(s), (c * c - 2.0 * s * s) / denom], axis=1)
+    north = np.tile([0.0, 0.0, 1.0], (s.size, 1))
+    return np.stack([north, moving], axis=1)
+
+
+def _check_golden(config: RunConfig, rng) -> tuple[Measure, ...]:
     g = _load_golden()
     errs = []
 
     octant = g["octant"]
-    states = [_state_from_golden(s) for s in octant["states"]]
+    states = [_golden_state(s) for s in octant["states"]]
     delta = core.bargmann(states, tau_deg=config.tau_deg)
     errs.append(abs(delta - complex(*octant["bargmann_invariant"])))
     errs.append(abs(core.bi_phase(*states) - octant["geometric_phase"]))
 
     fix = g["basis_state_stars"]
-    stars = majorana.coefficients_to_roots(
-        _state_from_golden(fix["state"])).stars()
-    errs.append(float(np.max(np.abs(stars - np.array(fix["stars"])))))
+    stars = majorana.coefficients_to_roots(_golden_state(fix["state"])).stars()
+    errs.append(np.max(np.abs(stars - np.array(fix["stars"]))))
 
     fix = g["antipodal_rebuild"]
-    rep = majorana.MajoranaRep(
-        spinors=np.array([_spinor_from_golden(row) for row in
-                          fix["rep"]["spinors"]]),
-        scale=complex(*fix["rep"]["scale"]))
-    rebuilt = majorana.roots_to_coefficients(rep)
-    errs.append(float(np.max(np.abs(rebuilt - _state_from_golden(fix["state"])))))
+    rebuilt = majorana.roots_to_coefficients(formats.rep_from_dict(fix["rep"]))
+    errs.append(np.max(np.abs(rebuilt - _golden_state(fix["state"]))))
 
     fix = g["pure_overlap_pairs"]
-    xi = _spinor_from_golden(fix["xi"])
-    xi_p = _spinor_from_golden(fix["xi_prime"])
+    xi, xi_p = _golden_state(fix["xi"]), _golden_state(fix["xi_prime"])
     for n in fix["dims"]:
         rep = majorana.MajoranaRep(np.tile(xi, (n - 1, 1)), 1.0)
         rep_p = majorana.MajoranaRep(np.tile(xi_p, (n - 1, 1)), 1.0)
@@ -448,51 +456,17 @@ def _check_golden(config: RunConfig) -> tuple[bool, str]:
         errs.append(abs(normalized - np.vdot(xi_p, xi) ** (n - 1)))
 
     fix = g["general_vs_pure"]
-    xi = _spinor_from_golden(fix["xi"])
-    rep_p = majorana.MajoranaRep(
-        spinors=np.array([_spinor_from_golden(row) for row in
-                          fix["rep"]["spinors"]]),
-        scale=complex(*fix["rep"]["scale"]))
+    xi = _golden_state(fix["xi"])
+    rep_p = formats.rep_from_dict(fix["rep"])
     state_p = majorana.roots_to_coefficients(rep_p)
     want = np.sqrt(2.0) * np.vdot(rep_p.spinors[0], xi) * np.vdot(
         rep_p.spinors[1], xi)
     errs.append(abs(core.inner(state_p, majorana.pure_product_state(xi, 3))
                     - want))
 
-    fix = g["meridian_trajectory"]
-    theta0 = fix["theta0"]
-    psi2 = np.array([np.cos(theta0 / 2), 0.0, np.sin(theta0 / 2)],
-                    dtype=complex)
-    lift = curves.geodesic_lift(np.array([1.0, 0.0, 0.0], dtype=complex),
-                                psi2, grid=fix["grid"])
-    traj = decompose.star_trajectory(lift)
-    a = 0.5 * theta0 * lift.s
-    c, s = np.cos(a), np.sin(a)
-    y = 2.0 * np.sqrt(c * s) / (c + s)
-    z = (c - s) / (c + s)
-    expected = np.stack([
-        np.stack([np.zeros_like(y), -y, z], axis=1),
-        np.stack([np.zeros_like(y), y, z], axis=1),
-    ], axis=1)
-    errs.append(max(majorana.star_matching_distance(traj[i], expected[i])
-                    for i in range(traj.shape[0])))
-
-    fix = g["two_component_trajectory"]
-    theta0 = fix["theta0"]
-    psi2 = np.array([np.cos(theta0 / 2), np.sin(theta0 / 2), 0.0],
-                    dtype=complex)
-    lift = curves.geodesic_lift(np.array([1.0, 0.0, 0.0], dtype=complex),
-                                psi2, grid=fix["grid"])
-    traj = decompose.star_trajectory(lift)
-    a = 0.5 * theta0 * lift.s
-    c, s = np.cos(a), np.sin(a)
-    denom = 1.0 + s * s
-    moving = np.stack([2.0 * np.sqrt(2.0) * c * s / denom,
-                       np.zeros_like(s), (c * c - 2.0 * s * s) / denom], axis=1)
-    north = np.tile([0.0, 0.0, 1.0], (lift.s.size, 1))
-    expected = np.stack([north, moving], axis=1)
-    errs.append(max(majorana.star_matching_distance(traj[i], expected[i])
-                    for i in range(traj.shape[0])))
+    errs.append(_trajectory_mismatch(g["meridian_trajectory"], 2, _meridian_stars))
+    errs.append(_trajectory_mismatch(g["two_component_trajectory"], 1,
+                                     _two_component_stars))
 
     fix = g["positive_overlap_profile"]
     profile = curves.generate_npc_profile(fix["theta0"], fix["dim"],
@@ -500,12 +474,11 @@ def _check_golden(config: RunConfig) -> tuple[bool, str]:
     frame = curves.CurveFrame(np.eye(fix["dim"], dtype=complex), fix["theta0"])
     lift = curves.profile_to_lift(frame, profile)
     gram = np.conjugate(lift.psi) @ lift.psi.T
-    if np.min(gram.real) <= 0.0 or np.max(gram.real) > 1.0 + 1e-12:
-        return False, "profile lift produced an overlap outside (0, 1]"
-    errs.append(float(np.max(np.abs(gram.imag))))
+    if not (np.min(gram.real) > 0.0 and np.max(gram.real) <= 1.0 + 1e-12):
+        raise ValueError("profile lift produced an overlap outside (0, 1]")
+    errs.append(np.max(np.abs(gram.imag)))
 
-    worst = max(errs)
-    return worst < 1e-8, f"max deviation {worst:.2e} over {len(errs)} fixtures"
+    return (_measure(f"{len(errs)} fixtures, max deviation", errs, 1e-8),)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +487,8 @@ def _check_golden(config: RunConfig) -> tuple[bool, str]:
 
 CRITERIA = (
     (0, "golden fixtures", _check_golden),
-    (1, "closed-form triad phase, dimension 2", _check_closed_form_n2),
-    (2, "closed-form triad phase, dimension 3", _check_closed_form_n3),
+    (1, "closed-form triad phase, dimension 2", partial(_check_closed_form, n=2)),
+    (2, "closed-form triad phase, dimension 3", partial(_check_closed_form, n=3)),
     (3, "dependent sixth angle, dimension 2", _check_dependent_pair_n2),
     (4, "coherent dependent pair vs number-basis series", _check_coherent_pair),
     (5, "root decomposition round trip", _check_root_round_trip),
@@ -538,8 +511,9 @@ def run(config: RunConfig | None = None, numbers=None) -> list[CheckResult]:
         if chosen is not None and number not in chosen:
             continue
         try:
-            passed, detail = func(config)
+            rng = np.random.default_rng(config.seed + 1000 * number)
+            results.append(CheckResult(number, name, tuple(func(config, rng))))
         except Exception as exc:  # a checker crash is a failure, not an abort
-            passed, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append(CheckResult(number, name, passed, detail))
+            results.append(CheckResult(number, name,
+                                       error=f"raised {type(exc).__name__}: {exc}"))
     return results

@@ -5,14 +5,26 @@ configuration and reports the measured margin in its failure message, so
 `pytest -v` prints one line per criterion.
 """
 
+import dataclasses
+import functools
+import math
+
+import numpy as np
+import pytest
+
+from holonomy_lab import angles, curves, decompose, majorana
 from holonomy_lab.config import RunConfig
 from holonomy_lab.selftest import CRITERIA, run
 
 
+@functools.cache
+def result_of(number):
+    (result,) = run(RunConfig(), numbers=[number])
+    return result
+
+
 def by_number(number):
-    results = run(RunConfig(), numbers=[number])
-    assert len(results) == 1
-    result = results[0]
+    result = result_of(number)
     assert result.passed, f"criterion {number} ({result.name}): {result.detail}"
     return result
 
@@ -71,3 +83,56 @@ def test_criterion_12_phase_covariance():
 
 def test_numbering_is_complete():
     assert [c[0] for c in CRITERIA] == list(range(13))
+    for number in range(13):
+        measures = result_of(number).measures
+        assert measures, f"criterion {number} yields no measure"
+        for m in measures:
+            assert math.isfinite(m.bound) and m.bound > 0, (number, m)
+
+
+def times_nan(route):
+    return lambda *args, **kwargs: route(*args, **kwargs) * math.nan
+
+
+def nan_pair(route):
+    return lambda *args, **kwargs: (math.nan, math.nan)
+
+
+def nan_report(route):
+    return lambda *args, **kwargs: dataclasses.replace(
+        route(*args, **kwargs), max_rel_imag=math.nan)
+
+
+def nan_angles(route):
+    return lambda *args, **kwargs: angles.IntrinsicAngles(*[math.nan] * 6)
+
+
+# One route per criterion, patched to return NaN: the NaN must reach the
+# criterion's measure and fail it.
+NAN_ROUTES = [
+    (0, majorana, "overlap_general", times_nan),
+    (1, angles, "pancharatnam_phase", times_nan),
+    (2, angles, "pancharatnam_phase", times_nan),
+    (3, angles, "solve_dependent_n2", nan_pair),
+    (4, angles, "solve_dependent_coherent", nan_pair),
+    (5, majorana, "roots_to_coefficients", times_nan),
+    (6, decompose, "bi_factorization", times_nan),
+    (7, decompose, "phase_from_solid_angles_n3", times_nan),
+    (8, curves, "verify_npc", nan_report),
+    (9, curves, "connection_integral", times_nan),
+    (10, curves, "loop_geometric_phase", times_nan),
+    (11, majorana, "star_matching_distance", times_nan),
+    (12, angles, "extract_angles", nan_angles),
+]
+
+
+@pytest.mark.parametrize("number, module, name, fake", NAN_ROUTES,
+                         ids=[f"{n:02d}-{name}" for n, _, name, _ in NAN_ROUTES])
+def test_nan_error_fails(number, module, name, fake, monkeypatch):
+    monkeypatch.setattr(module, name, fake(getattr(module, name)))
+    with np.errstate(invalid="ignore"):  # NumPy notes the NaN arithmetic
+        (result,) = run(RunConfig(), numbers=[number])
+    assert result.error is None, result.detail
+    assert not result.passed
+    assert "nan" in result.detail
+    assert any(np.isnan(m.worst) for m in result.measures)

@@ -312,6 +312,23 @@ class TestNpc:
                            capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["generate"], "generate requires --theta0"),
+        (["generate", "a.csv", "--theta0", "1.0"], "generate takes no curve files"),
+        (["verify"], "verify takes exactly one curve file"),
+        (["verify", "a.csv", "b.csv"], "verify takes exactly one curve file"),
+        (["verify", "a.csv", "--loop", "a.csv", "b.csv", "c.csv"],
+         "verify takes exactly one curve file"),
+        (["phase"], "phase needs a curve file or --loop"),
+        (["phase", "a.csv", "b.csv"], "open-curve phase takes exactly one curve file"),
+        (["phase", "a.csv", "--loop", "a.csv", "b.csv", "c.csv"],
+         "--loop takes its three files itself"),
+    ])
+    def test_argument_rules(self, argv, message, capsys):
+        code, out, err = run(["npc", *argv], capsys)
+        assert code == 1 and out == ""
+        assert f"holonomy-lab: error: {message}" in err
+
 
 class TestDecompose:
     def test_octant_decomposition(self, octant_file, capsys):

@@ -404,8 +404,8 @@ class TestProfileCheckMatchesFullScan:
             return check(*args, **kwargs)
 
         monkeypatch.setattr(curves, "validate_profile", counted)
-        passed, detail = selftest._check_npc_verifier(RunConfig())
-        assert passed, detail
+        (result,) = selftest.run(RunConfig(), numbers=[8])
+        assert result.passed, result.detail
         assert len(calls) == 60
 
 

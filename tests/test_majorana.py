@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -313,15 +314,19 @@ class TestStarMatching:
         b = np.array([[0, 0, 1.0], [0, 1.0, 0]])
         assert mj.star_matching_distance(a, b) == pytest.approx(np.sqrt(2))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [[1.0, 0, np.nan], [1.0, 0, np.inf],
+                                     [0, 0, 2.0], [0, 0, 0], [1e200, 0, 1e200]],
+                             ids=["nan", "inf", "long", "zero", "huge"])
     def test_non_finite_stars_rejected(self, bad):
+        """Non-finite or non-unit stars raise, without a NumPy warning."""
         a = np.array([[0, 0, 1.0], [1.0, 0, 0]])
         b = a.copy()
-        b[1, 2] = bad
-        with pytest.raises(ValueError, match="finite"):
-            mj.star_matching_distance(a, b)
-        with pytest.raises(ValueError, match="finite"):
-            mj.star_matching_distance(b, a)
+        b[1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((a, b), (b, a), (b, b)):
+                with pytest.raises(ValueError, match="finite unit"):
+                    mj.star_matching_distance(*pair)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 9, 19])
     def test_min_sum_pairing_matches_scipy(self, m):
