@@ -1,0 +1,88 @@
+"""Per-layer timings of the curve path, on pytest-benchmark.
+
+Tier-1 does not collect this file; run it by name:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_curves.py --benchmark-only
+
+Each case calls one library layer and cycles through a fixed pool of
+seeded inputs in dimensions 3 and 5, one input per call, as in
+``bench_triad.py``.  Accepted curves are eps-family lifts
+(``generate_npc_profile``) and rejected ones the same lifts with a phase
+wobble on one frame component, which no rephasing removes; the
+connection integral runs on gauge-twisted geodesics, whose integrand
+does not vanish.
+"""
+
+import numpy as np
+import pytest
+
+from bench_triad import POOL, cycling
+from holonomy_lab import core, curves
+
+DIMS = (3, 5)
+
+
+def frame_and_profile(rng, grid):
+    n = DIMS[int(rng.integers(len(DIMS)))]
+    frame = curves.frame_from_pair(core.random_state(n, rng),
+                                   core.random_state(n, rng), size=3)
+    eps = float(rng.uniform(0.1, 1.2))
+    return frame, curves.generate_npc_profile(frame.theta0, 3, eps, grid=grid)
+
+
+def family_lifts(seed, grid, wobble=0.0):
+    """Eps-family lifts; a nonzero wobble makes them fail the null-phase check."""
+    rng = np.random.default_rng(seed)
+    lifts = []
+    for _ in range(POOL):
+        lift = curves.profile_to_lift(*frame_and_profile(rng, grid))
+        psi = lift.psi.copy()
+        psi[:, 2] *= np.exp(1j * wobble * np.sin(np.pi * lift.s))
+        lifts.append(curves.CurveLift(lift.s, psi))
+    return lifts
+
+
+def twisted_geodesics(seed, grid):
+    rng = np.random.default_rng(seed)
+    lifts = []
+    for _ in range(POOL):
+        n = DIMS[int(rng.integers(len(DIMS)))]
+        v1, v2 = curves.in_phase_gauge(core.random_state(n, rng),
+                                       core.random_state(n, rng))
+        lift = curves.geodesic_lift(v1, v2, grid=grid)
+        chi = float(rng.uniform(0.5, 1.5)) * lift.s
+        lifts.append(curves.CurveLift(lift.s, lift.psi * np.exp(1j * chi)[:, None]))
+    return lifts
+
+
+GRIDS = pytest.mark.parametrize("grid", [257, 1025], ids=lambda g: f"g{g}")
+
+
+@GRIDS
+def test_curve_lift(benchmark, grid):
+    pool = [(lift.s, lift.psi) for lift in twisted_geodesics(300, grid)]
+    benchmark(cycling(curves.CurveLift, pool))
+
+
+def test_verify_npc_accept(benchmark):
+    pool = [(lift,) for lift in family_lifts(301, 257)]
+    assert all(curves.verify_npc(*p).ok for p in pool)
+    benchmark(cycling(curves.verify_npc, pool))
+
+
+def test_verify_npc_reject(benchmark):
+    pool = [(lift,) for lift in family_lifts(302, 257, wobble=0.3)]
+    assert not any(curves.verify_npc(*p).ok for p in pool)
+    benchmark(cycling(curves.verify_npc, pool))
+
+
+@GRIDS
+def test_connection_integral(benchmark, grid):
+    pool = [(lift,) for lift in twisted_geodesics(303, grid)]
+    benchmark(cycling(curves.connection_integral, pool))
+
+
+def test_profile_to_lift_g1025(benchmark):
+    rng = np.random.default_rng(304)
+    pool = [frame_and_profile(rng, 1025) for _ in range(POOL)]
+    benchmark(cycling(curves.profile_to_lift, pool))

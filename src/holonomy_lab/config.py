@@ -55,7 +55,9 @@ class RunConfig:
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError("output must be a file name")
         if self.grid < 5 or self.grid % 2 == 0:
-            # the connection integral runs Simpson's rule over the grid
+            # the connection integral runs Simpson's rule over the grid; a
+            # grid of 5 estimates its error against the trapezoid rule,
+            # since every other sample leaves only 3
             raise ValueError("grid must be odd and at least 5")
         if self.subgrid < 3:
             raise ValueError("subgrid must be at least 3")

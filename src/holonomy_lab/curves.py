@@ -4,8 +4,10 @@ A null phase curve is a ray-space path on which the three-point invariant
 of any three samples is real and positive.  Geodesics have this property
 in every dimension; from dimension 3 on there are others, generated here
 from real profiles x(s) in an orthonormal frame.  Curves are represented
-by uniform sampling, derivatives by finite differences, and integrals by
-composite Simpson quadrature.
+by uniform sampling and integrals by composite Simpson quadrature.  The
+connection Im (psi, dpsi/ds) is taken from the overlaps of each sample
+with its neighbours, which is what a fourth-order finite-difference
+stencil reduces to; no derivative array is formed.
 """
 
 from __future__ import annotations
@@ -41,10 +43,11 @@ class CurveLift(object):
         steps = np.diff(s)
         if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
             raise ValueError("sample grid must be uniform and increasing")
-        norms = np.linalg.norm(psi, axis=1)
+        conj = np.conjugate(psi)
+        norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("all samples must be unit vectors")
-        overlaps = np.abs(np.sum(np.conjugate(psi[:-1]) * psi[1:], axis=1))
+        overlaps = np.abs(np.einsum("ij,ij->i", conj[:-1], psi[1:]))
         if np.min(overlaps) <= TAU_DEG:
             raise ValueError("consecutive samples are orthogonal; lift is degenerate")
 
@@ -319,6 +322,14 @@ def _subgrid_indices(n_samples: int, subgrid: int) -> np.ndarray:
     return idx
 
 
+@lru_cache(maxsize=256)
+def _upper_pairs(size: int) -> np.ndarray:
+    """Read-only mask of the pairs j < k of ``size`` samples."""
+    mask = np.triu(np.ones((size, size), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
+
+
 def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
                tau_npc: float = TAU_NPC) -> NpcReport:
     """Check the real-positive invariant condition on a subgrid of samples.
@@ -332,45 +343,37 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
     within ``TAU_DEG`` of orthogonal to it fails.  Violations, ``min_real``
     and ``max_rel_imag`` refer to the pivot triples [p, j, k].
     """
+    if subgrid < 3:
+        raise ValueError("subgrid must be at least 3")
     idx = _subgrid_indices(lift.s.size, subgrid)
     p = lift.psi[idx]
     gram = np.conjugate(p) @ p.T
     mods = np.abs(gram)
     pivot = int(np.argmax(mods.min(axis=1)))
-    n = np.arange(idx.size)
-    j, k = np.nonzero((n[:, None] < n) & (n[:, None] != pivot) & (n != pivot))
-    deltas = gram[pivot, j] * gram[j, k] * gram[k, pivot]
+    # pairs j < k, neither of them the pivot, in row-major order
+    pairs = _upper_pairs(idx.size).copy()
+    pairs[pivot] = False
+    pairs[:, pivot] = False
+    deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
     mags = np.abs(deltas)
     rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
-    bad = ~((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
-            & (mods[pivot, j] > TAU_DEG) & (mods[pivot, k] > TAU_DEG))
-    named = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)[bad]]
-    parts = np.stack([deltas.real, deltas.imag], axis=1)[bad]
+    near = mods[pivot] > TAU_DEG
+    good = ((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
+            & (near[:, None] & near)[pairs])
+    violations = []
+    if not good.all():
+        bad = ~good
+        j, k = np.nonzero(pairs)
+        named = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)[bad]]
+        parts = np.stack([deltas.real, deltas.imag], axis=1)[bad]
+        violations = [{"indices": t, "delta": d}
+                      for t, d in zip(named.tolist(), parts.tolist())]
     return NpcReport(
         checked=math.comb(idx.size, 3),
-        violations=[{"indices": t, "delta": d}
-                    for t, d in zip(named.tolist(), parts.tolist())],
+        violations=violations,
         min_real=float(deltas.real.min()),
         max_rel_imag=float(rel_imag.max()),
     )
-
-
-def _derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order finite differences on a uniform grid (any shape, axis 0)."""
-    n = values.shape[0]
-    if n < 5:
-        raise ValueError("need at least 5 samples for the derivative stencil")
-    d = np.empty_like(values)
-    d[2:-2] = (values[:-4] - 8 * values[1:-3] + 8 * values[3:-1] - values[4:]) / (12 * h)
-    d[0] = (-25 * values[0] + 48 * values[1] - 36 * values[2]
-            + 16 * values[3] - 3 * values[4]) / (12 * h)
-    d[1] = (-3 * values[0] - 10 * values[1] + 18 * values[2]
-            - 6 * values[3] + values[4]) / (12 * h)
-    d[-2] = (3 * values[-1] + 10 * values[-2] - 18 * values[-3]
-             + 6 * values[-4] - values[-5]) / (12 * h)
-    d[-1] = (25 * values[-1] - 48 * values[-2] + 36 * values[-3]
-             - 16 * values[-4] + 3 * values[-5]) / (12 * h)
-    return d
 
 
 def _simpson(values: np.ndarray, h: float) -> float:
@@ -383,9 +386,34 @@ def _simpson(values: np.ndarray, h: float) -> float:
     return float(np.dot(weights, values) * h / 3.0)
 
 
+# One-sided fourth-order derivative stencils of the first two samples, over
+# samples 0..4, in units of 1/(12 h); the last two samples take the mirror
+# image with the opposite sign.
+_HEAD_STENCIL = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                          [-3.0, -10.0, 18.0, -6.0, 1.0]])
+_TAIL_STENCIL = -_HEAD_STENCIL[::-1, ::-1]
+
+
 def _connection_integrand(psi: np.ndarray, h: float) -> np.ndarray:
-    """Im (psi, dpsi/ds) at each sample of a grid with spacing h."""
-    return np.imag(np.sum(np.conjugate(psi) * _derivative(psi, h), axis=1))
+    """Im (psi, dpsi/ds) at each sample of a grid with spacing h.
+
+    The fourth-order derivative stencil enters only through the overlaps
+    of each sample with its neighbours.  With a_k(i) = Im (psi_i, psi_{i+k})
+    and Im (psi_i, psi_i) = 0, the central stencil gives
+
+        f_i = [8 (a_1(i-1) + a_1(i)) - (a_2(i-2) + a_2(i))] / (12 h),
+
+    while each of the two samples at either end is paired with its
+    one-sided stencil over the five samples at that end.
+    """
+    conj = np.conjugate(psi)
+    a1 = np.einsum("ij,ij->i", conj[:-1], psi[1:]).imag
+    a2 = np.einsum("ij,ij->i", conj[:-2], psi[2:]).imag
+    f = np.empty(psi.shape[0])
+    f[2:-2] = 8.0 * (a1[1:-2] + a1[2:-1]) - (a2[:-2] + a2[2:])
+    f[:2] = np.einsum("ij,ij->i", conj[:2], _HEAD_STENCIL @ psi[:5]).imag
+    f[-2:] = np.einsum("ij,ij->i", conj[-2:], _TAIL_STENCIL @ psi[-5:]).imag
+    return f / (12.0 * h)
 
 
 def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
@@ -393,20 +421,25 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
 
     Vanishes for lifts with real pairwise overlaps; for a general lift of
     a null phase curve it equals the argument of the endpoint overlap.
-    Raises when the internal error estimate exceeds ``max_quad_error``.
+    The error is estimated against Simpson's rule on every other sample
+    when those form an odd grid of at least 5 samples, and otherwise
+    against the trapezoid rule.  Raises when the estimate exceeds
+    ``max_quad_error``, or is NaN.
     """
+    if not (math.isfinite(max_quad_error) and max_quad_error > 0):
+        raise ValueError("max_quad_error must be positive and finite")
     n = lift.s.size
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
     h = float(lift.s[1] - lift.s[0])
     integrand = _connection_integrand(lift.psi, h)
     result = _simpson(integrand, h)
-    if (n - 1) % 4 == 0:
+    if (n - 1) % 4 == 0 and n >= 9:
         coarse = _simpson(_connection_integrand(lift.psi[::2], 2.0 * h), 2.0 * h)
         estimate = abs(result - coarse) / 15.0
     else:
         estimate = abs(result - float(np.trapezoid(integrand, dx=h)))
-    if estimate > max_quad_error:
+    if not estimate <= max_quad_error:
         raise ValueError(
             f"grid too coarse: estimated quadrature error {estimate:.3e}"
         )

@@ -5,14 +5,16 @@ triples through it.  This keeps the scan it replaced: for each subgrid
 sample a, the invariants Delta(a, b, c) = G_ab G_bc G_ca of all later
 pairs b < c are formed from the Gram matrix and held to a positive real
 part and a relative imaginary part of at most ``tau_npc``.  The parity
-tests compare the pivot check against it.
+tests compare the pivot check against it.  ``oracle_pivot_report`` is
+the pivot check itself, one triple at a time, which the library's report
+must reproduce exactly.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from holonomy_lab.config import DEFAULT_SUBGRID, TAU_NPC
+from holonomy_lab.config import DEFAULT_SUBGRID, TAU_DEG, TAU_NPC
 from holonomy_lab.curves import _subgrid_indices
 
 
@@ -43,4 +45,29 @@ def oracle_scan(lift, subgrid=DEFAULT_SUBGRID, tau_npc=TAU_NPC):
                 "delta": [float(d.real), float(d.imag)],
             })
     out.ok = not out.violations
+    return out
+
+
+def oracle_pivot_report(lift, subgrid=DEFAULT_SUBGRID, tau_npc=TAU_NPC):
+    """The pivot triples [p, j, k], j < k, in a loop: violations and extremes."""
+    idx = _subgrid_indices(lift.s.size, subgrid)
+    p = lift.psi[idx]
+    gram = np.conjugate(p) @ p.T
+    mods = np.abs(gram)
+    pivot = int(np.argmax(mods.min(axis=1)))
+    out = SimpleNamespace(violations=[], min_real=np.inf, max_rel_imag=0.0)
+    for j in range(idx.size):
+        for k in range(j + 1, idx.size):
+            if pivot in (j, k):
+                continue
+            d = gram[pivot, j] * gram[j, k] * gram[k, pivot]
+            rel_imag = abs(d.imag) / abs(d) if abs(d) > 0 else abs(d.imag)
+            out.min_real = min(out.min_real, float(d.real))
+            out.max_rel_imag = max(out.max_rel_imag, float(rel_imag))
+            if not (d.real > 0.0 and rel_imag <= tau_npc / 3.0
+                    and mods[pivot, j] > TAU_DEG and mods[pivot, k] > TAU_DEG):
+                out.violations.append({
+                    "indices": [int(idx[pivot]), int(idx[j]), int(idx[k])],
+                    "delta": [float(d.real), float(d.imag)],
+                })
     return out

@@ -421,6 +421,16 @@ class TestConfigPlumbing:
         assert code == 1 and "odd" in err
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["5", "7", "9"])
+    def test_short_grids_run_end_to_end(self, tmp_path, capsys, grid):
+        target = tmp_path / "short.csv"
+        code, _, err = run(["npc", "generate", "--theta0", "1.9", "--eps", "0.6",
+                            "--grid", grid, "--output", str(target)], capsys)
+        assert code == 0, err
+        out = run_json(["npc", "phase", str(target)], capsys)
+        assert out["connection_integral"] == 0.0
+        assert out["geometric_phase"] == out["endpoint_phase"]
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"gird": 17}))

@@ -20,15 +20,15 @@ from holonomy_lab.curves import (
     profile_to_lift,
     validate_profile,
     verify_npc,
-    _derivative,
     _simpson,
     _subgrid_indices,
 )
 from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_triad
-from npc_oracle import oracle_scan
+from npc_oracle import oracle_pivot_report, oracle_scan
 from profile_oracle import oracle_violations
+from quadrature_oracle import oracle_connection_integral, oracle_derivative
 
 
 def make_geodesic(rng, dim=3, grid=257):
@@ -447,6 +447,14 @@ class TestVerifyNpc:
         report = verify_npc(lift, subgrid=50)
         assert report.checked == 84  # C(9, 3)
 
+    @pytest.mark.parametrize("subgrid", [2, 1, 0, -1])
+    def test_subgrid_below_three_rejected(self, rng, subgrid):
+        # the same rule and message as RunConfig
+        with pytest.raises(ValueError, match="subgrid must be at least 3"):
+            RunConfig(subgrid=subgrid)
+        with pytest.raises(ValueError, match="subgrid must be at least 3"):
+            verify_npc(make_geodesic(rng, grid=9), subgrid=subgrid)
+
 
 def wobble(rng, amplitude, grid=129):
     """Eps-family lift whose third frame component picks up a phase."""
@@ -566,6 +574,35 @@ class TestPivotCheckMatchesTripleScan:
             self.assert_parity(make_geodesic(rng), subgrid=subgrid)
             self.assert_parity(wobble(rng, 0.3), subgrid=subgrid)
 
+    def test_report_matches_pivot_loop(self, rng):
+        # a real curve whose samples lie within TAU_DEG of orthogonal to
+        # every possible pivot: every invariant is real and positive, yet
+        # the check must fail.  The tilt of the last sample makes it the
+        # pivot at subgrid 3, with its near-orthogonal partner before it.
+        near = octant_edges()
+        psi = near.psi + 1e-14
+        psi[-1] += 4e-13
+        near = CurveLift(near.s, psi / np.linalg.norm(psi, axis=1)[:, None])
+        assert oracle_scan(near).ok
+        lifts = [make_geodesic(rng), wobble(rng, 0.3), wobble(rng, 1e-9),
+                 latitude_arc(0.7, 1.5, 3), quarter_circle(), octant_edges(),
+                 near]
+        for lift in lifts:
+            for subgrid in (3, 9, 21):
+                got = verify_npc(lift, subgrid=subgrid)
+                want = oracle_pivot_report(lift, subgrid=subgrid)
+                assert [v["indices"] for v in got.violations] == \
+                    [v["indices"] for v in want.violations]
+                # Python and NumPy round a complex product alike only
+                # up to an ulp of its parts
+                assert np.allclose([v["delta"] for v in got.violations],
+                                   [v["delta"] for v in want.violations],
+                                   rtol=0.0, atol=1e-15)
+                assert got.min_real == pytest.approx(want.min_real, abs=1e-15)
+                assert got.max_rel_imag == pytest.approx(want.max_rel_imag,
+                                                         abs=1e-15)
+        assert not verify_npc(near).ok
+
     def test_violations_name_pivot_triples(self, rng):
         report = verify_npc(wobble(rng, 0.3))
         pivots = {v["indices"][0] for v in report.violations}
@@ -578,12 +615,12 @@ class TestPivotCheckMatchesTripleScan:
 class TestQuadrature:
     def test_derivative_accuracy(self):
         s = np.linspace(0.0, 1.0, 201)
-        d = _derivative(np.sin(3 * s), s[1] - s[0])
+        d = oracle_derivative(np.sin(3 * s), s[1] - s[0])
         assert np.max(np.abs(d - 3 * np.cos(3 * s))) < 1e-7
 
     def test_derivative_needs_five_samples(self):
         with pytest.raises(ValueError, match="5 samples"):
-            _derivative(np.zeros(4), 0.1)
+            oracle_derivative(np.zeros(4), 0.1)
 
     def test_simpson_exact_on_cubics(self):
         s = np.linspace(0.0, 2.0, 21)
@@ -620,6 +657,65 @@ class TestQuadrature:
         rough = twist(lift, lambda s: 3.0 * np.sin(30 * np.pi * s))
         with pytest.raises(ValueError, match="too coarse"):
             connection_integral(rough)
+
+    @pytest.mark.parametrize("grid", [5, 7, 9])
+    def test_short_grids_integrate(self, rng, grid):
+        # grid 5 halves to 3 samples, too few for the stencil, so it takes
+        # the trapezoid estimate like grid 7; grid 9 halves to 5
+        twisted = twist(make_geodesic(rng, grid=grid), lambda s: 0.5 * s)
+        got = connection_integral(twisted, max_quad_error=1e-3)
+        assert got == pytest.approx(0.5, abs=1e-3)
+
+    @pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1e-6])
+    def test_error_bound_must_be_positive_and_finite(self, rng, bound):
+        with pytest.raises(ValueError, match="max_quad_error"):
+            connection_integral(make_geodesic(rng), max_quad_error=bound)
+
+    def test_nan_error_estimate_fails(self, rng, monkeypatch):
+        lift = make_geodesic(rng)
+        monkeypatch.setattr(curves, "_connection_integrand",
+                            lambda psi, h: np.full(psi.shape[0], np.nan))
+        with pytest.raises(ValueError, match="too coarse"):
+            connection_integral(lift)
+
+
+def real_lift(rng, dim, grid):
+    """Real unit samples along a normalized line: real pairwise overlaps."""
+    s = np.linspace(0.0, 1.0, grid)
+    u, w = rng.normal(size=(2, dim))
+    x = u + s[:, None] * w
+    return CurveLift(s, (x / np.linalg.norm(x, axis=1)[:, None]).astype(complex))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+@pytest.mark.parametrize("grid", [5, 7, 9, 257, 259, 1025])
+class TestIntegralMatchesStencilOracle:
+    """The overlap integrand against the derivative array of ``quadrature_oracle``.
+
+    Grids 5, 7 and 259 take the trapezoid error estimate, 9, 257 and 1025
+    the halved-grid one.
+    """
+
+    @staticmethod
+    def assert_parity(lift):
+        # the bound is loose so that coarse grids still return a value
+        got = connection_integral(lift, max_quad_error=1.0)
+        assert abs(got - oracle_connection_integral(lift)) < 1e-12
+        return got
+
+    def test_real_lifts(self, rng, grid, dim):
+        for _ in range(3):
+            assert self.assert_parity(real_lift(rng, dim, grid)) == 0.0
+
+    def test_twisted_geodesics(self, rng, grid, dim):
+        for _ in range(3):
+            lift = make_geodesic(rng, dim=dim, grid=grid)
+            self.assert_parity(
+                twist(lift, lambda s: 0.9 * s + 0.4 * np.sin(2 * np.pi * s)))
+
+    def test_latitude_arcs(self, grid, dim):
+        for theta in (0.7, 2.2):
+            self.assert_parity(latitude_arc(theta, 1.5, dim, grid=grid))
 
 
 class TestOpenCurvePhase:
