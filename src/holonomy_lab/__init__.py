@@ -75,7 +75,6 @@ from .decompose import (
     reduce_triad,
     solid_angle,
     star_trajectory,
-    triad_summary,
 )
 
 __version__ = "0.1.0"

@@ -79,6 +79,20 @@ def _float_field(d: dict, key: str) -> float:
     return value
 
 
+# One row per RunConfig field a flag may set: flag, type, help.  Each
+# command takes only the fields it passes to the library.
+_SETTINGS = {
+    "seed": ("--seed", int, "seed for randomized checks"),
+    "grid": ("--grid", int, "curve sample count"),
+    "subgrid": ("--subgrid", int, "samples for the null-phase check"),
+    "tau_deg": ("--tol-deg", float, "degeneracy tolerance"),
+    "tau_npc": ("--tol-npc", float,
+                "relative imaginary tolerance for curve checks"),
+    "tau_lead": ("--tol-lead", float,
+                 "relative threshold for leading coefficients"),
+}
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         try:
@@ -89,13 +103,17 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             raise _InputError(f"{args.config}: {exc}") from exc
     else:
         config = RunConfig()
+    # a command's namespace holds only the settings its parser defines
+    overrides = {name: getattr(args, name, None) for name in _SETTINGS}
     try:
-        return config.replace(
-            tau_deg=args.tol_deg, tau_npc=args.tol_npc, tau_lead=args.tol_lead,
-            grid=args.grid, subgrid=args.subgrid, seed=args.seed,
-            output=args.output)
+        return config.replace(output=args.output, **overrides)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+
+
+def _phase_of(invariant: complex) -> float:
+    """Geometric phase carried by an invariant: minus its principal argument."""
+    return core.principal_angle(-float(np.angle(invariant)))
 
 
 def _angles_dict(a: ang.IntrinsicAngles) -> dict:
@@ -118,7 +136,7 @@ def _cmd_bi(args, config: RunConfig) -> int:
     _emit_json({
         "order": len(states),
         "bargmann_invariant": delta,
-        "geometric_phase": core.principal_angle(-float(np.angle(delta))),
+        "geometric_phase": _phase_of(delta),
     }, config)
     return 0
 
@@ -202,48 +220,31 @@ def _cmd_majorana(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_npc(args, config: RunConfig) -> int:
-    if args.action == "generate":
-        if args.theta0 is None:
-            raise _InputError("generate requires --theta0")
-        if args.curves or args.loop:
-            raise _InputError("generate takes no curve files")
-        profile = curves.generate_npc_profile(args.theta0, args.dim, args.eps,
-                                              grid=config.grid)
-        frame = curves.CurveFrame(np.eye(args.dim, dtype=complex), args.theta0)
-        lift = curves.profile_to_lift(frame, profile)
-        _emit(formats.curve_to_csv(lift), config)
-        return 0
-    if args.action == "verify":
-        if args.loop or len(args.curves) != 1:
-            raise _InputError("verify takes exactly one curve file")
-        lift = _load(args.curves[0], formats.curve_from_csv)
-        report = curves.verify_npc(lift, subgrid=config.subgrid,
-                                   tau_npc=config.tau_npc)
-        _emit_json({
-            "checked": report.checked,
-            "violations": report.violations,
-            "min_real": report.min_real,
-            "max_rel_imag": report.max_rel_imag,
-            "ok": report.ok,
-        }, config)
-        return 0 if report.ok else 2
-    if args.loop:
-        if args.curves:
-            raise _InputError("--loop takes its three files itself; "
-                              "no extra curve arguments")
-        segments = [_load(path, formats.curve_from_csv) for path in args.loop]
-        loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid,
-                                           tau_npc=config.tau_npc)
-        vertex = core.bi_phase(*(seg.psi[0] for seg in segments),
-                               tau_deg=config.tau_deg)
-        _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
-        return 0
-    if not args.curves:
-        raise _InputError("phase needs a curve file or --loop")
-    if len(args.curves) != 1:
-        raise _InputError("open-curve phase takes exactly one curve file")
-    lift = _load(args.curves[0], formats.curve_from_csv)
+def _cmd_npc_generate(args, config: RunConfig) -> int:
+    profile = curves.generate_npc_profile(args.theta0, args.dim, args.eps,
+                                          grid=config.grid)
+    frame = curves.CurveFrame(np.eye(args.dim, dtype=complex), args.theta0)
+    lift = curves.profile_to_lift(frame, profile)
+    _emit(formats.curve_to_csv(lift), config)
+    return 0
+
+
+def _cmd_npc_verify(args, config: RunConfig) -> int:
+    lift = _load(args.curve, formats.curve_from_csv)
+    report = curves.verify_npc(lift, subgrid=config.subgrid,
+                               tau_npc=config.tau_npc)
+    _emit_json({
+        "checked": report.checked,
+        "violations": report.violations,
+        "min_real": report.min_real,
+        "max_rel_imag": report.max_rel_imag,
+        "ok": report.ok,
+    }, config)
+    return 0 if report.ok else 2
+
+
+def _cmd_npc_phase(args, config: RunConfig) -> int:
+    lift = _load(args.curve, formats.curve_from_csv)
     integral, endpoint, phase = curves.open_curve_phase(lift)
     _emit_json({
         "connection_integral": integral,
@@ -253,26 +254,44 @@ def _cmd_npc(args, config: RunConfig) -> int:
     return 0
 
 
+def _cmd_npc_loop(args, config: RunConfig) -> int:
+    segments = [_load(path, formats.curve_from_csv) for path in args.curves]
+    loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid,
+                                       tau_npc=config.tau_npc)
+    vertex = core.bi_phase(*(seg.psi[0] for seg in segments),
+                           tau_deg=config.tau_deg)
+    _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
+    return 0
+
+
 def _cmd_decompose(args, config: RunConfig) -> int:
     states = _load(args.triad, lambda t: formats.states_from_dict(
         formats.json_loads(t)))
     if len(states) != 3:
         raise ValueError(f"decomposition needs exactly 3 states, got {len(states)}")
-    summary = decompose.triad_summary(*states, tau_deg=config.tau_deg)
-    red = summary["reduction"]
+    triad = [core.normalize(s) for s in states]
+    angles = ang.extract_angles(*triad, tau_deg=config.tau_deg)
+    red = decompose.reduce_triad(*triad, tau_deg=config.tau_deg)
+    factors = decompose.bi_factorization(red, tau_deg=config.tau_deg)
+    delta = core.bargmann(triad, tau_deg=config.tau_deg)
+    stars = red.rep3.stars()
     out = {
-        "angles": _angles_dict(summary["angles"]),
+        "angles": _angles_dict(angles),
         "alpha": red.alpha,
         "xi": list(red.xi),
-        "stars_psi3": red.rep3.stars(),
-        "factors": list(summary["factors"]),
-        "factor_phases": summary["factor_phases"],
-        "bargmann_invariant": summary["bargmann_invariant"],
-        "geometric_phase": summary["geometric_phase"],
+        "stars_psi3": stars,
+        "factors": list(factors),
+        "factor_phases": [_phase_of(f) for f in factors],
+        "bargmann_invariant": delta,
+        "geometric_phase": _phase_of(delta),
     }
-    if "solid_angles" in summary:
-        out["solid_angles"] = list(summary["solid_angles"])
-        out["half_sum"] = summary["half_sum"]
+    if triad[0].size == 3:
+        # the solid angles of (north pole, star of xi, each star of psi3)
+        xi_star = majorana.spinor_to_star(red.xi)
+        solid = [decompose.solid_angle([0.0, 0.0, 1.0], xi_star, star)
+                 for star in stars]
+        out["solid_angles"] = solid
+        out["half_sum"] = 0.5 * sum(solid)
     _emit_json(out, config)
     return 0
 
@@ -302,87 +321,92 @@ def _cmd_selftest(args, config: RunConfig) -> int:
 # parser assembly
 
 
-def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    group = common.add_argument_group("run configuration")
+def _command(sub, name: str, func, settings=(), **kwargs) -> _Parser:
+    """A sub-command taking --config, --output and the named settings."""
+    p = sub.add_parser(name, **kwargs)
+    group = p.add_argument_group("run configuration")
     group.add_argument("--config", metavar="FILE",
                        help="JSON file with RunConfig fields")
-    group.add_argument("--seed", type=int, help="seed for randomized checks")
-    group.add_argument("--grid", type=int, help="curve sample count")
-    group.add_argument("--subgrid", type=int,
-                       help="samples for the null-phase check")
-    group.add_argument("--tol-deg", type=float, dest="tol_deg",
-                       help="degeneracy tolerance")
-    group.add_argument("--tol-npc", type=float, dest="tol_npc",
-                       help="relative imaginary tolerance for curve checks")
-    group.add_argument("--tol-lead", type=float, dest="tol_lead",
-                       help="relative threshold for leading coefficients")
+    for field in settings:
+        flag, kind, text = _SETTINGS[field]
+        group.add_argument(flag, type=kind, dest=field, help=text)
     group.add_argument("--output", metavar="FILE",
                        help="write output here instead of stdout")
+    p.set_defaults(func=func)
+    return p
 
+
+def build_parser() -> _Parser:
     parser = _Parser(
         prog="holonomy-lab",
         description="Triad invariants, star decompositions and null phase curves.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command", parser_class=_Parser)
 
-    p = sub.add_parser("bi", parents=[common],
-                       help="cyclic invariant and phase of a state list")
+    p = _command(sub, "bi", _cmd_bi, ["tau_deg"],
+                 help="cyclic invariant and phase of a state list")
     p.add_argument("states", help="states JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_bi)
 
-    p = sub.add_parser("angles", parents=[common],
-                       help="six intrinsic angles of a triad")
+    p = _command(sub, "angles", _cmd_angles, ["tau_deg"],
+                 help="six intrinsic angles of a triad")
     p.add_argument("triad", help="triad JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_angles)
 
-    p = sub.add_parser("reconstruct", parents=[common],
-                       help="canonical triad from independent angles")
+    p = _command(sub, "reconstruct", _cmd_reconstruct, ["tau_deg"],
+                 help="canonical triad from independent angles")
     p.add_argument("--space", choices=("n2", "n3", "coherent"), default="n2")
     p.add_argument("params", help="parameter JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_reconstruct)
 
-    p = sub.add_parser("phase", parents=[common],
-                       help="closed-form triad phase from angles")
+    p = _command(sub, "phase", _cmd_phase, ["tau_deg"],
+                 help="closed-form triad phase from angles")
     p.add_argument("--formula", choices=("n2", "n3"),
                    help="default: n3 when 'xi' is present")
     p.add_argument("params", help="parameter JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_phase)
 
-    p = sub.add_parser("majorana", parents=[common],
-                       help="star decomposition of a state")
-    p.add_argument("action", choices=("roots", "stars", "rebuild"))
-    p.add_argument("state", help="state (or decomposition) JSON file, or -")
-    p.set_defaults(func=_cmd_majorana)
+    p = sub.add_parser("majorana", help="star decomposition of a state")
+    actions = p.add_subparsers(dest="action", required=True, metavar="action",
+                               parser_class=_Parser)
+    p = _command(actions, "roots", _cmd_majorana, ["tau_lead"],
+                 help="spinor decomposition of a state")
+    p.add_argument("state", help="state JSON file, or - for stdin")
+    p = _command(actions, "stars", _cmd_majorana, ["tau_lead"],
+                 help="star directions of a state, as CSV")
+    p.add_argument("state", help="state JSON file, or - for stdin")
+    p = _command(actions, "rebuild", _cmd_majorana,
+                 help="state from its spinor decomposition")
+    p.add_argument("state", help="decomposition JSON file, or - for stdin")
 
-    p = sub.add_parser("npc", parents=[common],
-                       help="generate, verify or integrate curves")
-    p.add_argument("action", choices=("generate", "verify", "phase"))
-    p.add_argument("curves", nargs="*", help="curve CSV file(s)")
-    p.add_argument("--theta0", type=float, help="opening angle (generate)")
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="family parameter (generate)")
-    p.add_argument("--dim", type=int, default=3,
-                   help="ambient dimension (generate)")
-    p.add_argument("--loop", nargs=3, metavar="CSV",
-                   help="three curve files forming a closed loop (phase)")
-    p.set_defaults(func=_cmd_npc)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="reduction, factorization and solid angles of a triad")
-    p.add_argument("triad", help="triad JSON file, or - for stdin")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("stars", parents=[common],
-                       help="star trajectory of a dimension-3 curve")
+    p = sub.add_parser("npc", help="generate, verify or integrate curves")
+    actions = p.add_subparsers(dest="action", required=True, metavar="action",
+                               parser_class=_Parser)
+    p = _command(actions, "generate", _cmd_npc_generate, ["grid"],
+                 help="sample a member of the null-phase family")
+    p.add_argument("--theta0", type=float, required=True, help="opening angle")
+    p.add_argument("--eps", type=float, default=0.0, help="family parameter")
+    p.add_argument("--dim", type=int, default=3, help="ambient dimension")
+    p = _command(actions, "verify", _cmd_npc_verify, ["subgrid", "tau_npc"],
+                 help="check the null-phase condition along a curve")
     p.add_argument("curve", help="curve CSV file, or - for stdin")
-    p.set_defaults(func=_cmd_stars)
+    p = _command(actions, "phase", _cmd_npc_phase,
+                 help="geometric phase of one open curve")
+    p.add_argument("curve", help="curve CSV file, or - for stdin")
+    p = _command(actions, "loop", _cmd_npc_loop,
+                 ["subgrid", "tau_npc", "tau_deg"],
+                 help="geometric phase around a loop of three curves")
+    p.add_argument("curves", nargs=3, metavar="CSV",
+                   help="three curve files forming a closed loop")
 
-    p = sub.add_parser("selftest", parents=[common],
-                       help="run the built-in acceptance checks")
+    p = _command(sub, "decompose", _cmd_decompose, ["tau_deg"],
+                 help="reduction, factorization and solid angles of a triad")
+    p.add_argument("triad", help="triad JSON file, or - for stdin")
+
+    p = _command(sub, "stars", _cmd_stars,
+                 help="star trajectory of a dimension-3 curve")
+    p.add_argument("curve", help="curve CSV file, or - for stdin")
+
+    p = _command(sub, "selftest", _cmd_selftest, list(_SETTINGS),
+                 help="run the built-in acceptance checks")
     p.add_argument("--criterion", type=int, action="append",
                    help="run only this criterion number (repeatable)")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

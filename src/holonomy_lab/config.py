@@ -1,9 +1,10 @@
 """Shared tolerances and run configuration.
 
-Every tolerance used by the library has a single default here.  The CLI
-builds a :class:`RunConfig` from an optional JSON file plus flag overrides
-and threads it through all commands, so batch runs are reproducible from
-the config alone.
+The defaults of the settings :class:`RunConfig` carries live here; other
+tolerances (those of ``CurveLift``, ``MajoranaRep`` and more) keep their
+own.  The CLI builds a :class:`RunConfig` from an optional JSON file plus
+the flags of the command at hand, so batch runs are reproducible from the
+config alone.
 """
 
 from __future__ import annotations

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TAU_DEG
-from .core import (
-    DegenerateTriadError,
-    as_state,
-    bargmann,
-    norm,
-    normalize,
-    principal_angle,
-)
+from .core import DegenerateTriadError, as_state, norm, normalize
 from .majorana import (
     MajoranaRep,
     coefficients_to_roots,
@@ -241,25 +234,3 @@ def star_trajectory(lift) -> np.ndarray:
     flip = lex[last] ^ flips ^ flips[last]
     return np.where(flip[:, None, None], stars[:, ::-1], stars)
 
-
-def triad_summary(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> dict:
-    """Reduction, factorization and (in dimension 3) solid-angle data."""
-    from .angles import extract_angles
-
-    v1, v2, v3 = normalize(psi1), normalize(psi2), normalize(psi3)
-    ang = extract_angles(v1, v2, v3, tau_deg=tau_deg)
-    red = reduce_triad(v1, v2, v3, tau_deg=tau_deg)
-    factors = bi_factorization(red, tau_deg=tau_deg)
-    delta = bargmann([v1, v2, v3], tau_deg=tau_deg)
-    summary = {
-        "angles": ang,
-        "reduction": red,
-        "factors": factors,
-        "factor_phases": [principal_angle(-float(np.angle(f))) for f in factors],
-        "bargmann_invariant": delta,
-        "geometric_phase": principal_angle(-float(np.angle(delta))),
-    }
-    if v1.size == 3:
-        summary["solid_angles"] = _solid_angle_pair(red)
-        summary["half_sum"] = 0.5 * sum(summary["solid_angles"])
-    return summary

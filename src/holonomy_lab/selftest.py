@@ -445,12 +445,14 @@ def _check_golden(config: RunConfig, rng) -> tuple[Measure, ...]:
 
     fix = g["pure_overlap_pairs"]
     xi, xi_p = _golden_state(fix["xi"]), _golden_state(fix["xi_prime"])
+    # the permanent grows like (n-1)!, so its error is measured relative
+    rel_errs = []
     for n in fix["dims"]:
         rep = majorana.MajoranaRep(np.tile(xi, (n - 1, 1)), 1.0)
         rep_p = majorana.MajoranaRep(np.tile(xi_p, (n - 1, 1)), 1.0)
         got = majorana.overlap_general(rep_p, rep)
         want = float(math.factorial(n - 1)) * np.vdot(xi_p, xi) ** (n - 1)
-        errs.append(abs(got - want))
+        rel_errs.append(abs(got - want) / abs(want))
         normalized = core.inner(majorana.pure_product_state(xi_p, n),
                                 majorana.pure_product_state(xi, n))
         errs.append(abs(normalized - np.vdot(xi_p, xi) ** (n - 1)))
@@ -478,7 +480,9 @@ def _check_golden(config: RunConfig, rng) -> tuple[Measure, ...]:
         raise ValueError("profile lift produced an overlap outside (0, 1]")
     errs.append(np.max(np.abs(gram.imag)))
 
-    return (_measure(f"{len(errs)} fixtures, max deviation", errs, 1e-8),)
+    return (_measure(f"{len(errs)} fixtures, max deviation", errs, 1e-8),
+            _measure(f"{len(rel_errs)} permanent overlaps, max relative error",
+                     rel_errs, 1e-12))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """End-to-end command-line behaviour, run in process."""
 
+import argparse
 import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -12,9 +14,14 @@ import pytest
 
 from holonomy_lab import cli, core, formats
 from holonomy_lab.config import RunConfig
-from holonomy_lab.curves import CurveLift
+from holonomy_lab.curves import (
+    CurveLift,
+    geodesic_lift,
+    in_phase_gauge,
+    loop_geometric_phase,
+)
 
-from conftest import assert_angle_close
+from conftest import assert_angle_close, random_triad
 
 R = 1 / np.sqrt(2)
 OCTANT = {"states": [
@@ -28,6 +35,30 @@ def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def usage_error(argv, capsys):
+    """stderr of an argv that argparse rejects: exit 1, nothing on stdout."""
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 1 and captured.out == ""
+    return captured.err
+
+
+def write_triad(tmp_path, triad, name="triad.json"):
+    path = tmp_path / name
+    path.write_text(formats.json_dumps(formats.states_to_dict(triad)))
+    return str(path)
+
+
+def write_curve(tmp_path, name="curve.csv"):
+    """A 9-sample dimension-3 geodesic, which passes every curve check."""
+    e1 = np.array([1, 0, 0], dtype=complex)
+    tilted = np.array([0.6, 0.8, 0], dtype=complex)
+    path = tmp_path / name
+    path.write_text(formats.curve_to_csv(geodesic_lift(e1, tilted, grid=9)))
+    return str(path)
 
 
 def run_json(argv, capsys, expect=0):
@@ -285,49 +316,67 @@ class TestNpc:
                                  - out["connection_integral"]),
             tol=1e-12)
 
-    def test_loop_phase_matches_vertices(self, tmp_path, capsys, rng):
-        from holonomy_lab.curves import geodesic_lift, in_phase_gauge
-        from conftest import random_triad
-        triad = random_triad(rng, 3)
+    @staticmethod
+    def loop_sides(tmp_path, triad):
         names = []
         for a in range(3):
             v1, v2 = in_phase_gauge(triad[a], triad[(a + 1) % 3])
-            lift = geodesic_lift(v1, v2, grid=257)
             p = tmp_path / f"side{a}.csv"
-            p.write_text(formats.curve_to_csv(lift))
+            p.write_text(formats.curve_to_csv(geodesic_lift(v1, v2, grid=257)))
             names.append(str(p))
-        out = run_json(["npc", "phase", "--loop", *names], capsys)
+        return names
+
+    def test_loop_phase_matches_vertices(self, tmp_path, capsys, rng):
+        triad = random_triad(rng, 3)
+        out = run_json(["npc", "loop", *self.loop_sides(tmp_path, triad)],
+                       capsys)
         assert_angle_close(out["loop_phase"], out["vertex_phase"], tol=1e-8)
         assert_angle_close(out["loop_phase"], core.bi_phase(*triad), tol=1e-8)
 
+    def test_loop_prints_what_phase_loop_printed(self, tmp_path, capsys, rng):
+        # `npc phase --loop A B C` emitted exactly this object
+        names = self.loop_sides(tmp_path, random_triad(rng, 3))
+        segments = [formats.curve_from_csv(pathlib.Path(n).read_text())
+                    for n in names]
+        config = RunConfig()
+        want = formats.json_dumps(formats.result_to_jsonable({
+            "loop_phase": loop_geometric_phase(
+                segments, subgrid=config.subgrid, tau_npc=config.tau_npc),
+            "vertex_phase": core.bi_phase(*(seg.psi[0] for seg in segments),
+                                          tau_deg=config.tau_deg),
+        }))
+        code, out, err = run(["npc", "loop", *names], capsys)
+        assert code == 0, err
+        assert out == want
+
     def test_argument_combinations(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)
-        code, _, err = run(["npc", "generate", path], capsys)
-        assert code == 1 and "theta0" in err
-        code, _, err = run(["npc", "verify"], capsys)
-        assert code == 1
-        code, _, err = run(["npc", "phase"], capsys)
-        assert code == 1
-        code, _, err = run(["npc", "phase", path, "--loop", path, path, path],
-                           capsys)
-        assert code == 1
+        assert "--theta0" in usage_error(["npc", "generate", path], capsys)
+        usage_error(["npc", "verify"], capsys)
+        usage_error(["npc", "phase"], capsys)
+        usage_error(["npc", "phase", path, "--loop", path, path, path], capsys)
+        usage_error(["npc", "loop", path, path], capsys)
+        usage_error(["npc"], capsys)
 
-    @pytest.mark.parametrize("argv, message", [
+    # each npc action has a fixed arity, which argparse enforces; the
+    # second column names the rule a case breaks
+    @pytest.mark.parametrize("argv, rule", [
         (["generate"], "generate requires --theta0"),
         (["generate", "a.csv", "--theta0", "1.0"], "generate takes no curve files"),
         (["verify"], "verify takes exactly one curve file"),
         (["verify", "a.csv", "b.csv"], "verify takes exactly one curve file"),
         (["verify", "a.csv", "--loop", "a.csv", "b.csv", "c.csv"],
          "verify takes exactly one curve file"),
-        (["phase"], "phase needs a curve file or --loop"),
+        (["phase"], "phase needs a curve file"),
         (["phase", "a.csv", "b.csv"], "open-curve phase takes exactly one curve file"),
         (["phase", "a.csv", "--loop", "a.csv", "b.csv", "c.csv"],
-         "--loop takes its three files itself"),
+         "phase takes no --loop"),
+        (["loop", "a.csv", "b.csv"], "loop takes exactly three curve files"),
+        (["loop", "a.csv", "b.csv", "c.csv", "d.csv"],
+         "loop takes exactly three curve files"),
     ])
-    def test_argument_rules(self, argv, message, capsys):
-        code, out, err = run(["npc", *argv], capsys)
-        assert code == 1 and out == ""
-        assert f"holonomy-lab: error: {message}" in err
+    def test_argument_rules(self, argv, rule, capsys):
+        assert "holonomy-lab" in usage_error(["npc", *argv], capsys)
 
 
 class TestDecompose:
@@ -340,6 +389,24 @@ class TestDecompose:
         assert_angle_close(core.principal_angle(out["half_sum"]),
                            -np.pi / 4, tol=1e-10)
         assert len(out["stars_psi3"]) == 2
+
+    def test_keys_and_cross_checks(self, tmp_path, capsys, rng):
+        triad = random_triad(rng, 3)
+        out = run_json(["decompose", write_triad(tmp_path, triad)], capsys)
+        assert list(out) == [
+            "angles", "alpha", "xi", "stars_psi3", "factors", "factor_phases",
+            "bargmann_invariant", "geometric_phase", "solid_angles", "half_sum"]
+        assert out["geometric_phase"] == pytest.approx(core.bi_phase(*triad))
+        assert_angle_close(core.principal_angle(out["half_sum"]),
+                           out["geometric_phase"], tol=1e-8)
+        assert_angle_close(core.principal_angle(sum(out["factor_phases"])),
+                           out["geometric_phase"], tol=1e-10)
+
+    def test_higher_dimensions_skip_solid_angles(self, tmp_path, capsys, rng):
+        triad = random_triad(rng, 5)
+        out = run_json(["decompose", write_triad(tmp_path, triad)], capsys)
+        assert "solid_angles" not in out and "half_sum" not in out
+        assert len(out["factors"]) == 4
 
 
 class TestStars:
@@ -453,14 +520,24 @@ class TestConfigPlumbing:
         ]}))
         return str(path)
 
+    @pytest.fixture
+    def reader_of(self, tmp_path, orthogonal_pair_file):
+        """A command that reads each tolerance flag, on an input it accepts."""
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}))
+        return {"--tol-deg": ["bi", orthogonal_pair_file],
+                "--tol-npc": ["npc", "verify", write_curve(tmp_path)],
+                "--tol-lead": ["majorana", "stars", str(state)]}
+
     @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-npc", "--tol-lead"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_flag_is_usage_error(
-            self, orthogonal_pair_file, capsys, flag, value):
+            self, orthogonal_pair_file, reader_of, capsys, flag, value):
         code, _, err = run(["bi", orthogonal_pair_file], capsys)
         assert code == 2 and "degenerate" in err
         # a NaN tolerance compares False, so it would let the pair through
-        code, out, err = run(["bi", orthogonal_pair_file, flag, value], capsys)
+        code, out, err = run(reader_of[flag] + [flag, value], capsys)
         assert code == 1 and "finite" in err
         assert out == ""
 
@@ -507,6 +584,23 @@ class TestConfigPlumbing:
         assert (config.tau_deg, config.grid, config.seed) == (1, 17, -3)
         assert RunConfig(grid=np.int64(9), seed=np.int32(1)).grid == 9
 
+    @pytest.mark.parametrize("argv", [
+        "stars {curve} --tol-lead 0.5",
+        "npc phase {curve} --theta0 2",
+        "reconstruct {params} --grid 9",
+        "bi {states} --seed 1",
+    ])
+    def test_flag_the_command_does_not_read_is_usage_error(
+            self, tmp_path, octant_file, capsys, argv):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(TestReconstruct.PARAMS))
+        words = argv.format(curve=write_curve(tmp_path), params=params,
+                            states=octant_file).split()
+        code, _, err = run(words[:-2], capsys)
+        assert code == 0, err
+        err = usage_error(words, capsys)
+        assert "unrecognized arguments: " + " ".join(words[-2:]) in err
+
     def test_unknown_subcommand_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["frobnicate"])
@@ -516,3 +610,55 @@ class TestConfigPlumbing:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["bi", octant_file, "--frobnicate"])
         assert excinfo.value.code == 1
+
+
+# The options each entry point accepts besides --help.  Each command takes
+# --config, --output and the run settings it passes to the library.
+IO = {"--config", "--output"}
+OPTIONS = {
+    ("bi",): IO | {"--tol-deg"},
+    ("angles",): IO | {"--tol-deg"},
+    ("decompose",): IO | {"--tol-deg"},
+    ("reconstruct",): IO | {"--tol-deg", "--space"},
+    ("phase",): IO | {"--tol-deg", "--formula"},
+    ("majorana", "roots"): IO | {"--tol-lead"},
+    ("majorana", "stars"): IO | {"--tol-lead"},
+    ("majorana", "rebuild"): IO,
+    ("stars",): IO,
+    ("npc", "phase"): IO,
+    ("npc", "generate"): IO | {"--grid", "--theta0", "--eps", "--dim"},
+    ("npc", "verify"): IO | {"--subgrid", "--tol-npc"},
+    ("npc", "loop"): IO | {"--subgrid", "--tol-npc", "--tol-deg"},
+    ("selftest",): IO | {"--seed", "--grid", "--subgrid", "--tol-deg",
+                         "--tol-npc", "--tol-lead", "--criterion"},
+}
+
+
+def entry_points(parser, path=()):
+    """(command path, option strings) for every leaf parser."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, {s for a in parser._actions for s in a.option_strings
+                     if s.startswith("--")} - {"--help"}
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from entry_points(child, path + (name,))
+
+
+class TestParser:
+    def test_each_entry_point_takes_exactly_its_options(self):
+        got = dict(entry_points(cli.build_parser()))
+        assert got == OPTIONS
+        assert sum(map(len, got.values())) == 53
+
+    def test_readme_command_lines_parse(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines()
+                 if line.startswith("holonomy-lab ")]
+        assert lines
+        parser = cli.build_parser()
+        for line in lines:
+            # the argument types are str, int and float: no file is opened
+            args = parser.parse_args(shlex.split(line)[1:])
+            assert callable(args.func), line

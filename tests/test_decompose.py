@@ -14,7 +14,6 @@ from holonomy_lab.decompose import (
     reduce_triad,
     solid_angle,
     star_trajectory,
-    triad_summary,
 )
 from holonomy_lab.majorana import pure_product_state, spinor_to_star
 
@@ -201,28 +200,6 @@ class TestStarTrajectory:
         lift = geodesic_lift(*in_phase_gauge(a, b), grid=9)
         with pytest.raises(ValueError, match="dimension-3"):
             star_trajectory(lift)
-
-
-class TestTriadSummary:
-    def test_keys_and_cross_checks(self, rng):
-        triad = random_triad(rng, 3)
-        summary = triad_summary(*triad)
-        for key in ("angles", "reduction", "factors", "factor_phases",
-                    "bargmann_invariant", "geometric_phase",
-                    "solid_angles", "half_sum"):
-            assert key in summary
-        assert summary["geometric_phase"] == pytest.approx(
-            core.bi_phase(*triad))
-        assert_angle_close(core.principal_angle(summary["half_sum"]),
-                           summary["geometric_phase"], tol=1e-8)
-        total = sum(summary["factor_phases"])
-        assert_angle_close(core.principal_angle(total),
-                           summary["geometric_phase"], tol=1e-10)
-
-    def test_higher_dimensions_skip_solid_angles(self, rng):
-        summary = triad_summary(*random_triad(rng, 5))
-        assert "solid_angles" not in summary
-        assert len(summary["factors"]) == 4
 
 
 class TestSolidAngleInput:
