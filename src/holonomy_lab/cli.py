@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for usage or input-parse errors, 2 when the
-input is semantically invalid or a verification fails.  All output is
-deterministic for a fixed seed and configuration.
+Exit codes: 0 on success, 1 for usage or input-parse errors and when
+memory runs out, 2 when the input is semantically invalid or a
+verification fails.  All output is deterministic for a fixed seed and
+configuration.
 """
 
 from __future__ import annotations
@@ -221,9 +222,12 @@ def _cmd_majorana(args, config: RunConfig) -> int:
 
 
 def _cmd_npc_generate(args, config: RunConfig) -> int:
-    profile = curves.generate_npc_profile(args.theta0, args.dim, args.eps,
+    # the family has three nonzero components whatever the dimension, so
+    # the lift is built from them and the first three basis vectors; a
+    # dimension below 3 is still refused by the profile generator
+    profile = curves.generate_npc_profile(args.theta0, min(args.dim, 3), args.eps,
                                           grid=config.grid)
-    frame = curves.CurveFrame(np.eye(args.dim, dtype=complex), args.theta0)
+    frame = curves.CurveFrame(np.eye(3, args.dim, dtype=complex), args.theta0)
     lift = curves.profile_to_lift(frame, profile)
     _emit(formats.curve_to_csv(lift), config)
     return 0
@@ -423,6 +427,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"holonomy-lab: error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"holonomy-lab: error: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

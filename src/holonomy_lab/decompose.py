@@ -215,9 +215,12 @@ def star_trajectory(lift) -> np.ndarray:
     All samples are factored in one call.  The first sample is ordered
     lexicographically; every later sample is ordered to minimize the
     total great-circle motion relative to the previous one, with ties
-    broken lexicographically.  Swapping the previous pair swaps the two
-    costs, so between ties the order flips where swapping costs less.
-    Returns an array of shape (samples, 2, 3).
+    (costs within 1e-12) broken lexicographically.  Swapping the previous
+    pair swaps the two costs, so between ties the order flips where
+    swapping costs less.  The lexicographic order counts coordinates
+    within the same 1e-12 as equal, so rounding noise on a coordinate
+    whose exact value both stars share does not decide it.  Returns an
+    array of shape (samples, 2, 3).
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
@@ -228,8 +231,11 @@ def star_trajectory(lift) -> np.ndarray:
     restart = np.concatenate([[True], np.abs(keep - swap) < 1e-12])
     flips = np.logical_xor.accumulate(
         np.concatenate([[False], swap < keep]) & ~restart)
-    # a restart sorts the pair; the first differing coordinate outweighs the rest
-    lex = np.sign(b - a) @ [4.0, 2.0, 1.0] < 0
+    # a restart sorts the pair; the first coordinate that differs by more
+    # than the tie tolerance outweighs the rest
+    gap = b - a
+    ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
+    lex = ahead @ [4.0, 2.0, 1.0] < 0
     last = np.maximum.accumulate(np.where(restart, np.arange(restart.size), 0))
     flip = lex[last] ^ flips ^ flips[last]
     return np.where(flip[:, None, None], stars[:, ::-1], stars)

@@ -23,6 +23,8 @@ import numpy as np
 from .config import TAU_LEAD
 from .core import normalize
 
+_DOUBLE_ROOT = 16.0 * np.finfo(float).eps  # relative discriminant of a double root
+
 SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
     [[0.0, -1.0j], [1.0j, 0.0]],
@@ -159,15 +161,41 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(small & better, candidate, roots)
 
 
+def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both roots of z^2 = t0 z + t1 for each pair (t0, t1), larger first.
+
+    The square root of the discriminant takes the sign that adds to t0
+    without cancellation, so q = (t0 + disc) / 2 is the root of larger
+    modulus and -t1 / q, from the product of the roots, the other.  A
+    discriminant within 16 eps of |t0|^2 + 4 |t1| is rounding noise on a
+    double root: it is set to 0, and both roots are t0 / 2 exactly.  The
+    discriminant is formed after scaling by a power of two, which is
+    exact, so t0^2 cannot overflow.
+    """
+    size = np.frexp(np.maximum(np.abs(t0), np.sqrt(np.abs(t1))))[1]
+    r = np.ldexp(1.0, -np.maximum(size, -1020))  # 1 / r stays finite
+    u0, u1 = t0 * r, t1 * r * r
+    square = u0 * u0 + 4.0 * u1
+    disc = np.sqrt(square)
+    np.negative(disc, out=disc, where=(np.conjugate(u0) * disc).real < 0)
+    single = np.abs(square) > _DOUBLE_ROOT * (np.abs(u0) ** 2 + 4.0 * np.abs(u1))
+    disc *= single
+    q = 0.5 * (t0 + disc / r)
+    return q, np.divide(-t1, q, out=q.copy(), where=single)
+
+
 def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     """Factor a state, or each row of a (B, n) batch, into n-1 spinors and a scale.
 
-    Roots come from the companion-matrix eigenvalues of the star
-    polynomial; coefficients below ``tau_lead`` times the largest one are
-    treated as zero when fixing the effective degree, and each missing
-    degree contributes a north-pole spinor (1, 0), listed first.  Rows
-    with equal degree and equal count of exact roots at 0 share one
-    eigvals call on companion matrices built as np.roots builds them.
+    Coefficients below ``tau_lead`` times the largest one are treated as
+    zero when fixing the effective degree, and each missing degree
+    contributes a north-pole spinor (1, 0), listed first.  Rows with equal
+    degree and equal count m of nonzero roots (the others are exact zeros)
+    form one group.  For m = 1 the root is the entry of the 1x1 companion
+    matrix; for m = 2 both come in closed form, larger first, and a
+    double root comes out exact (see _quadratic_roots).  For m >= 3 the
+    group shares one eigvals call on companion matrices built as np.roots
+    builds them, and one guarded Newton step polishes those roots.
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.size == 0:
@@ -195,12 +223,13 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
         top = -desc[:, 1:m + 1] / desc[:, :1]  # first row of the companion matrix
         if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
             roots[:, :1] = top
-        elif m > 1:
+        elif m == 2:
+            roots[:, 0], roots[:, 1] = _quadratic_roots(top[:, 0], top[:, 1])
+        elif m > 2:
             companion = np.zeros((desc.shape[0], m, m), dtype=complex)
             companion[:, 0, :] = top
             companion.reshape(-1, m * m)[:, m::m + 1] = 1.0  # ones below the diagonal
-            roots[:, :m] = np.linalg.eigvals(companion)
-        roots = _polish_roots(desc, roots)
+            roots[:, :m] = _polish_roots(desc, np.linalg.eigvals(companion))
         if not np.isfinite(roots).all():
             raise ValueError("root finding failed")
         pairs = np.ones(roots.shape + (2,), dtype=complex)

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from holonomy_lab.majorana import _min_sum_assignment
+
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                  dtype=complex)
 
@@ -83,8 +85,24 @@ def _gap(a, b):
 
 
 def _lex_pair(stars):
-    order = sorted(range(len(stars)), key=lambda i: tuple(stars[i]))
-    return stars[order]
+    """The two stars in lexicographic order; coordinates within 1e-12 tie."""
+    for x, y in zip(*stars):
+        if abs(x - y) > 1e-12:
+            return stars if x < y else stars[::-1]
+    return stars
+
+
+def paired_spinors(got, want):
+    """want reordered row by row to the closest spinor of got.
+
+    The kernel and the oracle may list the same roots in different
+    orders; phase-fixed spinors of one root are equal, so pairing by the
+    least total distance lines the two multisets up before an
+    elementwise comparison.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    cost = np.linalg.norm(got[:, None, :] - want[None, :, :], axis=2)
+    return want[_min_sum_assignment(cost)]
 
 
 def oracle_trajectory(psi_rows):

@@ -15,10 +15,13 @@ import pytest
 from holonomy_lab import cli, core, formats
 from holonomy_lab.config import RunConfig
 from holonomy_lab.curves import (
+    CurveFrame,
     CurveLift,
+    generate_npc_profile,
     geodesic_lift,
     in_phase_gauge,
     loop_geometric_phase,
+    profile_to_lift,
 )
 
 from conftest import assert_angle_close, random_triad
@@ -274,6 +277,36 @@ class TestNpc:
                            capsys)
         assert code == 0, err
         return str(target)
+
+    @pytest.mark.parametrize("dim", range(3, 9))
+    def test_generate_matches_the_full_frame(self, capsys, dim):
+        # the lift is built from three frame vectors; the identity frame of
+        # the whole space gives the same file
+        profile = generate_npc_profile(1.9, dim, 0.6, grid=33)
+        frame = CurveFrame(np.eye(dim, dtype=complex), 1.9)
+        want = formats.curve_to_csv(profile_to_lift(frame, profile))
+        code, out, err = run(["npc", "generate", "--theta0", "1.9", "--eps",
+                              "0.6", "--dim", str(dim), "--grid", "33"], capsys)
+        assert code == 0, err
+        assert out == want
+
+    def test_generate_below_dimension_three(self, capsys):
+        code, out, err = run(["npc", "generate", "--theta0", "1.9", "--dim", "2"],
+                             capsys)
+        assert (code, out) == (2, "")
+        assert err == "holonomy-lab: error: nongeodesic profiles need n >= 3\n"
+
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 149. GiB"),
+         "holonomy-lab: error: out of memory: Unable to allocate 149. GiB\n"),
+        (MemoryError(), "holonomy-lab: error: out of memory\n"),
+    ], ids=["message", "bare"])
+    def test_out_of_memory_is_one_line(self, capsys, monkeypatch, exc, line):
+        def exhausted(args, config):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_npc_generate", exhausted)
+        code, out, err = run(["npc", "generate", "--theta0", "1.9"], capsys)
+        assert (code, out, err) == (1, "", line)
 
     def test_generate_then_verify(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)

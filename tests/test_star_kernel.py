@@ -2,14 +2,20 @@
 
 import json
 from importlib import resources
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from holonomy_lab import core, curves, majorana as mj
+from holonomy_lab import core, curves, decompose, majorana as mj
 from holonomy_lab.decompose import star_trajectory
 
-from star_oracle import oracle_decomposition, oracle_stars, oracle_trajectory
+from star_oracle import (
+    oracle_decomposition,
+    oracle_stars,
+    oracle_trajectory,
+    paired_spinors,
+)
 
 SOUTH = np.array([0.0, 0.0, -1.0])
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -21,6 +27,7 @@ def assert_matches_oracle(batch, tol=1e-12):
     for i, psi in enumerate(batch):
         spinors, scale = oracle_decomposition(psi)
         assert mj.star_matching_distance(stars[i], oracle_stars(psi)) <= tol
+        spinors = paired_spinors(rep.spinors[i], spinors)
         assert np.max(np.abs(rep.spinors[i] - spinors), initial=0.0) <= tol
         assert abs(rep.scale[i] - scale) <= tol * abs(scale)
     return rep
@@ -74,7 +81,12 @@ class TestKernelParity:
         for n in (2, 3, 5, 9, 20):
             xis = [mj.as_spinor(core.random_state(2, rng)) for _ in range(5)]
             batch = np.array([mj.pure_product_state(xi, n) for xi in xis])
-            assert_matches_oracle(batch)
+            if n == 3:  # np.roots scatters the double star by about 1e-8
+                stars = mj.coefficients_to_roots(batch).stars()
+                for xi, pair in zip(xis, stars):
+                    assert np.max(np.abs(pair - mj.spinor_to_star(xi))) <= 1e-12
+            else:
+                assert_matches_oracle(batch)
 
     def test_su2_apply_on_a_batch(self, rng):
         u = mj.random_su2(rng)
@@ -82,6 +94,102 @@ class TestKernelParity:
         moved = mj.su2_apply(u, batch)
         for i, psi in enumerate(batch):
             assert np.allclose(moved[i], mj.su2_apply(u, psi), atol=1e-13)
+
+
+def quadratic_rows(c0, c1, c2):
+    """n = 3 states whose star polynomial is c2 z^2 + c1 z + c0."""
+    return np.stack(np.broadcast_arrays(c0, c1 / np.sqrt(2.0), c2),
+                    axis=-1).astype(complex)
+
+
+def root_stars(roots):
+    """Stars of the spinors (-w, 1) of the roots w, one row per state."""
+    roots = np.asarray(roots, dtype=complex)
+    return mj.spinor_to_star(np.stack([-roots, np.ones_like(roots)], axis=-1))
+
+
+class TestClosedFormPairs:
+    """Degree-two rows take their two roots in closed form, not from eigvals."""
+
+    def test_random_complex_quadratics(self, rng):
+        size = (3, 300)
+        c = (rng.standard_normal(size) + 1j * rng.standard_normal(size)
+             ) * 10.0 ** rng.uniform(-3, 3, size)
+        assert_matches_oracle(quadratic_rows(*c))
+
+    @pytest.mark.parametrize("roots", [
+        [(3.0, 0.5), (-3.0, -0.5), (2.0, -0.7), (-2.0, 0.7), (1e6, 1e-6),
+         (-1e6, -1e-6)],
+        [(1 + 2j, 1 - 2j), (-1 + 2j, -1 - 2j), (0.3 + 1j, 0.3 - 1j)],
+    ], ids=["real-pairs", "conjugate-pairs"])
+    def test_real_coefficients(self, roots):
+        # t0 = r1 + r2 takes both signs, so the discriminant's sign flip
+        # runs on some rows and not on others; without it the small root
+        # of the widely split pairs would lose digits to cancellation
+        roots = np.array(roots)
+        r1, r2 = roots.T
+        rep = assert_matches_oracle(quadratic_rows(r1 * r2, -(r1 + r2), 1.0))
+        for got, want in zip(rep.stars(), root_stars(roots)):
+            assert mj.star_matching_distance(got, want) <= 1e-12
+
+    def test_zero_linear_coefficient(self, rng):
+        c0, c2 = (rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
+        rep = assert_matches_oracle(quadratic_rows(c0, 0.0, c2))
+        for got, w in zip(rep.stars(), np.sqrt(-c0 / c2)):
+            assert mj.star_matching_distance(got, root_stars([w, -w])) <= 1e-12
+
+    def test_close_roots_stay_apart(self, rng):
+        # a split of 1e-6 is far above the double-root cut of 16 eps; a
+        # companion-matrix or closed-form root is good to about eps / split
+        w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        split = w * np.repeat([1e-4, 1e-6], 20)
+        roots = np.stack([w, w + split], axis=1)
+        rep = mj.coefficients_to_roots(
+            quadratic_rows(w * (w + split), -(2.0 * w + split), 1.0))
+        for got, want in zip(rep.stars(), root_stars(roots)):
+            assert mj.star_matching_distance(got, want) <= 1e-8
+
+    def test_lead_just_above_the_cut(self, rng):
+        batch = np.array([core.random_state(3, rng) for _ in range(50)])
+        batch[:, 2] = 0.0
+        peak = np.max(np.abs(batch * [1.0, np.sqrt(2.0), 1.0]), axis=1)
+        batch[:, 2] = 1.5e-10 * peak * np.exp(2j * np.pi * rng.uniform(size=50))
+        rep = assert_matches_oracle(batch)
+        # no north spinor (1, 0) stands in for a missing degree: the large
+        # root, near 1e10, is a spinor with beta near 1e-10
+        beta = np.abs(rep.spinors[..., 1])
+        assert beta.min() > 0.0 and 1e-12 < beta.min(axis=1).max() < 1e-8
+
+    def test_roots_beyond_the_square_root_of_the_float_range(self, rng):
+        # with a small tau_lead a root can pass 1e154, where t0^2 overflows
+        # unless the discriminant is scaled first (np.roots overflows too,
+        # in its Newton step, so the known roots are the reference)
+        roots = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
+        roots[0] *= 1e190
+        batch = quadratic_rows(roots[0] * roots[1], -roots.sum(axis=0), 1.0)
+        rep = mj.coefficients_to_roots(batch, tau_lead=1e-250)
+        for got, want in zip(rep.stars(), root_stars(roots.T)):
+            assert mj.star_matching_distance(got, want) <= 1e-12
+        back = mj.roots_to_coefficients(rep)
+        assert np.all(np.abs(back - batch) <= 1e-14 * np.abs(batch).max(axis=1)[:, None])
+
+    def test_mixed_degrees_equal_single_rows(self, rng):
+        batch = np.array([core.random_state(3, rng) for _ in range(48)])
+        for i, zeros in enumerate([(1, 2), (2,), (0,), (0, 1), (1,), ()] * 8):
+            batch[i, list(zeros)] = 0.0  # degree 0, 1 or 2; leading or trailing
+        rep = assert_matches_oracle(batch)
+        for i, psi in enumerate(batch):
+            single = mj.coefficients_to_roots(psi)
+            assert np.array_equal(single.spinors, rep.spinors[i])
+            assert single.scale == rep.scale[i]
+
+    def test_su2_apply_keeps_double_stars(self, rng):
+        xis = [mj.as_spinor(core.random_state(2, rng)) for _ in range(50)]
+        batch = np.array([mj.pure_product_state(xi, 3) for xi in xis])
+        u = mj.random_su2(rng)
+        stars = mj.coefficients_to_roots(mj.su2_apply(u, batch)).stars()
+        for xi, pair in zip(xis, stars):
+            assert np.max(np.abs(pair - mj.spinor_to_star(u @ xi))) <= 1e-12
 
 
 def golden_lift(key, second):
@@ -131,6 +239,18 @@ class TestTrajectoryParity:
                                              ("two_component_trajectory", 1)])
     def test_golden_fixtures_with_ties(self, key, second):
         assert assert_same_trajectory(golden_lift(key, second))
+
+    def test_restart_order_ignores_rounding_noise(self, monkeypatch):
+        # both meridian stars have x = 0: a restart orders them by y, not by
+        # the sign of whatever rounding leaves in x
+        lift = golden_lift("meridian_trajectory", 2)
+        want = star_trajectory(lift)
+        for noise in (1e-30, -1e-30):
+            stars = mj.coefficients_to_roots(lift.psi).stars()
+            stars[:, 0, 0] += noise
+            monkeypatch.setattr(decompose, "coefficients_to_roots",
+                                lambda psi: SimpleNamespace(stars=lambda: stars))
+            assert np.max(np.abs(star_trajectory(lift) - want)) <= 1e-12
 
     def test_ties_in_the_middle(self, rng):
         for k in (0, 2):  # both stars north (degree 0) or both south

@@ -14,7 +14,7 @@ from holonomy_lab.decompose import (
 )
 
 from conftest import random_triad
-from star_oracle import oracle_decomposition
+from star_oracle import oracle_decomposition, paired_spinors
 from triad_oracle import (
     oracle_factors,
     oracle_reduce_triad,
@@ -64,7 +64,8 @@ def assert_same_reduction(got, want):
     for name in ("psi1", "psi2", "psi3", "transform", "xi"):
         gap = np.max(np.abs(getattr(got, name) - getattr(want, name)))
         assert gap <= TOL, f"{name} differs by {gap:.3e}"
-    assert np.max(np.abs(got.rep3.spinors - want.rep3.spinors)) <= TOL
+    spinors = paired_spinors(got.rep3.spinors, want.rep3.spinors)
+    assert np.max(np.abs(got.rep3.spinors - spinors)) <= TOL
     assert abs(got.rep3.scale - want.rep3.scale) <= TOL * abs(want.rep3.scale)
 
 
