@@ -16,6 +16,7 @@ from .core import (
     principal_angle,
     random_state,
     random_unitary,
+    ray_angle,
     ray_representative,
     rays_equal,
 )
@@ -63,7 +64,6 @@ from .curves import (
     in_phase_gauge,
     loop_geometric_phase,
     open_curve_phase,
-    pair_angle,
     profile_to_lift,
     validate_profile,
     verify_npc,

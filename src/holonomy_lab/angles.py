@@ -28,8 +28,10 @@ from .config import TAU_DEG
 from .core import (
     DegenerateTriadError,
     as_state,
+    check_modulus,
     normalize,
     principal_angle,
+    ray_angle,
     wrap_angle_positive,
 )
 
@@ -127,16 +129,6 @@ def _check_triad_angles(theta_12: float, theta_31: float, phi: float) -> None:
     _check_finite("phi", phi)
 
 
-def _overlap_angles(ov: complex, tau_deg: float) -> tuple[float, float]:
-    """(theta, phi) of the overlap of two unit vectors."""
-    c = abs(ov)
-    if c <= tau_deg:
-        raise DegenerateTriadError("orthogonal pair: theta at the upper boundary")
-    if c >= 1.0 - tau_deg:
-        raise DegenerateTriadError("coincident rays: theta at the lower boundary")
-    return 2.0 * math.acos(c), wrap_angle_positive(cmath.phase(ov))
-
-
 def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngles:
     """Extract the six intrinsic angles of a triad.
 
@@ -157,10 +149,9 @@ def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngle
     if not v[0].shape == v[1].shape == v[2].shape:
         raise ValueError("dimension mismatch: "
                          + " vs ".join(str(s.size) for s in v))
-    (t12, p12), (t23, p23), (t31, p31) = (
-        _overlap_angles(complex(np.vdot(a, b)), tau_deg)
-        for a, b in zip(v, v[1:] + v[:1]))
-    return IntrinsicAngles(t12, t23, t31, p12, p23, p31)
+    pairs = [ray_angle(a, b, tau_deg) for a, b in zip(v, v[1:] + v[:1])]
+    return IntrinsicAngles(*(theta for _, theta in pairs),
+                           *(wrap_angle_positive(cmath.phase(ov)) for ov, _ in pairs))
 
 
 def _dependent_overlap(theta_12: float, theta_31: float, phi: float,
@@ -175,18 +166,18 @@ def _dependent_overlap(theta_12: float, theta_31: float, phi: float,
         + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2) * np.cos(xi))
 
 
+def _dependent_theta(c23: float, tau_deg: float) -> float:
+    """theta_23 of the derived modulus; with no vectors at hand it takes arccos,
+    so an error d in c23 moves it by about 2 d / sin(theta_23 / 2)."""
+    return 2.0 * math.acos(check_modulus(c23, tau_deg))
+
+
 def _solve_dependent(w: complex, tau_deg: float) -> tuple[float, float]:
-    """Shared tail of the dependent-angle solvers; w from _dependent_overlap."""
+    """(theta_23, phi_g) of the canonical solvers; w from _dependent_overlap."""
     c23 = abs(w)
-    if c23 <= tau_deg:
-        raise DegenerateTriadError("derived overlap is degenerate (theta_23 -> pi)")
     if c23 >= 1.0 + 64.0 * np.finfo(float).eps:
         raise ValueError(f"internal inconsistency: derived modulus {c23} exceeds 1")
-    if c23 >= 1.0 - tau_deg:
-        raise DegenerateTriadError("derived rays coincide (theta_23 -> 0)")
-    theta_23 = 2.0 * float(np.arccos(c23))
-    phi_g = principal_angle(-float(np.angle(w)))
-    return theta_23, phi_g
+    return _dependent_theta(c23, tau_deg), principal_angle(-float(np.angle(w)))
 
 
 def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
@@ -292,12 +283,9 @@ def solve_dependent_coherent(theta_12: float, theta_31: float, phi_prime: float,
     """
     params = CoherentTriadParams(theta_12, theta_31, phi_prime)
     r, rp = params.r, params.r_prime
+    # exp(r r' cos phi') can carry c23 past 1: coincident rays, not an inconsistency
     c23 = np.cos(theta_12 / 2) * np.cos(theta_31 / 2) * np.exp(r * rp * np.cos(phi_prime))
-    if c23 >= 1.0 - tau_deg:
-        raise DegenerateTriadError("derived rays coincide (theta_23 -> 0)")
-    if c23 <= tau_deg:
-        raise DegenerateTriadError("derived overlap is degenerate")
-    theta_23 = 2.0 * float(np.arccos(c23))
+    theta_23 = _dependent_theta(float(c23), tau_deg)
     phi_g = principal_angle(-r * rp * np.sin(phi_prime))
     return theta_23, phi_g
 

@@ -259,11 +259,12 @@ def _cmd_npc_phase(args, config: RunConfig) -> int:
 
 
 def _cmd_npc_loop(args, config: RunConfig) -> int:
-    segments = [_load(path, formats.curve_from_csv) for path in args.curves]
+    segments = [_load(path, formats.curve_from_csv)
+                for path in args.curves + args.more]
     loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid,
                                        tau_npc=config.tau_npc)
-    vertex = core.bi_phase(*(seg.psi[0] for seg in segments),
-                           tau_deg=config.tau_deg)
+    vertex = _phase_of(core.bargmann([seg.psi[0] for seg in segments],
+                                     tau_deg=config.tau_deg))
     _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
     return 0
 
@@ -290,10 +291,7 @@ def _cmd_decompose(args, config: RunConfig) -> int:
         "geometric_phase": _phase_of(delta),
     }
     if triad[0].size == 3:
-        # the solid angles of (north pole, star of xi, each star of psi3)
-        xi_star = majorana.spinor_to_star(red.xi)
-        solid = [decompose.solid_angle([0.0, 0.0, 1.0], xi_star, star)
-                 for star in stars]
+        solid = decompose.solid_angle_pair(red)
         out["solid_angles"] = solid
         out["half_sum"] = 0.5 * sum(solid)
     _emit_json(out, config)
@@ -395,9 +393,11 @@ def build_parser() -> _Parser:
     p.add_argument("curve", help="curve CSV file, or - for stdin")
     p = _command(actions, "loop", _cmd_npc_loop,
                  ["subgrid", "tau_npc", "tau_deg"],
-                 help="geometric phase around a loop of three curves")
+                 help="geometric phase around a loop of three or more curves")
     p.add_argument("curves", nargs=3, metavar="CSV",
-                   help="three curve files forming a closed loop")
+                   help="the first three curve files of a closed loop")
+    p.add_argument("more", nargs="*", default=[], metavar="CSV",
+                   help="further curve files, in order around the loop")
 
     p = _command(sub, "decompose", _cmd_decompose, ["tau_deg"],
                  help="reduction, factorization and solid angles of a triad")

@@ -52,6 +52,35 @@ def normalize(psi) -> np.ndarray:
     return psi / n
 
 
+def check_modulus(c: float, tau_deg: float = TAU_DEG) -> float:
+    """Return the overlap modulus c = cos(theta / 2) if theta is inside (0, pi).
+
+    Raises :class:`DegenerateTriadError` when c is within ``tau_deg`` of 0
+    (orthogonal rays) or of 1 (coincident rays).
+    """
+    if c <= tau_deg:
+        raise DegenerateTriadError("orthogonal rays: theta at the upper boundary")
+    if c >= 1.0 - tau_deg:
+        raise DegenerateTriadError("coincident rays: theta at the lower boundary")
+    return c
+
+
+def ray_angle(v1, v2, tau_deg: float = TAU_DEG) -> tuple[complex, float]:
+    """Overlap (v1, v2) of two unit vectors and their angle theta in (0, pi).
+
+    The overlap is exp(i phi) cos(theta / 2), and its modulus must pass
+    :func:`check_modulus`.  theta / 2 = atan2(|v2 - (v1, v2) v1|, |(v1, v2)|)
+    stays within a few eps at both ends, where the inverse cosine of the
+    modulus would lose digits close to coincident rays.
+    """
+    ov = complex(np.vdot(v1, v2))
+    if not cmath.isfinite(ov):
+        raise ValueError("non-finite amplitude")
+    c = check_modulus(abs(ov), tau_deg)
+    r = v2 - ov * v1
+    return ov, 2.0 * math.atan2(math.sqrt(np.vdot(r, r).real), c)
+
+
 def principal_angle(x: float) -> float:
     """Wrap a phase to the principal branch (-pi, pi]."""
     y = float(x) % TWO_PI  # floor modulo, as np.remainder

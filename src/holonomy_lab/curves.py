@@ -12,6 +12,7 @@ stencil reduces to; no derivative array is formed.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_GRID, DEFAULT_SUBGRID, TAU_DEG, TAU_NPC
-from .core import as_state, inner, normalize, principal_angle, rays_equal
+from .core import inner, normalize, principal_angle, ray_angle, rays_equal
 
 
 @dataclass(frozen=True)
@@ -128,21 +129,17 @@ def in_phase_gauge(psi1, psi2, tau_deg: float = TAU_DEG):
     return v1, v2 * (abs(ov) / ov)
 
 
-def pair_angle(psi1, psi2, tau_deg: float = TAU_DEG) -> float:
-    """Opening angle theta0 = 2 arccos |(psi1, psi2)| of two unit rays."""
-    c = abs(inner(normalize(psi1), normalize(psi2)))
-    if c <= tau_deg or c >= 1.0 - tau_deg:
-        raise ValueError("pair angle hits the boundary of (0, pi)")
-    return 2.0 * float(np.arccos(c))
-
-
-def _require_in_phase(v1, v2, tau_deg: float):
-    ov = inner(v1, v2)
-    if abs(ov) <= tau_deg:
-        raise ValueError("orthogonal pair")
-    if abs(np.angle(ov)) > 1e-10:
+def _pair_plane(v1, v2, tau_deg: float) -> tuple[np.ndarray, float]:
+    """(e2, theta0): v2 = cos(theta0/2) v1 + sin(theta0/2) e2 for an in-phase
+    pair of unit vectors, with e2 a unit vector orthogonal to v1."""
+    ov, theta0 = ray_angle(v1, v2, tau_deg)
+    if abs(cmath.phase(ov)) > 1e-10:
         raise ValueError("pair is not in phase; run in_phase_gauge first")
-    return ov.real
+    # for close rays the residual's rounding is large against its norm, so
+    # v1 is projected out twice and the norm taken from the residual itself
+    r = v2 - ov.real * v1
+    r -= np.vdot(v1, r) * v1
+    return normalize(r), theta0
 
 
 def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID,
@@ -150,15 +147,10 @@ def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID,
     """Horizontal geodesic between an in-phase pair, sampled on [0, 1]."""
     v1 = normalize(psi1)
     v2 = normalize(psi2)
-    c0 = _require_in_phase(v1, v2, tau_deg)
-    if c0 >= 1.0 - tau_deg:
-        raise ValueError("coincident endpoints: opening angle is 0")
-    theta0 = 2.0 * float(np.arccos(c0))
-    e1 = v1
-    e2 = (v2 - c0 * v1) / np.sqrt(1.0 - c0 * c0)
+    e2, theta0 = _pair_plane(v1, v2, tau_deg)
     t = np.linspace(0.0, 1.0, grid)
     half = 0.5 * theta0 * t
-    psi = np.outer(np.cos(half), e1) + np.outer(np.sin(half), e2)
+    psi = np.outer(np.cos(half), v1) + np.outer(np.sin(half), e2)
     psi[0] = v1
     psi[-1] = v2
     return CurveLift(t, psi)
@@ -172,9 +164,7 @@ def frame_from_pair(psi_a, psi_b, size: int = 3,
     completion from the singular vectors of the span.
     """
     v1, v2 = in_phase_gauge(psi_a, psi_b, tau_deg)
-    theta0 = pair_angle(v1, v2, tau_deg)
-    c0 = np.cos(theta0 / 2)
-    e2 = (v2 - c0 * v1) / np.sin(theta0 / 2)
+    e2, theta0 = _pair_plane(v1, v2, tau_deg)
     dim = v1.size
     if size < 2 or size > dim:
         raise ValueError(f"frame size must lie in [2, {dim}]")
@@ -296,18 +286,19 @@ def validate_profile(profile: RealProfile, theta0: float,
     return report
 
 
-def profile_to_lift(frame: CurveFrame, profile: RealProfile,
-                    validate: bool = True) -> CurveLift:
-    """Assemble the Hilbert-space lift psi(s) = sum_r x_r(s) e_r."""
+def profile_to_lift(frame: CurveFrame, profile: RealProfile) -> CurveLift:
+    """Assemble the Hilbert-space lift psi(s) = sum_r x_r(s) e_r.
+
+    The profile must pass :func:`validate_profile` for the frame's theta0.
+    """
     m = frame.vectors.shape[0]
     if profile.x.shape[1] != m:
         raise ValueError("profile width does not match the frame size")
-    if validate:
-        report = validate_profile(profile, frame.theta0)
-        if not report.ok:
-            first = report.violations[0]
-            raise ValueError(f"invalid profile: {first['detail']} "
-                             f"({len(report.violations)} violations)")
+    report = validate_profile(profile, frame.theta0)
+    if not report.ok:
+        first = report.violations[0]
+        raise ValueError(f"invalid profile: {first['detail']} "
+                         f"({len(report.violations)} violations)")
     return CurveLift(profile.s, profile.x.astype(complex) @ frame.vectors)
 
 
@@ -458,9 +449,8 @@ def open_curve_phase(lift: CurveLift) -> tuple[float, float, float]:
 
 
 def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
-                         tau_npc: float = TAU_NPC,
-                         junction_tol: float = 1e-9) -> float:
-    """Geometric phase of a closed loop built from three null phase curves.
+                         tau_npc: float = TAU_NPC) -> float:
+    """Geometric phase of a closed loop built from k >= 3 null phase curves.
 
     Segment ends must match the next segment's start ray.  Junction phase
     jumps are collected as arguments of the cross-segment overlaps, which
@@ -468,23 +458,23 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
 
         phase = sum_a arg (start_{a+1}, end_a) - sum_a integral_a.
 
-    For vertices psi_1, psi_2, psi_3 this reproduces the triad phase
-    -arg of the three-point invariant, whichever null phase curves join
-    them.
+    For vertices psi_1, ..., psi_k this reproduces -arg of the k-point
+    invariant, whichever null phase curves join them.
     """
-    if len(segments) != 3:
-        raise ValueError("a triangle loop needs exactly three segments")
+    k = len(segments)
+    if k < 3:
+        raise ValueError("a loop needs at least three segments")
     for a, seg in enumerate(segments):
-        nxt = segments[(a + 1) % 3]
-        if not rays_equal(seg.psi[-1], nxt.psi[0], tol=junction_tol):
+        nxt = segments[(a + 1) % k]
+        if not rays_equal(seg.psi[-1], nxt.psi[0], tol=1e-9):
             raise ValueError(f"segment {a} does not end on the ray "
-                             f"where segment {(a + 1) % 3} starts")
+                             f"where segment {(a + 1) % k} starts")
     for a, seg in enumerate(segments):
         if not verify_npc(seg, subgrid=subgrid, tau_npc=tau_npc).ok:
             raise ValueError(f"segment {a} is not a null phase curve")
     total = 0.0
     for a, seg in enumerate(segments):
-        nxt = segments[(a + 1) % 3]
+        nxt = segments[(a + 1) % k]
         total += float(np.angle(inner(nxt.psi[0], seg.psi[-1])))
         total -= connection_integral(seg)
     return principal_angle(total)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TAU_DEG
-from .core import DegenerateTriadError, as_state, norm, normalize
+from .core import DegenerateTriadError, as_state, check_modulus, norm, normalize
 from .majorana import (
     MajoranaRep,
     coefficients_to_roots,
@@ -96,9 +96,7 @@ def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReducti
         if abs(ov) <= tau_deg:
             raise DegenerateTriadError(
                 f"overlap of states {i} and {(i + 1) % 3} is degenerate")
-    c12 = abs(ov12)
-    if c12 >= 1.0 - tau_deg:
-        raise DegenerateTriadError("first two rays coincide")
+    c12 = check_modulus(abs(ov12), tau_deg)
 
     u = _to_e1_unitary(v[0])
     v_perp = u[1:] @ v[1]
@@ -136,7 +134,7 @@ def bi_factorization(red: CanonicalReduction, tau_deg: float = TAU_DEG) -> np.nd
     return factors
 
 
-def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
+def solid_angle(n1, n2, n3) -> float:
     """Signed solid angle of the spherical triangle (n1, n2, n3).
 
     Defined as -2 times the argument of the cyclic spinor overlap product
@@ -148,7 +146,7 @@ def solid_angle(n1, n2, n3, cross_tol: float = 1e-9) -> float:
     hemispheres 2*pi up to sign; antipodal vertex pairs and non-finite or
     non-unit vertices are rejected.
     """
-    return _triangle(_vertex(n1), _vertex(n2), _vertex(n3), cross_tol)
+    return _triangle(_vertex(n1), _vertex(n2), _vertex(n3))
 
 
 def _vertex(nhat) -> tuple[list[float], list[complex]]:
@@ -157,7 +155,7 @@ def _vertex(nhat) -> tuple[list[float], list[complex]]:
     return star.tolist(), star_to_spinor(star).tolist()
 
 
-def _triangle(va, vb, vc, cross_tol: float) -> float:
+def _triangle(va, vb, vc) -> float:
     """solid_angle of three (star, spinor) vertices made by _vertex."""
     (a, sa), (b, sb), (c, sc) = va, vb, vc
     sides = ((a, b), (b, c), (c, a))
@@ -170,7 +168,7 @@ def _triangle(va, vb, vc, cross_tol: float) -> float:
               + a[2] * (b[0] * c[1] - b[1] * c[0]))
     ab, bc, ca = (p[0] * q[0] + p[1] * q[1] + p[2] * q[2] for p, q in sides)
     oriented = -2.0 * math.atan2(triple, 1.0 + ab + bc + ca)
-    if abs(math.remainder(omega - oriented, 4.0 * math.pi)) > cross_tol:
+    if abs(math.remainder(omega - oriented, 4.0 * math.pi)) > 1e-9:
         raise ValueError(
             f"solid angle cross-check failed: {omega} vs excess {oriented}"
         )
@@ -194,15 +192,14 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3,
     if as_state(psi1).size != 3:
         raise ValueError("this identity is specific to dimension 3")
     red = reduce_triad(psi1, psi2, psi3, tau_deg=tau_deg)
-    return 0.5 * sum(_solid_angle_pair(red))
+    return 0.5 * sum(solid_angle_pair(red))
 
 
-def _solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
+def solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
     """Solid angles of (north, star of xi, each star of psi3), dimension 3."""
     north = _vertex([0.0, 0.0, 1.0])
     xi = _vertex(spinor_to_star(red.xi))
-    return tuple(_triangle(north, xi, _vertex(star), 1e-9)
-                 for star in red.rep3.stars())
+    return tuple(_triangle(north, xi, _vertex(star)) for star in red.rep3.stars())
 
 
 def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -144,14 +144,16 @@ def rep_from_dict(d) -> MajoranaRep:
     return MajoranaRep(spinors=spinors, scale=scale)
 
 
+def _csv_table(header: list[str], table: np.ndarray) -> str:
+    """CSV text: the header line, then one line of .15g values per table row."""
+    row = ",".join(["{:.15g}"] * len(header))
+    return "".join([",".join(header) + "\n"]
+                   + [row.format(*values) + "\n" for values in table.tolist()])
+
+
 def stars_to_rows(stars: np.ndarray) -> str:
     """Bare star list, one ``x,y,z`` row per line with a header."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["x", "y", "z"])
-    for n in np.asarray(stars, dtype=float):
-        w.writerow([f"{v:.15g}" for v in n])
-    return out.getvalue()
+    return _csv_table(["x", "y", "z"], np.asarray(stars, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -159,19 +161,9 @@ def stars_to_rows(stars: np.ndarray) -> str:
 
 
 def curve_to_csv(lift: CurveLift) -> str:
-    dim = lift.dim
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    header = ["s"]
-    for k in range(dim):
-        header += [f"re_{k}", f"im_{k}"]
-    w.writerow(header)
-    for s, psi in zip(lift.s, lift.psi):
-        row = [f"{s:.15g}"]
-        for z in psi:
-            row += [f"{z.real:.15g}", f"{z.imag:.15g}"]
-        w.writerow(row)
-    return out.getvalue()
+    header = ["s"] + [f"{part}_{k}" for k in range(lift.dim) for part in ("re", "im")]
+    psi = np.ascontiguousarray(lift.psi).view(float)  # re_0, im_0, re_1, ...
+    return _csv_table(header, np.column_stack([lift.s, psi]))
 
 
 def curve_from_csv(text: str) -> CurveLift:
@@ -207,15 +199,9 @@ def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:
     traj = np.asarray(traj, dtype=float)
     if traj.ndim != 3 or traj.shape[1:] != (2, 3):
         raise ValueError("expected a trajectory of shape (N, 2, 3)")
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["s", "n1x", "n1y", "n1z", "n2x", "n2y", "n2z"])
-    for sv, pair in zip(np.asarray(s, dtype=float), traj):
-        row = [f"{sv:.15g}"]
-        for star in pair:
-            row += [f"{v:.15g}" for v in star]
-        w.writerow(row)
-    return out.getvalue()
+    return _csv_table(["s", "n1x", "n1y", "n1z", "n2x", "n2y", "n2z"],
+                      np.column_stack([np.asarray(s, dtype=float),
+                                       traj.reshape(-1, 6)]))
 
 
 # ---------------------------------------------------------------------------

@@ -255,11 +255,8 @@ def _check_npc_verifier(config: RunConfig, rng) -> tuple[Measure, ...]:
                        5 * np.pi / 6):
             profile = curves.generate_npc_profile(theta0, 3, float(eps),
                                                   grid=config.grid)
-            pr = curves.validate_profile(profile, theta0)
-            if not pr.ok:
-                raise ValueError(f"profile rejected: {pr.violations[0]}")
             frame = curves.CurveFrame(np.eye(3, dtype=complex), theta0)
-            lift = curves.profile_to_lift(frame, profile, validate=False)
+            lift = curves.profile_to_lift(frame, profile)
             report = curves.verify_npc(lift, subgrid=config.subgrid,
                                        tau_npc=config.tau_npc)
             if not report.ok:

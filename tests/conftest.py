@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from holonomy_lab.core import principal_angle
+from holonomy_lab.core import principal_angle, random_state
 from holonomy_lab.selftest import _triad
 
 
@@ -16,6 +16,15 @@ def assert_angle_close(a: float, b: float, tol: float = 1e-10) -> None:
 def random_triad(rng, n, min_overlap=0.05):
     """Random triad with pairwise overlaps bounded away from degeneracy."""
     return _triad(rng, n, min_overlap, max_overlap=1.0 - 1e-6)
+
+
+def random_polygon(rng, k, n):
+    """k random states whose cyclically adjacent overlaps stay nondegenerate."""
+    while True:
+        states = [random_state(n, rng) for _ in range(k)]
+        mods = [abs(np.vdot(a, b)) for a, b in zip(states, states[1:] + states[:1])]
+        if min(mods) >= 0.05 and max(mods) <= 1.0 - 1e-6:
+            return states
 
 
 @pytest.fixture

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import assert_angle_close, random_triad
 from holonomy_lab import angles as ang
-from holonomy_lab import core
+from holonomy_lab import core, curves
 from holonomy_lab.core import DegenerateTriadError
 # independent number-basis oracle for coherent-state overlaps
 from holonomy_lab.selftest import _fock_coherent as fock_expansion
@@ -48,6 +48,31 @@ class TestExtraction:
         plus = core.normalize(np.array([1.0, 1.0], dtype=complex))
         with pytest.raises(DegenerateTriadError):
             ang.extract_angles(e1, e1, plus)
+
+
+class TestForwardStableTheta:
+    """theta_12 of a canonical triad moved by a unitary, to 16 eps absolute.
+
+    That is a relative error of 16 eps / theta; 2 arccos|ov| loses about
+    eps / theta^2 of relative accuracy near coincident rays instead.
+    """
+
+    @pytest.mark.parametrize("theta", [1e-2, 1e-3, 1e-4, 1e-5, np.pi - 1e-3])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_close_and_near_orthogonal_rays(self, rng, n, theta):
+        if n == 2:
+            triad = ang.build_canonical_n2(
+                ang.CanonicalParamsN2(theta, 1.1, 0.3, 2.0, 0.7))
+        else:
+            triad = ang.build_canonical_n3(
+                ang.CanonicalParamsN3(theta, 1.1, 0.3, 2.0, 0.7, 0.6))
+        bound = 16.0 * np.finfo(float).eps
+        for _ in range(20):
+            u = core.random_unitary(n, rng)
+            moved = [u @ psi for psi in triad]
+            assert abs(ang.extract_angles(*moved).theta_12 - theta) <= bound
+            frame = curves.frame_from_pair(moved[0], moved[1], size=n)
+            assert abs(frame.theta0 - theta) <= bound
 
 
 class TestDependentPair:

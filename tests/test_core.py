@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import assert_angle_close, random_triad
 from holonomy_lab import core
+from holonomy_lab.angles import extract_angles
+from holonomy_lab.config import TAU_DEG
 from holonomy_lab.core import DegenerateTriadError
 
 from triad_oracle import oracle_projector
@@ -83,6 +85,44 @@ class TestRays:
         psi = np.array([1e-12, 1.0j])
         rep = core.ray_representative(psi)
         assert rep[1].real == pytest.approx(1.0)
+
+
+class TestRayAngle:
+    def test_boundary_test_rejects_both_ends(self):
+        with pytest.raises(DegenerateTriadError, match="orthogonal"):
+            core.check_modulus(TAU_DEG, TAU_DEG)
+        with pytest.raises(DegenerateTriadError, match="coincident"):
+            core.check_modulus(1.0 - TAU_DEG, TAU_DEG)
+        for c in (np.nextafter(TAU_DEG, 1.0), 0.5,
+                  np.nextafter(1.0 - TAU_DEG, 0.0)):
+            assert core.check_modulus(c, TAU_DEG) == c
+        assert issubclass(DegenerateTriadError, ValueError)
+
+    def test_both_ends_of_a_pair_rejected(self):
+        e0, e1 = np.eye(2, dtype=complex)
+        with pytest.raises(DegenerateTriadError, match="orthogonal"):
+            core.ray_angle(e0, e1)
+        with pytest.raises(DegenerateTriadError, match="coincident"):
+            core.ray_angle(e0, np.exp(0.4j) * e0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            core.ray_angle(np.array([bad, 0.0]), np.array([0.6, 0.8]))
+
+    def test_matches_arccos_away_from_coincidence(self, rng):
+        # 2 arccos|ov| keeps its digits once theta >= 0.2, so it is the oracle
+        compared = 0
+        for i in range(150):
+            triad = random_triad(rng, 2 + i % 5)
+            got = extract_angles(*triad)
+            for (a, b), theta in zip([triad[:2], triad[1:], triad[::-2]],
+                                     (got.theta_12, got.theta_23, got.theta_31)):
+                oracle = 2.0 * np.arccos(abs(np.vdot(a, b)))
+                if oracle >= 0.2:
+                    assert abs(theta - oracle) < 1e-13
+                    compared += 1
+        assert compared > 400
 
 
 class TestBargmann:

@@ -16,7 +16,6 @@ from holonomy_lab.curves import (
     in_phase_gauge,
     loop_geometric_phase,
     open_curve_phase,
-    pair_angle,
     profile_to_lift,
     validate_profile,
     verify_npc,
@@ -25,7 +24,7 @@ from holonomy_lab.curves import (
 )
 from holonomy_lab.majorana import pure_product_state
 
-from conftest import assert_angle_close, random_triad
+from conftest import assert_angle_close, random_polygon, random_triad
 from npc_oracle import oracle_pivot_report, oracle_scan
 from profile_oracle import oracle_violations
 from quadrature_oracle import oracle_connection_integral, oracle_derivative
@@ -96,12 +95,12 @@ class TestPairGauge:
     def test_pair_angle_value(self):
         v1 = np.array([1.0, 0.0])
         v2 = np.array([np.cos(0.4), np.sin(0.4)])
-        assert pair_angle(v1, v2) == pytest.approx(0.8)
+        assert core.ray_angle(v1, v2)[1] == pytest.approx(0.8)
 
     def test_pair_angle_boundary(self):
         v = np.array([1.0, 0.0])
         with pytest.raises(ValueError, match="boundary"):
-            pair_angle(v, v)
+            core.ray_angle(v, v)
 
 
 class TestGeodesic:
@@ -115,7 +114,7 @@ class TestGeodesic:
 
     def test_overlap_depends_only_on_parameter_gap(self, rng):
         lift = make_geodesic(rng, grid=129)
-        theta0 = pair_angle(lift.psi[0], lift.psi[-1])
+        _, theta0 = core.ray_angle(lift.psi[0], lift.psi[-1])
         i, j = 17, 90
         want = np.cos((lift.s[j] - lift.s[i]) * theta0 / 2)
         assert core.inner(lift.psi[i], lift.psi[j]) == pytest.approx(want)
@@ -150,7 +149,7 @@ class TestFrameFromPair:
     def test_opening_angle_matches_pair(self, rng):
         a = core.random_state(3, rng)
         b = core.random_state(3, rng)
-        assert frame_from_pair(a, b).theta0 == pytest.approx(pair_angle(a, b))
+        assert frame_from_pair(a, b).theta0 == pytest.approx(core.ray_angle(a, b)[1])
 
     def test_size_bounds(self, rng):
         a = core.random_state(3, rng)
@@ -266,7 +265,7 @@ class TestProfileToLift:
         with pytest.raises(ValueError, match="width"):
             profile_to_lift(frame, profile)
 
-    def test_invalid_profile_raises_unless_skipped(self, rng):
+    def test_invalid_profile_raises(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
                                 core.random_state(4, rng), size=3)
         profile = generate_npc_profile(frame.theta0, 3, 0.5, grid=17)
@@ -275,9 +274,6 @@ class TestProfileToLift:
         bad = RealProfile(profile.s, x)
         with pytest.raises(ValueError, match="invalid profile"):
             profile_to_lift(frame, bad)
-        # skipping validation defers the failure to the lift constructor
-        with pytest.raises(ValueError, match="unit"):
-            profile_to_lift(frame, bad, validate=False)
 
     def test_lift_matches_frame_combination(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
@@ -732,10 +728,10 @@ class TestOpenCurvePhase:
 
 
 class TestLoopPhase:
-    def sides(self, triad, grid=257):
+    def sides(self, vertices, grid=257):
         out = []
-        for a in range(3):
-            v1, v2 = in_phase_gauge(triad[a], triad[(a + 1) % 3])
+        for a, start in enumerate(vertices):
+            v1, v2 = in_phase_gauge(start, vertices[(a + 1) % len(vertices)])
             out.append(geodesic_lift(v1, v2, grid=grid))
         return out
 
@@ -750,6 +746,18 @@ class TestLoopPhase:
         base = loop_geometric_phase(sides)
         sides[1] = twist(sides[1], lambda s: 0.7 * s + 0.2 * np.sin(2 * np.pi * s))
         assert_angle_close(loop_geometric_phase(sides), base, tol=1e-8)
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_polygon_matches_invariant_and_fan(self, rng, k):
+        # -arg of the k-point invariant, and the sum of the triad phases
+        # of the fan (psi_0, psi_i, psi_{i+1})
+        for _ in range(5):
+            states = random_polygon(rng, k, 4)
+            got = loop_geometric_phase(self.sides(states))
+            assert_angle_close(got, -np.angle(core.bargmann(states)), tol=1e-12)
+            fan = sum(core.bi_phase(states[0], states[i], states[i + 1])
+                      for i in range(1, k - 1))
+            assert_angle_close(got, fan, tol=1e-12)
 
     def test_requires_three_segments(self, rng):
         sides = self.sides(random_triad(rng, 3))

@@ -1,10 +1,13 @@
 """Serialization round trips and input validation."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
 from holonomy_lab import core, formats
-from holonomy_lab.curves import geodesic_lift, in_phase_gauge
+from holonomy_lab.curves import CurveLift, geodesic_lift, in_phase_gauge
 from holonomy_lab.majorana import MajoranaRep, coefficients_to_roots
 
 
@@ -119,6 +122,39 @@ class TestCsv:
         text = formats.curve_to_csv(lift)
         back = formats.curve_from_csv(text)
         assert formats.curve_to_csv(back) == text
+
+    @staticmethod
+    def writer_rows(header, rows):
+        """CSV through csv.writer, one formatted cell at a time."""
+        out = io.StringIO()
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.15g}" for v in row])
+        return out.getvalue()
+
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_tables_match_the_cell_writer(self, rng, dim):
+        grid = 33
+        psi = rng.standard_normal((grid, dim)) + 1j * rng.standard_normal((grid, dim))
+        psi /= np.linalg.norm(psi, axis=1)[:, None]
+        psi[3, 0] = complex(-0.0, -0.0)  # a signed zero prints as -0
+        psi[3] /= np.linalg.norm(psi[3])
+        s = np.linspace(0.0, 1.0, grid)
+        header = ["s"] + [f"{p}_{k}" for k in range(dim) for p in ("re", "im")]
+        rows = [[sv] + [f for z in row for f in (z.real, z.imag)]
+                for sv, row in zip(s, psi)]
+        want = self.writer_rows(header, rows)
+        assert formats.curve_to_csv(CurveLift(s, psi)) == want
+        assert formats.curve_to_csv(CurveLift(s, np.asfortranarray(psi))) == want
+        traj = rng.standard_normal((grid, 2, 3))
+        traj[0, 1, 2] = -0.0
+        assert formats.star_trajectory_to_csv(s, traj) == self.writer_rows(
+            ["s", "n1x", "n1y", "n1z", "n2x", "n2y", "n2z"],
+            [[sv, *pair.ravel()] for sv, pair in zip(s, traj)])
+        stars = traj[:, 0]
+        assert formats.stars_to_rows(stars) == self.writer_rows(["x", "y", "z"], stars)
+        assert formats.stars_to_rows(np.empty((0, 3))) == "x,y,z\n"
 
     def test_curve_header_validated(self):
         with pytest.raises(ValueError, match="header"):

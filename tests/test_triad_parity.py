@@ -7,10 +7,10 @@ import pytest
 
 from holonomy_lab import core, majorana as mj
 from holonomy_lab.decompose import (
-    _solid_angle_pair,
     bi_factorization,
     reduce_triad,
     solid_angle,
+    solid_angle_pair,
 )
 
 from conftest import random_triad
@@ -87,7 +87,7 @@ class TestSolidAngleParity:
     def test_pair_in_dimension_three(self):
         for triad in parity_triads(3):
             red = reduce_triad(*triad)
-            got, want = _solid_angle_pair(red), oracle_solid_angle_pair(red)
+            got, want = solid_angle_pair(red), oracle_solid_angle_pair(red)
             assert np.max(np.abs(np.subtract(got, want))) <= TOL
 
     def test_random_triangles(self, rng):
