@@ -82,7 +82,16 @@ def test_connection_integral(benchmark, grid):
     benchmark(cycling(curves.connection_integral, pool))
 
 
-def test_profile_to_lift_g1025(benchmark):
+@GRIDS
+def test_profile_to_lift(benchmark, grid):
     rng = np.random.default_rng(304)
-    pool = [frame_and_profile(rng, 1025) for _ in range(POOL)]
+    pool = [frame_and_profile(rng, grid) for _ in range(POOL)]
     benchmark(cycling(curves.profile_to_lift, pool))
+
+
+def test_validate_profile_g1025(benchmark):
+    rng = np.random.default_rng(305)
+    pool = [(profile, frame.theta0)
+            for frame, profile in (frame_and_profile(rng, 1025) for _ in range(POOL))]
+    assert all(curves.validate_profile(*p).ok for p in pool)
+    benchmark(cycling(curves.validate_profile, pool))

@@ -7,7 +7,10 @@ from real profiles x(s) in an orthonormal frame.  Curves are represented
 by uniform sampling and integrals by composite Simpson quadrature.  The
 connection Im (psi, dpsi/ds) is taken from the overlaps of each sample
 with its neighbours, which is what a fourth-order finite-difference
-stencil reduces to; no derivative array is formed.
+stencil reduces to; no derivative array is formed.  The quadrature error
+estimate repeats the rule on every other sample, whose neighbour overlaps
+are the fine grid's lag-2 and lag-4 overlaps, so no sample is conjugated
+twice.
 """
 
 from __future__ import annotations
@@ -203,15 +206,17 @@ def generate_npc_profile(theta0: float, n: int, eps: float,
     return RealProfile(s, x)
 
 
-def _nonlocal_certified(x: np.ndarray, tol: float) -> bool:
+def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray,
+                        tol: float) -> bool:
     """Whether per-component bounds alone settle the nonlocal condition.
 
-    With lo_r, hi_r the extremes of component r over the samples, each
-    product x_r(s) x_r(s') lies on the box [lo_r, hi_r]^2, where the
-    bilinear form is smallest at a corner: it is at least
-    min(lo_r hi_r, lo_r^2, hi_r^2), and the sum of these bounds every
-    dot product from below.  Cauchy-Schwarz bounds it from above by
-    T = max_s |x(s)|^2.
+    ``columns`` holds the profile's m components as contiguous rows and
+    ``squares`` the squared norm of each sample.  With lo_r, hi_r the
+    extremes of component r over the samples, each product x_r(s) x_r(s')
+    lies on the box [lo_r, hi_r]^2, where the bilinear form is smallest at
+    a corner: it is at least min(lo_r hi_r, lo_r^2, hi_r^2), and the sum of
+    these bounds every dot product from below.  Cauchy-Schwarz bounds it
+    from above by T = max_s |x(s)|^2.
 
     Soundness in floating point, with u = eps/2 and g_m = m u / (1 - m u):
     whatever its summation order, a computed Gram entry is off by at most
@@ -223,13 +228,14 @@ def _nonlocal_certified(x: np.ndarray, tol: float) -> bool:
     absolute errors from underflow.  So when the lower bound exceeds the
     slack and T plus the slack is at most 1 + tol, no Gram entry the scan
     computes is <= 0 or > 1 + tol.  Overflow or NaN fails a comparison
-    and leaves the decision to the scan.
+    and leaves the decision to the scan.  The squares may be summed in any
+    order, as the bound on the computed T already allows.
     """
-    m = x.shape[1]
-    lo = x.min(axis=0)
-    hi = x.max(axis=0)
+    m = columns.shape[0]
+    lo = columns.min(axis=1)
+    hi = columns.max(axis=1)
     floor = float(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi)).sum())
-    top = float(np.einsum("ij,ij->i", x, x).max())
+    top = float(squares.max())
     slack = 16.0 * m * m * np.finfo(float).eps * max(top, 1.0)
     return floor > slack and top + slack <= 1.0 + tol
 
@@ -270,18 +276,22 @@ def validate_profile(profile: RealProfile, theta0: float,
     if np.max(np.abs(x[-1] - end)) > tol:
         report.violations.append({"kind": "boundary", "index": n_samples - 1,
                                   "detail": "profile must end at (C0, S0, 0, ...)"})
-    norms = np.linalg.norm(x, axis=1)
+    # one contiguous copy with a row per component: every reduction below
+    # runs along rows, where reductions down the columns of x are strided
+    columns = np.ascontiguousarray(x.T)
+    squares = (columns * columns).sum(axis=0)
+    norms = np.sqrt(squares)
     for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
         report.violations.append({"kind": "local", "index": int(i),
                                   "detail": f"norm {norms[i]:.12f} is not 1"})
-    for i in np.flatnonzero(x[:, 0] <= 0.0):
+    for i in np.flatnonzero(columns[0] <= 0.0):
         report.violations.append({"kind": "local", "index": int(i),
                                   "detail": "first component not positive"})
-    combo = c0 * x[:, 0] + s0 * x[:, 1]
+    combo = c0 * columns[0] + s0 * columns[1]
     for i in np.flatnonzero(combo <= 0.0):
         report.violations.append({"kind": "local", "index": int(i),
                                   "detail": "C0 x1 + S0 x2 not positive"})
-    if not _nonlocal_certified(x, tol):
+    if not _nonlocal_certified(columns, squares, tol):
         report.violations.extend(_nonlocal_violations(x, tol))
     return report
 
@@ -367,14 +377,21 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
     )
 
 
+@lru_cache(maxsize=256)
+def _simpson_weights(n_samples: int) -> np.ndarray:
+    """Read-only composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1."""
+    weights = np.ones(n_samples)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights.flags.writeable = False
+    return weights
+
+
 def _simpson(values: np.ndarray, h: float) -> float:
     n = values.size
     if n < 3 or n % 2 == 0:
         raise ValueError("composite Simpson needs an odd number of samples")
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(np.dot(weights, values) * h / 3.0)
+    return float(np.dot(_simpson_weights(n), values) * h / 3.0)
 
 
 # One-sided fourth-order derivative stencils of the first two samples, over
@@ -385,21 +402,26 @@ _HEAD_STENCIL = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
 _TAIL_STENCIL = -_HEAD_STENCIL[::-1, ::-1]
 
 
-def _connection_integrand(psi: np.ndarray, h: float) -> np.ndarray:
+def _lag_overlaps(conj: np.ndarray, psi: np.ndarray, lag: int,
+                  step: int = 1) -> np.ndarray:
+    """Im (psi_i, psi_{i+lag}) at every ``step``-th sample i with a partner."""
+    return np.einsum("ij,ij->i", conj[:-lag:step], psi[lag::step]).imag
+
+
+def _integrand_from_overlaps(conj: np.ndarray, psi: np.ndarray, a1: np.ndarray,
+                             a2: np.ndarray, h: float) -> np.ndarray:
     """Im (psi, dpsi/ds) at each sample of a grid with spacing h.
 
     The fourth-order derivative stencil enters only through the overlaps
     of each sample with its neighbours.  With a_k(i) = Im (psi_i, psi_{i+k})
-    and Im (psi_i, psi_i) = 0, the central stencil gives
+    given as ``a1`` and ``a2``, and Im (psi_i, psi_i) = 0, the central
+    stencil gives
 
         f_i = [8 (a_1(i-1) + a_1(i)) - (a_2(i-2) + a_2(i))] / (12 h),
 
     while each of the two samples at either end is paired with its
     one-sided stencil over the five samples at that end.
     """
-    conj = np.conjugate(psi)
-    a1 = np.einsum("ij,ij->i", conj[:-1], psi[1:]).imag
-    a2 = np.einsum("ij,ij->i", conj[:-2], psi[2:]).imag
     f = np.empty(psi.shape[0])
     f[2:-2] = 8.0 * (a1[1:-2] + a1[2:-1]) - (a2[:-2] + a2[2:])
     f[:2] = np.einsum("ij,ij->i", conj[:2], _HEAD_STENCIL @ psi[:5]).imag
@@ -414,8 +436,10 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     a null phase curve it equals the argument of the endpoint overlap.
     The error is estimated against Simpson's rule on every other sample
     when those form an odd grid of at least 5 samples, and otherwise
-    against the trapezoid rule.  Raises when the estimate exceeds
-    ``max_quad_error``, or is NaN.
+    against the trapezoid rule.  On every other sample the lag-1 overlaps
+    are the fine grid's lag-2 overlaps at even samples, and the lag-2
+    overlaps its lag-4 ones, so the estimate conjugates nothing again.
+    Raises when the estimate exceeds ``max_quad_error``, or is NaN.
     """
     if not (math.isfinite(max_quad_error) and max_quad_error > 0):
         raise ValueError("max_quad_error must be positive and finite")
@@ -423,11 +447,16 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
     h = float(lift.s[1] - lift.s[0])
-    integrand = _connection_integrand(lift.psi, h)
+    psi = lift.psi
+    conj = np.conjugate(psi)
+    a2 = _lag_overlaps(conj, psi, 2)
+    integrand = _integrand_from_overlaps(conj, psi, _lag_overlaps(conj, psi, 1),
+                                         a2, h)
     result = _simpson(integrand, h)
     if (n - 1) % 4 == 0 and n >= 9:
-        coarse = _simpson(_connection_integrand(lift.psi[::2], 2.0 * h), 2.0 * h)
-        estimate = abs(result - coarse) / 15.0
+        coarse = _integrand_from_overlaps(conj[::2], psi[::2], a2[::2],
+                                          _lag_overlaps(conj, psi, 4, 2), 2.0 * h)
+        estimate = abs(result - _simpson(coarse, 2.0 * h)) / 15.0
     else:
         estimate = abs(result - float(np.trapezoid(integrand, dx=h)))
     if not estimate <= max_quad_error:

@@ -327,7 +327,11 @@ def su2_apply(u, psi) -> np.ndarray:
     """Apply the spin-J representation of u in SU(2) to a state or a batch.
 
     Implemented through the star decomposition: every spinor is rotated by
-    u and the product is re-expanded with the same scale.
+    u and the product is re-expanded with the same scale.  The decomposition
+    takes trailing coefficients below ``TAU_LEAD`` times the largest as
+    zero, so they are dropped before the rotation and the map is not linear
+    at that level: for psi proportional to (1, 1e-11), even the identity
+    returns a state 1e-11 away from psi.
     """
     u = _check_su2(u)
     rep = coefficients_to_roots(psi)

@@ -5,6 +5,11 @@ scans the Gram matrix only when those cannot decide.  This keeps the
 check it replaced: boundary and local conditions, then the full k x k
 Gram matrix of the samples, with every pair i < j held to (0, 1 + tol].
 The parity tests compare ``validate_profile`` against it.
+
+It also keeps the bounds test as it first read, from per-column extremes
+and row sums of squares of the profile as given, whatever its layout.  The
+library takes the same bounds from one contiguous copy of the components
+and must reach the same decision.
 """
 
 import numpy as np
@@ -44,3 +49,14 @@ def oracle_violations(profile, theta0, tol=1e-9):
         violations.append({"kind": "nonlocal", "pair": [int(i), int(j)],
                            "detail": f"overlap {gram[i, j]:.6e} outside (0, 1]"})
     return violations
+
+
+def oracle_certified(x, tol=1e-9):
+    """Whether per-component bounds settle the nonlocal condition."""
+    m = x.shape[1]
+    lo = x.min(axis=0)
+    hi = x.max(axis=0)
+    floor = float(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi)).sum())
+    top = float(np.einsum("ij,ij->i", x, x).max())
+    slack = 16.0 * m * m * np.finfo(float).eps * max(top, 1.0)
+    return floor > slack and top + slack <= 1.0 + tol

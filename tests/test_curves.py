@@ -26,8 +26,12 @@ from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_polygon, random_triad
 from npc_oracle import oracle_pivot_report, oracle_scan
-from profile_oracle import oracle_violations
-from quadrature_oracle import oracle_connection_integral, oracle_derivative
+from profile_oracle import oracle_certified, oracle_violations
+from quadrature_oracle import (
+    oracle_connection_integral,
+    oracle_derivative,
+    oracle_two_pass,
+)
 
 
 def make_geodesic(rng, dim=3, grid=257):
@@ -391,6 +395,53 @@ class TestProfileCheckMatchesFullScan:
             certified += len(scans) == before
         assert 0 < certified < 400
 
+    @staticmethod
+    def laid_out(x, layout):
+        if layout == "C":
+            return np.ascontiguousarray(x)
+        if layout == "F":
+            return np.asfortranarray(x)
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, 1::2] = x
+        return wide[:, 1::2]
+
+    @pytest.mark.parametrize("layout", ["C", "F", "sliced"])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+    def test_layouts_match_the_old_route(self, rng, scans, layout, m):
+        # certified families, rows that fail the local checks, and signed
+        # components that leave the decision to the scan
+        theta0 = 2.2
+        family = generate_npc_profile(theta0, m, 0.8, grid=257)
+        cases = [family.x, signed_profile(2.8, 0.3, n=m).x]
+        bent = family.x.copy()
+        bent[5] *= 1.01
+        bent[9, 0] *= -1.0
+        bent[40] *= 1.0 + 2e-9
+        bent[41] *= 1.0 - 2e-9
+        cases.append(bent)
+        long = family.x.copy()
+        long[100] *= 1.0 + 2e-9  # signs certify; only max |x|^2 refuses
+        cases.append(long)
+        for _ in range(4):
+            x = rng.uniform(-0.3, 1.0, size=(33, m))
+            x[:, 0] = np.abs(x[:, 0]) + 0.05
+            x /= np.linalg.norm(x, axis=1)[:, None]
+            cases.append(x)
+        decisions = set()
+        for x in cases:
+            profile = RealProfile(np.linspace(0, 1, x.shape[0]),
+                                  self.laid_out(x, layout))
+            if layout == "sliced":
+                assert not (profile.x.flags.c_contiguous
+                            or profile.x.flags.f_contiguous)
+            before = len(scans)
+            got = validate_profile(profile, theta0).violations
+            assert repr(got) == repr(oracle_violations(profile, theta0))
+            certified = len(scans) == before
+            assert certified == oracle_certified(profile.x)
+            decisions.add(certified)
+        assert decisions == {True, False}
+
     def test_criterion_8_validates_each_profile_once(self, monkeypatch):
         calls = []
         check = curves.validate_profile
@@ -669,8 +720,8 @@ class TestQuadrature:
 
     def test_nan_error_estimate_fails(self, rng, monkeypatch):
         lift = make_geodesic(rng)
-        monkeypatch.setattr(curves, "_connection_integrand",
-                            lambda psi, h: np.full(psi.shape[0], np.nan))
+        monkeypatch.setattr(curves, "_integrand_from_overlaps",
+                            lambda conj, psi, a1, a2, h: np.full(psi.shape[0], np.nan))
         with pytest.raises(ValueError, match="too coarse"):
             connection_integral(lift)
 
@@ -712,6 +763,39 @@ class TestIntegralMatchesStencilOracle:
     def test_latitude_arcs(self, grid, dim):
         for theta in (0.7, 2.2):
             self.assert_parity(latitude_arc(theta, 1.5, dim, grid=grid))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("grid", [7, 9, 11, 17, 257, 1025])
+class TestEstimateMatchesTwoPass:
+    """Result and error estimate against the two-pass route of ``quadrature_oracle``.
+
+    Grids 7 and 11 take the trapezoid estimate; on 9, 17, 257 and 1025 the
+    halved grid's overlaps come from the full grid's, and must give the
+    integral and the estimate of forming them afresh, bit for bit.
+    """
+
+    @staticmethod
+    def lifts(rng, dim, grid):
+        for order in ("C", "F"):
+            lift = twist(make_geodesic(rng, dim=dim, grid=grid),
+                         lambda s: 0.9 * s + 0.4 * np.sin(2 * np.pi * s))
+            yield CurveLift(lift.s, np.asarray(lift.psi, order=order))
+        yield latitude_arc(1.1, 1.5, dim, grid=grid)
+        if dim >= 3:
+            frame = frame_from_pair(core.random_state(dim, rng),
+                                    core.random_state(dim, rng), size=3)
+            yield profile_to_lift(
+                frame, generate_npc_profile(frame.theta0, 3, 0.8, grid=grid))
+
+    def test_result_and_estimate(self, rng, grid, dim):
+        for lift in self.lifts(rng, dim, grid):
+            want, estimate = oracle_two_pass(lift)
+            assert estimate > 0.0
+            above = np.nextafter(estimate, np.inf)
+            assert connection_integral(lift, max_quad_error=above) == want
+            with pytest.raises(ValueError, match="too coarse"):
+                connection_integral(lift, max_quad_error=np.nextafter(estimate, 0.0))
 
 
 class TestOpenCurvePhase:
