@@ -10,7 +10,9 @@ seeded inputs in dimensions 3 and 5, one input per call, as in
 (``generate_npc_profile``) and rejected ones the same lifts with a phase
 wobble on one frame component, which no rephasing removes; the
 connection integral runs on gauge-twisted geodesics, whose integrand
-does not vanish.
+does not vanish.  Loops are k = 3 triangles of geodesic sides at grid
+257, with or without one side replaced by an eps-family lift between
+the same two vertices.
 """
 
 import numpy as np
@@ -55,6 +57,23 @@ def twisted_geodesics(seed, grid):
     return lifts
 
 
+def triangle_loops(seed, family):
+    rng = np.random.default_rng(seed)
+    loops = []
+    for _ in range(POOL):
+        n = DIMS[int(rng.integers(len(DIMS)))]
+        triad = [core.random_state(n, rng) for _ in range(3)]
+        sides = [curves.geodesic_lift(*curves.in_phase_gauge(a, b))
+                 for a, b in zip(triad, triad[1:] + triad[:1])]
+        if family:
+            frame = curves.frame_from_pair(triad[0], triad[1], size=3)
+            eps = float(rng.uniform(0.1, 1.2))
+            sides[0] = curves.profile_to_lift(
+                frame, curves.generate_npc_profile(frame.theta0, 3, eps))
+        loops.append((sides,))
+    return loops
+
+
 GRIDS = pytest.mark.parametrize("grid", [257, 1025], ids=lambda g: f"g{g}")
 
 
@@ -95,3 +114,9 @@ def test_validate_profile_g1025(benchmark):
             for frame, profile in (frame_and_profile(rng, 1025) for _ in range(POOL))]
     assert all(curves.validate_profile(*p).ok for p in pool)
     benchmark(cycling(curves.validate_profile, pool))
+
+
+@pytest.mark.parametrize("family", [False, True], ids=["geodesic", "family"])
+def test_loop_geometric_phase(benchmark, family):
+    pool = triangle_loops(306, family)
+    benchmark(cycling(curves.loop_geometric_phase, pool))

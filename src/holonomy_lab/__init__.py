@@ -17,8 +17,6 @@ from .core import (
     random_state,
     random_unitary,
     ray_angle,
-    ray_representative,
-    rays_equal,
 )
 from .angles import (
     CanonicalParamsN2,

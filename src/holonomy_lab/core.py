@@ -99,27 +99,6 @@ def wrap_angle_positive(x: float) -> float:
     return y
 
 
-def ray_representative(psi, tol: float = 1e-9) -> np.ndarray:
-    """Canonical unit representative of the ray through psi.
-
-    The first amplitude with modulus above ``tol`` is made real positive,
-    so equal rays yield identical arrays up to roundoff.
-    """
-    psi = normalize(psi)
-    idx = np.flatnonzero(np.abs(psi) > tol)
-    if idx.size == 0:
-        raise ValueError("no amplitude above tolerance; cannot fix the phase")
-    pivot = psi[idx[0]]
-    return psi * (abs(pivot) / pivot)
-
-
-def rays_equal(phi, psi, tol: float = 1e-12) -> bool:
-    """Whether two vectors define the same ray (equal up to a unit scalar)."""
-    a = ray_representative(phi)
-    b = ray_representative(psi)
-    return a.shape == b.shape and bool(np.max(np.abs(a - b)) < tol)
-
-
 def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
     """Cyclic product of inner products of k >= 3 states.
 
@@ -147,12 +126,12 @@ def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
     return result
 
 
-def bi_phase(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> float:
+def bi_phase(psi1, psi2, psi3) -> float:
     """Geometric phase of a triad: minus the argument of the invariant.
 
     Reported on the principal branch (-pi, pi].
     """
-    delta = bargmann([psi1, psi2, psi3], tau_deg=tau_deg)
+    delta = bargmann([psi1, psi2, psi3])
     return principal_angle(-np.angle(delta))
 
 

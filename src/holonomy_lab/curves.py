@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT_GRID, DEFAULT_SUBGRID, TAU_DEG, TAU_NPC
-from .core import inner, normalize, principal_angle, ray_angle, rays_equal
+from .core import inner, normalize, principal_angle, ray_angle
 
 
 @dataclass(frozen=True)
@@ -122,20 +122,20 @@ class NpcReport:
         return not self.violations
 
 
-def in_phase_gauge(psi1, psi2, tau_deg: float = TAU_DEG):
+def in_phase_gauge(psi1, psi2):
     """Rephase psi2 so the pair overlap is real positive."""
     v1 = normalize(psi1)
     v2 = normalize(psi2)
     ov = inner(v1, v2)
-    if abs(ov) <= tau_deg:
+    if abs(ov) <= TAU_DEG:
         raise ValueError("orthogonal pair cannot be brought in phase")
     return v1, v2 * (abs(ov) / ov)
 
 
-def _pair_plane(v1, v2, tau_deg: float) -> tuple[np.ndarray, float]:
+def _pair_plane(v1, v2) -> tuple[np.ndarray, float]:
     """(e2, theta0): v2 = cos(theta0/2) v1 + sin(theta0/2) e2 for an in-phase
     pair of unit vectors, with e2 a unit vector orthogonal to v1."""
-    ov, theta0 = ray_angle(v1, v2, tau_deg)
+    ov, theta0 = ray_angle(v1, v2)
     if abs(cmath.phase(ov)) > 1e-10:
         raise ValueError("pair is not in phase; run in_phase_gauge first")
     # for close rays the residual's rounding is large against its norm, so
@@ -145,12 +145,11 @@ def _pair_plane(v1, v2, tau_deg: float) -> tuple[np.ndarray, float]:
     return normalize(r), theta0
 
 
-def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID,
-                  tau_deg: float = TAU_DEG) -> CurveLift:
+def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID) -> CurveLift:
     """Horizontal geodesic between an in-phase pair, sampled on [0, 1]."""
     v1 = normalize(psi1)
     v2 = normalize(psi2)
-    e2, theta0 = _pair_plane(v1, v2, tau_deg)
+    e2, theta0 = _pair_plane(v1, v2)
     t = np.linspace(0.0, 1.0, grid)
     half = 0.5 * theta0 * t
     psi = np.outer(np.cos(half), v1) + np.outer(np.sin(half), e2)
@@ -159,15 +158,14 @@ def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID,
     return CurveLift(t, psi)
 
 
-def frame_from_pair(psi_a, psi_b, size: int = 3,
-                    tau_deg: float = TAU_DEG) -> CurveFrame:
+def frame_from_pair(psi_a, psi_b, size: int = 3) -> CurveFrame:
     """Orthonormal frame whose first two vectors span an in-phase pair.
 
     The remaining ``size - 2`` vectors are a deterministic orthonormal
     completion from the singular vectors of the span.
     """
-    v1, v2 = in_phase_gauge(psi_a, psi_b, tau_deg)
-    e2, theta0 = _pair_plane(v1, v2, tau_deg)
+    v1, v2 = in_phase_gauge(psi_a, psi_b)
+    e2, theta0 = _pair_plane(v1, v2)
     dim = v1.size
     if size < 2 or size > dim:
         raise ValueError(f"frame size must lie in [2, {dim}]")
@@ -481,9 +479,10 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
                          tau_npc: float = TAU_NPC) -> float:
     """Geometric phase of a closed loop built from k >= 3 null phase curves.
 
-    Segment ends must match the next segment's start ray.  Junction phase
-    jumps are collected as arguments of the cross-segment overlaps, which
-    makes the total independent of each segment's lift gauge:
+    Each segment must end within 1e-9 of the next segment's start ray.
+    Junction phase jumps are collected as arguments of the cross-segment
+    overlaps, which makes the total independent of each segment's lift
+    gauge:
 
         phase = sum_a arg (start_{a+1}, end_a) - sum_a integral_a.
 
@@ -493,17 +492,22 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
     k = len(segments)
     if k < 3:
         raise ValueError("a loop needs at least three segments")
+    # the overlap that gives a junction its phase also tests it: projecting
+    # the start out of the end leaves nothing when both lie on one ray, and
+    # no small amplitude of either is divided into the rounding
+    jumps = []
     for a, seg in enumerate(segments):
-        nxt = segments[(a + 1) % k]
-        if not rays_equal(seg.psi[-1], nxt.psi[0], tol=1e-9):
+        start, end = segments[(a + 1) % k].psi[0], seg.psi[-1]
+        ov = inner(start, end)
+        if np.linalg.norm(end - ov / np.vdot(start, start).real * start) > 1e-9:
             raise ValueError(f"segment {a} does not end on the ray "
                              f"where segment {(a + 1) % k} starts")
+        jumps.append(ov)
     for a, seg in enumerate(segments):
         if not verify_npc(seg, subgrid=subgrid, tau_npc=tau_npc).ok:
             raise ValueError(f"segment {a} is not a null phase curve")
     total = 0.0
-    for a, seg in enumerate(segments):
-        nxt = segments[(a + 1) % k]
-        total += float(np.angle(inner(nxt.psi[0], seg.psi[-1])))
+    for ov, seg in zip(jumps, segments):
+        total += float(np.angle(ov))
         total -= connection_integral(seg)
     return principal_angle(total)

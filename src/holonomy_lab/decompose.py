@@ -180,8 +180,7 @@ def _overlap(s: list[complex], t: list[complex]) -> complex:
     return s[0].conjugate() * t[0] + s[1].conjugate() * t[1]
 
 
-def phase_from_solid_angles_n3(psi1, psi2, psi3,
-                               tau_deg: float = TAU_DEG) -> float:
+def phase_from_solid_angles_n3(psi1, psi2, psi3) -> float:
     """Triad geometric phase in dimension 3 as a half-sum of two solid angles.
 
     After reduction the first two states sit at the north pole and at the
@@ -191,7 +190,7 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3,
     """
     if as_state(psi1).size != 3:
         raise ValueError("this identity is specific to dimension 3")
-    red = reduce_triad(psi1, psi2, psi3, tau_deg=tau_deg)
+    red = reduce_triad(psi1, psi2, psi3)
     return 0.5 * sum(solid_angle_pair(red))
 
 

@@ -5,7 +5,9 @@ independent route to the same number and returns its measures: the worst
 error it saw next to the bound that error must stay under.  ``run`` gives
 criterion k the random stream seeded with ``seed + 1000 k`` and derives
 pass/fail and the report line from the measures, so each bound is written
-once and a NaN error fails.  The test suite and the ``selftest`` CLI
+once and a NaN error fails.  Every checker calls the library at its
+shipped defaults (grids, subgrids and tolerances), so the seed alone
+fixes a run and replays it.  The test suite and the ``selftest`` CLI
 command both run these.
 
 Samplers reject parameter draws that sit on a degeneracy of the
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import angles as ang
 from . import core, curves, decompose, formats, majorana
-from .config import RunConfig
 
 
 @dataclass(frozen=True)
@@ -114,23 +115,22 @@ def _canonical_triads(rng, n: int, count: int, max_overlap: float = math.inf):
         done += 1
 
 
-def _check_closed_form(config: RunConfig, rng, n: int) -> tuple[Measure, ...]:
+def _check_closed_form(rng, n: int) -> tuple[Measure, ...]:
     errs = []
     for p, triad in _canonical_triads(rng, n, 1000):
-        direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
+        direct = core.bi_phase(*triad)
         formula = ang.pancharatnam_phase(p.theta_12, p.theta_31, p.phi,
-                                         xi=p.xi if n == 3 else None,
-                                         tau_deg=config.tau_deg)
+                                         xi=p.xi if n == 3 else None)
         errs.append(_wrap_err(direct, formula))
     return (_measure("1000 triads, max phase error", errs, 1e-10),)
 
 
-def _check_dependent_pair_n2(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_dependent_pair_n2(rng) -> tuple[Measure, ...]:
     errs = []
     for p, triad in _canonical_triads(rng, 2, 1000, max_overlap=1.0 - 1e-6):
         solved_theta, solved_phi_g = ang.solve_dependent_n2(p.theta_12, p.theta_31,
                                                             p.phi)
-        got = ang.extract_angles(*triad, tau_deg=config.tau_deg)
+        got = ang.extract_angles(*triad)
         errs += [abs(got.theta_23 - solved_theta), _wrap_err(got.phi_g, solved_phi_g)]
     return (_measure("1000 sets, max angle error", errs, 1e-10),)
 
@@ -143,7 +143,7 @@ def _fock_coherent(z: complex, nmax: int = 64) -> np.ndarray:
     return weights * np.power(complex(z), k)
 
 
-def _check_coherent_pair(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_coherent_pair(rng) -> tuple[Measure, ...]:
     errs = []
     done = 0
     while done < 200:
@@ -172,9 +172,9 @@ def _check_coherent_pair(config: RunConfig, rng) -> tuple[Measure, ...]:
 # criteria 5-7: star decompositions
 
 
-def _round_trip_errors(psi: np.ndarray, tau_lead: float) -> np.ndarray:
+def _round_trip_errors(psi: np.ndarray) -> np.ndarray:
     """Distance of each row of psi from the ray of its rebuild, relative to |psi|."""
-    rep = majorana.coefficients_to_roots(psi, tau_lead=tau_lead)
+    rep = majorana.coefficients_to_roots(psi)
     rebuilt = majorana.roots_to_coefficients(rep)
     lam = (np.sum(np.conjugate(rebuilt) * psi, axis=-1)
            / np.sum(np.abs(rebuilt) ** 2, axis=-1))
@@ -182,7 +182,7 @@ def _round_trip_errors(psi: np.ndarray, tau_lead: float) -> np.ndarray:
             / np.linalg.norm(psi, axis=-1))
 
 
-def _check_root_round_trip(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_root_round_trip(rng) -> tuple[Measure, ...]:
     errs = []
     for n in range(2, 21):
         batch = np.empty((1000, n), dtype=complex)
@@ -193,35 +193,34 @@ def _check_root_round_trip(config: RunConfig, rng) -> tuple[Measure, ...]:
                 psi[n - zeros:] = 0.0
                 psi = core.normalize(psi)
             batch[i] = psi
-        errs.append(_round_trip_errors(batch, config.tau_lead))
+        errs.append(_round_trip_errors(batch))
     return (_measure("19000 vectors (n = 2..20, 100 per n with forced leading"
                      " zeros), max relative error", errs, 1e-8),)
 
 
-def _check_factorization(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_factorization(rng) -> tuple[Measure, ...]:
     errs = []
     for n in range(2, 9):
         for _ in range(200):
             triad = _triad(rng, n)
-            delta = core.bargmann(triad, tau_deg=config.tau_deg)
-            red = decompose.reduce_triad(*triad, tau_deg=config.tau_deg)
-            factors = decompose.bi_factorization(red, tau_deg=config.tau_deg)
+            delta = core.bargmann(triad)
+            red = decompose.reduce_triad(*triad)
+            factors = decompose.bi_factorization(red)
             total = float(np.sum(np.angle(factors)))
             errs.append(_wrap_err(total, float(np.angle(delta))))
     return (_measure("1400 triads (n = 2..8), max phase mismatch", errs, 1e-8),)
 
 
-def _check_solid_angles(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_solid_angles(rng) -> tuple[Measure, ...]:
     errs = []
     for _ in range(500):
         triad = _triad(rng, 3)
-        half_sum = decompose.phase_from_solid_angles_n3(
-            *triad, tau_deg=config.tau_deg)
-        direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
+        half_sum = decompose.phase_from_solid_angles_n3(*triad)
+        direct = core.bi_phase(*triad)
         errs.append(_wrap_err(half_sum, direct))
     golden = _load_golden()["octant"]
     states = [_golden_state(s) for s in golden["states"]]
-    octant_phase = core.bi_phase(*states, tau_deg=config.tau_deg)
+    octant_phase = core.bi_phase(*states)
     embedded = [np.concatenate([s, [0.0]]) for s in states]
     octant_errs = [abs(octant_phase - golden["geometric_phase"]), _wrap_err(
         decompose.phase_from_solid_angles_n3(*embedded), octant_phase)]
@@ -233,7 +232,7 @@ def _check_solid_angles(config: RunConfig, rng) -> tuple[Measure, ...]:
 # criteria 8-10: curves
 
 
-def _check_npc_verifier(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_npc_verifier(rng) -> tuple[Measure, ...]:
     errs = []
     for n in range(2, 9):
         done = 0
@@ -242,10 +241,9 @@ def _check_npc_verifier(config: RunConfig, rng) -> tuple[Measure, ...]:
             b = core.random_state(n, rng)
             if abs(core.inner(a, b)) < 1e-3:
                 continue
-            v1, v2 = curves.in_phase_gauge(a, b, tau_deg=config.tau_deg)
-            lift = curves.geodesic_lift(v1, v2, grid=config.grid)
-            report = curves.verify_npc(lift, subgrid=config.subgrid,
-                                       tau_npc=config.tau_npc)
+            v1, v2 = curves.in_phase_gauge(a, b)
+            lift = curves.geodesic_lift(v1, v2)
+            report = curves.verify_npc(lift)
             if not report.ok:
                 raise ValueError(f"geodesic rejected at n={n}: {report.violations[0]}")
             errs.append(report.max_rel_imag)
@@ -253,12 +251,10 @@ def _check_npc_verifier(config: RunConfig, rng) -> tuple[Measure, ...]:
     for eps in np.arange(0.1, 1.25, 0.1):
         for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3,
                        5 * np.pi / 6):
-            profile = curves.generate_npc_profile(theta0, 3, float(eps),
-                                                  grid=config.grid)
+            profile = curves.generate_npc_profile(theta0, 3, float(eps))
             frame = curves.CurveFrame(np.eye(3, dtype=complex), theta0)
             lift = curves.profile_to_lift(frame, profile)
-            report = curves.verify_npc(lift, subgrid=config.subgrid,
-                                       tau_npc=config.tau_npc)
+            report = curves.verify_npc(lift)
             if not report.ok:
                 raise ValueError(f"family member eps={eps:.1f},"
                                  f" theta0={theta0:.3f} rejected")
@@ -280,7 +276,7 @@ def _random_real_lift(rng, dim: int, grid: int) -> tuple[curves.CurveLift, np.nd
     return curves.CurveLift(s, x.astype(complex)), s
 
 
-def _check_horizontal_lifts(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_horizontal_lifts(rng) -> tuple[Measure, ...]:
     grid = 1025  # 1024 quadrature panels
     flat_errs, shift_errs = [], []
     for i in range(100):
@@ -297,28 +293,23 @@ def _check_horizontal_lifts(config: RunConfig, rng) -> tuple[Measure, ...]:
             _measure("100 gauge twists, max twist-shift error", shift_errs, 1e-8))
 
 
-def _check_loop_phase(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_loop_phase(rng) -> tuple[Measure, ...]:
     base_errs, swap_errs = [], []
     for _ in range(50):
         triad = _triad(rng, 3)
         sides = []
         for a in range(3):
-            v1, v2 = curves.in_phase_gauge(triad[a], triad[(a + 1) % 3],
-                                           tau_deg=config.tau_deg)
-            sides.append(curves.geodesic_lift(v1, v2, grid=config.grid))
-        base = curves.loop_geometric_phase(sides, subgrid=config.subgrid,
-                                           tau_npc=config.tau_npc)
-        direct = core.bi_phase(*triad, tau_deg=config.tau_deg)
+            v1, v2 = curves.in_phase_gauge(triad[a], triad[(a + 1) % 3])
+            sides.append(curves.geodesic_lift(v1, v2))
+        base = curves.loop_geometric_phase(sides)
+        direct = core.bi_phase(*triad)
         base_errs.append(_wrap_err(base, direct))
         for a in range(3):
-            frame = curves.frame_from_pair(triad[a], triad[(a + 1) % 3], size=3,
-                                           tau_deg=config.tau_deg)
-            profile = curves.generate_npc_profile(frame.theta0, 3, 0.5,
-                                                  grid=config.grid)
+            frame = curves.frame_from_pair(triad[a], triad[(a + 1) % 3], size=3)
+            profile = curves.generate_npc_profile(frame.theta0, 3, 0.5)
             replaced = list(sides)
             replaced[a] = curves.profile_to_lift(frame, profile)
-            looped = curves.loop_geometric_phase(replaced, subgrid=config.subgrid,
-                                                 tau_npc=config.tau_npc)
+            looped = curves.loop_geometric_phase(replaced)
             swap_errs.append(_wrap_err(looped, base))
     return (_measure("50 loops, max loop-vs-triad error", base_errs, 1e-8),
             _measure("150 side replacements, max phase change", swap_errs, 1e-6))
@@ -328,15 +319,14 @@ def _check_loop_phase(config: RunConfig, rng) -> tuple[Measure, ...]:
 # criteria 11-12: covariance
 
 
-def _check_rotation_covariance(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_rotation_covariance(rng) -> tuple[Measure, ...]:
     delta_errs, pure_errs, star_errs = [], [], []
     for i in range(200):
         n = 2 + i % 9
         u = majorana.random_su2(rng)
         triad = _triad(rng, n)
-        before = core.bargmann(triad, tau_deg=config.tau_deg)
-        after = core.bargmann(list(majorana.su2_apply(u, np.array(triad))),
-                              tau_deg=config.tau_deg)
+        before = core.bargmann(triad)
+        after = core.bargmann(list(majorana.su2_apply(u, np.array(triad))))
         delta_errs.append(abs(after - before))
         xi = majorana.as_spinor(core.random_state(2, rng))
         pure = majorana.pure_product_state(xi, n)
@@ -345,25 +335,23 @@ def _check_rotation_covariance(config: RunConfig, rng) -> tuple[Measure, ...]:
         fidelity = abs(core.inner(core.normalize(moved), target))
         pure_errs.append(abs(1.0 - fidelity))
         psi = core.random_state(n, rng)
-        rotated = majorana.coefficients_to_roots(
-            majorana.su2_apply(u, psi), tau_lead=config.tau_lead).stars()
-        oracle = majorana.coefficients_to_roots(
-            psi, tau_lead=config.tau_lead).stars() @ majorana.su2_rotation(u).T
+        rotated = majorana.coefficients_to_roots(majorana.su2_apply(u, psi)).stars()
+        oracle = (majorana.coefficients_to_roots(psi).stars()
+                  @ majorana.su2_rotation(u).T)
         star_errs.append(majorana.star_matching_distance(rotated, oracle))
     return (_measure("200 pairs, max invariant drift", delta_errs, 1e-12),
             _measure("max pure-product infidelity", pure_errs, 1e-10),
             _measure("max star mismatch", star_errs, 1e-10))
 
 
-def _check_gauge_covariance(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_gauge_covariance(rng) -> tuple[Measure, ...]:
     errs = []
     for i in range(200):
         n = 2 + i % 5
         triad = _triad(rng, n)
         alphas = rng.uniform(0.0, 2.0 * np.pi, size=3)
-        before = ang.extract_angles(*triad, tau_deg=config.tau_deg)
-        after = ang.extract_angles(*ang.gauge_transform(triad, alphas),
-                                   tau_deg=config.tau_deg)
+        before = ang.extract_angles(*triad)
+        after = ang.extract_angles(*ang.gauge_transform(triad, alphas))
         errs += [
             abs(after.theta_12 - before.theta_12),
             abs(after.theta_23 - before.theta_23),
@@ -422,13 +410,13 @@ def _two_component_stars(c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([north, moving], axis=1)
 
 
-def _check_golden(config: RunConfig, rng) -> tuple[Measure, ...]:
+def _check_golden(rng) -> tuple[Measure, ...]:
     g = _load_golden()
     errs = []
 
     octant = g["octant"]
     states = [_golden_state(s) for s in octant["states"]]
-    delta = core.bargmann(states, tau_deg=config.tau_deg)
+    delta = core.bargmann(states)
     errs.append(abs(delta - complex(*octant["bargmann_invariant"])))
     errs.append(abs(core.bi_phase(*states) - octant["geometric_phase"]))
 
@@ -503,17 +491,16 @@ CRITERIA = (
 )
 
 
-def run(config: RunConfig | None = None, numbers=None) -> list[CheckResult]:
+def run(seed: int = 0, numbers=None) -> list[CheckResult]:
     """Run the selected checks (all by default) and collect results."""
-    config = config or RunConfig()
     chosen = set(numbers) if numbers is not None else None
     results = []
     for number, name, func in CRITERIA:
         if chosen is not None and number not in chosen:
             continue
         try:
-            rng = np.random.default_rng(config.seed + 1000 * number)
-            results.append(CheckResult(number, name, tuple(func(config, rng))))
+            rng = np.random.default_rng(seed + 1000 * number)
+            results.append(CheckResult(number, name, tuple(func(rng))))
         except Exception as exc:  # a checker crash is a failure, not an abort
             results.append(CheckResult(number, name,
                                        error=f"raised {type(exc).__name__}: {exc}"))

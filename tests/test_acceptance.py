@@ -1,8 +1,8 @@
 """One test per numbered correctness criterion.
 
-Each test runs the corresponding selftest check with the default
-configuration and reports the measured margin in its failure message, so
-`pytest -v` prints one line per criterion.
+Each test runs the corresponding selftest check at the default seed and
+reports the measured margin in its failure message, so `pytest -v`
+prints one line per criterion.
 """
 
 import dataclasses
@@ -13,13 +13,12 @@ import numpy as np
 import pytest
 
 from holonomy_lab import angles, curves, decompose, majorana
-from holonomy_lab.config import RunConfig
 from holonomy_lab.selftest import CRITERIA, run
 
 
 @functools.cache
 def result_of(number):
-    (result,) = run(RunConfig(), numbers=[number])
+    (result,) = run(numbers=[number])
     return result
 
 
@@ -131,7 +130,7 @@ NAN_ROUTES = [
 def test_nan_error_fails(number, module, name, fake, monkeypatch):
     monkeypatch.setattr(module, name, fake(getattr(module, name)))
     with np.errstate(invalid="ignore"):  # NumPy notes the NaN arithmetic
-        (result,) = run(RunConfig(), numbers=[number])
+        (result,) = run(numbers=[number])
     assert result.error is None, result.detail
     assert not result.passed
     assert "nan" in result.detail

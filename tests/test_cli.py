@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from holonomy_lab.curves import (
 
 from conftest import assert_angle_close, random_polygon, random_triad
 
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 R = 1 / np.sqrt(2)
 OCTANT = {"states": [
     {"dim": 3, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
@@ -384,8 +386,7 @@ class TestNpc:
         want = formats.json_dumps(formats.result_to_jsonable({
             "loop_phase": loop_geometric_phase(
                 segments, subgrid=config.subgrid, tau_npc=config.tau_npc),
-            "vertex_phase": core.bi_phase(*(seg.psi[0] for seg in segments),
-                                          tau_deg=config.tau_deg),
+            "vertex_phase": core.bi_phase(*(seg.psi[0] for seg in segments)),
         }))
         code, out, err = run(["npc", "loop", *names], capsys)
         assert code == 0, err
@@ -520,9 +521,6 @@ class TestConfigPlumbing:
         # the connection integral needs an odd grid of at least 5 samples
         with pytest.raises(ValueError, match="odd"):
             RunConfig(grid=int(grid))
-        code, _, err = run(["selftest", "--criterion", "10", "--grid", grid],
-                           capsys)
-        assert code == 1 and "odd" in err
         code, _, err = run(["npc", "generate", "--theta0", "1.0", "--grid",
                             grid, "--output", str(tmp_path / "c.csv")], capsys)
         assert code == 1 and "odd" in err
@@ -629,6 +627,8 @@ class TestConfigPlumbing:
         "npc phase {curve} --theta0 2",
         "reconstruct {params} --grid 9",
         "bi {states} --seed 1",
+        "selftest --criterion 0 --grid 9",
+        "selftest --criterion 0 --tol-npc 1e-9",
     ])
     def test_flag_the_command_does_not_read_is_usage_error(
             self, tmp_path, octant_file, capsys, argv):
@@ -669,8 +669,7 @@ OPTIONS = {
     ("npc", "generate"): IO | {"--grid", "--theta0", "--eps", "--dim"},
     ("npc", "verify"): IO | {"--subgrid", "--tol-npc"},
     ("npc", "loop"): IO | {"--subgrid", "--tol-npc", "--tol-deg"},
-    ("selftest",): IO | {"--seed", "--grid", "--subgrid", "--tol-deg",
-                         "--tol-npc", "--tol-lead", "--criterion"},
+    ("selftest",): IO | {"--seed", "--criterion"},
 }
 
 
@@ -690,11 +689,27 @@ class TestParser:
     def test_each_entry_point_takes_exactly_its_options(self):
         got = dict(entry_points(cli.build_parser()))
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 53
+        assert sum(map(len, got.values())) == 48
+
+    def test_readme_settings_table_matches_parser(self):
+        # every entry point's options but --config and --output, as listed
+        # in the README's "Command | Settings" table
+        text = README.read_text()
+        rows = text[text.index("| Command | Settings |"):].split("\n\n")[0]
+        table = {}
+        for line in rows.splitlines()[2:]:
+            commands, settings = (re.findall(r"`([^`]+)`", cell)
+                                  for cell in line.strip("|").split("|"))
+            for command in commands:
+                words = re.match(r"[a-z ]+", command).group().split()
+                assert tuple(words) not in table, command
+                table[tuple(words)] = {s for s in settings if s.startswith("--")}
+        got = {path: options - IO
+               for path, options in entry_points(cli.build_parser())}
+        assert table == got
 
     def test_readme_command_lines_parse(self):
-        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-        lines = [line for line in readme.read_text().splitlines()
+        lines = [line for line in README.read_text().splitlines()
                  if line.startswith("holonomy-lab ")]
         assert lines
         parser = cli.build_parser()

@@ -62,31 +62,6 @@ class TestInner:
         assert np.allclose(p @ p, p)
 
 
-class TestRays:
-    def test_representative_has_real_positive_pivot(self, rng):
-        psi = core.random_state(5, rng)
-        rep = core.ray_representative(psi)
-        pivot = rep[np.flatnonzero(np.abs(rep) > 1e-9)[0]]
-        assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-        assert pivot.real > 0
-
-    def test_phase_change_gives_same_representative(self, rng):
-        psi = core.random_state(4, rng)
-        rep1 = core.ray_representative(psi)
-        rep2 = core.ray_representative(np.exp(0.7j) * psi)
-        assert np.allclose(rep1, rep2)
-
-    def test_rays_equal_ignores_phase_only(self, rng):
-        psi = core.random_state(4, rng)
-        assert core.rays_equal(psi, np.exp(1.9j) * psi)
-        assert not core.rays_equal(psi, core.random_state(4, rng))
-
-    def test_tiny_leading_component_is_skipped(self):
-        psi = np.array([1e-12, 1.0j])
-        rep = core.ray_representative(psi)
-        assert rep[1].real == pytest.approx(1.0)
-
-
 class TestRayAngle:
     def test_boundary_test_rejects_both_ends(self):
         with pytest.raises(DegenerateTriadError, match="orthogonal"):

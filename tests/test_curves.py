@@ -451,7 +451,7 @@ class TestProfileCheckMatchesFullScan:
             return check(*args, **kwargs)
 
         monkeypatch.setattr(curves, "validate_profile", counted)
-        (result,) = selftest.run(RunConfig(), numbers=[8])
+        (result,) = selftest.run(numbers=[8])
         assert result.passed, result.detail
         assert len(calls) == 60
 
@@ -847,6 +847,23 @@ class TestLoopPhase:
         sides = self.sides(random_triad(rng, 3))
         with pytest.raises(ValueError, match="three segments"):
             loop_geometric_phase(sides[:2])
+
+    def test_tiny_first_amplitude_at_a_vertex_is_accepted(self, rng):
+        # the junction is tested against the overlap that gives its phase;
+        # rephasing each end to make a 1e-8 first amplitude real would
+        # divide the rounding of the eps-family side's end by 1e-8
+        for _ in range(20):
+            triad = random_triad(rng, 3)
+            vertex = triad[1].copy()
+            vertex[0] = 1e-8 * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+            triad[1] = core.normalize(vertex)
+            for a in (0, 1):
+                sides = self.sides(triad)
+                frame = frame_from_pair(triad[a], triad[a + 1], size=3)
+                sides[a] = profile_to_lift(
+                    frame, generate_npc_profile(frame.theta0, 3, 0.5))
+                got = loop_geometric_phase(sides)
+                assert_angle_close(got, -np.angle(core.bargmann(triad)), tol=1e-8)
 
     def test_junction_mismatch_rejected(self, rng):
         sides = self.sides(random_triad(rng, 3))
