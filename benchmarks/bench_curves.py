@@ -12,14 +12,17 @@ wobble on one frame component, which no rephasing removes; the
 connection integral runs on gauge-twisted geodesics, whose integrand
 does not vanish.  Loops are k = 3 triangles of geodesic sides at grid
 257, with or without one side replaced by an eps-family lift between
-the same two vertices.
+the same two vertices.  The whole-curve case builds a lift from sample
+arrays, checks it and integrates it, as a ``perfbench`` curve operation
+does: accepted curves are geodesics at grid 1025, rejected ones latitude
+arcs of spin-coherent states at grid 257.
 """
 
 import numpy as np
 import pytest
 
 from bench_triad import POOL, cycling
-from holonomy_lab import core, curves
+from holonomy_lab import core, curves, majorana
 
 DIMS = (3, 5)
 
@@ -55,6 +58,27 @@ def twisted_geodesics(seed, grid):
         chi = float(rng.uniform(0.5, 1.5)) * lift.s
         lifts.append(curves.CurveLift(lift.s, lift.psi * np.exp(1j * chi)[:, None]))
     return lifts
+
+
+def latitude_arcs(seed, grid):
+    """Spin-coherent states along a latitude circle: not a null phase curve."""
+    rng = np.random.default_rng(seed)
+    s = np.linspace(0.0, 1.0, grid)
+    arcs = []
+    for _ in range(POOL):
+        n = DIMS[int(rng.integers(len(DIMS)))]
+        half = 0.5 * float(rng.uniform(0.5, 1.2))
+        span = float(rng.uniform(0.8, 2.0))
+        psi = np.array([majorana.pure_product_state(
+            [np.cos(half), np.exp(1j * span * t) * np.sin(half)], n) for t in s])
+        arcs.append((s, psi))
+    return arcs
+
+
+def curve_op(s, psi):
+    """One whole curve: build the lift, check it, integrate it."""
+    lift = curves.CurveLift(s, psi)
+    return curves.verify_npc(lift), curves.connection_integral(lift)
 
 
 def triangle_loops(seed, family):
@@ -93,6 +117,16 @@ def test_verify_npc_reject(benchmark):
     pool = [(lift,) for lift in family_lifts(302, 257, wobble=0.3)]
     assert not any(curves.verify_npc(*p).ok for p in pool)
     benchmark(cycling(curves.verify_npc, pool))
+
+
+@pytest.mark.parametrize("case", ["accept-g1025", "reject-g257"])
+def test_curve_op(benchmark, case):
+    if case == "accept-g1025":
+        pool = [(lift.s, lift.psi) for lift in twisted_geodesics(307, 1025)]
+    else:
+        pool = latitude_arcs(308, 257)
+    assert all(curve_op(*p)[0].ok == (case == "accept-g1025") for p in pool)
+    benchmark(cycling(curve_op, pool))
 
 
 @GRIDS

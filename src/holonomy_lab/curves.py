@@ -11,6 +11,12 @@ stencil reduces to; no derivative array is formed.  The quadrature error
 estimate repeats the rule on every other sample, whose neighbour overlaps
 are the fine grid's lag-2 and lag-4 overlaps, so no sample is conjugated
 twice.
+
+A lift holds read-only copies of its grid and samples, together with the
+conjugate samples and the lag-1 overlaps that its own checks form; the
+connection integral reads those rather than forming them again.  The
+null-phase check keeps the triples it rejects as an index array and a
+value array, and builds a list of dicts from them only when asked.
 """
 
 from __future__ import annotations
@@ -28,16 +34,23 @@ from .core import inner, normalize, principal_angle, ray_angle
 
 @dataclass(frozen=True)
 class CurveLift(object):
-    """Uniformly sampled unit-norm path in Hilbert space."""
+    """Uniformly sampled unit-norm path in Hilbert space.
+
+    ``s`` and ``psi`` are read-only copies of the inputs, so a caller that
+    writes to its own arrays afterwards changes nothing here.  The
+    conjugate samples and the lag-1 overlaps (psi_i, psi_{i+1}), which the
+    unit-norm and degeneracy checks form, are kept read-only as well, for
+    :func:`connection_integral` to read.
+    """
 
     s: np.ndarray
     psi: np.ndarray  # shape (len(s), dim)
+    _conj: np.ndarray = field(init=False, repr=False, compare=False)
+    _lag1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float).reshape(-1)
-        psi = np.asarray(self.psi, dtype=complex)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "psi", psi)
+        s = np.array(self.s, dtype=float).reshape(-1)
+        psi = np.array(self.psi, dtype=complex)
         if s.size < 3:
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
@@ -51,9 +64,12 @@ class CurveLift(object):
         norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
         if np.max(np.abs(norms - 1.0)) > 1e-9:
             raise ValueError("all samples must be unit vectors")
-        overlaps = np.abs(np.einsum("ij,ij->i", conj[:-1], psi[1:]))
-        if np.min(overlaps) <= TAU_DEG:
+        lag1 = np.einsum("ij,ij->i", conj[:-1], psi[1:])
+        if np.min(np.abs(lag1)) <= TAU_DEG:
             raise ValueError("consecutive samples are orthogonal; lift is degenerate")
+        for name, value in (("s", s), ("psi", psi), ("_conj", conj), ("_lag1", lag1)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -72,8 +88,11 @@ class CurveFrame:
         object.__setattr__(self, "vectors", v)
         if v.ndim != 2 or v.shape[0] < 2:
             raise ValueError("frame needs at least two vectors")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("frame vectors must be finite")
         gram = np.conjugate(v) @ v.T
-        if np.max(np.abs(gram - np.eye(v.shape[0]))) > 1e-12:
+        # written so that a NaN in the Gram matrix fails, whatever produced it
+        if not np.max(np.abs(gram - np.eye(v.shape[0]))) <= 1e-12:
             raise ValueError("frame vectors must be orthonormal")
         if not 0.0 < self.theta0 < np.pi:
             raise ValueError("theta0 must lie strictly inside (0, pi)")
@@ -110,16 +129,29 @@ class ProfileReport:
 
 @dataclass
 class NpcReport:
-    """Outcome of the null-phase check on a subgrid of samples."""
+    """Outcome of the null-phase check on a subgrid of samples.
+
+    ``triples`` holds the violating pivot triples [p, j, k] as sample
+    indices, one row each, and ``deltas`` their invariants; an accepted
+    curve has none.  ``violations`` lists them as ``{"indices", "delta"}``
+    dicts, built only when it is read.
+    """
 
     checked: int
-    violations: list
+    triples: np.ndarray  # shape (v, 3), int
+    deltas: np.ndarray  # shape (v,), complex
     min_real: float
     max_rel_imag: float
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.triples.size == 0
+
+    @property
+    def violations(self) -> list:
+        parts = np.stack([self.deltas.real, self.deltas.imag], axis=1)
+        return [{"indices": t, "delta": d}
+                for t, d in zip(self.triples.tolist(), parts.tolist())]
 
 
 def in_phase_gauge(psi1, psi2):
@@ -260,6 +292,10 @@ def validate_profile(profile: RealProfile, theta0: float,
     cannot (signed components, norms at the tolerance) are all k^2 pairs
     scanned.
     """
+    if not 0.0 < theta0 < np.pi:
+        raise ValueError("theta0 must lie strictly inside (0, pi)")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     report = ProfileReport()
     x = profile.x
     n_samples, m = x.shape
@@ -342,6 +378,8 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
     within ``TAU_DEG`` of orthogonal to it fails.  Violations, ``min_real``
     and ``max_rel_imag`` refer to the pivot triples [p, j, k].
     """
+    if not (math.isfinite(tau_npc) and tau_npc > 0):
+        raise ValueError("tau_npc must be positive and finite")
     if subgrid < 3:
         raise ValueError("subgrid must be at least 3")
     idx = _subgrid_indices(lift.s.size, subgrid)
@@ -359,17 +397,18 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
     near = mods[pivot] > TAU_DEG
     good = ((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
             & (near[:, None] & near)[pairs])
-    violations = []
-    if not good.all():
+    if good.all():
+        triples, failed = np.empty((0, 3), dtype=int), np.empty(0, dtype=complex)
+    else:
         bad = ~good
         j, k = np.nonzero(pairs)
-        named = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)[bad]]
-        parts = np.stack([deltas.real, deltas.imag], axis=1)[bad]
-        violations = [{"indices": t, "delta": d}
-                      for t, d in zip(named.tolist(), parts.tolist())]
+        j, k = j[bad], k[bad]
+        triples = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)]
+        failed = deltas[bad]
     return NpcReport(
         checked=math.comb(idx.size, 3),
-        violations=violations,
+        triples=triples,
+        deltas=failed,
         min_real=float(deltas.real.min()),
         max_rel_imag=float(rel_imag.max()),
     )
@@ -434,9 +473,11 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     a null phase curve it equals the argument of the endpoint overlap.
     The error is estimated against Simpson's rule on every other sample
     when those form an odd grid of at least 5 samples, and otherwise
-    against the trapezoid rule.  On every other sample the lag-1 overlaps
-    are the fine grid's lag-2 overlaps at even samples, and the lag-2
-    overlaps its lag-4 ones, so the estimate conjugates nothing again.
+    against the trapezoid rule.  The conjugate samples and the lag-1
+    overlaps are the lift's own, formed when it was built.  On every other
+    sample the lag-1 overlaps are the fine grid's lag-2 overlaps at even
+    samples, and the lag-2 overlaps its lag-4 ones, so the estimate
+    conjugates nothing again.
     Raises when the estimate exceeds ``max_quad_error``, or is NaN.
     """
     if not (math.isfinite(max_quad_error) and max_quad_error > 0):
@@ -445,11 +486,9 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
     h = float(lift.s[1] - lift.s[0])
-    psi = lift.psi
-    conj = np.conjugate(psi)
+    psi, conj = lift.psi, lift._conj
     a2 = _lag_overlaps(conj, psi, 2)
-    integrand = _integrand_from_overlaps(conj, psi, _lag_overlaps(conj, psi, 1),
-                                         a2, h)
+    integrand = _integrand_from_overlaps(conj, psi, lift._lag1.imag, a2, h)
     result = _simpson(integrand, h)
     if (n - 1) % 4 == 0 and n >= 9:
         coarse = _integrand_from_overlaps(conj[::2], psi[::2], a2[::2],

@@ -7,9 +7,13 @@ pairs b < c are formed from the Gram matrix and held to a positive real
 part and a relative imaginary part of at most ``tau_npc``.  The parity
 tests compare the pivot check against it.  ``oracle_pivot_report`` is
 the pivot check itself, one triple at a time, which the library's report
-must reproduce exactly.
+must reproduce exactly.  ``oracle_report`` is the pivot check as the
+library ran it while its report held a list of dicts, built at once for
+every violation; the arrays the report holds now must give back that
+list, to the repr of every number.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -71,3 +75,33 @@ def oracle_pivot_report(lift, subgrid=DEFAULT_SUBGRID, tau_npc=TAU_NPC):
                     "delta": [float(d.real), float(d.imag)],
                 })
     return out
+
+
+def oracle_report(lift, subgrid=DEFAULT_SUBGRID, tau_npc=TAU_NPC):
+    """The vectorized pivot check, its violations a list of dicts from the start."""
+    idx = _subgrid_indices(lift.s.size, subgrid)
+    p = lift.psi[idx]
+    gram = np.conjugate(p) @ p.T
+    mods = np.abs(gram)
+    pivot = int(np.argmax(mods.min(axis=1)))
+    pairs = np.triu(np.ones((idx.size, idx.size), dtype=bool), k=1)
+    pairs[pivot] = False
+    pairs[:, pivot] = False
+    deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
+    mags = np.abs(deltas)
+    rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
+    near = mods[pivot] > TAU_DEG
+    good = ((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
+            & (near[:, None] & near)[pairs])
+    violations = []
+    if not good.all():
+        bad = ~good
+        j, k = np.nonzero(pairs)
+        named = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)[bad]]
+        parts = np.stack([deltas.real, deltas.imag], axis=1)[bad]
+        violations = [{"indices": t, "delta": d}
+                      for t, d in zip(named.tolist(), parts.tolist())]
+    return SimpleNamespace(checked=math.comb(idx.size, 3), violations=violations,
+                           min_real=float(deltas.real.min()),
+                           max_rel_imag=float(rel_imag.max()),
+                           ok=not violations)

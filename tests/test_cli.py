@@ -26,6 +26,7 @@ from holonomy_lab.curves import (
 )
 
 from conftest import assert_angle_close, random_polygon, random_triad
+from npc_oracle import oracle_report
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 R = 1 / np.sqrt(2)
@@ -327,6 +328,27 @@ class TestNpc:
         report = run_json(["npc", "verify", str(bad)], capsys, expect=2)
         assert report["ok"] is False
         assert report["violations"]
+
+    def test_verify_prints_the_list_route(self, tmp_path, capsys):
+        # the report's violations are built from arrays on read; the bytes
+        # printed must be those of the list the report once held
+        path = self.generate(tmp_path, capsys)
+        lift = formats.curve_from_csv(open(path).read())
+        psi = lift.psi.copy()
+        psi[:, 2] *= np.exp(0.25j * np.sin(np.pi * lift.s))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(formats.curve_to_csv(CurveLift(lift.s, psi)))
+        for curve, code in ((path, 0), (str(bad), 2)):
+            want = oracle_report(formats.curve_from_csv(open(curve).read()))
+            text = formats.json_dumps(formats.result_to_jsonable({
+                "checked": want.checked,
+                "violations": want.violations,
+                "min_real": want.min_real,
+                "max_rel_imag": want.max_rel_imag,
+                "ok": want.ok,
+            }))
+            assert run(["npc", "verify", curve], capsys) == (code, text, "")
+        assert want.violations
 
     def test_nan_curve_is_rejected(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)

@@ -25,7 +25,7 @@ from holonomy_lab.curves import (
 from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_polygon, random_triad
-from npc_oracle import oracle_pivot_report, oracle_scan
+from npc_oracle import oracle_pivot_report, oracle_report, oracle_scan
 from profile_oracle import oracle_certified, oracle_violations
 from quadrature_oracle import (
     oracle_connection_integral,
@@ -70,12 +70,40 @@ class TestCurveLift:
     def test_dim_property(self, rng):
         assert make_geodesic(rng, dim=4).dim == 4
 
+    def test_caller_writes_after_construction_change_nothing(self, rng):
+        base = twist(make_geodesic(rng, grid=129),
+                     lambda s: 0.9 * s + 0.4 * np.sin(2 * np.pi * s))
+        s, psi = base.s.copy(), base.psi.copy()
+        lift = CurveLift(s, psi)
+        want = connection_integral(lift)
+        s *= 2.0
+        psi[:, 1] *= 1j
+        assert np.array_equal(lift.s, base.s)
+        assert np.array_equal(lift.psi, base.psi)
+        assert connection_integral(lift) == want
+
+    def test_samples_are_read_only(self, rng):
+        lift = make_geodesic(rng, grid=9)
+        with pytest.raises(ValueError, match="read-only"):
+            lift.psi[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            lift.s[0] = 1.0
+
 
 class TestCurveFrame:
     def test_rejects_skewed_vectors(self):
         v = np.array([[1, 0, 0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0]],
                      dtype=complex)
         with pytest.raises(ValueError, match="orthonormal"):
+            CurveFrame(v, 1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_vectors(self, value):
+        with pytest.raises(ValueError, match="frame vectors must be finite"):
+            CurveFrame(np.full((2, 3), value), 1.0)
+        v = np.eye(2, 3, dtype=complex)
+        v[1, 2] = value
+        with pytest.raises(ValueError, match="frame vectors must be finite"):
             CurveFrame(v, 1.0)
 
     def test_rejects_bad_opening_angle(self):
@@ -259,6 +287,22 @@ class TestValidateProfile:
             s[8] = value
         with pytest.raises(ValueError, match="non-finite sample in profile"):
             RealProfile(s, x)
+
+    @pytest.mark.parametrize("theta0", [np.nan, 0.0, np.pi, -1.0, np.inf])
+    def test_theta0_outside_the_open_interval_is_rejected(self, theta0):
+        # a NaN end point fails every comparison, so no violation is named
+        profile = generate_npc_profile(1.0, 3, 0.3)
+        with pytest.raises(ValueError,
+                           match=r"theta0 must lie strictly inside \(0, pi\)"):
+            validate_profile(profile, theta0)
+        with pytest.raises(ValueError, match="theta0"):
+            CurveFrame(np.eye(2, dtype=complex), theta0)
+
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-9, np.inf])
+    def test_tol_must_be_positive_and_finite(self, tol):
+        profile = generate_npc_profile(1.0, 3, 0.3)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            validate_profile(profile, 1.0, tol=tol)
 
 
 class TestProfileToLift:
@@ -502,6 +546,34 @@ class TestVerifyNpc:
         with pytest.raises(ValueError, match="subgrid must be at least 3"):
             verify_npc(make_geodesic(rng, grid=9), subgrid=subgrid)
 
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0, -1e-9])
+    def test_tau_npc_must_be_positive_and_finite(self, tau):
+        # the same rule and message as RunConfig; an infinite tolerance
+        # would accept a latitude arc, which is not a null phase curve
+        arc = latitude_arc(0.7, 1.5, 3, grid=33)
+        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
+            RunConfig(tau_npc=tau)
+        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
+            verify_npc(arc, tau_npc=tau)
+
+    def test_accepted_report_holds_empty_arrays(self, rng):
+        report = verify_npc(make_geodesic(rng, grid=129))
+        assert report.ok
+        assert report.triples.shape == (0, 3)
+        assert report.deltas.shape == (0,)
+        assert report.violations == []
+
+    def test_rejected_report_holds_arrays(self):
+        report = verify_npc(latitude_arc(0.7, 1.5, 3))
+        assert not report.ok
+        assert report.triples.shape == (190, 3)
+        assert report.triples.dtype.kind == "i"
+        assert report.deltas.dtype == complex
+        assert report.deltas.shape == (190,)
+        first = report.violations[0]
+        assert first["indices"] == report.triples[0].tolist()
+        assert first["delta"] == [report.deltas[0].real, report.deltas[0].imag]
+
 
 def wobble(rng, amplitude, grid=129):
     """Eps-family lift whose third frame component picks up a phase."""
@@ -657,6 +729,23 @@ class TestPivotCheckMatchesTripleScan:
         for v in report.violations:
             assert all(type(i) is int for i in v["indices"])
             assert all(type(x) is float for x in v["delta"])
+
+    def test_violations_match_the_list_route(self, rng):
+        # the list built on read against the list the report once held
+        lifts = [make_geodesic(rng), wobble(rng, 0.3), wobble(rng, 1e-9),
+                 latitude_arc(0.7, 1.5, 3), latitude_arc(2.2, 1.5, 5),
+                 quarter_circle(), octant_edges()]
+        rejected = 0
+        for lift in lifts:
+            for subgrid in (3, 9, 21, 41):
+                got = verify_npc(lift, subgrid=subgrid)
+                want = oracle_report(lift, subgrid=subgrid)
+                assert repr(got.violations) == repr(want.violations)
+                assert (got.ok, got.checked) == (want.ok, want.checked)
+                assert repr((got.min_real, got.max_rel_imag)) == \
+                    repr((want.min_real, want.max_rel_imag))
+                rejected += not got.ok
+        assert rejected >= 12
 
 
 class TestQuadrature:
@@ -884,3 +973,9 @@ class TestLoopPhase:
         segments = [wobbled, *others[1:]]
         with pytest.raises(ValueError, match="not a null phase curve"):
             loop_geometric_phase(segments)
+
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0])
+    def test_tau_npc_must_be_positive_and_finite(self, rng, tau):
+        sides = self.sides(random_triad(rng, 3))
+        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
+            loop_geometric_phase(sides, tau_npc=tau)
