@@ -8,8 +8,11 @@ Each case calls one library layer and cycles through a fixed pool of
 seeded inputs, one input per call, as in ``bench_triad.py``: the star
 decomposition and its expansion for one state and for a batch of 1000
 at n = 2, 3, 8, 20 (n = 3 is the spin-1 case whose star pairs come in
-closed form), ``su2_apply`` on one state, and ``star_trajectory`` on
-dimension-3 geodesic and eps-family lifts of 257 samples.
+closed form), ``su2_apply`` on one state, ``MajoranaRep.stars`` on a
+batch of 1000 decompositions at n = 3 and 20, and ``star_trajectory``
+on dimension-3 geodesic and eps-family lifts of 257 samples.
+``interleave.py`` times the same cases in one process on two source
+trees.
 """
 
 import numpy as np
@@ -38,21 +41,14 @@ def test_coefficients_to_roots(benchmark, n, rows):
     benchmark(cycling(majorana.coefficients_to_roots, state_pool(n, rows)))
 
 
-@DIMS
-@ROWS
-def test_roots_to_coefficients(benchmark, n, rows):
-    reps = [(majorana.coefficients_to_roots(psi),) for psi, in state_pool(n, rows)]
-    benchmark(cycling(majorana.roots_to_coefficients, reps))
-
-
-@pytest.mark.parametrize("n", [3, 8], ids=lambda n: f"n{n}")
-def test_su2_apply(benchmark, n):
+def su2_pool(n):
+    """POOL pairs (u, psi) of a random SU(2) matrix and one state."""
     rng = np.random.default_rng(400 + n)
-    cases = [(majorana.random_su2(rng), psi) for psi, in state_pool(n, 1)]
-    benchmark(cycling(majorana.su2_apply, cases))
+    return [(majorana.random_su2(rng), psi) for psi, in state_pool(n, 1)]
 
 
-def test_star_trajectory(benchmark):
+def trajectory_pool():
+    """POOL dimension-3 lifts of 257 samples: geodesics and eps-family curves."""
     rng = np.random.default_rng(500)
     lifts = []
     for j in range(POOL):
@@ -65,4 +61,31 @@ def test_star_trajectory(benchmark):
         profile = curves.generate_npc_profile(
             frame.theta0, 3, float(rng.uniform(0.1, 1.2)), grid=257)
         lifts.append((curves.profile_to_lift(frame, profile),))
-    benchmark(cycling(decompose.star_trajectory, lifts))
+    return lifts
+
+
+def rep_pool(factor, n, rows):
+    """state_pool(n, rows) decomposed by factor (a coefficients_to_roots)."""
+    return [(factor(psi),) for psi, in state_pool(n, rows)]
+
+
+@DIMS
+@ROWS
+def test_roots_to_coefficients(benchmark, n, rows):
+    reps = rep_pool(majorana.coefficients_to_roots, n, rows)
+    benchmark(cycling(majorana.roots_to_coefficients, reps))
+
+
+@pytest.mark.parametrize("n", [3, 8], ids=lambda n: f"n{n}")
+def test_su2_apply(benchmark, n):
+    benchmark(cycling(majorana.su2_apply, su2_pool(n)))
+
+
+@pytest.mark.parametrize("n", [3, 20], ids=lambda n: f"n{n}")
+def test_rep_stars(benchmark, n):
+    reps = rep_pool(majorana.coefficients_to_roots, n, 1000)
+    benchmark(cycling(majorana.MajoranaRep.stars, reps))
+
+
+def test_star_trajectory(benchmark):
+    benchmark(cycling(decompose.star_trajectory, trajectory_pool()))

@@ -201,8 +201,12 @@ def solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
     return tuple(_triangle(north, xi, _vertex(star)) for star in red.rep3.stars())
 
 
+_LEX_WEIGHTS = np.array([4.0, 2.0, 1.0])  # the first differing coordinate decides
+
+
 def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.arccos(np.clip(np.sum(a * b, axis=-1), -1.0, 1.0))
+    p = a * b  # summed in np.sum's order over the last axis, without its reduce
+    return np.arccos(np.clip(p[..., 0] + p[..., 1] + p[..., 2], -1.0, 1.0))
 
 
 def star_trajectory(lift) -> np.ndarray:
@@ -221,18 +225,20 @@ def star_trajectory(lift) -> np.ndarray:
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
     stars = coefficients_to_roots(lift.psi).stars()
-    a, b = stars[:, 0], stars[:, 1]
-    keep = _geodesic_gap(a[:-1], a[1:]) + _geodesic_gap(b[:-1], b[1:])
-    swap = _geodesic_gap(a[:-1], b[1:]) + _geodesic_gap(b[:-1], a[1:])
+    # gaps[i, j, k]: from star j of sample i to star k of sample i + 1
+    gaps = _geodesic_gap(stars[:-1, :, None], stars[1:, None, :])
+    keep = gaps[:, 0, 0] + gaps[:, 1, 1]
+    swap = gaps[:, 0, 1] + gaps[:, 1, 0]
     restart = np.concatenate([[True], np.abs(keep - swap) < 1e-12])
     flips = np.logical_xor.accumulate(
         np.concatenate([[False], swap < keep]) & ~restart)
     # a restart sorts the pair; the first coordinate that differs by more
     # than the tie tolerance outweighs the rest
-    gap = b - a
+    starts = np.flatnonzero(restart)
+    gap = stars[starts, 1] - stars[starts, 0]
     ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
-    lex = ahead @ [4.0, 2.0, 1.0] < 0
-    last = np.maximum.accumulate(np.where(restart, np.arange(restart.size), 0))
-    flip = lex[last] ^ flips ^ flips[last]
+    lex = ahead @ _LEX_WEIGHTS < 0
+    last = np.cumsum(restart) - 1  # index in starts of each sample's restart
+    flip = lex[last] ^ flips ^ flips[starts][last]
     return np.where(flip[:, None, None], stars[:, ::-1], stars)
 

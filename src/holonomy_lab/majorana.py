@@ -44,6 +44,8 @@ class MajoranaRep:
 
     One decomposition has spinors of shape (n-1, 2) and a complex scale; a
     batch of B has spinors of shape (B, n-1, 2) and an array of B scales.
+    Each spinor must have norm 1 within 1e-12 and is stored divided by
+    its norm, so ``stars()`` reads unit spinors without normalizing again.
     """
 
     spinors: np.ndarray
@@ -57,16 +59,23 @@ class MajoranaRep:
         object.__setattr__(self, "scale", scale if scale.ndim else complex(scale))
         if not (np.isfinite(scale).all() and scale.all()):
             raise ValueError("scale must be finite and nonzero")
-        norms = np.hypot.reduce(np.abs(spinors), axis=-1)
+        norms = _spinor_norms(spinors)
         if not (np.abs(norms - 1.0) <= 1e-12).all():
             raise ValueError("spinors must be unit normalized")
+        object.__setattr__(self, "spinors", spinors / norms[..., None])
 
     @property
     def dim(self) -> int:
         return self.spinors.shape[-2] + 1
 
     def stars(self) -> np.ndarray:
-        return spinor_to_star(self.spinors)
+        return _unit_spinor_to_star(self.spinors)
+
+
+def _spinor_norms(xi: np.ndarray) -> np.ndarray:
+    # bit-identical to np.hypot.reduce(np.abs(xi), axis=-1), and faster
+    mod = np.abs(xi)
+    return np.hypot(mod[..., 0], mod[..., 1])
 
 
 def as_spinor(xi) -> np.ndarray:
@@ -74,7 +83,7 @@ def as_spinor(xi) -> np.ndarray:
     xi = np.asarray(xi, dtype=complex)
     if xi.shape[-1:] != (2,):
         xi = xi.reshape(2)
-    n = np.hypot.reduce(np.abs(xi), axis=-1, keepdims=True)
+    n = _spinor_norms(xi)[..., None]
     if not (0.0 < n.min(initial=1.0) and n.max(initial=1.0) < math.inf):  # NaN fails too
         raise ValueError("spinor must be finite and nonzero")
     return xi / n
@@ -82,7 +91,10 @@ def as_spinor(xi) -> np.ndarray:
 
 def spinor_to_star(xi) -> np.ndarray:
     """Star n_hat = xi^dagger sigma xi of each spinor; shape (..., 3)."""
-    xi = as_spinor(xi)
+    return _unit_spinor_to_star(as_spinor(xi))
+
+
+def _unit_spinor_to_star(xi: np.ndarray) -> np.ndarray:
     a, b = xi[..., 0], xi[..., 1]
     ab = np.conjugate(a) * b
     star = np.empty(ab.shape + (3,))
@@ -108,13 +120,6 @@ def star_to_spinor(nhat) -> np.ndarray:
         return np.array([0.0, 1.0], dtype=complex)
     b = (nhat[0] + 1j * nhat[1]) / (2.0 * a)
     return np.array([a, b], dtype=complex)
-
-
-def canonical_spinor(xi) -> np.ndarray:
-    # same phase convention as star_to_spinor, without the trip through R^3
-    xi = as_spinor(xi)
-    pivot = np.where(xi[..., 0] != 0, xi[..., 0], xi[..., 1])
-    return xi * (np.conjugate(pivot) / np.abs(pivot))[..., None]
 
 
 @lru_cache(maxsize=None)
@@ -191,11 +196,16 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     zero when fixing the effective degree, and each missing degree
     contributes a north-pole spinor (1, 0), listed first.  Rows with equal
     degree and equal count m of nonzero roots (the others are exact zeros)
-    form one group.  For m = 1 the root is the entry of the 1x1 companion
-    matrix; for m = 2 both come in closed form, larger first, and a
-    double root comes out exact (see _quadratic_roots).  For m >= 3 the
-    group shares one eigvals call on companion matrices built as np.roots
-    builds them, and one guarded Newton step polishes those roots.
+    form one group.  Each row gets the integer key degree * n + zeros;
+    when every key equals the first, as for a single state, the batch is
+    one group, and only otherwise does np.unique list the groups.  For
+    m = 1 the root is the entry of the 1x1 companion matrix; for m = 2
+    both come in closed form, larger first, and a double root comes out
+    exact (see _quadratic_roots).  For m >= 3 the group shares one
+    eigvals call on companion matrices built as np.roots builds them, and
+    one guarded Newton step polishes those roots.  A root w becomes the
+    unit spinor along (-w, 1) whose first entry is real and nonnegative,
+    the phase star_to_spinor fixes; a root at 0 gives (0, 1).
     """
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.size == 0:
@@ -214,10 +224,13 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     spinors = np.zeros((count, n - 1, 2), dtype=complex)
     spinors[..., 0] = 1.0
     lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)
-    groups = set(zip(degree.tolist(), zeros.tolist()))
-    for d, z in groups - {(0, 0)}:
-        rows = (slice(None) if len(groups) == 1
-                else np.flatnonzero((degree == d) & (zeros == z)))
+    key = degree * n + zeros  # one integer per (degree, zeros) group
+    single = count == 1 or (key == key[0]).all()
+    for k in key[:1] if single else np.unique(key):
+        d, z = divmod(int(k), n)
+        if d == 0:
+            continue
+        rows = slice(None) if single else np.flatnonzero(key == k)
         desc, m = coeffs[rows, d::-1], d - z
         roots = np.zeros((desc.shape[0], d), dtype=complex)
         top = -desc[:, 1:m + 1] / desc[:, :1]  # first row of the companion matrix
@@ -232,9 +245,15 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
             roots[:, :m] = _polish_roots(desc, np.linalg.eigvals(companion))
         if not np.isfinite(roots).all():
             raise ValueError("root finding failed")
-        pairs = np.ones(roots.shape + (2,), dtype=complex)
-        pairs[..., 0] = -roots
-        pairs = canonical_spinor(pairs)
+        # (-w, 1) normalized with alpha real: alpha = |w| / h and
+        # beta = -conj(w) / (|w| h), where h = hypot(|w|, 1)
+        mod = np.abs(roots)
+        h = np.hypot(mod, 1.0)
+        pairs = np.empty(roots.shape + (2,), dtype=complex)
+        pairs[..., 0] = mod / h
+        beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
+                         where=mod > 0)
+        pairs[..., 1] = beta / h
         spinors[rows, n - 1 - d:] = pairs
         lead[rows] = pairs[..., 1].prod(axis=-1)
     # the highest surviving coefficient fixes the scale

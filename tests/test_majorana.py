@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from holonomy_lab import core, majorana as mj
 
-from star_oracle import oracle_su2_rotation
+from star_oracle import _canonical_spinor, oracle_expand, oracle_su2_rotation
+
+EPS = np.finfo(float).eps
 
 
 def brute_permanent(a):
@@ -58,11 +60,70 @@ class TestSpinorsAndStars:
         with pytest.raises(ValueError, match="finite"):
             mj.as_spinor([[1.0, 0.0], [bad, 1.0]])
 
-    def test_canonical_spinor_pivot_is_real(self, rng):
-        xi = mj.canonical_spinor(mj.as_spinor(core.random_state(2, rng)))
-        pivot = xi[np.flatnonzero(np.abs(xi) > 1e-9)[0]]
-        assert pivot.imag == pytest.approx(0.0, abs=1e-14)
-        assert pivot.real > 0
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_pairwise_norms_equal_the_reduce(self, rng):
+        rows = [rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))]
+        for big in (1e300, 1e-300, 1.7e308, 5e-324):
+            rows.append(big * rng.uniform(0.1, 1.0, size=(8, 2))
+                        * np.exp(2j * np.pi * rng.uniform(size=(8, 2))))
+        rows.append(np.array([[np.inf, 0], [0, -np.inf], [np.nan, 1], [1, np.nan],
+                              [complex(np.nan, np.inf), 0], [complex(1, np.inf), 1],
+                              [0, 0], [1e308, 1e308]]))
+        xi = np.concatenate(rows).reshape(-1, 4, 2)
+        assert np.array_equal(mj._spinor_norms(xi),
+                              np.hypot.reduce(np.abs(xi), axis=-1), equal_nan=True)
+        for row in xi.reshape(-1, 2):
+            norm = np.hypot.reduce(np.abs(row))
+            if 0.0 < norm < np.inf:
+                unit = mj.as_spinor(row)
+                if norm >= np.finfo(float).tiny:  # complex division by a subnormal is NaN
+                    assert np.array_equal(unit, row / norm)
+            else:
+                with pytest.raises(ValueError, match="finite and nonzero"):
+                    mj.as_spinor(row)
+                with pytest.raises(ValueError, match="finite and nonzero"):
+                    mj.as_spinor(np.stack([[1.0, 0.0], row]))
+            if abs(norm - 1.0) <= 1e-12:
+                mj.MajoranaRep(row, 1.0)
+            else:
+                with pytest.raises(ValueError, match="unit normalized"):
+                    mj.MajoranaRep(np.stack([[1.0, 0.0], row]), 1.0)
+
+
+class TestDecompositionSpinors:
+    """Each spinor (-w, 1) of a root w, normalized with real alpha >= 0."""
+
+    @staticmethod
+    def assert_canonical(rep, roots=None):
+        spinors = rep.spinors.reshape(-1, 2)
+        assert np.all(np.abs(np.linalg.norm(spinors, axis=1) - 1.0) <= 4 * EPS)
+        assert np.all(spinors[:, 0].imag == 0.0) and np.all(spinors[:, 0].real >= 0.0)
+        if roots is not None:
+            # the oracle squares entries, so it gets the ray scaled to modulus <= 1
+            want = np.array([_canonical_spinor(np.array([-w, 1.0]) / max(1.0, abs(w)))
+                             for w in roots])
+            assert np.all(np.abs(spinors - want) <= 1e-12 * np.abs(want))
+
+    def test_random_states(self, rng):
+        for n in (2, 3, 5, 8, 20):
+            batch = np.array([core.random_state(n, rng) for _ in range(30)])
+            self.assert_canonical(mj.coefficients_to_roots(batch))
+
+    def test_root_at_zero_gives_south_spinor(self, rng):
+        psi = core.random_state(5, rng)
+        psi[:2] = 0.0  # a double root at w = 0
+        rep = mj.coefficients_to_roots(psi)
+        self.assert_canonical(rep)
+        assert np.all(rep.spinors[-2:] == [0.0, 1.0])
+
+    @pytest.mark.parametrize("mod", [1e190, 1e-300, 1.0])
+    def test_extreme_root_moduli(self, rng, mod):
+        phase = np.exp(2j * np.pi * rng.uniform())
+        w = mod * phase
+        # p(z) = A0 + A1 z has its root at w = -A0 / A1
+        psi = np.array([-w, 1.0]) if mod < 1 else np.array([-phase, 1.0 / mod])
+        rep = mj.coefficients_to_roots(psi, tau_lead=1e-250)
+        self.assert_canonical(rep, [w])
 
 
 class TestRootsAndCoefficients:
@@ -103,6 +164,27 @@ class TestRootsAndCoefficients:
     def test_rep_rejects_unnormalized_rows(self):
         with pytest.raises(ValueError):
             mj.MajoranaRep(np.array([[2.0, 0.0]], dtype=complex), 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 20])
+    def test_stars_of_any_valid_rep_are_unit(self, rng, n):
+        # spinors off unit by 9e-13, inside the rep's 1e-12 tolerance
+        xi = rng.normal(size=(30, n - 1, 2)) + 1j * rng.normal(size=(30, n - 1, 2))
+        xi /= np.linalg.norm(xi, axis=-1, keepdims=True)
+        xi *= np.where(np.arange(n - 1) % 2, 1.0 - 9e-13, 1.0 + 9e-13)[:, None]
+        scales = rng.normal(size=30) + 1j * rng.normal(size=30)
+        batch = mj.MajoranaRep(xi, scales)
+        for rep, rows in [(batch, xi)] + [(mj.MajoranaRep(x, s), x[None])
+                                          for x, s in zip(xi[:5], scales)]:
+            stars = rep.stars().reshape(-1, n - 1, 3)
+            assert np.all(np.abs(np.linalg.norm(stars, axis=-1) - 1.0) <= 4 * EPS)
+            for star_set in stars:
+                assert mj.star_matching_distance(star_set, star_set) == 0.0
+            # the expansion of the spinors as given, without renormalizing
+            want = (np.asarray(rep.scale).reshape(-1, 1) * mj._weights(n)[1]
+                    * np.array([oracle_expand(r) for r in rows]))
+            got = mj.roots_to_coefficients(rep).reshape(want.shape)
+            assert np.all(np.linalg.norm(got - want, axis=1)
+                          <= 1e-12 * np.linalg.norm(want, axis=1))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9), st.integers(2, 14))
