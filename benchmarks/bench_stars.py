@@ -8,7 +8,8 @@ Each case calls one library layer and cycles through a fixed pool of
 seeded inputs, one input per call, as in ``bench_triad.py``: the star
 decomposition and its expansion for one state and for a batch of 1000
 at n = 2, 3, 8, 20 (n = 3 is the spin-1 case whose star pairs come in
-closed form), ``su2_apply`` on one state, ``MajoranaRep.stars`` on a
+closed form), ``su2_apply`` on one state at n = 3, 8, 20 and on a batch
+of 1000 at n = 20, ``MajoranaRep.stars`` on a
 batch of 1000 decompositions at n = 3 and 20, and ``star_trajectory``
 on dimension-3 geodesic and eps-family lifts of 257 samples.
 ``interleave.py`` times the same cases in one process on two source
@@ -41,10 +42,10 @@ def test_coefficients_to_roots(benchmark, n, rows):
     benchmark(cycling(majorana.coefficients_to_roots, state_pool(n, rows)))
 
 
-def su2_pool(n):
-    """POOL pairs (u, psi) of a random SU(2) matrix and one state."""
+def su2_pool(n, rows=1):
+    """POOL pairs (u, psi) of a random SU(2) matrix and a state_pool(n, rows) input."""
     rng = np.random.default_rng(400 + n)
-    return [(majorana.random_su2(rng), psi) for psi, in state_pool(n, 1)]
+    return [(majorana.random_su2(rng), psi) for psi, in state_pool(n, rows)]
 
 
 def trajectory_pool():
@@ -76,9 +77,10 @@ def test_roots_to_coefficients(benchmark, n, rows):
     benchmark(cycling(majorana.roots_to_coefficients, reps))
 
 
-@pytest.mark.parametrize("n", [3, 8], ids=lambda n: f"n{n}")
-def test_su2_apply(benchmark, n):
-    benchmark(cycling(majorana.su2_apply, su2_pool(n)))
+@pytest.mark.parametrize("n, rows", [(3, 1), (8, 1), (20, 1), (20, 1000)],
+                         ids=["n3", "n8", "n20", "n20-B1000"])
+def test_su2_apply(benchmark, n, rows):
+    benchmark(cycling(majorana.su2_apply, su2_pool(n, rows)))
 
 
 @pytest.mark.parametrize("n", [3, 20], ids=lambda n: f"n{n}")

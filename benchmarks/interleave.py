@@ -1,11 +1,12 @@
 """In-process A/B timing of the star layers on two source trees.
 
 Both trees are imported in one process, under two package names, and
-each round times every layer on the parent and then on the change (or
-the other way round; the first side alternates between rounds).  Calls
-that alternate this closely share the host's speed phases, so the
-paired ratio separates gaps of a few percent that two separate runs of
-``perfbench`` cannot.  Tier-1 does not collect this file; run it as
+each round times every layer on both trees in SWITCHES short blocks per
+side that take turns, parent, change, parent, change, ... (the first
+side alternates between rounds).  A host speed phase that starts or ends
+inside a round then falls on both sides, so the paired ratio separates
+gaps of a few percent that two separate runs of ``perfbench`` cannot.
+Tier-1 does not collect this file; run it as
 
     python benchmarks/interleave.py --parent OLD/src [--change NEW/src]
 
@@ -20,8 +21,8 @@ by both sides, except decompositions, which each tree makes itself.
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
 output entry, is printed with the timings.  Per layer the table gives
-each tree's minimum time per call and the median over rounds of the
-change/parent ratio of the paired times.
+each tree's minimum over rounds of its time per call in a round and the
+median over rounds of the change/parent ratio of those paired times.
 """
 
 import argparse
@@ -37,7 +38,8 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
-BLOCK_S = 0.004  # time of one side's block of calls, per layer and round
+BLOCK_S = 0.004  # time of one side's calls, per layer and round
+SWITCHES = 4  # short blocks per side and round, the sides taking turns
 
 
 def load_tree(src: Path, name: str):
@@ -65,8 +67,9 @@ def cases(lab):
         out.append((f"majorana.roots_to_coefficients.n{n}.B{rows}",
                     mj.roots_to_coefficients,
                     bs.rep_pool(mj.coefficients_to_roots, n, rows)))
-    for n in (3, 8):
+    for n in (3, 8, 20):
         out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, bs.su2_pool(n)))
+    out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply, bs.su2_pool(20, 1000)))
     for n in (3, 20):
         out.append((f"MajoranaRep.stars.n{n}.B1000", mj.MajoranaRep.stars,
                     bs.rep_pool(mj.coefficients_to_roots, n, 1000)))
@@ -122,6 +125,16 @@ def timed(fn, inputs, calls: int) -> float:
         gc.enable()
 
 
+def timed_turns(sides, calls: int) -> list[float]:
+    """Seconds per call of each (fn, inputs) side over SWITCHES blocks of
+    calls calls, the sides taking turns block by block."""
+    totals = [0.0] * len(sides)
+    for _ in range(SWITCHES):
+        for k, (fn, inputs) in enumerate(sides):
+            totals[k] += timed(fn, inputs, calls)
+    return [t / SWITCHES for t in totals]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True,
@@ -146,19 +159,20 @@ def main(argv=None) -> int:
     table = []
     for label, fn_p, fn_c, pool_p, pool_c in layers:
         diff = max_difference(fn_p, fn_c, pool_p, pool_c)
-        calls = calls_for(fn_c, pool_c, BLOCK_S)
+        calls = calls_for(fn_c, pool_c, BLOCK_S / SWITCHES)
         # both sides walk their pools in step, so each pair times the same inputs
         table.append([label, fn_p, fn_c, itertools.cycle(pool_p),
                       itertools.cycle(pool_c), calls, diff, [], []])
     for r in range(args.rounds):
         for row in table:
             _, fn_p, fn_c, in_p, in_c, calls, _, t_p, t_c = row
+            sides = [(fn_p, in_p), (fn_c, in_c)]
             if r % 2:
-                t_c.append(timed(fn_c, in_c, calls))
-                t_p.append(timed(fn_p, in_p, calls))
+                t_c_r, t_p_r = timed_turns(sides[::-1], calls)
             else:
-                t_p.append(timed(fn_p, in_p, calls))
-                t_c.append(timed(fn_c, in_c, calls))
+                t_p_r, t_c_r = timed_turns(sides, calls)
+            t_p.append(t_p_r)
+            t_c.append(t_c_r)
 
     print(f"{args.rounds} rounds; parent {args.parent}, change {args.change}")
     print(f"{'layer':44} {'parent us':>10} {'change us':>10} {'ratio':>6} "

@@ -135,16 +135,6 @@ def bi_phase(psi1, psi2, psi3) -> float:
     return principal_angle(-np.angle(delta))
 
 
-def assert_unitary(u, tol: float = 1e-12) -> np.ndarray:
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("unitary must be a square matrix")
-    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
-    if not defect <= tol:  # NaN fails too
-        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
-    return u
-
-
 def _as_rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed

@@ -55,14 +55,17 @@ class CurveLift(object):
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
             raise ValueError("psi must have one row per sample")
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(psi))):
+        if not np.all(np.isfinite(s)):
             raise ValueError("non-finite sample in curve")
         steps = np.diff(s)
         if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
             raise ValueError("sample grid must be uniform and increasing")
         conj = np.conjugate(psi)
         norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
-        if np.max(np.abs(norms - 1.0)) > 1e-9:
+        # a non-finite entry makes its row's norm inf or NaN, which fails here
+        if not np.max(np.abs(norms - 1.0)) <= 1e-9:
+            if not np.all(np.isfinite(psi)):
+                raise ValueError("non-finite sample in curve")
             raise ValueError("all samples must be unit vectors")
         lag1 = np.einsum("ij,ij->i", conj[:-1], psi[1:])
         if np.min(np.abs(lag1)) <= TAU_DEG:

@@ -9,7 +9,9 @@ Writing p as a product of linear factors (alpha_k + beta_k z) times an
 overall scale gives n-1 unit spinors, each a point on the sphere through
 n_hat = spinor^dagger sigma spinor.  Roots w map to spinors along (-w, 1);
 missing degrees map to (1, 0), a star at the north pole.  The multiset of
-stars plus the complex scale determines the vector exactly.
+stars plus the complex scale determines the vector exactly.  A matrix u
+in SU(2) moves every spinor to u times it; on the amplitudes that is the
+Schwinger matrix D^j(u), which su2_apply applies without factoring.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import numpy as np
 from .config import TAU_LEAD
 from .core import normalize
 
-_DOUBLE_ROOT = 16.0 * np.finfo(float).eps  # relative discriminant of a double root
+# a root gap below this times 1 + |t0| + |t1| is rounding noise on a double root
+_DOUBLE_ROOT = 4.0 * math.sqrt(np.finfo(float).eps)
+_TINY = np.finfo(float).tiny  # smallest normal float
 
 SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -84,7 +88,8 @@ def as_spinor(xi) -> np.ndarray:
     if xi.shape[-1:] != (2,):
         xi = xi.reshape(2)
     n = _spinor_norms(xi)[..., None]
-    if not (0.0 < n.min(initial=1.0) and n.max(initial=1.0) < math.inf):  # NaN fails too
+    # complex division by a subnormal norm gives inf and NaN; NaN fails too
+    if not (_TINY <= n.min(initial=1.0) and n.max(initial=1.0) < math.inf):
         raise ValueError("spinor must be finite and nonzero")
     return xi / n
 
@@ -171,11 +176,14 @@ def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.nda
 
     The square root of the discriminant takes the sign that adds to t0
     without cancellation, so q = (t0 + disc) / 2 is the root of larger
-    modulus and -t1 / q, from the product of the roots, the other.  A
-    discriminant within 16 eps of |t0|^2 + 4 |t1| is rounding noise on a
-    double root: it is set to 0, and both roots are t0 / 2 exactly.  The
+    modulus and -t1 / q, from the product of the roots, the other.  The
     discriminant is formed after scaling by a power of two, which is
-    exact, so t0^2 cannot overflow.
+    exact, so t0^2 cannot overflow.  Its square root is the root gap
+    w1 - w2.  Coefficients rounded by eps (1 + |t0| + |t1|), the backward
+    error of the monic polynomial, can open a double root into a gap of
+    4 sqrt(eps) (1 + |t0| + |t1|); a gap within that is set to 0 and both
+    roots are t0 / 2 exactly, the roots of the nearest double-root
+    polynomial.
     """
     size = np.frexp(np.maximum(np.abs(t0), np.sqrt(np.abs(t1))))[1]
     r = np.ldexp(1.0, -np.maximum(size, -1020))  # 1 / r stays finite
@@ -183,10 +191,21 @@ def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.nda
     square = u0 * u0 + 4.0 * u1
     disc = np.sqrt(square)
     np.negative(disc, out=disc, where=(np.conjugate(u0) * disc).real < 0)
-    single = np.abs(square) > _DOUBLE_ROOT * (np.abs(u0) ** 2 + 4.0 * np.abs(u1))
+    # r (1 + |t0| + |t1|) in the scaled variables; it cannot overflow
+    single = np.abs(disc) > _DOUBLE_ROOT * (r + np.abs(u0) + np.abs(u1) / r)
     disc *= single
     q = 0.5 * (t0 + disc / r)
     return q, np.divide(-t1, q, out=q.copy(), where=single)
+
+
+def _check_states(psi) -> np.ndarray:
+    """psi as a complex state or (B, n) batch; nonempty and finite."""
+    psi = np.asarray(psi, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.size == 0:
+        raise ValueError("expected a nonempty state or a (B, n) batch of states")
+    if not np.isfinite(psi).all():
+        raise ValueError("non-finite amplitude")
+    return psi
 
 
 def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
@@ -207,11 +226,7 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     unit spinor along (-w, 1) whose first entry is real and nonnegative,
     the phase star_to_spinor fixes; a root at 0 gives (0, 1).
     """
-    psi = np.asarray(psi, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.size == 0:
-        raise ValueError("expected a nonempty state or a (B, n) batch of states")
-    if not np.isfinite(psi).all():
-        raise ValueError("non-finite amplitude")
+    psi = _check_states(psi)
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
     coeffs = batch * _weights(n)[0]
@@ -328,7 +343,7 @@ def _check_su2(u) -> np.ndarray:
         raise ValueError("matrix must be finite")
     if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
         raise ValueError("matrix is not unitary")
-    if abs(np.linalg.det(u) - 1.0) > 1e-10:
+    if abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0) > 1e-10:
         raise ValueError("matrix must have determinant 1")
     return u
 
@@ -342,19 +357,44 @@ def su2_rotation(u) -> np.ndarray:
     return 0.5 * np.einsum("iab,bc,jcd,ad->ij", SIGMA, u, SIGMA, u.conj()).real
 
 
-def su2_apply(u, psi) -> np.ndarray:
-    """Apply the spin-J representation of u in SU(2) to a state or a batch.
+@lru_cache(maxsize=None)
+def _schwinger_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only stack layout and weight ratios of the dimension-n D^j(u).
 
-    Implemented through the star decomposition: every spinor is rotated by
-    u and the product is re-expanded with the same scale.  The decomposition
-    takes trailing coefficients below ``TAU_LEAD`` times the largest as
-    zero, so they are dropped before the rotation and the map is not linear
-    at that level: for psi proportional to (1, 1e-11), even the identity
-    returns a state 1e-11 away from psi.
+    Basis state l is the product of n-1-l spinors e0 and l spinors e1,
+    scaled by 1 / f_l (f = sqrt(k! (n-1-k)!)).  Entry (l, i) of the first
+    array is 1 where slot i of row l holds e1; entry (l, k) of the second
+    is f_k / f_l, which turns coefficient k of row l's product into
+    amplitude k of D^j(u) e_l.
+    """
+    pick = (np.add.outer(np.arange(n), np.arange(n - 1)) >= n - 1).astype(np.intp)
+    f = _weights(n)[1]
+    ratio = f / f[:, None]
+    pick.flags.writeable = ratio.flags.writeable = False
+    return pick, ratio
+
+
+def _schwinger_transpose(u: np.ndarray, n: int) -> np.ndarray:
+    """Transpose of D^j(u), the matrix of u in SU(2) on dimension-n amplitudes.
+
+    u moves e0 and e1 to its columns; row l expands the moved product.
+    """
+    pick, ratio = _schwinger_layout(n)
+    return _expand(u.T[pick]) * ratio
+
+
+def su2_apply(u, psi) -> np.ndarray:
+    """Apply D^j(u), the spin-j matrix of u in SU(2), to a state or a batch.
+
+    D^j(u) is the Schwinger two-oscillator action: a state is a polynomial
+    in the two oscillators, and u moves each oscillator to its image.  One
+    matrix product applies it, so the map is exactly linear and the
+    identity returns psi unchanged.  The stars of the result are the stars
+    of psi rotated by su2_rotation(u).
     """
     u = _check_su2(u)
-    rep = coefficients_to_roots(psi)
-    return roots_to_coefficients(MajoranaRep(rep.spinors @ u.T, rep.scale))
+    psi = _check_states(psi)
+    return psi @ _schwinger_transpose(u, psi.shape[-1])
 
 
 def random_su2(seed=None) -> np.ndarray:

@@ -319,8 +319,22 @@ def _check_loop_phase(rng) -> tuple[Measure, ...]:
 # criteria 11-12: covariance
 
 
+def _spin_exponential(u: np.ndarray, n: int) -> np.ndarray:
+    """exp(-i theta n_hat . J) on dimension n, for u = exp(-i theta n_hat . sigma / 2).
+
+    u = a0 I - i a . sigma with a0 = cos(theta / 2) and a = sin(theta / 2)
+    n_hat; the exponential comes from the eigenvectors of a . J.
+    """
+    a = -0.5 * np.einsum("kab,ba->k", majorana.SIGMA, u).imag
+    length = float(np.linalg.norm(a))
+    theta = 2.0 * math.atan2(length, 0.5 * np.trace(u).real)
+    generator = sum(ak * jk for ak, jk in zip(a, majorana.spin_matrices(n)))
+    w, v = np.linalg.eigh(generator)
+    return (v * np.exp(-1j * theta / length * w)) @ v.conj().T
+
+
 def _check_rotation_covariance(rng) -> tuple[Measure, ...]:
-    delta_errs, pure_errs, star_errs = [], [], []
+    delta_errs, pure_errs, star_errs, route_errs, exp_errs = [], [], [], [], []
     for i in range(200):
         n = 2 + i % 9
         u = majorana.random_su2(rng)
@@ -335,13 +349,21 @@ def _check_rotation_covariance(rng) -> tuple[Measure, ...]:
         fidelity = abs(core.inner(core.normalize(moved), target))
         pure_errs.append(abs(1.0 - fidelity))
         psi = core.random_state(n, rng)
-        rotated = majorana.coefficients_to_roots(majorana.su2_apply(u, psi)).stars()
-        oracle = (majorana.coefficients_to_roots(psi).stars()
-                  @ majorana.su2_rotation(u).T)
+        applied = majorana.su2_apply(u, psi)
+        rotated = majorana.coefficients_to_roots(applied).stars()
+        rep = majorana.coefficients_to_roots(psi)
+        oracle = rep.stars() @ majorana.su2_rotation(u).T
         star_errs.append(majorana.star_matching_distance(rotated, oracle))
+        # the star route: factor psi, move every spinor by u, expand again
+        route = majorana.roots_to_coefficients(
+            majorana.MajoranaRep(rep.spinors @ u.T, rep.scale))
+        route_errs.append(np.max(np.abs(applied - route)))
+        exp_errs.append(np.max(np.abs(applied - _spin_exponential(u, n) @ psi)))
     return (_measure("200 pairs, max invariant drift", delta_errs, 1e-12),
             _measure("max pure-product infidelity", pure_errs, 1e-10),
-            _measure("max star mismatch", star_errs, 1e-10))
+            _measure("max star mismatch", star_errs, 1e-10),
+            _measure("max distance from the star route", route_errs, 1e-12),
+            _measure("max distance from exp(-i theta n.J)", exp_errs, 1e-12))
 
 
 def _check_gauge_covariance(rng) -> tuple[Measure, ...]:

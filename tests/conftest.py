@@ -13,6 +13,17 @@ def assert_angle_close(a: float, b: float, tol: float = 1e-10) -> None:
     assert gap < tol, f"angles differ by {gap:.3e} (mod 2*pi): {a} vs {b}"
 
 
+def assert_unitary(u, tol: float = 1e-12) -> np.ndarray:
+    """u as a complex square matrix; ValueError unless u^dagger u is I within tol."""
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError("unitary must be a square matrix")
+    defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+    if not defect <= tol:  # NaN fails too
+        raise ValueError(f"matrix is not unitary (defect {defect:.3e})")
+    return u
+
+
 def random_triad(rng, n, min_overlap=0.05):
     """Random triad with pairwise overlaps bounded away from degeneracy."""
     return _triad(rng, n, min_overlap, max_overlap=1.0 - 1e-6)

@@ -75,6 +75,16 @@ def oracle_expand(spinors):
     return poly
 
 
+def oracle_su2_apply(u, psi, tau_lead=1e-10):
+    """u in SU(2) applied to one state through its stars."""
+    spinors, scale = oracle_decomposition(psi, tau_lead)
+    n = np.asarray(psi).size
+    weights = [math.sqrt(math.factorial(k) * math.factorial(n - 1 - k))
+               for k in range(n)]
+    moved = [np.asarray(u, dtype=complex) @ s for s in spinors]
+    return scale * oracle_expand(moved) * weights
+
+
 def oracle_stars(psi, tau_lead=1e-10):
     spinors, _ = oracle_decomposition(psi, tau_lead)
     return np.array([oracle_star(s) for s in spinors]).reshape(-1, 3)

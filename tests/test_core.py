@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_angle_close, random_triad
+from conftest import assert_angle_close, assert_unitary, random_triad
 from holonomy_lab import core
 from holonomy_lab.angles import extract_angles
 from holonomy_lab.config import TAU_DEG
@@ -178,12 +178,12 @@ class TestRandomSampling:
         u = core.random_unitary(5, 7)
         v = core.random_unitary(5, 7)
         assert np.allclose(u, v)
-        core.assert_unitary(u)
+        assert_unitary(u)
 
     def test_assert_unitary_rejects_stretch(self):
         with pytest.raises(ValueError):
-            core.assert_unitary(np.diag([1.0, 2.0]))
+            assert_unitary(np.diag([1.0, 2.0]))
 
     def test_assert_unitary_rejects_nan(self):
         with pytest.raises(ValueError, match="not unitary"):
-            core.assert_unitary(np.full((2, 2), np.nan))
+            assert_unitary(np.full((2, 2), np.nan))

@@ -17,7 +17,7 @@ from holonomy_lab.decompose import (
 )
 from holonomy_lab.majorana import pure_product_state, spinor_to_star
 
-from conftest import assert_angle_close, random_triad
+from conftest import assert_angle_close, assert_unitary, random_triad
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -28,7 +28,7 @@ class TestReduceTriad:
     def test_transform_is_unitary_and_applied(self, rng):
         triad = random_triad(rng, 5)
         red = reduce_triad(*triad)
-        core.assert_unitary(red.transform)
+        assert_unitary(red.transform)
         for out, original in zip((red.psi1, red.psi2, red.psi3), triad):
             assert np.allclose(out, red.transform @ core.normalize(original),
                                atol=1e-12)

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from holonomy_lab import core, majorana as mj
 
-from star_oracle import _canonical_spinor, oracle_expand, oracle_su2_rotation
+from conftest import assert_unitary
+from star_oracle import (
+    _canonical_spinor,
+    oracle_expand,
+    oracle_su2_apply,
+    oracle_su2_rotation,
+)
 
 EPS = np.finfo(float).eps
 
@@ -74,11 +80,9 @@ class TestSpinorsAndStars:
                               np.hypot.reduce(np.abs(xi), axis=-1), equal_nan=True)
         for row in xi.reshape(-1, 2):
             norm = np.hypot.reduce(np.abs(row))
-            if 0.0 < norm < np.inf:
-                unit = mj.as_spinor(row)
-                if norm >= np.finfo(float).tiny:  # complex division by a subnormal is NaN
-                    assert np.array_equal(unit, row / norm)
-            else:
+            if np.finfo(float).tiny <= norm < np.inf:
+                assert np.array_equal(mj.as_spinor(row), row / norm)
+            else:  # zero, subnormal (dividing by it gives NaN) or non-finite
                 with pytest.raises(ValueError, match="finite and nonzero"):
                     mj.as_spinor(row)
                 with pytest.raises(ValueError, match="finite and nonzero"):
@@ -297,8 +301,7 @@ class TestRotations:
 
     def test_identity_fixes_states(self, rng):
         psi = core.random_state(5, rng)
-        assert np.allclose(mj.su2_apply(np.eye(2, dtype=complex), psi), psi,
-                           atol=1e-10)
+        assert np.array_equal(mj.su2_apply(np.eye(2, dtype=complex), psi), psi)
 
     def test_pure_product_orbit(self, rng):
         u = mj.random_su2(rng)
@@ -331,8 +334,87 @@ class TestRotations:
 
     def test_random_su2_has_unit_determinant(self, rng):
         u = mj.random_su2(rng)
-        core.assert_unitary(u, tol=1e-10)
+        assert_unitary(u, tol=1e-10)
         assert np.linalg.det(u) == pytest.approx(1.0)
+
+
+def spin_matrix(u, n):
+    """D^j(u) as su2_apply applies it: its action on the basis states."""
+    return mj.su2_apply(u, np.eye(n, dtype=complex)).T
+
+
+def spin_exponential(theta, nhat, n):
+    """exp(-i theta nhat . J) on dimension n, from the eigenvectors of nhat . J."""
+    j1, j2, j3 = mj.spin_matrices(n)
+    w, v = np.linalg.eigh(nhat[0] * j1 + nhat[1] * j2 + nhat[2] * j3)
+    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+
+
+class TestSchwingerMatrix:
+    """su2_apply is the spin-j matrix D^j(u) of the two-oscillator construction."""
+
+    def test_matches_the_star_route(self, rng):
+        for n in range(1, 21):
+            for _ in range(20):
+                u = mj.random_su2(rng)
+                psi = core.random_state(n, rng)
+                assert np.max(np.abs(mj.su2_apply(u, psi)
+                                     - oracle_su2_apply(u, psi))) <= 1e-13
+
+    def test_matches_the_spin_exponential(self, rng):
+        for n in range(1, 21):
+            for _ in range(10):
+                nhat = rng.standard_normal(3)
+                nhat /= np.linalg.norm(nhat)
+                theta = rng.uniform(0.0, 4.0 * np.pi)
+                sigma = np.tensordot(nhat, mj.SIGMA, axes=1)
+                u = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * sigma
+                want = spin_exponential(theta, nhat, n)
+                assert np.max(np.abs(spin_matrix(u, n) - want)) <= 1e-13
+
+    def test_spin_half_is_u(self, rng):
+        u = mj.random_su2(rng)
+        assert np.array_equal(spin_matrix(u, 2), u)
+
+    def test_homomorphism_and_unitarity(self, rng):
+        for n in (2, 3, 5, 8, 13, 20):
+            u1, u2 = mj.random_su2(rng), mj.random_su2(rng)
+            d1, d2 = spin_matrix(u1, n), spin_matrix(u2, n)
+            assert np.max(np.abs(spin_matrix(u1 @ u2, n) - d1 @ d2)) <= 1e-13
+            assert np.max(np.abs(d1.conj().T @ d1 - np.eye(n))) <= 1e-13
+            assert np.max(np.abs(spin_matrix(u1.conj().T, n) - d1.conj().T)) <= 1e-13
+
+    def test_identity_is_exact(self, rng):
+        eye = np.eye(2)
+        tiny_tail = np.array([1.0, 1e-11], dtype=complex) / math.hypot(1.0, 1e-11)
+        assert np.array_equal(mj.su2_apply(eye, tiny_tail), tiny_tail)
+        for n in range(1, 21):
+            batch = np.array([core.random_state(n, rng) for _ in range(5)])
+            batch[0, -1] = 3e-11  # below the decomposition's degree cut
+            assert np.array_equal(mj.su2_apply(eye, batch), batch)
+            assert np.array_equal(mj.su2_apply(eye, batch[0]), batch[0])
+
+    def test_linear_on_a_batch(self, rng):
+        for n in (2, 3, 8, 20):
+            u = mj.random_su2(rng)
+            x = np.array([core.random_state(n, rng) for _ in range(12)])
+            y = np.array([core.random_state(n, rng) for _ in range(12)])
+            y[:, -1] = 1e-12  # trailing amplitudes the star route drops
+            a, b = (rng.standard_normal((2, 12, 1))
+                    + 1j * rng.standard_normal((2, 12, 1)))
+            mixed = mj.su2_apply(u, a * x + b * y)
+            separate = a * mj.su2_apply(u, x) + b * mj.su2_apply(u, y)
+            assert np.max(np.abs(mixed - separate)) <= 1e-14 * np.max(np.abs(mixed))
+            # the tails move the result by 1e-12 D^j e_last, up to rounding
+            tail = mj.su2_apply(u, y) - mj.su2_apply(u, y - 1e-12 * np.eye(n)[-1])
+            want = 1e-12 * spin_matrix(u, n)[:, -1]
+            assert np.max(np.abs(tail - want)) <= 1e-15
+
+    def test_rejects_bad_states(self, rng):
+        u = mj.random_su2(rng)
+        for bad in (np.zeros(0), np.zeros((2, 2, 2)), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match="nonempty state"):
+                mj.su2_apply(u, bad)
 
 
 class TestSpinMatrices:

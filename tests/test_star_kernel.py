@@ -139,8 +139,9 @@ class TestClosedFormPairs:
             assert mj.star_matching_distance(got, root_stars([w, -w])) <= 1e-12
 
     def test_close_roots_stay_apart(self, rng):
-        # a split of 1e-6 is far above the double-root cut of 16 eps; a
-        # companion-matrix or closed-form root is good to about eps / split
+        # every split here is above the double-root cut, a gap of
+        # 4 sqrt(eps) (1 + |t0| + |t1|); a companion-matrix or closed-form
+        # root is good to about eps / split
         w = rng.standard_normal(40) + 1j * rng.standard_normal(40)
         split = w * np.repeat([1e-4, 1e-6], 20)
         roots = np.stack([w, w + split], axis=1)
@@ -148,6 +149,35 @@ class TestClosedFormPairs:
             quadratic_rows(w * (w + split), -(2.0 * w + split), 1.0))
         for got, want in zip(rep.stars(), root_stars(roots)):
             assert mj.star_matching_distance(got, want) <= 1e-8
+
+    @pytest.mark.parametrize("largest, power", [(10.0, 1), (1e3, 2)])
+    def test_distinct_roots_are_not_snapped(self, rng, monkeypatch, largest, power):
+        # the cut is a chord of 1.2e-7 to 2.4e-7 between the two stars
+        # wherever they sit, so gaps of 1e-6 (1 + |w|) clear it up to
+        # |w| = 10 and gaps of 1e-6 (1 + |w|)^2 at any |w|; such rows keep
+        # the closed form's roots bit for bit, as with no cut at all
+        w = 10.0 ** rng.uniform(-3.0, np.log10(largest), 200) * np.exp(
+            2j * np.pi * rng.uniform(size=200))
+        gap = 1e-6 * (1.0 + np.abs(w)) ** power * np.exp(
+            2j * np.pi * rng.uniform(size=200))
+        rows = quadratic_rows(w * (w + gap), -(2.0 * w + gap), 1.0)
+        rep = mj.coefficients_to_roots(rows)
+        monkeypatch.setattr(mj, "_DOUBLE_ROOT", 0.0)
+        uncut = mj.coefficients_to_roots(rows)
+        assert np.array_equal(rep.spinors, uncut.spinors)
+        assert np.array_equal(rep.scale, uncut.scale)
+
+    @pytest.mark.parametrize("modulus", [1e-3, 1.0, 1e3])
+    def test_rotated_double_star_stays_double(self, rng, modulus):
+        # D^j(u) rounds the coefficients of a pure product by about
+        # eps |c|; the cut must still see one double root
+        w = modulus * np.exp(2j * np.pi * rng.uniform(size=100))
+        etas = mj.as_spinor(np.stack([-w, np.ones_like(w)], axis=-1))
+        for eta in etas:
+            u = mj.random_su2(rng)
+            moved = mj.su2_apply(u, mj.pure_product_state(u.conj().T @ eta, 3))
+            stars = mj.coefficients_to_roots(moved).stars()
+            assert np.max(np.abs(stars - mj.spinor_to_star(eta))) <= 1e-12
 
     def test_lead_just_above_the_cut(self, rng):
         batch = np.array([core.random_state(3, rng) for _ in range(50)])
