@@ -12,11 +12,20 @@ Tier-1 does not collect this file; run it as
 
 where OLD is a checkout of the parent commit (``git archive`` into a
 directory outside the repository) and NEW defaults to this checkout's
-``src``.  The cases are those of ``bench_stars.py`` plus
-``reduce_triad`` and ``phase_from_solid_angles_n3`` from
-``bench_triad.py``, the triad layers that reach the star path through
-one-row decompositions.  Inputs come from the change tree and are shared
-by both sides, except decompositions, which each tree makes itself.
+``src``.  The cases are
+
+- those of ``bench_stars.py``;
+- ``bargmann``, ``extract_angles``, ``reduce_triad`` and
+  ``bi_factorization`` from ``bench_triad.py`` at n = 3 and 8, and
+  ``phase_from_solid_angles_n3``;
+- ``verify_npc`` on accepted and on rejected lifts and
+  ``loop_geometric_phase`` on geodesic and family triangles, from
+  ``bench_curves.py``.
+
+Every layer is called with positional inputs only, so a keyword that
+one tree has and the other lacks cannot split them.  Inputs come from
+the change tree and are shared by both sides, except decompositions,
+which each tree makes itself.
 
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
@@ -55,10 +64,11 @@ def load_tree(src: Path, name: str):
 
 def cases(lab):
     """(label, function, pool) of every layer, for one loaded tree."""
+    import bench_curves as bc
     import bench_stars as bs
     import bench_triad as bt
 
-    mj, dec = lab.majorana, lab.decompose
+    mj, dec, cv = lab.majorana, lab.decompose, lab.curves
     out = []
     for n, rows in itertools.product([2, 3, 8, 20], [1, 1000]):
         out.append((f"majorana.coefficients_to_roots.n{n}.B{rows}",
@@ -76,10 +86,23 @@ def cases(lab):
     out.append(("decompose.star_trajectory.g257", dec.star_trajectory,
                 bs.trajectory_pool()))
     for n in (3, 8):
-        out.append((f"decompose.reduce_triad.n{n}", dec.reduce_triad,
-                    bt.triad_pool(n)))
+        triads = bt.triad_pool(n)
+        out.append((f"core.bargmann.n{n}", lab.core.bargmann,
+                    [(t,) for t in triads]))
+        out.append((f"angles.extract_angles.n{n}", lab.angles.extract_angles,
+                    triads))
+        out.append((f"decompose.reduce_triad.n{n}", dec.reduce_triad, triads))
+        out.append((f"decompose.bi_factorization.n{n}", dec.bi_factorization,
+                    [(dec.reduce_triad(*t),) for t in triads]))
     out.append(("decompose.phase_from_solid_angles_n3",
                 dec.phase_from_solid_angles_n3, bt.triad_pool(3)))
+    out.append(("curves.verify_npc.accept", cv.verify_npc,
+                [(lift,) for lift in bc.family_lifts(301, 257)]))
+    out.append(("curves.verify_npc.reject", cv.verify_npc,
+                [(lift,) for lift in bc.family_lifts(302, 257, wobble=0.3)]))
+    for kind in ("geodesic", "family"):
+        out.append((f"curves.loop_geometric_phase.{kind}", cv.loop_geometric_phase,
+                    bc.triangle_loops(306, kind == "family")))
     return out
 
 

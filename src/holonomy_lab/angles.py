@@ -129,15 +129,15 @@ def _check_triad_angles(theta_12: float, theta_31: float, phi: float) -> None:
     _check_finite("phi", phi)
 
 
-def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngles:
+def extract_angles(psi1, psi2, psi3) -> IntrinsicAngles:
     """Extract the six intrinsic angles of a triad.
 
     Parameters
     ----------
     psi1, psi2, psi3 : array_like
-        States of equal dimension; they are normalized internally.
-    tau_deg : float
-        Overlaps with modulus within ``tau_deg`` of 0 or 1 are rejected.
+        States of equal dimension; they are normalized internally.  An
+        overlap with modulus within ``TAU_DEG`` of 0 or 1 raises
+        :class:`DegenerateTriadError`.
 
     Returns
     -------
@@ -149,7 +149,7 @@ def extract_angles(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> IntrinsicAngle
     if not v[0].shape == v[1].shape == v[2].shape:
         raise ValueError("dimension mismatch: "
                          + " vs ".join(str(s.size) for s in v))
-    pairs = [ray_angle(a, b, tau_deg) for a, b in zip(v, v[1:] + v[:1])]
+    pairs = [ray_angle(a, b) for a, b in zip(v, v[1:] + v[:1])]
     return IntrinsicAngles(*(theta for _, theta in pairs),
                            *(wrap_angle_positive(cmath.phase(ov)) for ov, _ in pairs))
 
@@ -166,22 +166,22 @@ def _dependent_overlap(theta_12: float, theta_31: float, phi: float,
         + np.exp(1j * phi) * np.sin(theta_12 / 2) * np.sin(theta_31 / 2) * np.cos(xi))
 
 
-def _dependent_theta(c23: float, tau_deg: float) -> float:
+def _dependent_theta(c23: float) -> float:
     """theta_23 of the derived modulus; with no vectors at hand it takes arccos,
     so an error d in c23 moves it by about 2 d / sin(theta_23 / 2)."""
-    return 2.0 * math.acos(check_modulus(c23, tau_deg))
+    return 2.0 * math.acos(check_modulus(c23))
 
 
-def _solve_dependent(w: complex, tau_deg: float) -> tuple[float, float]:
+def _solve_dependent(w: complex) -> tuple[float, float]:
     """(theta_23, phi_g) of the canonical solvers; w from _dependent_overlap."""
     c23 = abs(w)
     if c23 >= 1.0 + 64.0 * np.finfo(float).eps:
         raise ValueError(f"internal inconsistency: derived modulus {c23} exceeds 1")
-    return _dependent_theta(c23, tau_deg), principal_angle(-float(np.angle(w)))
+    return _dependent_theta(c23), principal_angle(-float(np.angle(w)))
 
 
-def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
-                       tau_deg: float = TAU_DEG) -> tuple[float, float]:
+def solve_dependent_n2(theta_12: float, theta_31: float,
+                       phi: float) -> tuple[float, float]:
     """Dependent pair (theta_23, phi_g) of a dimension-2 triad.
 
     With C = cos(theta/2) and S = sin(theta/2) per index pair, the triad
@@ -192,15 +192,15 @@ def solve_dependent_n2(theta_12: float, theta_31: float, phi: float,
     Raises when the derived overlap hits either boundary of (0, 1).
     """
     _check_triad_angles(theta_12, theta_31, phi)
-    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi), tau_deg)
+    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi))
 
 
-def solve_dependent_n3(theta_12: float, theta_31: float, phi: float, xi: float,
-                       tau_deg: float = TAU_DEG) -> tuple[float, float]:
+def solve_dependent_n3(theta_12: float, theta_31: float, phi: float,
+                       xi: float) -> tuple[float, float]:
     """Dependent pair for a dimension-3 triad; xi = 0 recovers the n=2 case."""
     _check_triad_angles(theta_12, theta_31, phi)
     _check_xi(xi)
-    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi, xi), tau_deg)
+    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi, xi))
 
 
 def build_canonical_n2(params: CanonicalParamsN2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -246,7 +246,7 @@ def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarra
 
 
 def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
-                       xi: float | None = None, tau_deg: float = TAU_DEG) -> float:
+                       xi: float | None = None) -> float:
     """Closed-form geometric phase of a canonical triad.
 
     Without ``xi`` this is the dimension-2 expression
@@ -262,7 +262,7 @@ def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
         _check_xi(xi)
         factor *= np.cos(xi)
     w = 1.0 + np.exp(1j * phi) * factor
-    if abs(w) <= tau_deg:
+    if abs(w) <= TAU_DEG:
         raise DegenerateTriadError("phase singularity: expression vanishes")
     return principal_angle(-float(np.angle(w)))
 
@@ -271,8 +271,8 @@ def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
 # coherent states, handled analytically
 
 
-def solve_dependent_coherent(theta_12: float, theta_31: float, phi_prime: float,
-                             tau_deg: float = TAU_DEG) -> tuple[float, float]:
+def solve_dependent_coherent(theta_12: float, theta_31: float,
+                             phi_prime: float) -> tuple[float, float]:
     """Dependent pair (theta_23, phi_g) for the coherent triad (0, r, r' e^{i phi'}).
 
     The radial labels follow from the first two angles through
@@ -285,7 +285,7 @@ def solve_dependent_coherent(theta_12: float, theta_31: float, phi_prime: float,
     r, rp = params.r, params.r_prime
     # exp(r r' cos phi') can carry c23 past 1: coincident rays, not an inconsistency
     c23 = np.cos(theta_12 / 2) * np.cos(theta_31 / 2) * np.exp(r * rp * np.cos(phi_prime))
-    theta_23 = _dependent_theta(float(c23), tau_deg)
+    theta_23 = _dependent_theta(float(c23))
     phi_g = principal_angle(-r * rp * np.sin(phi_prime))
     return theta_23, phi_g
 

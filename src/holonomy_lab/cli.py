@@ -86,9 +86,6 @@ _SETTINGS = {
     "seed": ("--seed", int, "seed for randomized checks"),
     "grid": ("--grid", int, "curve sample count"),
     "subgrid": ("--subgrid", int, "samples for the null-phase check"),
-    "tau_deg": ("--tol-deg", float, "degeneracy tolerance"),
-    "tau_npc": ("--tol-npc", float,
-                "relative imaginary tolerance for curve checks"),
     "tau_lead": ("--tol-lead", float,
                  "relative threshold for leading coefficients"),
 }
@@ -133,7 +130,7 @@ def _cmd_bi(args, config: RunConfig) -> int:
     states = _load(args.states, lambda t: formats.states_from_dict(
         formats.json_loads(t)))
     states = [core.normalize(s) for s in states]
-    delta = core.bargmann(states, tau_deg=config.tau_deg)
+    delta = core.bargmann(states)
     _emit_json({
         "order": len(states),
         "bargmann_invariant": delta,
@@ -147,7 +144,7 @@ def _cmd_angles(args, config: RunConfig) -> int:
         formats.json_loads(t)))
     if len(states) != 3:
         raise ValueError(f"angle extraction needs exactly 3 states, got {len(states)}")
-    got = ang.extract_angles(*states, tau_deg=config.tau_deg)
+    got = ang.extract_angles(*states)
     _emit_json(_angles_dict(got), config)
     return 0
 
@@ -160,8 +157,7 @@ def _cmd_reconstruct(args, config: RunConfig) -> int:
     t31 = _float_field(params, "theta_31")
     if args.space == "coherent":
         phi_prime = _float_field(params, "phi_prime")
-        theta_23, phi_g = ang.solve_dependent_coherent(
-            t12, t31, phi_prime, tau_deg=config.tau_deg)
+        theta_23, phi_g = ang.solve_dependent_coherent(t12, t31, phi_prime)
         p = ang.CoherentTriadParams(t12, t31, phi_prime)
         labels = [0.0 + 0.0j, complex(p.r), p.r_prime * np.exp(1j * phi_prime)]
         _emit_json({
@@ -177,13 +173,11 @@ def _cmd_reconstruct(args, config: RunConfig) -> int:
         xi = _float_field(params, "xi")
         triad = ang.build_canonical_n3(
             ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi))
-        theta_23, phi_g = ang.solve_dependent_n3(t12, t31, phi, xi,
-                                                 tau_deg=config.tau_deg)
+        theta_23, phi_g = ang.solve_dependent_n3(t12, t31, phi, xi)
     else:
         triad = ang.build_canonical_n2(
             ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
-        theta_23, phi_g = ang.solve_dependent_n2(t12, t31, phi,
-                                                 tau_deg=config.tau_deg)
+        theta_23, phi_g = ang.solve_dependent_n2(t12, t31, phi)
     out = formats.states_to_dict(triad)
     out["derived"] = {"theta_23": theta_23, "phi_g": phi_g}
     _emit_json(out, config)
@@ -199,7 +193,7 @@ def _cmd_phase(args, config: RunConfig) -> int:
     phi = _float_field(params, "phi")
     formula = args.formula or ("n3" if "xi" in params else "n2")
     xi = _float_field(params, "xi") if formula == "n3" else None
-    phase = ang.pancharatnam_phase(t12, t31, phi, xi=xi, tau_deg=config.tau_deg)
+    phase = ang.pancharatnam_phase(t12, t31, phi, xi=xi)
     _emit_json({"formula": formula, "phase": phase}, config)
     return 0
 
@@ -235,8 +229,7 @@ def _cmd_npc_generate(args, config: RunConfig) -> int:
 
 def _cmd_npc_verify(args, config: RunConfig) -> int:
     lift = _load(args.curve, formats.curve_from_csv)
-    report = curves.verify_npc(lift, subgrid=config.subgrid,
-                               tau_npc=config.tau_npc)
+    report = curves.verify_npc(lift, subgrid=config.subgrid)
     _emit_json({
         "checked": report.checked,
         "violations": report.violations,
@@ -261,10 +254,8 @@ def _cmd_npc_phase(args, config: RunConfig) -> int:
 def _cmd_npc_loop(args, config: RunConfig) -> int:
     segments = [_load(path, formats.curve_from_csv)
                 for path in args.curves + args.more]
-    loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid,
-                                       tau_npc=config.tau_npc)
-    vertex = _phase_of(core.bargmann([seg.psi[0] for seg in segments],
-                                     tau_deg=config.tau_deg))
+    loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid)
+    vertex = _phase_of(core.bargmann([seg.psi[0] for seg in segments]))
     _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
     return 0
 
@@ -275,10 +266,10 @@ def _cmd_decompose(args, config: RunConfig) -> int:
     if len(states) != 3:
         raise ValueError(f"decomposition needs exactly 3 states, got {len(states)}")
     triad = [core.normalize(s) for s in states]
-    angles = ang.extract_angles(*triad, tau_deg=config.tau_deg)
-    red = decompose.reduce_triad(*triad, tau_deg=config.tau_deg)
-    factors = decompose.bi_factorization(red, tau_deg=config.tau_deg)
-    delta = core.bargmann(triad, tau_deg=config.tau_deg)
+    angles = ang.extract_angles(*triad)
+    red = decompose.reduce_triad(*triad)
+    factors = decompose.bi_factorization(red)
+    delta = core.bargmann(triad)
     stars = red.rep3.stars()
     out = {
         "angles": _angles_dict(angles),
@@ -345,20 +336,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command", parser_class=_Parser)
 
-    p = _command(sub, "bi", _cmd_bi, ["tau_deg"],
+    p = _command(sub, "bi", _cmd_bi,
                  help="cyclic invariant and phase of a state list")
     p.add_argument("states", help="states JSON file, or - for stdin")
 
-    p = _command(sub, "angles", _cmd_angles, ["tau_deg"],
+    p = _command(sub, "angles", _cmd_angles,
                  help="six intrinsic angles of a triad")
     p.add_argument("triad", help="triad JSON file, or - for stdin")
 
-    p = _command(sub, "reconstruct", _cmd_reconstruct, ["tau_deg"],
+    p = _command(sub, "reconstruct", _cmd_reconstruct,
                  help="canonical triad from independent angles")
     p.add_argument("--space", choices=("n2", "n3", "coherent"), default="n2")
     p.add_argument("params", help="parameter JSON file, or - for stdin")
 
-    p = _command(sub, "phase", _cmd_phase, ["tau_deg"],
+    p = _command(sub, "phase", _cmd_phase,
                  help="closed-form triad phase from angles")
     p.add_argument("--formula", choices=("n2", "n3"),
                    help="default: n3 when 'xi' is present")
@@ -385,21 +376,20 @@ def build_parser() -> _Parser:
     p.add_argument("--theta0", type=float, required=True, help="opening angle")
     p.add_argument("--eps", type=float, default=0.0, help="family parameter")
     p.add_argument("--dim", type=int, default=3, help="ambient dimension")
-    p = _command(actions, "verify", _cmd_npc_verify, ["subgrid", "tau_npc"],
+    p = _command(actions, "verify", _cmd_npc_verify, ["subgrid"],
                  help="check the null-phase condition along a curve")
     p.add_argument("curve", help="curve CSV file, or - for stdin")
     p = _command(actions, "phase", _cmd_npc_phase,
                  help="geometric phase of one open curve")
     p.add_argument("curve", help="curve CSV file, or - for stdin")
-    p = _command(actions, "loop", _cmd_npc_loop,
-                 ["subgrid", "tau_npc", "tau_deg"],
+    p = _command(actions, "loop", _cmd_npc_loop, ["subgrid"],
                  help="geometric phase around a loop of three or more curves")
     p.add_argument("curves", nargs=3, metavar="CSV",
                    help="the first three curve files of a closed loop")
     p.add_argument("more", nargs="*", default=[], metavar="CSV",
                    help="further curve files, in order around the loop")
 
-    p = _command(sub, "decompose", _cmd_decompose, ["tau_deg"],
+    p = _command(sub, "decompose", _cmd_decompose,
                  help="reduction, factorization and solid angles of a triad")
     p.add_argument("triad", help="triad JSON file, or - for stdin")
 

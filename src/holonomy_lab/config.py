@@ -1,10 +1,12 @@
 """Shared tolerances and run configuration.
 
-The defaults of the settings :class:`RunConfig` carries live here; other
-tolerances (those of ``CurveLift``, ``MajoranaRep`` and more) keep their
-own.  The CLI builds a :class:`RunConfig` from an optional JSON file plus
-the flags of the command at hand, so batch runs are reproducible from the
-config alone.
+``TAU_DEG`` and ``TAU_NPC`` are the library's one degeneracy and one
+null-phase tolerance; every function that decides either reads them from
+here, and no caller overrides them.  The defaults of the settings
+:class:`RunConfig` carries live here too; other tolerances (those of
+``CurveLift``, ``MajoranaRep`` and more) keep their own.  The CLI builds
+a :class:`RunConfig` from an optional JSON file plus the flags of the
+command at hand, so batch runs are reproducible from the config alone.
 """
 
 from __future__ import annotations
@@ -32,10 +34,8 @@ DEFAULT_SUBGRID = 21
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tolerances, grid sizes and seeding for a batch run."""
+    """Leading-coefficient threshold, grid sizes and seeding for a batch run."""
 
-    tau_deg: float = TAU_DEG
-    tau_npc: float = TAU_NPC
     tau_lead: float = TAU_LEAD
     grid: int = DEFAULT_GRID
     subgrid: int = DEFAULT_SUBGRID
@@ -43,12 +43,11 @@ class RunConfig:
     output: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("tau_deg", "tau_npc", "tau_lead"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number")
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(f"{name} must be positive and finite")
+        lead = self.tau_lead
+        if not isinstance(lead, numbers.Real) or isinstance(lead, bool):
+            raise ValueError("tau_lead must be a real number")
+        if not math.isfinite(lead) or lead <= 0:
+            raise ValueError("tau_lead must be positive and finite")
         for name in ("grid", "subgrid", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

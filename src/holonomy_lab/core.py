@@ -52,20 +52,20 @@ def normalize(psi) -> np.ndarray:
     return psi / n
 
 
-def check_modulus(c: float, tau_deg: float = TAU_DEG) -> float:
+def check_modulus(c: float) -> float:
     """Return the overlap modulus c = cos(theta / 2) if theta is inside (0, pi).
 
-    Raises :class:`DegenerateTriadError` when c is within ``tau_deg`` of 0
+    Raises :class:`DegenerateTriadError` when c is within ``TAU_DEG`` of 0
     (orthogonal rays) or of 1 (coincident rays).
     """
-    if c <= tau_deg:
+    if c <= TAU_DEG:
         raise DegenerateTriadError("orthogonal rays: theta at the upper boundary")
-    if c >= 1.0 - tau_deg:
+    if c >= 1.0 - TAU_DEG:
         raise DegenerateTriadError("coincident rays: theta at the lower boundary")
     return c
 
 
-def ray_angle(v1, v2, tau_deg: float = TAU_DEG) -> tuple[complex, float]:
+def ray_angle(v1, v2) -> tuple[complex, float]:
     """Overlap (v1, v2) of two unit vectors and their angle theta in (0, pi).
 
     The overlap is exp(i phi) cos(theta / 2), and its modulus must pass
@@ -76,7 +76,7 @@ def ray_angle(v1, v2, tau_deg: float = TAU_DEG) -> tuple[complex, float]:
     ov = complex(np.vdot(v1, v2))
     if not cmath.isfinite(ov):
         raise ValueError("non-finite amplitude")
-    c = check_modulus(abs(ov), tau_deg)
+    c = check_modulus(abs(ov))
     r = v2 - ov * v1
     return ov, 2.0 * math.atan2(math.sqrt(np.vdot(r, r).real), c)
 
@@ -99,7 +99,7 @@ def wrap_angle_positive(x: float) -> float:
     return y
 
 
-def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
+def bargmann(states) -> complex:
     """Cyclic product of inner products of k >= 3 states.
 
     For three states this equals the trace of the product of their ray
@@ -120,7 +120,7 @@ def bargmann(states, tau_deg: float = TAU_DEG) -> complex:
         ov = complex(np.vdot(cur, states[j]))
         if not cmath.isfinite(ov):  # every amplitude enters two overlaps
             raise ValueError("non-finite amplitude")
-        if abs(ov) <= tau_deg * norms[i] * norms[j]:
+        if abs(ov) <= TAU_DEG * norms[i] * norms[j]:
             raise DegenerateTriadError(f"overlap of states {i} and {j} is degenerate")
         result *= ov
     return result

@@ -368,21 +368,18 @@ def _upper_pairs(size: int) -> np.ndarray:
     return mask
 
 
-def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
-               tau_npc: float = TAU_NPC) -> NpcReport:
+def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     """Check the real-positive invariant condition on a subgrid of samples.
 
     A curve is null phase exactly when some lift has all pairwise overlaps
     real and positive.  Rephasing against a pivot sample p gives that lift,
     G'_jk = Delta(p, j, k) / (|G_pj| |G_pk|), so only the triples through
     p are formed.  As arg Delta(i, j, k) = arg G'_ij + arg G'_jk + arg G'_ki,
-    holding each to ``tau_npc / 3`` holds all ``checked`` subgrid triples
-    to ``tau_npc``.  The pivot maximizes its smallest overlap; a sample
+    holding each to ``TAU_NPC / 3`` holds all ``checked`` subgrid triples
+    to ``TAU_NPC``.  The pivot maximizes its smallest overlap; a sample
     within ``TAU_DEG`` of orthogonal to it fails.  Violations, ``min_real``
     and ``max_rel_imag`` refer to the pivot triples [p, j, k].
     """
-    if not (math.isfinite(tau_npc) and tau_npc > 0):
-        raise ValueError("tau_npc must be positive and finite")
     if subgrid < 3:
         raise ValueError("subgrid must be at least 3")
     idx = _subgrid_indices(lift.s.size, subgrid)
@@ -398,7 +395,7 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID,
     mags = np.abs(deltas)
     rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
     near = mods[pivot] > TAU_DEG
-    good = ((deltas.real > 0.0) & (rel_imag <= tau_npc / 3.0)
+    good = ((deltas.real > 0.0) & (rel_imag <= TAU_NPC / 3.0)
             & (near[:, None] & near)[pairs])
     if good.all():
         triples, failed = np.empty((0, 3), dtype=int), np.empty(0, dtype=complex)
@@ -517,8 +514,7 @@ def open_curve_phase(lift: CurveLift) -> tuple[float, float, float]:
     return integral, endpoint, principal_angle(endpoint - integral)
 
 
-def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
-                         tau_npc: float = TAU_NPC) -> float:
+def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID) -> float:
     """Geometric phase of a closed loop built from k >= 3 null phase curves.
 
     Each segment must end within 1e-9 of the next segment's start ray.
@@ -546,7 +542,7 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID,
                              f"where segment {(a + 1) % k} starts")
         jumps.append(ov)
     for a, seg in enumerate(segments):
-        if not verify_npc(seg, subgrid=subgrid, tau_npc=tau_npc).ok:
+        if not verify_npc(seg, subgrid=subgrid).ok:
             raise ValueError(f"segment {a} is not a null phase curve")
     total = 0.0
     for ov, seg in zip(jumps, segments):

@@ -71,7 +71,7 @@ def _unitary_mapping(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mb.conj().T @ ma
 
 
-def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReduction:
+def reduce_triad(psi1, psi2, psi3) -> CanonicalReduction:
     """Carry a triad into canonical position by one unitary.
 
     The unitary is built in two stages.  A phase-fixed Householder sends
@@ -93,10 +93,10 @@ def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReducti
         raise ValueError("reduction needs dimension at least 2")
     ov12, ov23, ov31 = (complex(np.vdot(a, b)) for a, b in zip(v, v[1:] + v[:1]))
     for i, ov in enumerate((ov12, ov23, ov31)):
-        if abs(ov) <= tau_deg:
+        if abs(ov) <= TAU_DEG:
             raise DegenerateTriadError(
                 f"overlap of states {i} and {(i + 1) % 3} is degenerate")
-    c12 = check_modulus(abs(ov12), tau_deg)
+    c12 = check_modulus(abs(ov12))
 
     u = _to_e1_unitary(v[0])
     v_perp = u[1:] @ v[1]
@@ -104,7 +104,7 @@ def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReducti
     xi = np.array([alpha, math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))])
     w_perp = pure_product_state(xi, n)[1:]
     nv, nw = norm(v_perp), norm(w_perp)
-    if nv <= tau_deg or nw <= tau_deg:
+    if nv <= TAU_DEG or nw <= TAU_DEG:
         raise DegenerateTriadError("no component orthogonal to e1 to rotate")
     # the second stage fixes e1 and rotates its orthogonal complement
     u[1:] = _unitary_mapping(v_perp / nv, w_perp / nw) @ u[1:]
@@ -119,7 +119,7 @@ def reduce_triad(psi1, psi2, psi3, tau_deg: float = TAU_DEG) -> CanonicalReducti
     return CanonicalReduction(out[0], out[1], out[2], u, xi, rep3)
 
 
-def bi_factorization(red: CanonicalReduction, tau_deg: float = TAU_DEG) -> np.ndarray:
+def bi_factorization(red: CanonicalReduction) -> np.ndarray:
     """Two-level invariants whose product carries the full triad invariant.
 
     Factor k is the three-point invariant of the spinors (1, 0), xi and
@@ -129,7 +129,7 @@ def bi_factorization(red: CanonicalReduction, tau_deg: float = TAU_DEG) -> np.nd
     """
     spinors = red.rep3.spinors
     factors = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
-    if (np.abs(factors) <= tau_deg).any():
+    if (np.abs(factors) <= TAU_DEG).any():
         raise DegenerateTriadError("vanishing two-level factor")
     return factors
 

@@ -132,7 +132,30 @@ def _check_dependent_pair_n2(rng) -> tuple[Measure, ...]:
                                                             p.phi)
         got = ang.extract_angles(*triad)
         errs += [abs(got.theta_23 - solved_theta), _wrap_err(got.phi_g, solved_phi_g)]
-    return (_measure("1000 sets, max angle error", errs, 1e-10),)
+    return (_measure("1000 sets, max angle error", errs, 1e-10),
+            _measure("2000 edge-band theta_12, max error / eps",
+                     _edge_band_theta_errors(rng, 1000), 4.0))
+
+
+def _edge_band_theta_errors(rng, count: int) -> list[float]:
+    """|theta_12 - extracted theta_12| / eps on canonical n = 2 triads, with
+    theta_12 and then pi - theta_12 log-uniform in [1e-5, 1e-2], count each.
+
+    A bound of 4 is a relative error of 4 eps / theta_12 near 0.  theta_31
+    in [0.2, pi - 0.2] keeps the derived overlap clear of 0 and 1.
+    """
+    errs = []
+    for near_pi in (False, True):
+        for _ in range(count):
+            edge = 10.0 ** rng.uniform(-5.0, -2.0)
+            t12 = np.pi - edge if near_pi else edge
+            t31 = rng.uniform(0.2, np.pi - 0.2)
+            phi, phi_12, phi_31 = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            triad = ang.build_canonical_n2(
+                ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
+            errs.append(abs(ang.extract_angles(*triad).theta_12 - t12)
+                        / np.finfo(float).eps)
+    return errs
 
 
 def _fock_coherent(z: complex, nmax: int = 64) -> np.ndarray:

@@ -116,6 +116,18 @@ class TestBi:
         code, _, err = run(["bi", str(path)], capsys)
         assert code == 2
 
+    def test_orthogonal_pair_is_a_validation_error(self, tmp_path, capsys):
+        # states 0 and 1 are orthogonal, so the invariant is degenerate
+        path = tmp_path / "orthogonal.json"
+        path.write_text(json.dumps({"states": [
+            {"dim": 3, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
+            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]},
+            {"dim": 3, "amplitudes": [[0.6, 0], [0.8, 0], [0, 0]]},
+        ]}))
+        code, out, err = run(["bi", str(path)], capsys)
+        assert code == 2 and "degenerate" in err
+        assert out == ""
+
     def test_output_flag_writes_file(self, octant_file, tmp_path, capsys):
         target = tmp_path / "result.json"
         code, out, _ = run(["bi", octant_file, "--output", str(target)],
@@ -406,8 +418,7 @@ class TestNpc:
                     for n in names]
         config = RunConfig()
         want = formats.json_dumps(formats.result_to_jsonable({
-            "loop_phase": loop_geometric_phase(
-                segments, subgrid=config.subgrid, tau_npc=config.tau_npc),
+            "loop_phase": loop_geometric_phase(segments, subgrid=config.subgrid),
             "vertex_phase": core.bi_phase(*(seg.psi[0] for seg in segments)),
         }))
         code, out, err = run(["npc", "loop", *names], capsys)
@@ -559,63 +570,54 @@ class TestConfigPlumbing:
         assert out["geometric_phase"] == out["endpoint_phase"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
+        # the degeneracy and null-phase tolerances are not settings: the
+        # library reads TAU_DEG and TAU_NPC, so a file may not set them
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"gird": 17}))
-        code, _, err = run(["npc", "generate", "--theta0", "1.0",
-                            "--config", str(cfg)], capsys)
-        assert code == 1
-
-    def test_invalid_tolerance_is_usage_error(self, octant_file, capsys):
-        code, _, err = run(["bi", octant_file, "--tol-deg", "-1"], capsys)
-        assert code == 1
+        for entry in ({"gird": 17}, {"tau_deg": 1e-12}, {"tau_npc": 1e-10}):
+            cfg.write_text(json.dumps(entry))
+            code, out, err = run(["npc", "generate", "--theta0", "1.0",
+                                  "--config", str(cfg)], capsys)
+            assert code == 1 and out == ""
+            assert f"unknown config keys: {next(iter(entry))}" in err
 
     @pytest.fixture
-    def orthogonal_pair_file(self, tmp_path):
-        # states 0 and 1 are orthogonal, so the invariant is degenerate
-        path = tmp_path / "orthogonal.json"
-        path.write_text(json.dumps({"states": [
-            {"dim": 3, "amplitudes": [[1, 0], [0, 0], [0, 0]]},
-            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]},
-            {"dim": 3, "amplitudes": [[0.6, 0], [0.8, 0], [0, 0]]},
-        ]}))
+    def state_file(self, tmp_path):
+        """A state whose star polynomial has leading coefficients to weigh."""
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(
+            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}))
         return str(path)
 
-    @pytest.fixture
-    def reader_of(self, tmp_path, orthogonal_pair_file):
-        """A command that reads each tolerance flag, on an input it accepts."""
-        state = tmp_path / "state.json"
-        state.write_text(json.dumps(
-            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}))
-        return {"--tol-deg": ["bi", orthogonal_pair_file],
-                "--tol-npc": ["npc", "verify", write_curve(tmp_path)],
-                "--tol-lead": ["majorana", "stars", str(state)]}
+    def test_invalid_tolerance_is_usage_error(self, state_file, capsys):
+        code, _, err = run(["majorana", "stars", state_file, "--tol-lead", "-1"],
+                           capsys)
+        assert code == 1 and "positive" in err
 
-    @pytest.mark.parametrize("flag", ["--tol-deg", "--tol-npc", "--tol-lead"])
+    @pytest.mark.parametrize("flag", ["--tol-lead"])
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_tolerance_flag_is_usage_error(
-            self, orthogonal_pair_file, reader_of, capsys, flag, value):
-        code, _, err = run(["bi", orthogonal_pair_file], capsys)
-        assert code == 2 and "degenerate" in err
-        # a NaN tolerance compares False, so it would let the pair through
-        code, out, err = run(reader_of[flag] + [flag, value], capsys)
+            self, state_file, capsys, flag, value):
+        # a NaN threshold compares False, so no coefficient would count as zero
+        code, out, err = run(["majorana", "stars", state_file, flag, value],
+                             capsys)
         assert code == 1 and "finite" in err
         assert out == ""
 
-    @pytest.mark.parametrize("key", ["tau_deg", "tau_npc", "tau_lead"])
+    @pytest.mark.parametrize("key", ["tau_lead"])
     @pytest.mark.parametrize("value", ["NaN", "Infinity"])
     def test_non_finite_tolerance_in_config_file(
-            self, tmp_path, orthogonal_pair_file, capsys, key, value):
+            self, tmp_path, octant_file, capsys, key, value):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(f'{{"{key}": {value}}}')
         with pytest.raises(ValueError, match="finite"):
             RunConfig.from_file(str(cfg))
-        code, _, err = run(["bi", orthogonal_pair_file, "--config", str(cfg)],
-                           capsys)
+        # every field of the file is checked, whether the command reads it or not
+        code, _, err = run(["bi", octant_file, "--config", str(cfg)], capsys)
         assert code == 1 and "finite" in err
 
     @pytest.mark.parametrize("entry, message", [
-        ('"tau_deg": "x"', "tau_deg must be a real number"),
-        ('"tau_npc": true', "tau_npc must be a real number"),
+        ('"tau_lead": "x"', "tau_lead must be a real number"),
+        ('"tau_lead": true', "tau_lead must be a real number"),
         ('"tau_lead": [1e-10]', "tau_lead must be a real number"),
         ('"grid": 17.5', "grid must be an integer"),
         ('"grid": 17.0', "grid must be an integer"),
@@ -638,10 +640,10 @@ class TestConfigPlumbing:
 
     def test_config_integers_and_reals_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tau_deg": 1, "tau_npc": 2e-10, "grid": 17, "seed": -3,'
+        cfg.write_text('{"tau_lead": 1, "grid": 17, "seed": -3,'
                        ' "output": "out.json"}')
         config = RunConfig.from_file(str(cfg))
-        assert (config.tau_deg, config.grid, config.seed) == (1, 17, -3)
+        assert (config.tau_lead, config.grid, config.seed) == (1, 17, -3)
         assert RunConfig(grid=np.int64(9), seed=np.int32(1)).grid == 9
 
     @pytest.mark.parametrize("argv", [
@@ -651,6 +653,8 @@ class TestConfigPlumbing:
         "bi {states} --seed 1",
         "selftest --criterion 0 --grid 9",
         "selftest --criterion 0 --tol-npc 1e-9",
+        "bi {states} --tol-deg 1e-9",
+        "npc verify {curve} --tol-npc 1e9",
     ])
     def test_flag_the_command_does_not_read_is_usage_error(
             self, tmp_path, octant_file, capsys, argv):
@@ -678,19 +682,19 @@ class TestConfigPlumbing:
 # --config, --output and the run settings it passes to the library.
 IO = {"--config", "--output"}
 OPTIONS = {
-    ("bi",): IO | {"--tol-deg"},
-    ("angles",): IO | {"--tol-deg"},
-    ("decompose",): IO | {"--tol-deg"},
-    ("reconstruct",): IO | {"--tol-deg", "--space"},
-    ("phase",): IO | {"--tol-deg", "--formula"},
+    ("bi",): IO,
+    ("angles",): IO,
+    ("decompose",): IO,
+    ("reconstruct",): IO | {"--space"},
+    ("phase",): IO | {"--formula"},
     ("majorana", "roots"): IO | {"--tol-lead"},
     ("majorana", "stars"): IO | {"--tol-lead"},
     ("majorana", "rebuild"): IO,
     ("stars",): IO,
     ("npc", "phase"): IO,
     ("npc", "generate"): IO | {"--grid", "--theta0", "--eps", "--dim"},
-    ("npc", "verify"): IO | {"--subgrid", "--tol-npc"},
-    ("npc", "loop"): IO | {"--subgrid", "--tol-npc", "--tol-deg"},
+    ("npc", "verify"): IO | {"--subgrid"},
+    ("npc", "loop"): IO | {"--subgrid"},
     ("selftest",): IO | {"--seed", "--criterion"},
 }
 
@@ -711,7 +715,7 @@ class TestParser:
     def test_each_entry_point_takes_exactly_its_options(self):
         got = dict(entry_points(cli.build_parser()))
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 48
+        assert sum(map(len, got.values())) == 40
 
     def test_readme_settings_table_matches_parser(self):
         # every entry point's options but --config and --output, as listed

@@ -65,12 +65,12 @@ class TestInner:
 class TestRayAngle:
     def test_boundary_test_rejects_both_ends(self):
         with pytest.raises(DegenerateTriadError, match="orthogonal"):
-            core.check_modulus(TAU_DEG, TAU_DEG)
+            core.check_modulus(TAU_DEG)
         with pytest.raises(DegenerateTriadError, match="coincident"):
-            core.check_modulus(1.0 - TAU_DEG, TAU_DEG)
+            core.check_modulus(1.0 - TAU_DEG)
         for c in (np.nextafter(TAU_DEG, 1.0), 0.5,
                   np.nextafter(1.0 - TAU_DEG, 0.0)):
-            assert core.check_modulus(c, TAU_DEG) == c
+            assert core.check_modulus(c) == c
         assert issubclass(DegenerateTriadError, ValueError)
 
     def test_both_ends_of_a_pair_rejected(self):

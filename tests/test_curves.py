@@ -546,16 +546,6 @@ class TestVerifyNpc:
         with pytest.raises(ValueError, match="subgrid must be at least 3"):
             verify_npc(make_geodesic(rng, grid=9), subgrid=subgrid)
 
-    @pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0, -1e-9])
-    def test_tau_npc_must_be_positive_and_finite(self, tau):
-        # the same rule and message as RunConfig; an infinite tolerance
-        # would accept a latitude arc, which is not a null phase curve
-        arc = latitude_arc(0.7, 1.5, 3, grid=33)
-        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
-            RunConfig(tau_npc=tau)
-        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
-            verify_npc(arc, tau_npc=tau)
-
     def test_accepted_report_holds_empty_arrays(self, rng):
         report = verify_npc(make_geodesic(rng, grid=129))
         assert report.ok
@@ -622,10 +612,9 @@ class TestPivotCheckMatchesTripleScan:
         want = oracle_scan(lift, **kwargs)
         assert got.ok == want.ok
         assert got.checked == want.checked
-        tau = kwargs.get("tau_npc", TAU_NPC)
         if got.ok:
             # every subgrid triple, not just those through the pivot
-            assert want.max_rel_imag <= tau
+            assert want.max_rel_imag <= TAU_NPC
             assert want.min_real > 0
         # the pivot triples are among the scanned ones, up to the rounding
         # of a product taken in another order
@@ -974,8 +963,3 @@ class TestLoopPhase:
         with pytest.raises(ValueError, match="not a null phase curve"):
             loop_geometric_phase(segments)
 
-    @pytest.mark.parametrize("tau", [np.inf, np.nan, 0.0])
-    def test_tau_npc_must_be_positive_and_finite(self, rng, tau):
-        sides = self.sides(random_triad(rng, 3))
-        with pytest.raises(ValueError, match="tau_npc must be positive and finite"):
-            loop_geometric_phase(sides, tau_npc=tau)
