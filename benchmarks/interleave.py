@@ -1,4 +1,4 @@
-"""In-process A/B timing of the star layers on two source trees.
+"""In-process A/B timing of the library layers on two source trees.
 
 Both trees are imported in one process, under two package names, and
 each round times every layer on both trees in SWITCHES short blocks per
@@ -8,16 +8,20 @@ inside a round then falls on both sides, so the paired ratio separates
 gaps of a few percent that two separate runs of ``perfbench`` cannot.
 Tier-1 does not collect this file; run it as
 
-    python benchmarks/interleave.py --parent OLD/src [--change NEW/src]
+    python benchmarks/interleave.py --parent OLD/src [--change NEW/src] [--json PATH]
 
-where OLD is a checkout of the parent commit (``git archive`` into a
-directory outside the repository) and NEW defaults to this checkout's
-``src``.  The cases are
+where OLD is a checkout of the parent commit (``git clone`` or
+``git archive`` into a directory outside the repository) and NEW
+defaults to this checkout's ``src``.  The cases are
 
 - those of ``bench_stars.py``;
 - ``bargmann``, ``extract_angles``, ``reduce_triad`` and
   ``bi_factorization`` from ``bench_triad.py`` at n = 3 and 8, and
-  ``phase_from_solid_angles_n3``;
+  ``phase_from_solid_angles_n3`` and ``solid_angle_pair`` at n = 3;
+- ``triads.op`` at n = 2, 3, 5 and 8: one operation of the ``triads``
+  workload of ``perfbench`` (``bargmann``, ``extract_angles``,
+  ``reduce_triad`` and ``bi_factorization``, and at n = 3 the half-sum
+  of solid angles);
 - ``verify_npc`` on accepted and on rejected lifts and
   ``loop_geometric_phase`` on geodesic and family triangles, from
   ``bench_curves.py``.
@@ -29,9 +33,13 @@ which each tree makes itself.
 
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
-output entry, is printed with the timings.  Per layer the table gives
-each tree's minimum over rounds of its time per call in a round and the
-median over rounds of the change/parent ratio of those paired times.
+output entry, is printed with the timings.  A block holds at least
+MIN_CALLS calls, so one slow call does not set a round's time.  Per
+layer the table gives each tree's median over rounds of its time per
+call in a round, the median over rounds of the change/parent ratio of
+those paired times, and the rounds the change won.  ``--json PATH``
+writes the same table with the machine, the Python and NumPy versions
+and the parent commit (read with git when OLD is a clone).
 """
 
 import argparse
@@ -39,7 +47,12 @@ import dataclasses
 import gc
 import importlib.util
 import itertools
+import json
+import math
+import os
+import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -49,6 +62,7 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 BLOCK_S = 0.004  # time of one side's calls, per layer and round
 SWITCHES = 4  # short blocks per side and round, the sides taking turns
+MIN_CALLS = 8  # calls in one block, however slow the layer
 
 
 def load_tree(src: Path, name: str):
@@ -60,6 +74,21 @@ def load_tree(src: Path, name: str):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def triad_operation(lab):
+    """One ``triads`` operation of perfbench on the tree lab, as a function
+    of the three states."""
+    core, angles, dec = lab.core, lab.angles, lab.decompose
+
+    def operation(t1, t2, t3):
+        out = [core.bargmann([t1, t2, t3]), angles.extract_angles(t1, t2, t3),
+               dec.bi_factorization(dec.reduce_triad(t1, t2, t3))]
+        if t1.size == 3:
+            out.append(dec.phase_from_solid_angles_n3(t1, t2, t3))
+        return out
+
+    return operation
 
 
 def cases(lab):
@@ -96,6 +125,10 @@ def cases(lab):
                     [(dec.reduce_triad(*t),) for t in triads]))
     out.append(("decompose.phase_from_solid_angles_n3",
                 dec.phase_from_solid_angles_n3, bt.triad_pool(3)))
+    out.append(("decompose.solid_angle_pair", dec.solid_angle_pair,
+                [(dec.reduce_triad(*t),) for t in bt.triad_pool(3)]))
+    for n in (2, 3, 5, 8):
+        out.append((f"triads.op.n{n}", triad_operation(lab), bt.triad_pool(n)))
     out.append(("curves.verify_npc.accept", cv.verify_npc,
                 [(lift,) for lift in bc.family_lifts(301, 257)]))
     out.append(("curves.verify_npc.reject", cv.verify_npc,
@@ -127,12 +160,12 @@ def max_difference(fn_a, fn_b, pool_a, pool_b) -> float:
 
 
 def calls_for(fn, pool, target: float) -> int:
-    """Calls that take about target seconds, at least one."""
+    """Calls that take about target seconds, at least MIN_CALLS."""
     start = time.perf_counter()
     for args in pool[:3]:
         fn(*args)
     per_call = (time.perf_counter() - start) / len(pool[:3])
-    return max(1, round(target / per_call))
+    return max(MIN_CALLS, round(target / per_call))
 
 
 def timed(fn, inputs, calls: int) -> float:
@@ -167,6 +200,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=40)
     parser.add_argument("--only", default="",
                         help="time only layers whose label contains this text")
+    parser.add_argument("--json", type=Path,
+                        help="also write the table and the host to this JSON file")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
@@ -197,15 +232,54 @@ def main(argv=None) -> int:
             t_p.append(t_p_r)
             t_c.append(t_c_r)
 
+    layers = {label: summary(t_p, t_c, diff) for label, *_, diff, t_p, t_c in table}
     print(f"{args.rounds} rounds; parent {args.parent}, change {args.change}")
     print(f"{'layer':44} {'parent us':>10} {'change us':>10} {'ratio':>6} "
           f"{'won':>5} {'max rel diff':>12}")
-    for label, *_, diff, t_p, t_c in table:
-        ratio = statistics.median(c / p for p, c in zip(t_p, t_c))
-        won = sum(c < p for p, c in zip(t_p, t_c))
-        print(f"{label:44} {min(t_p) * 1e6:10.1f} {min(t_c) * 1e6:10.1f} "
-              f"{ratio:6.3f} {won:>2}/{len(t_p):<2} {diff:12.1e}")
+    for label, row in layers.items():
+        diff = row["max_rel_diff"]
+        print(f"{label:44} {row['parent_us']:10.1f} {row['change_us']:10.1f} "
+              f"{row['ratio']:6.3f} {row['won']:>2}/{row['rounds']:<2} "
+              f"{math.inf if diff is None else diff:12.1e}")
+    if args.json:
+        record = {"machine": machine(), "python": platform.python_version(),
+                  "numpy": np.__version__, "parent_commit": git_commit(args.parent),
+                  "rounds": args.rounds, "block_s": BLOCK_S, "switches": SWITCHES,
+                  "min_calls": MIN_CALLS, "layers": layers}
+        args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
+
+
+def summary(t_p: list[float], t_c: list[float], diff: float) -> dict:
+    """Medians, paired ratio and rounds won of one layer; a non-finite
+    output difference is written as None."""
+    return {"parent_us": statistics.median(t_p) * 1e6,
+            "change_us": statistics.median(t_c) * 1e6,
+            "ratio": statistics.median(c / p for p, c in zip(t_p, t_c)),
+            "won": sum(c < p for p, c in zip(t_p, t_c)), "rounds": len(t_p),
+            "max_rel_diff": diff if math.isfinite(diff) else None}
+
+
+def machine() -> dict:
+    """CPU model, logical CPUs and platform of this host."""
+    model = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as f:
+            model = next((line.split(":", 1)[1].strip() for line in f
+                          if line.startswith("model name")), model)
+    except OSError:
+        pass
+    return {"cpu": model, "cpus": os.cpu_count(), "platform": platform.platform()}
+
+
+def git_commit(src: Path) -> str | None:
+    """Commit checked out at src, or None when src is not in a git clone."""
+    try:
+        return subprocess.run(["git", "-C", str(src), "rev-parse", "HEAD"],
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 if __name__ == "__main__":

@@ -40,7 +40,9 @@ class CurveLift(object):
     writes to its own arrays afterwards changes nothing here.  The
     conjugate samples and the lag-1 overlaps (psi_i, psi_{i+1}), which the
     unit-norm and degeneracy checks form, are kept read-only as well, for
-    :func:`connection_integral` to read.
+    :func:`connection_integral` to read.  The lift builders of this module
+    hand over arrays they have just made through ``_owned``, which runs
+    the same checks without the copy.
     """
 
     s: np.ndarray
@@ -49,8 +51,18 @@ class CurveLift(object):
     _lag1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        s = np.array(self.s, dtype=float).reshape(-1)
-        psi = np.array(self.psi, dtype=complex)
+        self._seal(np.array(self.s, dtype=float).reshape(-1),
+                   np.array(self.psi, dtype=complex))
+
+    @classmethod
+    def _owned(cls, s: np.ndarray, psi: np.ndarray) -> "CurveLift":
+        """Lift of a 1-D float grid and a complex sample array that no one
+        else holds; both are checked and made read-only, not copied."""
+        lift = object.__new__(cls)
+        lift._seal(s, psi)
+        return lift
+
+    def _seal(self, s: np.ndarray, psi: np.ndarray) -> None:
         if s.size < 3:
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
@@ -190,7 +202,7 @@ def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID) -> CurveLift:
     psi = np.outer(np.cos(half), v1) + np.outer(np.sin(half), e2)
     psi[0] = v1
     psi[-1] = v2
-    return CurveLift(t, psi)
+    return CurveLift._owned(t, psi)
 
 
 def frame_from_pair(psi_a, psi_b, size: int = 3) -> CurveFrame:
@@ -346,7 +358,9 @@ def profile_to_lift(frame: CurveFrame, profile: RealProfile) -> CurveLift:
         first = report.violations[0]
         raise ValueError(f"invalid profile: {first['detail']} "
                          f"({len(report.violations)} violations)")
-    return CurveLift(profile.s, profile.x.astype(complex) @ frame.vectors)
+    # profile.s belongs to the caller, so only the grid is copied
+    psi = profile.x.astype(complex) @ frame.vectors
+    return CurveLift._owned(profile.s.copy(), psi)
 
 
 @lru_cache(maxsize=256)

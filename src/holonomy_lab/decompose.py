@@ -20,9 +20,10 @@ from .config import TAU_DEG
 from .core import DegenerateTriadError, as_state, check_modulus, norm, normalize
 from .majorana import (
     MajoranaRep,
+    _factor,
+    _pure_product,
+    _unit_spinor_to_star,
     coefficients_to_roots,
-    pure_product_state,
-    spinor_to_star,
     star_to_spinor,
 )
 
@@ -101,8 +102,9 @@ def reduce_triad(psi1, psi2, psi3) -> CanonicalReduction:
     u = _to_e1_unitary(v[0])
     v_perp = u[1:] @ v[1]
     alpha = cmath.exp(1j * cmath.phase(ov12) / (n - 1)) * c12 ** (1.0 / (n - 1))
-    xi = np.array([alpha, math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))])
-    w_perp = pure_product_state(xi, n)[1:]
+    beta = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
+    xi = np.array([alpha, beta])
+    w_perp = _pure_product(alpha, beta, n)[1:]
     nv, nw = norm(v_perp), norm(w_perp)
     if nv <= TAU_DEG or nw <= TAU_DEG:
         raise DegenerateTriadError("no component orthogonal to e1 to rotate")
@@ -110,7 +112,7 @@ def reduce_triad(psi1, psi2, psi3) -> CanonicalReduction:
     u[1:] = _unitary_mapping(v_perp / nv, w_perp / nw) @ u[1:]
 
     out = np.array(v) @ u.T
-    rep3 = coefficients_to_roots(out[2])
+    rep3 = _factor(out[2])
     # the spinor product's constant term rebuilds the overlap of psi3 with e1
     rebuilt = rep3.scale * np.prod(rep3.spinors[:, 0]) * math.sqrt(
         math.factorial(n - 1))
@@ -156,7 +158,8 @@ def _vertex(nhat) -> tuple[list[float], list[complex]]:
 
 
 def _triangle(va, vb, vc) -> float:
-    """solid_angle of three (star, spinor) vertices made by _vertex."""
+    """solid_angle of three (star, spinor) vertices: three floats and two
+    complex each, the spinor of unit norm up to rounding."""
     (a, sa), (b, sb), (c, sc) = va, vb, vc
     sides = ((a, b), (b, c), (c, a))
     if any(math.hypot(*(x + y for x, y in zip(p, q))) <= 1e-8 for p, q in sides):
@@ -195,10 +198,19 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3) -> float:
 
 
 def solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
-    """Solid angles of (north, star of xi, each star of psi3), dimension 3."""
-    north = _vertex([0.0, 0.0, 1.0])
-    xi = _vertex(spinor_to_star(red.xi))
-    return tuple(_triangle(north, xi, _vertex(star)) for star in red.rep3.stars())
+    """Solid angles of (north, star of xi, each star of psi3), dimension 3.
+
+    The reduction holds every vertex spinor: (1, 0), xi and the spinors
+    of psi3.  Their stars come from one call, and each triangle reads the
+    spinors as they are, without a round trip through star_to_spinor.
+    """
+    spinors = np.empty((red.rep3.spinors.shape[0] + 2, 2), dtype=complex)
+    spinors[0] = 1.0, 0.0
+    spinors[1] = red.xi
+    spinors[2:] = red.rep3.spinors
+    vertices = list(zip(_unit_spinor_to_star(spinors).tolist(), spinors.tolist()))
+    north, xi = vertices[:2]
+    return tuple(_triangle(north, xi, star) for star in vertices[2:])
 
 
 _LEX_WEIGHTS = np.array([4.0, 2.0, 1.0])  # the first differing coordinate decides

@@ -28,6 +28,7 @@ from .core import normalize
 # a root gap below this times 1 + |t0| + |t1| is rounding noise on a double root
 _DOUBLE_ROOT = 4.0 * math.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny  # smallest normal float
+_UP = 2.0 ** 600  # lifts a subnormal modulus into the normal range, exactly
 
 SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -50,6 +51,9 @@ class MajoranaRep:
     batch of B has spinors of shape (B, n-1, 2) and an array of B scales.
     Each spinor must have norm 1 within 1e-12 and is stored divided by
     its norm, so ``stars()`` reads unit spinors without normalizing again.
+    The star kernel builds its spinors unit to a few ulp and hands them
+    over as they are: they pass the same two checks but are not divided
+    again (see ``_kernel_rep``).
     """
 
     spinors: np.ndarray
@@ -59,14 +63,9 @@ class MajoranaRep:
         scale = np.asarray(self.scale, dtype=complex)
         spinors = np.asarray(self.spinors, dtype=complex).reshape(
             scale.shape + (-1, 2))
-        object.__setattr__(self, "spinors", spinors)
-        object.__setattr__(self, "scale", scale if scale.ndim else complex(scale))
-        if not (np.isfinite(scale).all() and scale.all()):
-            raise ValueError("scale must be finite and nonzero")
-        norms = _spinor_norms(spinors)
-        if not (np.abs(norms - 1.0) <= 1e-12).all():
-            raise ValueError("spinors must be unit normalized")
+        norms = _check_rep(spinors, scale)
         object.__setattr__(self, "spinors", spinors / norms[..., None])
+        object.__setattr__(self, "scale", scale if scale.ndim else complex(scale))
 
     @property
     def dim(self) -> int:
@@ -74,6 +73,33 @@ class MajoranaRep:
 
     def stars(self) -> np.ndarray:
         return _unit_spinor_to_star(self.spinors)
+
+
+def _check_rep(spinors: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Norms of the spinors; the scale must be finite and nonzero and
+    every norm 1 within 1e-12."""
+    if not (np.isfinite(scale).all() and scale.all()):
+        raise ValueError("scale must be finite and nonzero")
+    norms = _spinor_norms(spinors)
+    if not (np.abs(norms - 1.0) <= 1e-12).all():
+        raise ValueError("spinors must be unit normalized")
+    return norms
+
+
+def _kernel_rep(spinors: np.ndarray, scale: np.ndarray) -> MajoranaRep:
+    """MajoranaRep of the star kernel's complex spinors and scales.
+
+    The shapes are already right and the spinors unit to a few ulp, so
+    the constructor's conversion and division are skipped.  The two
+    checks that the kernel's output can fail stay: its lead product can
+    underflow to a non-finite scale, and a spinor off unit norm would be
+    a kernel fault.
+    """
+    _check_rep(spinors, scale)
+    rep = object.__new__(MajoranaRep)
+    object.__setattr__(rep, "spinors", spinors)
+    object.__setattr__(rep, "scale", scale if scale.ndim else complex(scale))
+    return rep
 
 
 def _spinor_norms(xi: np.ndarray) -> np.ndarray:
@@ -226,7 +252,11 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     unit spinor along (-w, 1) whose first entry is real and nonnegative,
     the phase star_to_spinor fixes; a root at 0 gives (0, 1).
     """
-    psi = _check_states(psi)
+    return _factor(_check_states(psi), tau_lead)
+
+
+def _factor(psi: np.ndarray, tau_lead: float = TAU_LEAD) -> MajoranaRep:
+    """coefficients_to_roots of a complex state or (B, n) batch already checked."""
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
     coeffs = batch * _weights(n)[0]
@@ -266,6 +296,12 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
         h = np.hypot(mod, 1.0)
         pairs = np.empty(roots.shape + (2,), dtype=complex)
         pairs[..., 0] = mod / h
+        # complex / subnormal real forms 1 / |w|, which overflows, so such
+        # a root is first scaled by a power of two; the m roots come first
+        tiny = mod[:, :m] < _TINY
+        if tiny.any():
+            roots[:, :m][tiny] *= _UP
+            mod = np.abs(roots)
         beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
                          where=mod > 0)
         pairs[..., 1] = beta / h
@@ -273,7 +309,7 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
         lead[rows] = pairs[..., 1].prod(axis=-1)
     # the highest surviving coefficient fixes the scale
     scale = coeffs[np.arange(count), degree] / (math.sqrt(math.factorial(n - 1)) * lead)
-    return MajoranaRep(spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
+    return _kernel_rep(spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
                        scale.reshape(psi.shape[:-1]))
 
 
@@ -300,6 +336,11 @@ def pure_product_state(xi, n: int) -> np.ndarray:
     a, b = as_spinor(xi)
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    return _pure_product(a, b, n)
+
+
+def _pure_product(a: complex, b: complex, n: int) -> np.ndarray:
+    """pure_product_state of the unit spinor (a, b), already checked."""
     k = np.arange(n)
     return _weights(n)[0] * a ** (n - 1 - k) * b ** k
 

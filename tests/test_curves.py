@@ -82,6 +82,15 @@ class TestCurveLift:
         assert np.array_equal(lift.psi, base.psi)
         assert connection_integral(lift) == want
 
+    def test_builder_path_runs_every_check(self):
+        s = np.linspace(0.0, 1.0, 3)
+        with pytest.raises(ValueError, match="unit"):
+            CurveLift._owned(s, np.tile([2.0 + 0j, 0.0], (3, 1)))
+        with pytest.raises(ValueError, match="orthogonal"):
+            CurveLift._owned(s, np.array([[1, 0], [0, 1], [1, 0]], dtype=complex))
+        with pytest.raises(ValueError, match="uniform"):
+            CurveLift._owned(np.array([0.0, 0.2, 1.0]), np.eye(3, dtype=complex))
+
     def test_samples_are_read_only(self, rng):
         lift = make_geodesic(rng, grid=9)
         with pytest.raises(ValueError, match="read-only"):
@@ -322,6 +331,16 @@ class TestProfileToLift:
         bad = RealProfile(profile.s, x)
         with pytest.raises(ValueError, match="invalid profile"):
             profile_to_lift(frame, bad)
+
+    def test_lift_keeps_its_own_grid(self, rng):
+        frame = frame_from_pair(core.random_state(4, rng),
+                                core.random_state(4, rng), size=3)
+        s = np.linspace(0.0, 1.0, 33)
+        want = generate_npc_profile(frame.theta0, 3, 0.7, grid=33)
+        lift = profile_to_lift(frame, RealProfile(s, want.x))
+        s *= 2.0  # the profile holds the caller's grid, the lift a copy
+        assert np.array_equal(lift.s, want.s)
+        assert not lift.s.flags.writeable and not lift.psi.flags.writeable
 
     def test_lift_matches_frame_combination(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),

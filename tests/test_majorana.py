@@ -120,14 +120,61 @@ class TestDecompositionSpinors:
         self.assert_canonical(rep)
         assert np.all(rep.spinors[-2:] == [0.0, 1.0])
 
-    @pytest.mark.parametrize("mod", [1e190, 1e-300, 1.0])
+    @pytest.mark.parametrize("mod", [1e190, 1e-300, 1.0, 1e-310, 5e-324])
     def test_extreme_root_moduli(self, rng, mod):
         phase = np.exp(2j * np.pi * rng.uniform())
         w = mod * phase
         # p(z) = A0 + A1 z has its root at w = -A0 / A1
         psi = np.array([-w, 1.0]) if mod < 1 else np.array([-phase, 1.0 / mod])
-        rep = mj.coefficients_to_roots(psi, tau_lead=1e-250)
-        self.assert_canonical(rep, [w])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = mj.coefficients_to_roots(psi, tau_lead=1e-250)
+        if abs(w) >= np.finfo(float).tiny:
+            self.assert_canonical(rep, [w])
+        else:
+            # the oracle divides by a subnormal pivot, which overflows, so it
+            # gets the root times 2^600, exactly; there hypot(|w|, 1) = 1 and
+            # alpha = |w| scales back exactly
+            self.assert_canonical(rep)
+            want = _canonical_spinor(np.array([-w * 2.0 ** 600, 1.0]))
+            want[0] *= 2.0 ** -600
+            assert np.all(np.abs(rep.spinors[0] - want) <= 1e-12 * np.abs(want))
+            assert abs(rep.stars()[0, 2] + 1.0) <= 4 * EPS  # the south pole
+        assert np.abs(mj.roots_to_coefficients(rep) - psi).max() <= 4 * EPS
+
+
+class TestKernelRep:
+    """The MajoranaRep that the star kernel builds without dividing again."""
+
+    def test_spinors_match_the_public_constructor(self, rng):
+        for n in (2, 3, 5, 8, 20):
+            batch = np.array([core.random_state(n, rng) for _ in range(30)])
+            batch[::3, n // 2:] = 0.0  # trailing zeros: exact south spinors
+            kernel = mj.coefficients_to_roots(batch)
+            public = mj.MajoranaRep(kernel.spinors, kernel.scale)
+            assert np.all(np.abs(kernel.spinors - public.spinors) <= 4 * EPS)
+            assert np.array_equal(kernel.scale, public.scale)
+            norms = np.linalg.norm(kernel.spinors, axis=-1)
+            assert np.all(np.abs(norms - 1.0) <= 1e-12)
+
+    def test_single_state_scale_is_complex(self, rng):
+        rep = mj.coefficients_to_roots(core.random_state(4, rng))
+        assert type(rep.scale) is complex
+        assert rep.spinors.shape == (3, 2)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, complex(1.0, np.inf), 0.0])
+    def test_bad_scale_raises(self, scale):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            mj._kernel_rep(np.array([[1.0, 0.0]], dtype=complex),
+                           np.array(scale, dtype=complex))
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            mj._kernel_rep(np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=complex),
+                           np.array([1.0, scale], dtype=complex))
+
+    def test_off_unit_spinor_raises(self):
+        spinors = np.array([[1.0, 0.0], [0.6, 0.8 * (1.0 + 1e-9)]], dtype=complex)
+        with pytest.raises(ValueError, match="unit normalized"):
+            mj._kernel_rep(spinors, np.array(1.0 + 0j))
 
 
 class TestRootsAndCoefficients:
