@@ -15,7 +15,12 @@ does not vanish.  Loops are k = 3 triangles of geodesic sides at grid
 the same two vertices.  The whole-curve case builds a lift from sample
 arrays, checks it and integrates it, as a ``perfbench`` curve operation
 does: accepted curves are geodesics at grid 1025, rejected ones latitude
-arcs of spin-coherent states at grid 257.
+arcs of spin-coherent states at grid 257.  ``pair_inputs``,
+``profile_inputs`` and ``loop_inputs`` draw the inputs of the other
+``perfbench`` curve operations (geodesics at grids 257 and 1025 in turn,
+two of every five profiles at grid 257, loops of three geodesic sides at
+grid 257 of which every other one has a profile side); the interleaved
+A/B of ``interleave.py`` times whole operations on them.
 """
 
 import numpy as np
@@ -75,6 +80,44 @@ def latitude_arcs(seed, grid):
     return arcs
 
 
+def pair_inputs(seed, grids=(257, 1025)):
+    """(v1, v2, grid): in-phase pairs for geodesic lifts, the grids in turn."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for i in range(POOL):
+        n = DIMS[int(rng.integers(len(DIMS)))]
+        v1, v2 = curves.in_phase_gauge(core.random_state(n, rng),
+                                       core.random_state(n, rng))
+        pairs.append((v1, v2, grids[i % len(grids)]))
+    return pairs
+
+
+def profile_inputs(seed):
+    """(frame, profile), two of every five at grid 257 and three at 1025."""
+    rng = np.random.default_rng(seed)
+    return [frame_and_profile(rng, 257 if i % 5 < 2 else 1025) for i in range(POOL)]
+
+
+def loop_inputs(seed):
+    """(pairs, swap) of triangles: the in-phase pairs of its sides and, on
+    every other loop, (side, frame, profile) for an eps-family side."""
+    rng = np.random.default_rng(seed)
+    loops = []
+    for i in range(POOL):
+        n = DIMS[int(rng.integers(len(DIMS)))]
+        triad = [core.random_state(n, rng) for _ in range(3)]
+        pairs = [curves.in_phase_gauge(a, b)
+                 for a, b in zip(triad, triad[1:] + triad[:1])]
+        swap = None
+        if i % 2:
+            side = int(rng.integers(3))
+            frame = curves.frame_from_pair(*pairs[side], size=3)
+            swap = (side, frame, curves.generate_npc_profile(
+                frame.theta0, 3, float(rng.uniform(0.1, 1.2))))
+        loops.append((pairs, swap))
+    return loops
+
+
 def curve_op(s, psi):
     """One whole curve: build the lift, check it, integrate it."""
     lift = curves.CurveLift(s, psi)
@@ -99,6 +142,11 @@ def triangle_loops(seed, family):
 
 
 GRIDS = pytest.mark.parametrize("grid", [257, 1025], ids=lambda g: f"g{g}")
+
+
+@GRIDS
+def test_geodesic_lift(benchmark, grid):
+    benchmark(cycling(curves.geodesic_lift, pair_inputs(309, (grid,))))
 
 
 @GRIDS

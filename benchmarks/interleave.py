@@ -24,7 +24,14 @@ defaults to this checkout's ``src``.  The cases are
   of solid angles);
 - ``verify_npc`` on accepted and on rejected lifts and
   ``loop_geometric_phase`` on geodesic and family triangles, from
-  ``bench_curves.py``.
+  ``bench_curves.py``, and from there too ``CurveLift``,
+  ``geodesic_lift``, ``profile_to_lift`` and ``connection_integral`` at
+  grids 257 and 1025 and ``validate_profile`` at 1025;
+- ``curves.op`` for each kind of operation of the ``curves`` workload of
+  ``perfbench``: ``geodesic``, ``profile`` and ``arc`` build a lift (from
+  an in-phase pair, a frame and profile, or sample arrays), check it and
+  integrate it; ``loop`` builds three sides, one of them on every other
+  loop from a profile, and takes the loop's geometric phase.
 
 Every layer is called with positional inputs only, so a keyword that
 one tree has and the other lacks cannot split them.  Inputs come from
@@ -91,6 +98,27 @@ def triad_operation(lab):
     return operation
 
 
+def curve_operations(lab) -> dict:
+    """One operation of each kind of the ``curves`` workload of perfbench
+    on the tree lab, by kind, each a function of that kind's inputs."""
+    cv = lab.curves
+
+    def scan(lift):
+        return cv.verify_npc(lift), cv.connection_integral(lift)
+
+    def loop(pairs, swap):
+        sides = [cv.geodesic_lift(v1, v2, 257) for v1, v2 in pairs]
+        if swap is not None:
+            side, frame, profile = swap
+            sides[side] = cv.profile_to_lift(frame, profile)
+        return cv.loop_geometric_phase(sides)
+
+    return {"geodesic": lambda v1, v2, grid: scan(cv.geodesic_lift(v1, v2, grid)),
+            "profile": lambda frame, profile: scan(cv.profile_to_lift(frame, profile)),
+            "arc": lambda s, psi: scan(cv.CurveLift(s, psi)),
+            "loop": loop}
+
+
 def cases(lab):
     """(label, function, pool) of every layer, for one loaded tree."""
     import bench_curves as bc
@@ -136,6 +164,28 @@ def cases(lab):
     for kind in ("geodesic", "family"):
         out.append((f"curves.loop_geometric_phase.{kind}", cv.loop_geometric_phase,
                     bc.triangle_loops(306, kind == "family")))
+    for grid in (257, 1025):
+        out.append((f"curves.CurveLift.g{grid}", cv.CurveLift,
+                    [(lift.s, lift.psi) for lift in bc.twisted_geodesics(300, grid)]))
+        out.append((f"curves.geodesic_lift.g{grid}", cv.geodesic_lift,
+                    bc.pair_inputs(309, (grid,))))
+        rng = np.random.default_rng(304)
+        out.append((f"curves.profile_to_lift.g{grid}", cv.profile_to_lift,
+                    [bc.frame_and_profile(rng, grid) for _ in range(bt.POOL)]))
+        out.append((f"curves.connection_integral.g{grid}", cv.connection_integral,
+                    [(lift,) for lift in bc.twisted_geodesics(303, grid)]))
+    rng = np.random.default_rng(305)
+    out.append(("curves.validate_profile.g1025", cv.validate_profile,
+                [(profile, frame.theta0) for frame, profile in
+                 (bc.frame_and_profile(rng, 1025) for _ in range(bt.POOL))]))
+    ops = curve_operations(lab)
+    arcs = [arc for pair in zip(bc.latitude_arcs(308, 257), bc.latitude_arcs(310, 1025))
+            for arc in pair]
+    for kind, pool in (("geodesic", bc.pair_inputs(311)),
+                       ("profile", bc.profile_inputs(312)),
+                       ("arc", arcs),
+                       ("loop", bc.loop_inputs(313))):
+        out.append((f"curves.op.{kind}", ops[kind], pool))
     return out
 
 

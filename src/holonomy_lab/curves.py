@@ -14,15 +14,18 @@ twice.
 
 A lift holds read-only copies of its grid and samples, together with the
 conjugate samples and the lag-1 overlaps that its own checks form; the
-connection integral reads those rather than forming them again.  The
-null-phase check keeps the triples it rejects as an index array and a
-value array, and builds a list of dicts from them only when asked.
+connection integral and the null-phase check read those rather than
+forming them again.  Geodesic lifts of one size share one cached grid,
+which lies over an immutable buffer.  The null-phase check keeps the
+triples it rejects as an index array and a value array, and builds a
+list of dicts from them only when asked.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -40,9 +43,10 @@ class CurveLift(object):
     writes to its own arrays afterwards changes nothing here.  The
     conjugate samples and the lag-1 overlaps (psi_i, psi_{i+1}), which the
     unit-norm and degeneracy checks form, are kept read-only as well, for
-    :func:`connection_integral` to read.  The lift builders of this module
-    hand over arrays they have just made through ``_owned``, which runs
-    the same checks without the copy.
+    :func:`connection_integral` and :func:`verify_npc` to read.  The lift
+    builders of this module and the CSV reader hand over arrays they have
+    just made through ``_owned``, which runs the same checks without the
+    copy; geodesic lifts of one size hold the same cached grid.
     """
 
     s: np.ndarray
@@ -67,20 +71,26 @@ class CurveLift(object):
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
             raise ValueError("psi must have one row per sample")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite sample in curve")
-        steps = np.diff(s)
-        if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * abs(steps[0]):
+        # rounding is monotone, so the largest |step - first| is hi - first
+        # or first - lo; a NaN or an infinite step fails before either is
+        # formed, and only then is s scanned for the message
+        steps = s[1:] - s[:-1]
+        first, lo, hi = steps[0], steps.min(), steps.max()
+        if not (lo > 0 and hi < math.inf
+                and max(hi - first, first - lo) <= 1e-9 * first):
+            if not np.isfinite(s).all():
+                raise ValueError("non-finite sample in curve")
             raise ValueError("sample grid must be uniform and increasing")
         conj = np.conjugate(psi)
         norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
-        # a non-finite entry makes its row's norm inf or NaN, which fails here
-        if not np.max(np.abs(norms - 1.0)) <= 1e-9:
+        # max |norm - 1| by the same monotone rounding; a non-finite entry
+        # makes its row's norm inf or NaN, which fails here
+        if not max(norms.max() - 1.0, 1.0 - norms.min()) <= 1e-9:
             if not np.all(np.isfinite(psi)):
                 raise ValueError("non-finite sample in curve")
             raise ValueError("all samples must be unit vectors")
         lag1 = np.einsum("ij,ij->i", conj[:-1], psi[1:])
-        if np.min(np.abs(lag1)) <= TAU_DEG:
+        if np.abs(lag1).min() <= TAU_DEG:
             raise ValueError("consecutive samples are orthogonal; lift is degenerate")
         for name, value in (("s", s), ("psi", psi), ("_conj", conj), ("_lag1", lag1)):
             value.flags.writeable = False
@@ -192,14 +202,22 @@ def _pair_plane(v1, v2) -> tuple[np.ndarray, float]:
     return normalize(r), theta0
 
 
+@lru_cache(maxsize=256)
+def _unit_grid(grid: int) -> np.ndarray:
+    """Uniform grid of ``grid`` samples on [0, 1], shared by every geodesic
+    lift of that size.  It lies over an immutable buffer, so it stays
+    read-only even against a reset of its writeable flag."""
+    return np.frombuffer(np.linspace(0.0, 1.0, grid).tobytes())
+
+
 def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID) -> CurveLift:
     """Horizontal geodesic between an in-phase pair, sampled on [0, 1]."""
     v1 = normalize(psi1)
     v2 = normalize(psi2)
     e2, theta0 = _pair_plane(v1, v2)
-    t = np.linspace(0.0, 1.0, grid)
+    t = _unit_grid(operator.index(grid))
     half = 0.5 * theta0 * t
-    psi = np.outer(np.cos(half), v1) + np.outer(np.sin(half), e2)
+    psi = np.cos(half)[:, None] * v1 + np.sin(half)[:, None] * e2
     psi[0] = v1
     psi[-1] = v2
     return CurveLift._owned(t, psi)
@@ -330,16 +348,21 @@ def validate_profile(profile: RealProfile, theta0: float,
     columns = np.ascontiguousarray(x.T)
     squares = (columns * columns).sum(axis=0)
     norms = np.sqrt(squares)
-    for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
-        report.violations.append({"kind": "local", "index": int(i),
-                                  "detail": f"norm {norms[i]:.12f} is not 1"})
-    for i in np.flatnonzero(columns[0] <= 0.0):
-        report.violations.append({"kind": "local", "index": int(i),
-                                  "detail": "first component not positive"})
     combo = c0 * columns[0] + s0 * columns[1]
-    for i in np.flatnonzero(combo <= 0.0):
-        report.violations.append({"kind": "local", "index": int(i),
-                                  "detail": "C0 x1 + S0 x2 not positive"})
+    # extremes settle all three local tests on a passing profile (max
+    # |norm - 1| by monotone rounding, as for a lift); only a profile that
+    # fails one, or holds a NaN, is scanned sample by sample
+    if not (max(norms.max() - 1.0, 1.0 - norms.min()) <= tol
+            and columns[0].min() > 0.0 and combo.min() > 0.0):
+        for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
+            report.violations.append({"kind": "local", "index": int(i),
+                                      "detail": f"norm {norms[i]:.12f} is not 1"})
+        for i in np.flatnonzero(columns[0] <= 0.0):
+            report.violations.append({"kind": "local", "index": int(i),
+                                      "detail": "first component not positive"})
+        for i in np.flatnonzero(combo <= 0.0):
+            report.violations.append({"kind": "local", "index": int(i),
+                                      "detail": "C0 x1 + S0 x2 not positive"})
     if not _nonlocal_certified(columns, squares, tol):
         report.violations.extend(_nonlocal_violations(x, tol))
     return report
@@ -397,20 +420,26 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     if subgrid < 3:
         raise ValueError("subgrid must be at least 3")
     idx = _subgrid_indices(lift.s.size, subgrid)
-    p = lift.psi[idx]
-    gram = np.conjugate(p) @ p.T
+    gram = lift._conj[idx] @ lift.psi[idx].T
     mods = np.abs(gram)
-    pivot = int(np.argmax(mods.min(axis=1)))
+    smallest = mods.min(axis=1)
+    pivot = int(np.argmax(smallest))
     # pairs j < k, neither of them the pivot, in row-major order
     pairs = _upper_pairs(idx.size).copy()
     pairs[pivot] = False
     pairs[:, pivot] = False
     deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
     mags = np.abs(deltas)
-    rel_imag = np.abs(deltas.imag) / np.where(mags > 0, mags, 1.0)
-    near = mods[pivot] > TAU_DEG
-    good = ((deltas.real > 0.0) & (rel_imag <= TAU_NPC / 3.0)
-            & (near[:, None] & near)[pairs])
+    # a zero invariant has a zero imaginary part, which is divided by 1
+    if not mags.min() > 0:
+        mags = np.where(mags > 0, mags, 1.0)
+    rel_imag = np.abs(deltas.imag) / mags
+    good = (deltas.real > 0.0) & (rel_imag <= TAU_NPC / 3.0)
+    # the pivot's smallest overlap decides whether any sample is near
+    # orthogonal to it; only then are the pairs through such samples masked
+    if not smallest[pivot] > TAU_DEG:
+        near = mods[pivot] > TAU_DEG
+        good &= (near[:, None] & near)[pairs]
     if good.all():
         triples, failed = np.empty((0, 3), dtype=int), np.empty(0, dtype=complex)
     else:
@@ -447,10 +476,13 @@ def _simpson(values: np.ndarray, h: float) -> float:
 
 # One-sided fourth-order derivative stencils of the first two samples, over
 # samples 0..4, in units of 1/(12 h); the last two samples take the mirror
-# image with the opposite sign.
+# image with the opposite sign.  Both are stored complex, as the samples
+# they multiply, so no product casts them; each is negated while still real,
+# so every imaginary part is +0, as a cast gives.
 _HEAD_STENCIL = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
                           [-3.0, -10.0, 18.0, -6.0, 1.0]])
-_TAIL_STENCIL = -_HEAD_STENCIL[::-1, ::-1]
+_TAIL_STENCIL = (-_HEAD_STENCIL[::-1, ::-1]).astype(complex)
+_HEAD_STENCIL = _HEAD_STENCIL.astype(complex)
 
 
 def _lag_overlaps(conj: np.ndarray, psi: np.ndarray, lag: int,
@@ -550,8 +582,11 @@ def loop_geometric_phase(segments, subgrid: int = DEFAULT_SUBGRID) -> float:
     jumps = []
     for a, seg in enumerate(segments):
         start, end = segments[(a + 1) % k].psi[0], seg.psi[-1]
-        ov = inner(start, end)
-        if np.linalg.norm(end - ov / np.vdot(start, start).real * start) > 1e-9:
+        if start.size != end.size:
+            raise ValueError(f"dimension mismatch: {start.size} vs {end.size}")
+        ov = complex(np.vdot(start, end))
+        r = end - ov / np.vdot(start, start).real * start
+        if math.sqrt(np.vdot(r, r).real) > 1e-9:
             raise ValueError(f"segment {a} does not end on the ray "
                              f"where segment {(a + 1) % k} starts")
         jumps.append(ov)

@@ -23,7 +23,6 @@ from .majorana import (
     _factor,
     _pure_product,
     _unit_spinor_to_star,
-    coefficients_to_roots,
     star_to_spinor,
 )
 
@@ -236,7 +235,8 @@ def star_trajectory(lift) -> np.ndarray:
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
-    stars = coefficients_to_roots(lift.psi).stars()
+    # the lift has checked its samples: finite, unit and one row each
+    stars = _factor(lift.psi).stars()
     # gaps[i, j, k]: from star j of sample i to star k of sample i + 1
     gaps = _geodesic_gap(stars[:-1, :, None], stars[1:, None, :])
     keep = gaps[:, 0, 0] + gaps[:, 1, 1]

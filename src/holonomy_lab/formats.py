@@ -191,7 +191,8 @@ def curve_from_csv(text: str) -> CurveLift:
             raise ValueError(f"curve CSV row {i + 1}: {exc}") from exc
         svals[i] = vals[0]
         psi[i] = np.array(vals[1::2]) + 1j * np.array(vals[2::2])
-    return CurveLift(s=svals, psi=psi)
+    # both arrays were just parsed here, so the lift takes them uncopied
+    return CurveLift._owned(svals, psi)
 
 
 def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:

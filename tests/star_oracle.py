@@ -23,7 +23,13 @@ def _canonical_spinor(xi):
     xi = np.asarray(xi, dtype=complex)
     xi = xi / np.linalg.norm(xi)
     pivot = xi[0] if xi[0] != 0 else xi[1]
-    return xi * (np.conjugate(pivot) / abs(pivot))
+    if abs(pivot) >= np.finfo(float).tiny:
+        return xi * (np.conjugate(pivot) / abs(pivot))
+    # conj(pivot) / |pivot| forms 1 / |pivot|, which overflows for a
+    # subnormal pivot: divide after scaling by 2^600, which is exact, and
+    # scale the product back, which rounds each entry once
+    up = 2.0 ** 600
+    return xi * up * (np.conjugate(pivot * up) / abs(pivot * up)) / up
 
 
 def oracle_star(xi):

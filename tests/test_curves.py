@@ -25,6 +25,7 @@ from holonomy_lab.curves import (
 from holonomy_lab.majorana import pure_product_state
 
 from conftest import assert_angle_close, random_polygon, random_triad
+from lift_oracle import oracle_geodesic_rows, oracle_grid_ok
 from npc_oracle import oracle_pivot_report, oracle_report, oracle_scan
 from profile_oracle import oracle_certified, oracle_violations
 from quadrature_oracle import (
@@ -99,6 +100,97 @@ class TestCurveLift:
             lift.s[0] = 1.0
 
 
+def grid_decision(s) -> bool:
+    """Whether CurveLift accepts the grid s under unit rows; any other
+    error than the grid's propagates."""
+    try:
+        CurveLift(s, np.tile([1.0 + 0j, 0.0], (s.size, 1)))
+    except ValueError as exc:
+        if "uniform" not in str(exc):
+            raise
+        return False
+    return True
+
+
+class TestGridCheck:
+    """The grid test from the extremes of one difference array."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 1, 4, 8])
+    def test_non_finite_grid_sample(self, bad, where):
+        s = np.linspace(0.0, 1.0, 9)
+        s[where] = bad
+        psi = np.tile([1.0 + 0j, 0.0], (9, 1))
+        with pytest.raises(ValueError, match="non-finite sample in curve"):
+            CurveLift(s, psi)
+        with pytest.raises(ValueError, match="non-finite sample in curve"):
+            CurveLift._owned(s, psi)
+
+    @pytest.mark.parametrize("s", [
+        np.linspace(1.0, 0.0, 9),  # decreasing
+        np.zeros(9),  # no step
+        np.array([0.0, 0.1, 0.2, 0.3, 0.45, 0.5, 0.6, 0.7, 0.8]),
+        np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]),
+    ], ids=["decreasing", "constant", "one-long-step", "one-zero-step"])
+    def test_decreasing_or_non_uniform(self, s):
+        assert not oracle_grid_ok(s)
+        with pytest.raises(ValueError, match="uniform"):
+            CurveLift(s, np.tile([1.0 + 0j, 0.0], (s.size, 1)))
+
+    def test_step_jitter_around_the_tolerance(self, rng):
+        # step deviations of up to 2e-9 of a step, on either side of the
+        # 1e-9 threshold
+        seen = set()
+        for _ in range(300):
+            k = int(rng.integers(3, 40))
+            h = float(rng.uniform(1e-3, 10.0))
+            steps = h * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, k - 1))
+            s = float(rng.uniform(-5.0, 5.0)) + np.concatenate([[0.0], np.cumsum(steps)])
+            want = oracle_grid_ok(s)
+            assert grid_decision(s) == want
+            seen.add(want)
+        assert seen == {True, False}
+
+    def test_step_deviation_at_the_tolerance_to_the_ulp(self, rng):
+        # the second step sweeps a few ulps across h (1 + 1e-9) and across
+        # h (1 - 1e-9)
+        seen = set()
+        for _ in range(40):
+            h = float(rng.uniform(1e-3, 10.0))
+            for edge in (h * (1.0 + 1e-9), h * (1.0 - 1e-9)):
+                step = edge
+                for _ in range(6):
+                    step = np.nextafter(step, -np.inf)
+                for _ in range(13):
+                    s = np.array([0.0, h, h + step])
+                    want = oracle_grid_ok(s)
+                    assert grid_decision(s) == want
+                    seen.add(want)
+                    step = np.nextafter(step, np.inf)
+        assert seen == {True, False}
+
+    def test_deviation_equal_to_the_tolerance_passes(self):
+        # 1e-9 h rounds to 2^-40 exactly and the grids below are exact, so
+        # one step deviates by exactly the tolerance, or by one ulp more
+        dev = 2.0 ** -40
+        h = np.nextafter(dev / 1e-9, 1.0)
+        assert 1e-9 * h == dev
+        for end in (2 * h + dev, 2 * h - dev):
+            s = np.array([0.0, h, end])
+            assert s[2] - s[1] - h == end - 2 * h
+            assert oracle_grid_ok(s) and grid_decision(s)
+            s[2] = np.nextafter(end, 2 * end - 2 * h)  # one ulp further out
+            assert not oracle_grid_ok(s) and not grid_decision(s)
+
+    def test_finite_grid_whose_first_step_overflows(self):
+        # the step is inf, and inf - inf is NaN: the np.diff form compared
+        # that NaN and let the grid through; it is not uniform
+        s = np.array([-1.7e308, 1e308, 1.5e308])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="uniform"):
+                CurveLift(s, np.tile([1.0 + 0j, 0.0], (3, 1)))
+
+
 class TestCurveFrame:
     def test_rejects_skewed_vectors(self):
         v = np.array([[1, 0, 0], [1 / np.sqrt(2), 1 / np.sqrt(2), 0]],
@@ -171,6 +263,43 @@ class TestGeodesic:
         v = core.normalize(core.random_state(3, rng))
         with pytest.raises(ValueError, match="coincident"):
             geodesic_lift(v, v)
+
+    @pytest.mark.parametrize("dim", [2, 3, 5])
+    def test_rows_match_the_outer_products(self, rng, dim):
+        for grid in (3, 9, 257, 1025):
+            v1, v2 = in_phase_gauge(core.random_state(dim, rng),
+                                    core.random_state(dim, rng))
+            if dim == 3:
+                v1[int(rng.integers(3))] = 0.0  # exact zeros keep their sign
+                v1 = core.normalize(v1)
+                v1, v2 = in_phase_gauge(v1, v2)
+            lift = geodesic_lift(v1, v2, grid=grid)
+            u1, u2 = core.normalize(v1), core.normalize(v2)
+            e2, theta0 = curves._pair_plane(u1, u2)
+            want = oracle_geodesic_rows(u1, u2, e2, theta0, grid)
+            assert lift.psi.tobytes() == want.tobytes()
+            assert lift.s.tobytes() == np.linspace(0.0, 1.0, grid).tobytes()
+
+    def test_lifts_share_one_read_only_grid(self, rng):
+        a, b = make_geodesic(rng, grid=33), make_geodesic(rng, grid=33)
+        assert a.s is b.s
+        with pytest.raises(ValueError, match="read-only"):
+            a.s[1] = 0.5
+        with pytest.raises(ValueError):
+            a.s.flags.writeable = True
+        with pytest.raises(ValueError):
+            b.s.flags.writeable = True
+        assert make_geodesic(rng, grid=33).s.tobytes() == \
+            np.linspace(0.0, 1.0, 33).tobytes()
+
+    def test_grid_size_must_be_an_integer(self, rng):
+        make_geodesic(rng, grid=33)  # cached: 33.0 must not hit it
+        v1, v2 = in_phase_gauge(core.random_state(3, rng), core.random_state(3, rng))
+        with pytest.raises(TypeError):
+            geodesic_lift(v1, v2, grid=33.0)
+        assert geodesic_lift(v1, v2, grid=np.int64(33)).s.size == 33
+        with pytest.raises(ValueError, match="3 samples"):
+            geodesic_lift(v1, v2, grid=2)
 
 
 class TestFrameFromPair:

@@ -288,7 +288,7 @@ class TestTrajectoryParity:
         for noise in (1e-30, -1e-30):
             stars = mj.coefficients_to_roots(lift.psi).stars()
             stars[:, 0, 0] += noise
-            monkeypatch.setattr(decompose, "coefficients_to_roots",
+            monkeypatch.setattr(decompose, "_factor",
                                 lambda psi: SimpleNamespace(stars=lambda: stars))
             assert np.max(np.abs(star_trajectory(lift) - want)) <= 1e-12
 
