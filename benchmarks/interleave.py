@@ -14,9 +14,17 @@ where OLD is a checkout of the parent commit (``git clone`` or
 ``git archive`` into a directory outside the repository) and NEW
 defaults to this checkout's ``src``.  The cases are
 
-- those of ``bench_stars.py``;
+- those of ``bench_stars.py``, and besides ``su2_apply`` on one state at
+  n = 2, 5 and 9 (with 3 and 8, the range of the ``stars`` workload) and
+  ``coefficients_to_roots`` on one state at n = 5;
+- ``stars.op`` for each kind of operation of the ``stars`` workload of
+  ``perfbench``, on inputs drawn by its own makers: ``roundtrip``
+  factors a state and expands it again (two of each n = 2, 3, 8, 20, one
+  of the n = 8 pair with forced zero amplitudes, one of the n = 20 pair
+  a pure product), ``su2_apply`` moves a state of n = 2 to 9, and
+  ``trajectory`` matches the stars of a dimension-3 lift of 257 samples;
 - ``bargmann``, ``extract_angles``, ``reduce_triad`` and
-  ``bi_factorization`` from ``bench_triad.py`` at n = 3 and 8, and
+  ``bi_factorization`` from ``bench_triad.py`` at n = 2, 3, 5 and 8, and
   ``phase_from_solid_angles_n3`` and ``solid_angle_pair`` at n = 3;
 - ``triads.op`` at n = 2, 3, 5 and 8: one operation of the ``triads``
   workload of ``perfbench`` (``bargmann``, ``extract_angles``,
@@ -83,6 +91,33 @@ def load_tree(src: Path, name: str):
     return module
 
 
+def star_operations(lab) -> dict:
+    """One operation of each kind of the ``stars`` workload of perfbench on
+    the tree lab, by kind, each a function of that kind's inputs."""
+    mj = lab.majorana
+
+    def roundtrip(psi, xi):
+        rep = mj.coefficients_to_roots(psi)
+        return rep, mj.roots_to_coefficients(rep)
+
+    return {"roundtrip": roundtrip, "su2_apply": mj.su2_apply,
+            "trajectory": lab.decompose.star_trajectory}
+
+
+def star_operation_inputs(kind: str, seed: int) -> list[tuple]:
+    """POOL inputs of one kind of the ``stars`` workload, drawn by the makers
+    of ``perfbench/workloads.py``; input j is the (j mod count)-th of its
+    kind in a block, so every position of the block comes up."""
+    import bench_triad as bt
+    import workloads as wl
+
+    maker = {"roundtrip": wl.roundtrip_input, "su2_apply": wl.su2_input,
+             "trajectory": lambda rng, j: (wl.trajectory_input(rng, j),)}[kind]
+    count = wl.MIXES["stars"][kind]
+    rng = np.random.default_rng(seed)
+    return [maker(rng, j % count) for j in range(bt.POOL)]
+
+
 def triad_operation(lab):
     """One ``triads`` operation of perfbench on the tree lab, as a function
     of the three states."""
@@ -127,14 +162,15 @@ def cases(lab):
 
     mj, dec, cv = lab.majorana, lab.decompose, lab.curves
     out = []
-    for n, rows in itertools.product([2, 3, 8, 20], [1, 1000]):
+    for n, rows in [(2, 1), (3, 1), (5, 1), (8, 1), (20, 1),
+                    (2, 1000), (3, 1000), (8, 1000), (20, 1000)]:
         out.append((f"majorana.coefficients_to_roots.n{n}.B{rows}",
                     mj.coefficients_to_roots, bs.state_pool(n, rows)))
     for n, rows in itertools.product([2, 3, 8, 20], [1, 1000]):
         out.append((f"majorana.roots_to_coefficients.n{n}.B{rows}",
                     mj.roots_to_coefficients,
                     bs.rep_pool(mj.coefficients_to_roots, n, rows)))
-    for n in (3, 8, 20):
+    for n in (2, 3, 5, 8, 9, 20):
         out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, bs.su2_pool(n)))
     out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply, bs.su2_pool(20, 1000)))
     for n in (3, 20):
@@ -142,7 +178,10 @@ def cases(lab):
                     bs.rep_pool(mj.coefficients_to_roots, n, 1000)))
     out.append(("decompose.star_trajectory.g257", dec.star_trajectory,
                 bs.trajectory_pool()))
-    for n in (3, 8):
+    ops = star_operations(lab)
+    for kind, seed in (("roundtrip", 600), ("su2_apply", 601), ("trajectory", 602)):
+        out.append((f"stars.op.{kind}", ops[kind], star_operation_inputs(kind, seed)))
+    for n in (2, 3, 5, 8):
         triads = bt.triad_pool(n)
         out.append((f"core.bargmann.n{n}", lab.core.bargmann,
                     [(t,) for t in triads]))
@@ -256,8 +295,9 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
-    # the bench modules build their inputs with the change tree's holonomy_lab
-    sys.path[:0] = [str(args.change), str(HERE)]
+    # the bench modules and perfbench's input makers build their inputs
+    # with the change tree's holonomy_lab
+    sys.path[:0] = [str(args.change), str(HERE), str(HERE.parent / "perfbench")]
     trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
     layers = [(p[0], p[1], c[1], p[2], c[2]) for p, c in
               zip(*(cases(lab) for lab in trees)) if args.only in p[0]]

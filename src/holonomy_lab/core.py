@@ -45,8 +45,12 @@ def norm(psi) -> float:
 
 
 def normalize(psi) -> np.ndarray:
-    psi = as_state(psi)
-    n = norm(psi)
+    return _unit(as_state(psi))
+
+
+def _unit(psi: np.ndarray) -> np.ndarray:
+    """normalize of a state that as_state has already checked."""
+    n = math.sqrt(np.vdot(psi, psi).real)
     if not 0.0 < n < math.inf:
         raise ValueError("cannot normalize a zero or non-finite vector")
     return psi / n

@@ -397,12 +397,18 @@ def _subgrid_indices(n_samples: int, subgrid: int) -> np.ndarray:
     return idx
 
 
-@lru_cache(maxsize=256)
-def _upper_pairs(size: int) -> np.ndarray:
-    """Read-only mask of the pairs j < k of ``size`` samples."""
+@lru_cache(maxsize=64)
+def _pivot_pairs(size: int, pivot: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only mask of the pairs j < k of ``size`` samples, neither of
+    them the pivot, and the row and column indices of its pairs in
+    row-major order."""
     mask = np.triu(np.ones((size, size), dtype=bool), k=1)
-    mask.flags.writeable = False
-    return mask
+    mask[pivot] = False
+    mask[:, pivot] = False
+    j, k = np.nonzero(mask)
+    for a in (mask, j, k):
+        a.flags.writeable = False
+    return mask, j, k
 
 
 def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
@@ -424,10 +430,7 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     mods = np.abs(gram)
     smallest = mods.min(axis=1)
     pivot = int(np.argmax(smallest))
-    # pairs j < k, neither of them the pivot, in row-major order
-    pairs = _upper_pairs(idx.size).copy()
-    pairs[pivot] = False
-    pairs[:, pivot] = False
+    pairs, pair_j, pair_k = _pivot_pairs(idx.size, pivot)
     deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
     mags = np.abs(deltas)
     # a zero invariant has a zero imaginary part, which is divided by 1
@@ -444,8 +447,7 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
         triples, failed = np.empty((0, 3), dtype=int), np.empty(0, dtype=complex)
     else:
         bad = ~good
-        j, k = np.nonzero(pairs)
-        j, k = j[bad], k[bad]
+        j, k = pair_j[bad], pair_k[bad]
         triples = idx[np.stack([np.full_like(j, pivot), j, k], axis=1)]
         failed = deltas[bad]
     return NpcReport(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TAU_DEG
-from .core import DegenerateTriadError, as_state, check_modulus, norm, normalize
+from .core import DegenerateTriadError, _unit, as_state, check_modulus, norm, normalize
 from .majorana import (
     MajoranaRep,
     _factor,
@@ -85,7 +85,11 @@ def reduce_triad(psi1, psi2, psi3) -> CanonicalReduction:
     image of psi3 is factored into its stars; the factorization must
     reproduce the overlap with e1 to 1e-8 or the reduction is rejected.
     """
-    v = [normalize(psi) for psi in (psi1, psi2, psi3)]
+    return _reduce([normalize(psi) for psi in (psi1, psi2, psi3)])
+
+
+def _reduce(v: list[np.ndarray]) -> CanonicalReduction:
+    """reduce_triad of three states already normalized."""
     n = v[0].size
     if v[1].size != n or v[2].size != n:
         raise ValueError("triad states must share one dimension")
@@ -190,9 +194,10 @@ def phase_from_solid_angles_n3(psi1, psi2, psi3) -> float:
     is half the sum of the solid angles of the two triangles they make,
     modulo 2*pi.
     """
-    if as_state(psi1).size != 3:
+    v1 = as_state(psi1)
+    if v1.size != 3:
         raise ValueError("this identity is specific to dimension 3")
-    red = reduce_triad(psi1, psi2, psi3)
+    red = _reduce([_unit(v1), normalize(psi2), normalize(psi3)])
     return 0.5 * sum(solid_angle_pair(red))
 
 

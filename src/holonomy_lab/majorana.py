@@ -16,6 +16,7 @@ Schwinger matrix D^j(u), which su2_apply applies without factoring.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -81,7 +82,8 @@ def _check_rep(spinors: np.ndarray, scale: np.ndarray) -> np.ndarray:
     if not (np.isfinite(scale).all() and scale.all()):
         raise ValueError("scale must be finite and nonzero")
     norms = _spinor_norms(spinors)
-    if not (np.abs(norms - 1.0) <= 1e-12).all():
+    # NaN fails the comparison; no spinors at all (n = 1) pass
+    if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-12:
         raise ValueError("spinors must be unit normalized")
     return norms
 
@@ -265,48 +267,51 @@ def _factor(psi: np.ndarray, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     if not peak.all():
         raise ValueError("zero vector has no star decomposition")
     degree = n - 1 - (mags[:, ::-1] > tau_lead * peak[:, None]).argmax(axis=1)
-    zeros = (coeffs != 0).argmax(axis=1)
-    spinors = np.zeros((count, n - 1, 2), dtype=complex)
-    spinors[..., 0] = 1.0
+    zeros = (mags != 0).argmax(axis=1)
+    spinors = np.empty((count, n - 1, 2), dtype=complex)
     lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)
     key = degree * n + zeros  # one integer per (degree, zeros) group
     single = count == 1 or (key == key[0]).all()
     for k in key[:1] if single else np.unique(key):
         d, z = divmod(int(k), n)
-        if d == 0:
-            continue
         rows = slice(None) if single else np.flatnonzero(key == k)
+        if d < n - 1:  # each missing degree is a star at the north pole
+            spinors[rows, :n - 1 - d] = 1.0, 0.0
+        if z:  # each root at 0 is a star at the south pole
+            spinors[rows, n - 1 - z:] = 0.0, 1.0
         desc, m = coeffs[rows, d::-1], d - z
-        roots = np.zeros((desc.shape[0], d), dtype=complex)
+        if m == 0:
+            continue
         top = -desc[:, 1:m + 1] / desc[:, :1]  # first row of the companion matrix
         if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
-            roots[:, :1] = top
+            roots = top
         elif m == 2:
-            roots[:, 0], roots[:, 1] = _quadratic_roots(top[:, 0], top[:, 1])
-        elif m > 2:
+            roots = np.stack(_quadratic_roots(top[:, 0], top[:, 1]), axis=1)
+        else:
             companion = np.zeros((desc.shape[0], m, m), dtype=complex)
             companion[:, 0, :] = top
             companion.reshape(-1, m * m)[:, m::m + 1] = 1.0  # ones below the diagonal
-            roots[:, :m] = _polish_roots(desc, np.linalg.eigvals(companion))
-        if not np.isfinite(roots).all():
+            roots = _polish_roots(desc, np.linalg.eigvals(companion))
+        mod = np.abs(roots)
+        if not mod.max() < math.inf:  # NaN fails too
             raise ValueError("root finding failed")
         # (-w, 1) normalized with alpha real: alpha = |w| / h and
         # beta = -conj(w) / (|w| h), where h = hypot(|w|, 1)
-        mod = np.abs(roots)
         h = np.hypot(mod, 1.0)
-        pairs = np.empty(roots.shape + (2,), dtype=complex)
-        pairs[..., 0] = mod / h
-        # complex / subnormal real forms 1 / |w|, which overflows, so such
-        # a root is first scaled by a power of two; the m roots come first
-        tiny = mod[:, :m] < _TINY
-        if tiny.any():
-            roots[:, :m][tiny] *= _UP
+        spinors[rows, n - 1 - d:n - 1 - z, 0] = mod / h
+        if mod.min() < _TINY:
+            # complex / subnormal real forms 1 / |w|, which overflows, so
+            # such a root is first scaled by a power of two; a root that
+            # underflowed to 0 gives beta = 1
+            roots[mod < _TINY] *= _UP
             mod = np.abs(roots)
-        beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
-                         where=mod > 0)
-        pairs[..., 1] = beta / h
-        spinors[rows, n - 1 - d:] = pairs
-        lead[rows] = pairs[..., 1].prod(axis=-1)
+            beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
+                             where=mod > 0)
+        else:
+            beta = np.conjugate(roots) / -mod
+        beta /= h
+        spinors[rows, n - 1 - d:n - 1 - z, 1] = beta
+        lead[rows] = beta.prod(axis=-1)
     # the highest surviving coefficient fixes the scale
     scale = coeffs[np.arange(count), degree] / (math.sqrt(math.factorial(n - 1)) * lead)
     return _kernel_rep(spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
@@ -377,16 +382,41 @@ def overlap_general(rep_prime: MajoranaRep, rep: MajoranaRep) -> complex:
 
 
 def _check_su2(u) -> np.ndarray:
+    """u as a complex 2x2 array, after the SU(2) tests on its four entries.
+
+    In order: shape, finite entries, unitarity (each entry of
+    u^dagger u - 1, summed as conj(x) y) and determinant 1 (ad - bc),
+    each deviation at most 1e-10.  The entries are Python complex numbers,
+    on which the tests take a fraction of the time of array arithmetic on
+    a 2x2 matrix.  Huge finite entries overflow |a|^2 + |c|^2 to inf,
+    which fails.
+    """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
         raise ValueError("expected a 2x2 matrix")
-    if not np.isfinite(u).all():
+    (a, b), (c, d) = u.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b)
+            and cmath.isfinite(c) and cmath.isfinite(d)):
         raise ValueError("matrix must be finite")
-    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    gram = (ac * a + cc * c - 1.0, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1.0)
+    if not _all_within(gram):
         raise ValueError("matrix is not unitary")
-    if abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0) > 1e-10:
+    if not _all_within((a * d - b * c - 1.0,)):
         raise ValueError("matrix must have determinant 1")
     return u
+
+
+def _all_within(deviations) -> bool:
+    """Whether every complex deviation has modulus at most 1e-10.
+
+    abs rounds as NumPy's abs does (both are the C hypot); where finite
+    parts give an infinite modulus, it raises OverflowError, a failure.
+    """
+    try:
+        return all(abs(x) <= 1e-10 for x in deviations)
+    except OverflowError:
+        return False
 
 
 def su2_rotation(u) -> np.ndarray:
@@ -399,37 +429,62 @@ def su2_rotation(u) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _schwinger_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only stack layout and weight ratios of the dimension-n D^j(u).
+def _schwinger_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only terms of the Schwinger sum for the dimension-n D^j(u).
 
     Basis state l is the product of n-1-l spinors e0 and l spinors e1,
-    scaled by 1 / f_l (f = sqrt(k! (n-1-k)!)).  Entry (l, i) of the first
-    array is 1 where slot i of row l holds e1; entry (l, k) of the second
-    is f_k / f_l, which turns coefficient k of row l's product into
-    amplitude k of D^j(u) e_l.
+    scaled by 1 / f_l (f = sqrt(k! (n-1-k)!)); u moves e0 and e1 to its
+    columns.  Coefficient m of (u00 + u10 z)^(n-1-l) (u01 + u11 z)^l,
+    times f_m / f_l, is amplitude m of D^j(u) e_l, entry (l, m) of the
+    transpose:
+
+        sum_k C(n-1-l, k) C(l, m-k) f_m / f_l
+              u00^(n-1-l-k) u10^k u01^(l-m+k) u11^(m-k),
+
+    k from max(0, m-l) to min(n-1-l, m).  The terms run over the entries
+    (l, m) in row-major order, k ascending.  The arrays are each term's
+    coefficient, the positions of its four powers in the flattened
+    (2, 2, n) table u[..., None] ** exponents, where each entry's terms
+    start, and the exponents 0 .. n-1.
     """
-    pick = (np.add.outer(np.arange(n), np.arange(n - 1)) >= n - 1).astype(np.intp)
+    l, m, k = np.indices((n, n, n)).reshape(3, -1)
+    keep = (k <= n - 1 - l) & (k <= m) & (m - k <= l)
+    l, m, k = l[keep], m[keep], k[keep]
+    binomial = np.array([[math.comb(p, q) for q in range(n)] for p in range(n)], dtype=float)
     f = _weights(n)[1]
-    ratio = f / f[:, None]
-    pick.flags.writeable = ratio.flags.writeable = False
-    return pick, ratio
+    coef = binomial[n - 1 - l, k] * binomial[l, m - k] * (f[m] / f[l])
+    # the power u_rc^e sits at (2 r + c) n + e of the flattened table
+    powers = np.stack([n - 1 - l - k, n + l - m + k, 2 * n + k, 3 * n + m - k])
+    starts = np.flatnonzero(k == np.maximum(m - l, 0))
+    exponents = np.arange(n)
+    for a in (coef, powers, starts, exponents):
+        a.flags.writeable = False
+    return coef, powers, starts, exponents
 
 
 def _schwinger_transpose(u: np.ndarray, n: int) -> np.ndarray:
     """Transpose of D^j(u), the matrix of u in SU(2) on dimension-n amplitudes.
 
-    u moves e0 and e1 to its columns; row l expands the moved product.
+    One power table of the four entries, one gather of each term's four
+    powers, their products and one sum over k per entry, whatever n is.
+    For u = 1 only the k = 0 terms of the diagonal are nonzero, each
+    1 * 1 * 1 * 1 (0 ** 0 is 1), so the transpose is exactly the identity.
     """
-    pick, ratio = _schwinger_layout(n)
-    return _expand(u.T[pick]) * ratio
+    coef, powers, starts, exponents = _schwinger_layout(n)
+    table = u[..., None] ** exponents
+    terms = table.ravel()[powers].prod(axis=0)
+    terms *= coef
+    return np.add.reduceat(terms, starts).reshape(n, n)
 
 
 def su2_apply(u, psi) -> np.ndarray:
     """Apply D^j(u), the spin-j matrix of u in SU(2), to a state or a batch.
 
     D^j(u) is the Schwinger two-oscillator action: a state is a polynomial
-    in the two oscillators, and u moves each oscillator to its image.  One
-    matrix product applies it, so the map is exactly linear and the
+    in the two oscillators, and u moves each oscillator to its image.  Each
+    entry of D^j(u) is the closed-form Schwinger sum of binomial terms in
+    the four entries of u, all gathered from one table of their powers.
+    One matrix product applies it, so the map is exactly linear and the
     identity returns psi unchanged.  The stars of the result are the stars
     of psi rotated by su2_rotation(u).
     """

@@ -7,13 +7,17 @@ state, one guarded Newton step per root, one ``np.convolve`` per spinor,
 and a loop that orders each sample against the previous one.  The parity
 tests compare the kernel against them.  ``oracle_su2_rotation`` keeps
 the nine-trace form of the rotation a matrix in SU(2) induces on stars.
+``oracle_schwinger_transpose`` keeps the D^j(u) that the library built
+by expanding a stack of spinors slot by slot before it gathered the
+Schwinger sum, and ``oracle_check_su2`` the SU(2) test on the NumPy
+array that came before the test on four Python complex numbers.
 """
 
 import math
 
 import numpy as np
 
-from holonomy_lab.majorana import _min_sum_assignment
+from holonomy_lab.majorana import _expand, _min_sum_assignment, _weights
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
                  dtype=complex)
@@ -155,3 +159,27 @@ def oracle_su2_rotation(u):
         for j in range(3):
             r[i, j] = 0.5 * np.trace(SIGMA[i] @ u @ SIGMA[j] @ u.conj().T).real
     return r
+
+
+def oracle_schwinger_transpose(u, n):
+    """Transpose of D^j(u) on dimension n: row l expands the product of
+    n-1-l copies of u's first column and l of its second, as spinors, and
+    f_k / f_l (f = sqrt(k! (n-1-k)!)) turns coefficient k into amplitude k."""
+    u = np.asarray(u, dtype=complex)
+    pick = (np.add.outer(np.arange(n), np.arange(n - 1)) >= n - 1).astype(np.intp)
+    f = _weights(n)[1]
+    return _expand(u.T[pick]) * (f / f[:, None])
+
+
+def oracle_check_su2(u):
+    """u as a complex 2x2 array, or ValueError, tested on the NumPy array."""
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2):
+        raise ValueError("expected a 2x2 matrix")
+    if not np.isfinite(u).all():
+        raise ValueError("matrix must be finite")
+    if np.max(np.abs(u.conj().T @ u - np.eye(2))) > 1e-10:
+        raise ValueError("matrix is not unitary")
+    if abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0) > 1e-10:
+        raise ValueError("matrix must have determinant 1")
+    return u

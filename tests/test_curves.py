@@ -19,6 +19,7 @@ from holonomy_lab.curves import (
     profile_to_lift,
     validate_profile,
     verify_npc,
+    _pivot_pairs,
     _simpson,
     _subgrid_indices,
 )
@@ -661,6 +662,29 @@ class TestSubgridIndices:
                 assert np.array_equal(got, want)
                 assert not got.flags.writeable
                 assert _subgrid_indices(n_samples, subgrid) is got
+
+
+class TestPivotPairs:
+    def test_cached_mask_matches_the_cleared_copy(self):
+        for size in range(3, 26):
+            for pivot in range(size):
+                mask, j, k = _pivot_pairs(size, pivot)
+                want = np.triu(np.ones((size, size), dtype=bool), k=1)
+                want[pivot] = False
+                want[:, pivot] = False
+                assert np.array_equal(mask, want)
+                want_j, want_k = np.nonzero(want)
+                assert np.array_equal(j, want_j) and np.array_equal(k, want_k)
+                assert not any(a.flags.writeable for a in (mask, j, k))
+                assert _pivot_pairs(size, pivot)[0] is mask
+
+    def test_reports_do_not_share_the_cache(self):
+        lift = latitude_arc(0.7, 1.5, 3)
+        report = verify_npc(lift)
+        assert report.triples.size and report.triples.flags.writeable
+        want = report.triples.copy()
+        report.triples[:] = -1
+        assert np.array_equal(verify_npc(lift).triples, want)
 
 
 class TestVerifyNpc:

@@ -13,6 +13,7 @@ from holonomy_lab.decompose import (
     phase_from_solid_angles_n3,
     reduce_triad,
     solid_angle,
+    solid_angle_pair,
     star_trajectory,
 )
 from holonomy_lab.majorana import pure_product_state, spinor_to_star
@@ -175,6 +176,28 @@ class TestSolidAnglePhase:
     def test_dimension_guard(self, rng):
         with pytest.raises(ValueError, match="dimension 3"):
             phase_from_solid_angles_n3(*random_triad(rng, 4))
+
+    def test_dimension_is_tested_before_anything_else(self):
+        # a zero psi1 and unusable psi2, psi3: the dimension error comes first
+        with pytest.raises(ValueError, match="this identity is specific to dimension 3"):
+            phase_from_solid_angles_n3(np.zeros(4), [np.nan], None)
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            phase_from_solid_angles_n3(np.ones((3, 1)), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="cannot normalize"):
+            phase_from_solid_angles_n3(np.zeros(3), np.ones(3), np.ones(3))
+        with pytest.raises(ValueError, match="cannot normalize"):
+            phase_from_solid_angles_n3([1.0, np.inf, 0.0], np.ones(3), np.ones(3))
+
+    def test_psi1_is_read_as_given(self, rng):
+        # integer, real and unnormalized psi1 give the reduction's own answer
+        t = random_triad(rng, 3)
+        want = 0.5 * sum(solid_angle_pair(reduce_triad(*t)))
+        assert phase_from_solid_angles_n3(*t) == want
+        assert phase_from_solid_angles_n3(3.0 * t[0], t[1], t[2]) == 0.5 * sum(
+            solid_angle_pair(reduce_triad(3.0 * t[0], t[1], t[2])))
+        e1 = [1, 0, 0]
+        assert phase_from_solid_angles_n3(e1, t[1], t[2]) == 0.5 * sum(
+            solid_angle_pair(reduce_triad(e1, t[1], t[2])))
 
 
 class TestStarTrajectory:

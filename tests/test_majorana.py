@@ -14,7 +14,9 @@ from holonomy_lab import core, majorana as mj
 from conftest import assert_unitary
 from star_oracle import (
     _canonical_spinor,
+    oracle_check_su2,
     oracle_expand,
+    oracle_schwinger_transpose,
     oracle_su2_apply,
     oracle_su2_rotation,
 )
@@ -31,6 +33,25 @@ def brute_permanent(a):
             term *= a[i, j]
         total += term
     return total
+
+
+def check_decision(check, u):
+    """(True, None) when check accepts u, else (False, its ValueError text)."""
+    try:
+        check(u)
+    except ValueError as exc:
+        return False, str(exc)
+    return True, None
+
+
+def ulp_steps(x, count):
+    """x and the count doubles on each side of it, in increasing order."""
+    below = [x]
+    above = [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return below[:0:-1] + above
 
 
 class TestSpinorsAndStars:
@@ -155,7 +176,8 @@ class TestKernelRep:
         assert type(rep.scale) is complex
         assert rep.spinors.shape == (3, 2)
 
-    @pytest.mark.parametrize("scale", [np.inf, np.nan, complex(1.0, np.inf), 0.0])
+    @pytest.mark.parametrize("scale", [np.inf, -np.inf, np.nan, complex(1.0, np.inf),
+                                       complex(1.0, np.nan), 0.0])
     def test_bad_scale_raises(self, scale):
         with pytest.raises(ValueError, match="finite and nonzero"):
             mj._kernel_rep(np.array([[1.0, 0.0]], dtype=complex),
@@ -168,6 +190,54 @@ class TestKernelRep:
         spinors = np.array([[1.0, 0.0], [0.6, 0.8 * (1.0 + 1e-9)]], dtype=complex)
         with pytest.raises(ValueError, match="unit normalized"):
             mj._kernel_rep(spinors, np.array(1.0 + 0j))
+
+
+def oracle_check_rep(spinors, scale):
+    """_check_rep as an elementwise test of every norm."""
+    if not (np.isfinite(scale).all() and scale.all()):
+        raise ValueError("scale must be finite and nonzero")
+    norms = mj._spinor_norms(spinors)
+    if not (np.abs(norms - 1.0) <= 1e-12).all():
+        raise ValueError("spinors must be unit normalized")
+    return norms
+
+
+# the norms farthest from 1 that are within 1e-12 of it, on each side;
+# one ulp farther out fails.  No double norm is exactly 1e-12 from 1, so
+# a bound tested with < decides every norm as one tested with <=
+_EDGE_ABOVE = 1.0 + 4503 * 2.0 ** -52
+_EDGE_BELOW = 1.0 - 9007 * 2.0 ** -53
+
+
+class TestCheckRep:
+    """_check_rep decides as the elementwise test did."""
+
+    @staticmethod
+    def decision(check, spinors, scale):
+        return check_decision(lambda s: check(s, np.asarray(scale, dtype=complex)),
+                              np.asarray(spinors, dtype=complex))
+
+    @pytest.mark.parametrize("x", [_EDGE_ABOVE, _EDGE_BELOW, 1.0])
+    def test_norm_within_1e12_passes(self, x):
+        assert abs(x - 1.0) <= 1e-12
+        spinors = [[1.0, 0.0], [x, 0.0], [0.6, 0.8]]
+        assert self.decision(mj._check_rep, spinors, 1.0) == (True, None)
+        assert self.decision(oracle_check_rep, spinors, 1.0) == (True, None)
+
+    @pytest.mark.parametrize("x", [np.nextafter(_EDGE_ABOVE, 2.0),
+                                   np.nextafter(_EDGE_BELOW, 0.0), np.nan],
+                             ids=["above", "below", "nan"])
+    def test_norm_beyond_1e12_fails(self, x):
+        assert not abs(x - 1.0) <= 1e-12
+        want = (False, "spinors must be unit normalized")
+        for spinors in ([[x, 0.0]], [[1.0, 0.0], [x, 0.0]], [[[x, 0.0]], [[1.0, 0.0]]]):
+            scale = np.ones(np.shape(spinors)[:-2])
+            assert self.decision(mj._check_rep, spinors, scale) == want
+            assert self.decision(oracle_check_rep, spinors, scale) == want
+
+    def test_no_spinors_pass(self):
+        assert self.decision(mj._check_rep, np.zeros((0, 2)), 2.0) == (True, None)
+        assert self.decision(mj._check_rep, np.zeros((3, 0, 2)), np.ones(3)) == (True, None)
 
 
 class TestRootsAndCoefficients:
@@ -455,6 +525,100 @@ class TestSchwingerMatrix:
         for bad in (np.zeros(0), np.zeros((2, 2, 2)), np.zeros((3, 0))):
             with pytest.raises(ValueError, match="nonempty state"):
                 mj.su2_apply(u, bad)
+
+
+class TestSchwingerGather:
+    """The gathered Schwinger sum against the stack-and-expand D^j(u)."""
+
+    def test_matches_the_stack_and_expand(self, rng):
+        for n in range(1, 21):
+            for _ in range(10):
+                u = mj.random_su2(rng)
+                batch = np.array([core.random_state(n, rng) for _ in range(8)])
+                want = batch @ oracle_schwinger_transpose(u, n)
+                assert np.max(np.abs(mj.su2_apply(u, batch) - want)) <= 2e-14
+
+    def test_spin_half_matches_bitwise(self, rng):
+        for _ in range(50):
+            u = mj.random_su2(rng)
+            got = mj._schwinger_transpose(u, 2)
+            assert np.array_equal(got, oracle_schwinger_transpose(u, 2))
+            assert np.array_equal(got, u.T)
+
+    def test_identity_is_exactly_the_identity(self):
+        for n in range(1, 21):
+            assert np.array_equal(mj._schwinger_transpose(np.eye(2, dtype=complex), n),
+                                  np.eye(n))
+
+    def test_layout_is_read_only(self):
+        for a in mj._schwinger_layout(5):
+            assert not a.flags.writeable
+
+
+class TestCheckSu2:
+    """The SU(2) test on four Python complex numbers decides as the array form."""
+
+    @staticmethod
+    def assert_same_decision(u):
+        want = check_decision(oracle_check_su2, u)
+        assert check_decision(mj._check_su2, u) == want
+        assert check_decision(mj.su2_rotation, u) == want
+        return want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.inf,
+                                     complex(0.0, np.nan)],
+                             ids=["nan", "inf", "-inf", "inf-imag", "nan-imag"])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_entries(self, bad, entry):
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        assert self.assert_same_decision(u) == (False, "matrix must be finite")
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (2, 2, 1)])
+    def test_shapes(self, shape):
+        u = np.ones(shape, dtype=complex)
+        assert self.assert_same_decision(u) == (False, "expected a 2x2 matrix")
+
+    def test_unitarity_deviation_around_the_bound(self):
+        # [[1, e], [0, 1]]: u^dagger u - 1 has entries e, e and e^2, which
+        # rounds away against 1; the determinant is exactly 1
+        for e in ulp_steps(1e-10, 3):
+            for x in (e, -e, 1j * e):
+                u = np.array([[1.0, x], [0.0, 1.0]], dtype=complex)
+                want = (True, None) if e <= 1e-10 else (False, "matrix is not unitary")
+                assert self.assert_same_decision(u) == want
+
+    def test_determinant_deviation_around_the_bound(self):
+        # diag(1 + i e, 1) is unitary to rounding (1 + e^2 rounds to 1);
+        # its determinant is 1 + i e, exactly e away from 1
+        for e in ulp_steps(1e-10, 3):
+            for x in (1j * e, -1j * e):
+                u = np.diag([1.0 + x, 1.0])
+                want = (True, None) if e <= 1e-10 else (
+                    False, "matrix must have determinant 1")
+                assert self.assert_same_decision(u) == want
+
+    def test_huge_entries_are_not_unitary(self):
+        # NumPy's u^dagger u turns NaN for both, which the array form let
+        # pass (su2_apply then returned NaN).  On Python complex numbers
+        # the first has |a|^2 + |c|^2 = inf; the second a Gram entry b with
+        # finite parts and an infinite modulus, on which abs raises
+        # OverflowError
+        x = 1e200
+        a, c = complex(x, x), complex(-x, x)
+        b = complex(1.3e308, 1.3e308)
+        with pytest.raises(OverflowError):
+            abs(b)
+        for u in (np.array([[a, a], [c, c]]), np.array([[1.0, b], [0.0, 1.0]])):
+            assert check_decision(mj._check_su2, u) == (False, "matrix is not unitary")
+            with pytest.raises(ValueError, match="not unitary"):
+                mj.su2_apply(u, np.ones(3))
+
+    def test_random_su2_passes(self, rng):
+        for _ in range(100):
+            u = mj.random_su2(rng)
+            assert self.assert_same_decision(u) == (True, None)
+            assert np.array_equal(mj._check_su2(u), u)
 
 
 class TestSpinMatrices:
