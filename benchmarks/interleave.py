@@ -9,6 +9,7 @@ gaps of a few percent that two separate runs of ``perfbench`` cannot.
 Tier-1 does not collect this file; run it as
 
     python benchmarks/interleave.py --parent OLD/src [--change NEW/src] [--json PATH]
+    python benchmarks/interleave.py --trajectory BENCH_18.json BENCH_19.json ...
 
 where OLD is a checkout of the parent commit (``git clone`` or
 ``git archive`` into a directory outside the repository) and NEW
@@ -49,12 +50,20 @@ which each tree makes itself.
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
 output entry, is printed with the timings.  A block holds at least
-MIN_CALLS calls, so one slow call does not set a round's time.  Per
-layer the table gives each tree's median over rounds of its time per
-call in a round, the median over rounds of the change/parent ratio of
-those paired times, and the rounds the change won.  ``--json PATH``
-writes the same table with the machine, the Python and NumPy versions
-and the parent commit (read with git when OLD is a clone).
+MIN_CALLS calls, so one slow call does not set a round's time, unless
+one call takes longer than the block's time: such a layer (a batch of a
+thousand states at n = 20 takes some 200 ms) makes one call per block,
+so it does not set the length of the run.  Per layer the table gives
+each tree's median over rounds of its time per call in a round, the
+median over rounds of the change/parent ratio of those paired times,
+and the rounds the change won.  ``--json PATH`` writes the same table,
+with each layer's calls per block, the run's wall time in seconds, the
+machine, the Python and NumPy versions and the parent commit (read with
+git when OLD is a clone).
+
+Each file holds ratios against its own parent, so ``--trajectory`` reads
+a chain: for each layer it prints the product of its ratios over the
+files given, in the order given, and how many of the files hold it.
 """
 
 import argparse
@@ -249,11 +258,14 @@ def max_difference(fn_a, fn_b, pool_a, pool_b) -> float:
 
 
 def calls_for(fn, pool, target: float) -> int:
-    """Calls that take about target seconds, at least MIN_CALLS."""
+    """Calls that take about target seconds: at least MIN_CALLS, or one
+    when a single call takes longer than target."""
     start = time.perf_counter()
     for args in pool[:3]:
         fn(*args)
     per_call = (time.perf_counter() - start) / len(pool[:3])
+    if per_call > target:
+        return 1
     return max(MIN_CALLS, round(target / per_call))
 
 
@@ -280,9 +292,23 @@ def timed_turns(sides, calls: int) -> list[float]:
     return [t / SWITCHES for t in totals]
 
 
+def trajectory(paths: list[Path]) -> None:
+    """Print each layer's product of parent ratios over the BENCH files."""
+    product, files = {}, {}
+    for path in paths:
+        for label, row in json.loads(path.read_text())["layers"].items():
+            product[label] = product.get(label, 1.0) * row["ratio"]
+            files[label] = files.get(label, 0) + 1
+    print(f"{len(paths)} files: {' '.join(p.name for p in paths)}")
+    print(f"{'layer':44} {'product':>8} {'files':>5}")
+    for label, ratio in product.items():
+        print(f"{label:44} {ratio:8.3f} {files[label]:>5}")
+
+
 def main(argv=None) -> int:
+    started = time.perf_counter()
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", type=Path, required=True,
+    parser.add_argument("--parent", type=Path,
                         help="src directory of the parent tree")
     parser.add_argument("--change", type=Path, default=HERE.parent / "src",
                         help="src directory of the changed tree (default: this checkout)")
@@ -291,7 +317,15 @@ def main(argv=None) -> int:
                         help="time only layers whose label contains this text")
     parser.add_argument("--json", type=Path,
                         help="also write the table and the host to this JSON file")
+    parser.add_argument("--trajectory", type=Path, nargs="+", metavar="BENCH",
+                        help="instead of timing, print each layer's product of "
+                        "ratios over these JSON files")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        trajectory(args.trajectory)
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required unless --trajectory is given")
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
@@ -322,7 +356,8 @@ def main(argv=None) -> int:
             t_p.append(t_p_r)
             t_c.append(t_c_r)
 
-    layers = {label: summary(t_p, t_c, diff) for label, *_, diff, t_p, t_c in table}
+    layers = {label: summary(t_p, t_c, diff) | {"calls": calls}
+              for label, *_, calls, diff, t_p, t_c in table}
     print(f"{args.rounds} rounds; parent {args.parent}, change {args.change}")
     print(f"{'layer':44} {'parent us':>10} {'change us':>10} {'ratio':>6} "
           f"{'won':>5} {'max rel diff':>12}")
@@ -335,7 +370,9 @@ def main(argv=None) -> int:
         record = {"machine": machine(), "python": platform.python_version(),
                   "numpy": np.__version__, "parent_commit": git_commit(args.parent),
                   "rounds": args.rounds, "block_s": BLOCK_S, "switches": SWITCHES,
-                  "min_calls": MIN_CALLS, "layers": layers}
+                  "min_calls": MIN_CALLS,
+                  "elapsed_s": round(time.perf_counter() - started, 1),
+                  "layers": layers}
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -86,8 +86,6 @@ _SETTINGS = {
     "seed": ("--seed", int, "seed for randomized checks"),
     "grid": ("--grid", int, "curve sample count"),
     "subgrid": ("--subgrid", int, "samples for the null-phase check"),
-    "tau_lead": ("--tol-lead", float,
-                 "relative threshold for leading coefficients"),
 }
 
 
@@ -207,7 +205,7 @@ def _cmd_majorana(args, config: RunConfig) -> int:
         return 0
     state = _load(args.state, lambda t: formats.state_from_dict(
         formats.json_loads(t)))
-    rep = majorana.coefficients_to_roots(state, tau_lead=config.tau_lead)
+    rep = majorana.coefficients_to_roots(state)
     if args.action == "roots":
         _emit_json(formats.rep_to_dict(rep), config)
     else:
@@ -358,10 +356,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("majorana", help="star decomposition of a state")
     actions = p.add_subparsers(dest="action", required=True, metavar="action",
                                parser_class=_Parser)
-    p = _command(actions, "roots", _cmd_majorana, ["tau_lead"],
+    p = _command(actions, "roots", _cmd_majorana,
                  help="spinor decomposition of a state")
     p.add_argument("state", help="state JSON file, or - for stdin")
-    p = _command(actions, "stars", _cmd_majorana, ["tau_lead"],
+    p = _command(actions, "stars", _cmd_majorana,
                  help="star directions of a state, as CSV")
     p.add_argument("state", help="state JSON file, or - for stdin")
     p = _command(actions, "rebuild", _cmd_majorana,

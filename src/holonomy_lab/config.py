@@ -1,18 +1,19 @@
 """Shared tolerances and run configuration.
 
-``TAU_DEG`` and ``TAU_NPC`` are the library's one degeneracy and one
-null-phase tolerance; every function that decides either reads them from
-here, and no caller overrides them.  The defaults of the settings
-:class:`RunConfig` carries live here too; other tolerances (those of
-``CurveLift``, ``MajoranaRep`` and more) keep their own.  The CLI builds
-a :class:`RunConfig` from an optional JSON file plus the flags of the
+``TAU_DEG``, ``TAU_NPC``, ``TAU_LEAD``, ``MAX_QUAD_ERROR`` and
+``TAU_PROFILE`` are the library's one degeneracy tolerance, null-phase
+tolerance, degree cut, quadrature error bound and profile tolerance;
+every function that decides one of these reads it from here, and no
+caller overrides it.  The defaults of the settings :class:`RunConfig`
+carries live here too; other tolerances (those of ``CurveLift``,
+``MajoranaRep`` and more) keep their own.  The CLI builds a
+:class:`RunConfig` from an optional JSON file plus the flags of the
 command at hand, so batch runs are reproducible from the config alone.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import numbers
 from dataclasses import asdict, dataclass, fields
 
@@ -28,26 +29,26 @@ TAU_NPC = 1e-10
 # treated as zero when deciding the effective degree of a star polynomial.
 TAU_LEAD = 1e-10
 
+# Largest estimated quadrature error the connection integral accepts.
+MAX_QUAD_ERROR = 1e-6
+
+# Slack allowed in a real profile's boundary values, norms and dot products.
+TAU_PROFILE = 1e-9
+
 DEFAULT_GRID = 257
 DEFAULT_SUBGRID = 21
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Leading-coefficient threshold, grid sizes and seeding for a batch run."""
+    """Grid sizes, seeding and output file for a batch run."""
 
-    tau_lead: float = TAU_LEAD
     grid: int = DEFAULT_GRID
     subgrid: int = DEFAULT_SUBGRID
     seed: int = 0
     output: str | None = None
 
     def __post_init__(self) -> None:
-        lead = self.tau_lead
-        if not isinstance(lead, numbers.Real) or isinstance(lead, bool):
-            raise ValueError("tau_lead must be a real number")
-        if not math.isfinite(lead) or lead <= 0:
-            raise ValueError("tau_lead must be positive and finite")
         for name in ("grid", "subgrid", "seed"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or isinstance(value, bool):

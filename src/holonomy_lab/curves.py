@@ -31,7 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DEFAULT_GRID, DEFAULT_SUBGRID, TAU_DEG, TAU_NPC
+from .config import (DEFAULT_GRID, DEFAULT_SUBGRID, MAX_QUAD_ERROR, TAU_DEG,
+                     TAU_NPC, TAU_PROFILE)
 from .core import inner, normalize, principal_angle, ray_angle
 
 
@@ -71,15 +72,16 @@ class CurveLift(object):
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
             raise ValueError("psi must have one row per sample")
-        # rounding is monotone, so the largest |step - first| is hi - first
-        # or first - lo; a NaN or an infinite step fails before either is
-        # formed, and only then is s scanned for the message
+        # s is scanned before it is differenced, so infinite samples raise
+        # without NumPy's warning on inf - inf; rounding is monotone, so the
+        # largest |step - first| is hi - first or first - lo, and a step that
+        # overflowed fails before either is formed
+        if not np.isfinite(s).all():
+            raise ValueError("non-finite sample in curve")
         steps = s[1:] - s[:-1]
         first, lo, hi = steps[0], steps.min(), steps.max()
         if not (lo > 0 and hi < math.inf
                 and max(hi - first, first - lo) <= 1e-9 * first):
-            if not np.isfinite(s).all():
-                raise ValueError("non-finite sample in curve")
             raise ValueError("sample grid must be uniform and increasing")
         conj = np.conjugate(psi)
         norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
@@ -269,8 +271,7 @@ def generate_npc_profile(theta0: float, n: int, eps: float,
     return RealProfile(s, x)
 
 
-def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray,
-                        tol: float) -> bool:
+def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray) -> bool:
     """Whether per-component bounds alone settle the nonlocal condition.
 
     ``columns`` holds the profile's m components as contiguous rows and
@@ -290,9 +291,9 @@ def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray,
     room for the roundings of the two comparisons; the floor of 1 covers
     absolute errors from underflow.  So when the lower bound exceeds the
     slack and T plus the slack is at most 1 + tol, no Gram entry the scan
-    computes is <= 0 or > 1 + tol.  Overflow or NaN fails a comparison
-    and leaves the decision to the scan.  The squares may be summed in any
-    order, as the bound on the computed T already allows.
+    computes is <= 0 or > 1 + tol, tol being TAU_PROFILE.  Overflow or NaN
+    fails a comparison and leaves the decision to the scan.  The squares
+    may be summed in any order, as the bound on the computed T allows.
     """
     m = columns.shape[0]
     lo = columns.min(axis=1)
@@ -300,35 +301,32 @@ def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray,
     floor = float(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi)).sum())
     top = float(squares.max())
     slack = 16.0 * m * m * np.finfo(float).eps * max(top, 1.0)
-    return floor > slack and top + slack <= 1.0 + tol
+    return floor > slack and top + slack <= 1.0 + TAU_PROFILE
 
 
-def _nonlocal_violations(x: np.ndarray, tol: float) -> list:
-    """Scan the full Gram matrix for pairs i < j outside (0, 1 + tol]."""
+def _nonlocal_violations(x: np.ndarray) -> list:
+    """Scan the Gram matrix for pairs i < j outside (0, 1 + TAU_PROFILE]."""
     gram = x @ x.T
-    bad = (gram <= 0.0) | (gram > 1.0 + tol)
+    bad = (gram <= 0.0) | (gram > 1.0 + TAU_PROFILE)
     bad &= np.triu(np.ones_like(bad, dtype=bool), k=1)
     return [{"kind": "nonlocal", "pair": [int(i), int(j)],
              "detail": f"overlap {gram[i, j]:.6e} outside (0, 1]"}
             for i, j in zip(*np.nonzero(bad))]
 
 
-def validate_profile(profile: RealProfile, theta0: float,
-                     tol: float = 1e-9) -> ProfileReport:
+def validate_profile(profile: RealProfile, theta0: float) -> ProfileReport:
     """Check boundary, local and nonlocal conditions of a profile.
 
     Boundary: x starts at (1, 0, ...) and ends at (cos(theta0/2),
     sin(theta0/2), 0, ...).  Local: unit norm, x_1 > 0 and
     C0 x_1 + S0 x_2 > 0 at every sample.  Nonlocal: every pairwise dot
-    product must lie in (0, 1].  Per-component bounds settle the nonlocal
-    condition in O(k m) for k samples of m components; only when they
-    cannot (signed components, norms at the tolerance) are all k^2 pairs
-    scanned.
+    product must lie in (0, 1].  Each test allows ``TAU_PROFILE`` of
+    slack.  Per-component bounds settle the nonlocal condition in O(k m)
+    for k samples of m components; only when they cannot (signed
+    components, norms at the tolerance) are all k^2 pairs scanned.
     """
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly inside (0, pi)")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
     report = ProfileReport()
     x = profile.x
     n_samples, m = x.shape
@@ -337,10 +335,10 @@ def validate_profile(profile: RealProfile, theta0: float,
     start[0] = 1.0
     end = np.zeros(m)
     end[0], end[1] = c0, s0
-    if np.max(np.abs(x[0] - start)) > tol:
+    if np.max(np.abs(x[0] - start)) > TAU_PROFILE:
         report.violations.append({"kind": "boundary", "index": 0,
                                   "detail": "profile must start at (1, 0, ...)"})
-    if np.max(np.abs(x[-1] - end)) > tol:
+    if np.max(np.abs(x[-1] - end)) > TAU_PROFILE:
         report.violations.append({"kind": "boundary", "index": n_samples - 1,
                                   "detail": "profile must end at (C0, S0, 0, ...)"})
     # one contiguous copy with a row per component: every reduction below
@@ -352,9 +350,9 @@ def validate_profile(profile: RealProfile, theta0: float,
     # extremes settle all three local tests on a passing profile (max
     # |norm - 1| by monotone rounding, as for a lift); only a profile that
     # fails one, or holds a NaN, is scanned sample by sample
-    if not (max(norms.max() - 1.0, 1.0 - norms.min()) <= tol
+    if not (max(norms.max() - 1.0, 1.0 - norms.min()) <= TAU_PROFILE
             and columns[0].min() > 0.0 and combo.min() > 0.0):
-        for i in np.flatnonzero(np.abs(norms - 1.0) > tol):
+        for i in np.flatnonzero(np.abs(norms - 1.0) > TAU_PROFILE):
             report.violations.append({"kind": "local", "index": int(i),
                                       "detail": f"norm {norms[i]:.12f} is not 1"})
         for i in np.flatnonzero(columns[0] <= 0.0):
@@ -363,8 +361,8 @@ def validate_profile(profile: RealProfile, theta0: float,
         for i in np.flatnonzero(combo <= 0.0):
             report.violations.append({"kind": "local", "index": int(i),
                                       "detail": "C0 x1 + S0 x2 not positive"})
-    if not _nonlocal_certified(columns, squares, tol):
-        report.violations.extend(_nonlocal_violations(x, tol))
+    if not _nonlocal_certified(columns, squares):
+        report.violations.extend(_nonlocal_violations(x))
     return report
 
 
@@ -514,7 +512,7 @@ def _integrand_from_overlaps(conj: np.ndarray, psi: np.ndarray, a1: np.ndarray,
     return f / (12.0 * h)
 
 
-def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
+def connection_integral(lift: CurveLift) -> float:
     """Quadrature of -i (psi, dpsi/ds) along the lift.
 
     Vanishes for lifts with real pairwise overlaps; for a general lift of
@@ -526,10 +524,8 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
     sample the lag-1 overlaps are the fine grid's lag-2 overlaps at even
     samples, and the lag-2 overlaps its lag-4 ones, so the estimate
     conjugates nothing again.
-    Raises when the estimate exceeds ``max_quad_error``, or is NaN.
+    Raises when the estimate exceeds ``MAX_QUAD_ERROR``, or is NaN.
     """
-    if not (math.isfinite(max_quad_error) and max_quad_error > 0):
-        raise ValueError("max_quad_error must be positive and finite")
     n = lift.s.size
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
@@ -544,7 +540,7 @@ def connection_integral(lift: CurveLift, max_quad_error: float = 1e-6) -> float:
         estimate = abs(result - _simpson(coarse, 2.0 * h)) / 15.0
     else:
         estimate = abs(result - float(np.trapezoid(integrand, dx=h)))
-    if not estimate <= max_quad_error:
+    if not estimate <= MAX_QUAD_ERROR:
         raise ValueError(
             f"grid too coarse: estimated quadrature error {estimate:.3e}"
         )

@@ -236,10 +236,10 @@ def _check_states(psi) -> np.ndarray:
     return psi
 
 
-def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
+def coefficients_to_roots(psi) -> MajoranaRep:
     """Factor a state, or each row of a (B, n) batch, into n-1 spinors and a scale.
 
-    Coefficients below ``tau_lead`` times the largest one are treated as
+    Coefficients below ``TAU_LEAD`` times the largest one are treated as
     zero when fixing the effective degree, and each missing degree
     contributes a north-pole spinor (1, 0), listed first.  Rows with equal
     degree and equal count m of nonzero roots (the others are exact zeros)
@@ -254,10 +254,10 @@ def coefficients_to_roots(psi, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     unit spinor along (-w, 1) whose first entry is real and nonnegative,
     the phase star_to_spinor fixes; a root at 0 gives (0, 1).
     """
-    return _factor(_check_states(psi), tau_lead)
+    return _factor(_check_states(psi))
 
 
-def _factor(psi: np.ndarray, tau_lead: float = TAU_LEAD) -> MajoranaRep:
+def _factor(psi: np.ndarray) -> MajoranaRep:
     """coefficients_to_roots of a complex state or (B, n) batch already checked."""
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
@@ -266,7 +266,7 @@ def _factor(psi: np.ndarray, tau_lead: float = TAU_LEAD) -> MajoranaRep:
     peak = mags.max(axis=1)
     if not peak.all():
         raise ValueError("zero vector has no star decomposition")
-    degree = n - 1 - (mags[:, ::-1] > tau_lead * peak[:, None]).argmax(axis=1)
+    degree = n - 1 - (mags[:, ::-1] > TAU_LEAD * peak[:, None]).argmax(axis=1)
     zeros = (mags != 0).argmax(axis=1)
     spinors = np.empty((count, n - 1, 2), dtype=complex)
     lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)

@@ -59,12 +59,13 @@ def _polish_roots(desc, roots):
     return np.where(small & better, candidate, roots)
 
 
-def oracle_decomposition(psi, tau_lead=1e-10):
-    """Spinors (n-1, 2) and scale of one state by ``np.roots``."""
+def oracle_decomposition(psi):
+    """Spinors (n-1, 2) and scale of one state by ``np.roots``, with the
+    library's degree cut of 1e-10 written out."""
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
     coeffs = psi * np.sqrt([math.comb(n - 1, k) for k in range(n)])
-    cutoff = tau_lead * np.max(np.abs(coeffs))
+    cutoff = 1e-10 * np.max(np.abs(coeffs))
     degree = int(np.max(np.flatnonzero(np.abs(coeffs) > cutoff)))
     spinors = [np.array([1.0, 0.0], dtype=complex)] * (n - 1 - degree)
     if degree > 0:
@@ -85,9 +86,9 @@ def oracle_expand(spinors):
     return poly
 
 
-def oracle_su2_apply(u, psi, tau_lead=1e-10):
+def oracle_su2_apply(u, psi):
     """u in SU(2) applied to one state through its stars."""
-    spinors, scale = oracle_decomposition(psi, tau_lead)
+    spinors, scale = oracle_decomposition(psi)
     n = np.asarray(psi).size
     weights = [math.sqrt(math.factorial(k) * math.factorial(n - 1 - k))
                for k in range(n)]
@@ -95,8 +96,8 @@ def oracle_su2_apply(u, psi, tau_lead=1e-10):
     return scale * oracle_expand(moved) * weights
 
 
-def oracle_stars(psi, tau_lead=1e-10):
-    spinors, _ = oracle_decomposition(psi, tau_lead)
+def oracle_stars(psi):
+    spinors, _ = oracle_decomposition(psi)
     return np.array([oracle_star(s) for s in spinors]).reshape(-1, 3)
 
 

@@ -570,55 +570,18 @@ class TestConfigPlumbing:
         assert out["geometric_phase"] == out["endpoint_phase"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
-        # the degeneracy and null-phase tolerances are not settings: the
-        # library reads TAU_DEG and TAU_NPC, so a file may not set them
+        # the tolerances are not settings: the library reads TAU_DEG,
+        # TAU_NPC and TAU_LEAD from config, so a file may not set them
         cfg = tmp_path / "cfg.json"
-        for entry in ({"gird": 17}, {"tau_deg": 1e-12}, {"tau_npc": 1e-10}):
+        for entry in ({"gird": 17}, {"tau_deg": 1e-12}, {"tau_npc": 1e-10},
+                      {"tau_lead": 1e-10}):
             cfg.write_text(json.dumps(entry))
             code, out, err = run(["npc", "generate", "--theta0", "1.0",
                                   "--config", str(cfg)], capsys)
             assert code == 1 and out == ""
             assert f"unknown config keys: {next(iter(entry))}" in err
 
-    @pytest.fixture
-    def state_file(self, tmp_path):
-        """A state whose star polynomial has leading coefficients to weigh."""
-        path = tmp_path / "state.json"
-        path.write_text(json.dumps(
-            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}))
-        return str(path)
-
-    def test_invalid_tolerance_is_usage_error(self, state_file, capsys):
-        code, _, err = run(["majorana", "stars", state_file, "--tol-lead", "-1"],
-                           capsys)
-        assert code == 1 and "positive" in err
-
-    @pytest.mark.parametrize("flag", ["--tol-lead"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_tolerance_flag_is_usage_error(
-            self, state_file, capsys, flag, value):
-        # a NaN threshold compares False, so no coefficient would count as zero
-        code, out, err = run(["majorana", "stars", state_file, flag, value],
-                             capsys)
-        assert code == 1 and "finite" in err
-        assert out == ""
-
-    @pytest.mark.parametrize("key", ["tau_lead"])
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    def test_non_finite_tolerance_in_config_file(
-            self, tmp_path, octant_file, capsys, key, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(f'{{"{key}": {value}}}')
-        with pytest.raises(ValueError, match="finite"):
-            RunConfig.from_file(str(cfg))
-        # every field of the file is checked, whether the command reads it or not
-        code, _, err = run(["bi", octant_file, "--config", str(cfg)], capsys)
-        assert code == 1 and "finite" in err
-
     @pytest.mark.parametrize("entry, message", [
-        ('"tau_lead": "x"', "tau_lead must be a real number"),
-        ('"tau_lead": true', "tau_lead must be a real number"),
-        ('"tau_lead": [1e-10]', "tau_lead must be a real number"),
         ('"grid": 17.5', "grid must be an integer"),
         ('"grid": 17.0', "grid must be an integer"),
         ('"subgrid": "21"', "subgrid must be an integer"),
@@ -640,14 +603,15 @@ class TestConfigPlumbing:
 
     def test_config_integers_and_reals_accepted(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"tau_lead": 1, "grid": 17, "seed": -3,'
-                       ' "output": "out.json"}')
+        cfg.write_text('{"grid": 17, "seed": -3, "output": "out.json"}')
         config = RunConfig.from_file(str(cfg))
-        assert (config.tau_lead, config.grid, config.seed) == (1, 17, -3)
+        assert (config.grid, config.seed) == (17, -3)
         assert RunConfig(grid=np.int64(9), seed=np.int32(1)).grid == 9
 
     @pytest.mark.parametrize("argv", [
         "stars {curve} --tol-lead 0.5",
+        "majorana roots {state} --tol-lead 1e-10",
+        "majorana stars {state} --tol-lead 1e-10",
         "npc phase {curve} --theta0 2",
         "reconstruct {params} --grid 9",
         "bi {states} --seed 1",
@@ -660,8 +624,11 @@ class TestConfigPlumbing:
             self, tmp_path, octant_file, capsys, argv):
         params = tmp_path / "params.json"
         params.write_text(json.dumps(TestReconstruct.PARAMS))
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(
+            {"dim": 3, "amplitudes": [[0, 0], [1, 0], [0, 0]]}))
         words = argv.format(curve=write_curve(tmp_path), params=params,
-                            states=octant_file).split()
+                            states=octant_file, state=state).split()
         code, _, err = run(words[:-2], capsys)
         assert code == 0, err
         err = usage_error(words, capsys)
@@ -687,8 +654,8 @@ OPTIONS = {
     ("decompose",): IO,
     ("reconstruct",): IO | {"--space"},
     ("phase",): IO | {"--formula"},
-    ("majorana", "roots"): IO | {"--tol-lead"},
-    ("majorana", "stars"): IO | {"--tol-lead"},
+    ("majorana", "roots"): IO,
+    ("majorana", "stars"): IO,
     ("majorana", "rebuild"): IO,
     ("stars",): IO,
     ("npc", "phase"): IO,
@@ -715,7 +682,7 @@ class TestParser:
     def test_each_entry_point_takes_exactly_its_options(self):
         got = dict(entry_points(cli.build_parser()))
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 40
+        assert sum(map(len, got.values())) == 38
 
     def test_readme_settings_table_matches_parser(self):
         # every entry point's options but --config and --output, as listed

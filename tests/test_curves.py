@@ -1,10 +1,12 @@
 """Lifts, profiles, the null-phase check and connection quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from holonomy_lab import core, curves, selftest
-from holonomy_lab.config import TAU_NPC, RunConfig
+from holonomy_lab.config import TAU_NPC, TAU_PROFILE, RunConfig
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -116,16 +118,22 @@ def grid_decision(s) -> bool:
 class TestGridCheck:
     """The grid test from the extremes of one difference array."""
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("where", [0, 1, 4, 8])
-    def test_non_finite_grid_sample(self, bad, where):
-        s = np.linspace(0.0, 1.0, 9)
-        s[where] = bad
-        psi = np.tile([1.0 + 0j, 0.0], (9, 1))
-        with pytest.raises(ValueError, match="non-finite sample in curve"):
-            CurveLift(s, psi)
-        with pytest.raises(ValueError, match="non-finite sample in curve"):
-            CurveLift._owned(s, psi)
+    @pytest.mark.parametrize("s", [
+        *[pytest.param(np.where(np.arange(9) == where, bad, np.linspace(0, 1, 9)),
+                       id=f"{where}-{bad}")
+          for where in (0, 1, 4, 8) for bad in (np.nan, np.inf, -np.inf)],
+        # adjacent infinities, whose difference is inf - inf
+        pytest.param(np.array([0.0, 1.0, np.inf, np.inf]), id="inf-inf-at-end"),
+        pytest.param(np.array([0.0, np.inf, np.inf, 1.0]), id="inf-inf-inside"),
+    ])
+    def test_non_finite_grid_sample(self, s):
+        psi = np.tile([1.0 + 0j, 0.0], (s.size, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raises without a RuntimeWarning
+            with pytest.raises(ValueError, match="non-finite sample in curve"):
+                CurveLift(s, psi)
+            with pytest.raises(ValueError, match="non-finite sample in curve"):
+                CurveLift._owned(s, psi)
 
     @pytest.mark.parametrize("s", [
         np.linspace(1.0, 0.0, 9),  # decreasing
@@ -437,12 +445,6 @@ class TestValidateProfile:
         with pytest.raises(ValueError, match="theta0"):
             CurveFrame(np.eye(2, dtype=complex), theta0)
 
-    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-9, np.inf])
-    def test_tol_must_be_positive_and_finite(self, tol):
-        profile = generate_npc_profile(1.0, 3, 0.3)
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            validate_profile(profile, 1.0, tol=tol)
-
 
 class TestProfileToLift:
     def test_width_mismatch(self, rng):
@@ -489,16 +491,16 @@ class TestProfileCheckMatchesFullScan:
         calls = []
         scan = curves._nonlocal_violations
 
-        def counted(x, tol):
+        def counted(x):
             calls.append(x.shape)
-            return scan(x, tol)
+            return scan(x)
 
         monkeypatch.setattr(curves, "_nonlocal_violations", counted)
         return calls
 
-    def assert_parity(self, profile, theta0, **kwargs):
-        got = validate_profile(profile, theta0, **kwargs).violations
-        assert got == oracle_violations(profile, theta0, **kwargs)
+    def assert_parity(self, profile, theta0, tol=TAU_PROFILE):
+        got = validate_profile(profile, theta0).violations
+        assert got == oracle_violations(profile, theta0, tol=tol)
         return got
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -510,7 +512,7 @@ class TestProfileCheckMatchesFullScan:
                 assert self.assert_parity(profile, theta0) == []
 
     def test_eps_family_never_reaches_the_scan(self, monkeypatch):
-        def refuse(x, tol):
+        def refuse(x):
             raise AssertionError("the Gram scan ran on a certified profile")
 
         monkeypatch.setattr(curves, "_nonlocal_violations", refuse)
@@ -541,9 +543,10 @@ class TestProfileCheckMatchesFullScan:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-6])
     @pytest.mark.parametrize("gap", [-0.5, -1e-13, -1e-15, 0.0, 1e-15, 1e-13, 0.5])
-    def test_norms_at_the_tolerance(self, scans, tol, gap):
+    def test_norms_at_the_tolerance(self, monkeypatch, scans, tol, gap):
         # a repeated sample makes an off-diagonal Gram entry equal its
         # squared norm, 1 + tol + gap (gap = +-0.5 stands for +-tol/2)
+        monkeypatch.setattr(curves, "TAU_PROFILE", tol)
         theta0 = 1.0
         profile = generate_npc_profile(theta0, 3, 0.5, grid=17)
         x = profile.x.copy()
@@ -956,17 +959,13 @@ class TestQuadrature:
             connection_integral(rough)
 
     @pytest.mark.parametrize("grid", [5, 7, 9])
-    def test_short_grids_integrate(self, rng, grid):
+    def test_short_grids_integrate(self, rng, monkeypatch, grid):
         # grid 5 halves to 3 samples, too few for the stencil, so it takes
         # the trapezoid estimate like grid 7; grid 9 halves to 5
+        monkeypatch.setattr(curves, "MAX_QUAD_ERROR", 1e-3)
         twisted = twist(make_geodesic(rng, grid=grid), lambda s: 0.5 * s)
-        got = connection_integral(twisted, max_quad_error=1e-3)
+        got = connection_integral(twisted)
         assert got == pytest.approx(0.5, abs=1e-3)
-
-    @pytest.mark.parametrize("bound", [np.nan, np.inf, 0.0, -1e-6])
-    def test_error_bound_must_be_positive_and_finite(self, rng, bound):
-        with pytest.raises(ValueError, match="max_quad_error"):
-            connection_integral(make_geodesic(rng), max_quad_error=bound)
 
     def test_nan_error_estimate_fails(self, rng, monkeypatch):
         lift = make_geodesic(rng)
@@ -993,10 +992,14 @@ class TestIntegralMatchesStencilOracle:
     the halved-grid one.
     """
 
+    @pytest.fixture(autouse=True)
+    def loose_bound(self, monkeypatch):
+        # the bound is loose so that coarse grids still return a value
+        monkeypatch.setattr(curves, "MAX_QUAD_ERROR", 1.0)
+
     @staticmethod
     def assert_parity(lift):
-        # the bound is loose so that coarse grids still return a value
-        got = connection_integral(lift, max_quad_error=1.0)
+        got = connection_integral(lift)
         assert abs(got - oracle_connection_integral(lift)) < 1e-12
         return got
 
@@ -1038,14 +1041,17 @@ class TestEstimateMatchesTwoPass:
             yield profile_to_lift(
                 frame, generate_npc_profile(frame.theta0, 3, 0.8, grid=grid))
 
-    def test_result_and_estimate(self, rng, grid, dim):
+    def test_result_and_estimate(self, rng, monkeypatch, grid, dim):
         for lift in self.lifts(rng, dim, grid):
             want, estimate = oracle_two_pass(lift)
             assert estimate > 0.0
-            above = np.nextafter(estimate, np.inf)
-            assert connection_integral(lift, max_quad_error=above) == want
+            # a bound equal to the estimate passes, one ulp below fails
+            monkeypatch.setattr(curves, "MAX_QUAD_ERROR", estimate)
+            assert connection_integral(lift) == want
+            monkeypatch.setattr(curves, "MAX_QUAD_ERROR",
+                                np.nextafter(estimate, 0.0))
             with pytest.raises(ValueError, match="too coarse"):
-                connection_integral(lift, max_quad_error=np.nextafter(estimate, 0.0))
+                connection_integral(lift)
 
 
 class TestOpenCurvePhase:

@@ -141,7 +141,7 @@ class TestDecompositionSpinors:
         self.assert_canonical(rep)
         assert np.all(rep.spinors[-2:] == [0.0, 1.0])
 
-    @pytest.mark.parametrize("mod", [1e190, 1e-300, 1.0, 1e-310, 5e-324])
+    @pytest.mark.parametrize("mod", [1e190, 1e9, 1e-300, 1.0, 1e-310, 5e-324])
     def test_extreme_root_moduli(self, rng, mod):
         phase = np.exp(2j * np.pi * rng.uniform())
         w = mod * phase
@@ -149,9 +149,16 @@ class TestDecompositionSpinors:
         psi = np.array([-w, 1.0]) if mod < 1 else np.array([-phase, 1.0 / mod])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = mj.coefficients_to_roots(psi, tau_lead=1e-250)
-            # the oracle as well, whose pivot is subnormal for the last two
-            self.assert_canonical(rep, [w])
+            rep = mj.coefficients_to_roots(psi)
+            if mod < 1e100:
+                # the oracle as well, whose pivot is subnormal for the last two
+                self.assert_canonical(rep, [w])
+        if mod > 1e100:
+            # the lead 1/mod is below TAU_LEAD, so the degree drops and the
+            # north pole stands in for the root's star, 2/mod away
+            assert np.array_equal(rep.spinors, [[1.0, 0.0]])
+            true_star = mj.spinor_to_star(psi)
+            assert np.linalg.norm(rep.stars()[0] - true_star) <= 2.0 / mod * (1 + EPS)
         if mod < 1e-100:
             assert abs(rep.stars()[0, 2] + 1.0) <= 4 * EPS  # the south pole
         assert np.abs(mj.roots_to_coefficients(rep) - psi).max() <= 4 * EPS

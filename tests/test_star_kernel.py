@@ -64,7 +64,7 @@ class TestKernelParity:
     def test_degree_zero_rows_are_north(self, rng):
         batch = np.zeros((4, 6), dtype=complex)
         batch[:, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
-        batch[1, 3] = 1e-12  # below tau_lead times the largest coefficient
+        batch[1, 3] = 1e-12  # below TAU_LEAD times the largest coefficient
         rep = assert_matches_oracle(batch)
         assert np.array_equal(rep.stars(), np.tile(NORTH, (4, 5, 1)))
 
@@ -200,14 +200,17 @@ class TestClosedFormPairs:
         beta = np.abs(rep.spinors[..., 1])
         assert beta.min() > 0.0 and 1e-12 < beta.min(axis=1).max() < 1e-8
 
-    def test_roots_beyond_the_square_root_of_the_float_range(self, rng):
-        # with a small tau_lead a root can pass 1e154, where t0^2 overflows
-        # unless the discriminant is scaled first (np.roots overflows too,
-        # in its Newton step, so the known roots are the reference)
+    def test_roots_beyond_the_square_root_of_the_float_range(self, rng,
+                                                             monkeypatch):
+        # with a smaller degree cut a root can pass 1e154, where t0^2
+        # overflows unless the discriminant is scaled first (np.roots
+        # overflows too, in its Newton step, so the known roots are the
+        # reference)
+        monkeypatch.setattr(mj, "TAU_LEAD", 1e-250)
         roots = rng.standard_normal((2, 20)) + 1j * rng.standard_normal((2, 20))
         roots[0] *= 1e190
         batch = quadratic_rows(roots[0] * roots[1], -roots.sum(axis=0), 1.0)
-        rep = mj.coefficients_to_roots(batch, tau_lead=1e-250)
+        rep = mj.coefficients_to_roots(batch)
         for got, want in zip(rep.stars(), root_stars(roots.T)):
             assert mj.star_matching_distance(got, want) <= 1e-12
         back = mj.roots_to_coefficients(rep)
