@@ -40,7 +40,11 @@ defaults to this checkout's ``src``.  The cases are
   ``perfbench``: ``geodesic``, ``profile`` and ``arc`` build a lift (from
   an in-phase pair, a frame and profile, or sample arrays), check it and
   integrate it; ``loop`` builds three sides, one of them on every other
-  loop from a profile, and takes the loop's geometric phase.
+  loop from a profile, and takes the loop's geometric phase;
+- ``cli.help.cold``: a cold ``python -m holonomy_lab.cli --help``, each
+  call a new interpreter that imports the tree's CLI and prints the
+  command list, timed from outside as one call per block; its output
+  difference is 0 when both trees print the same bytes.
 
 Every layer is called with positional inputs only, so a keyword that
 one tree has and the other lacks cannot split them.  Inputs come from
@@ -237,6 +241,16 @@ def cases(lab):
     return out
 
 
+def cold_help(src: Path):
+    """A function that runs ``python -m holonomy_lab.cli --help`` on the
+    tree under src in a new interpreter and returns its standard output."""
+    src = src.resolve()
+    argv = [sys.executable, "-m", "holonomy_lab.cli", "--help"]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return lambda: subprocess.run(argv, cwd=src, env=env, capture_output=True,
+                                  check=True).stdout
+
+
 def flat(result) -> np.ndarray:
     """Every number in a result (array, scalar, tuple or dataclass) as one array."""
     if dataclasses.is_dataclass(result):
@@ -335,8 +349,6 @@ def main(argv=None) -> int:
     trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
     layers = [(p[0], p[1], c[1], p[2], c[2]) for p, c in
               zip(*(cases(lab) for lab in trees)) if args.only in p[0]]
-    if not layers:
-        parser.error(f"no layer label contains {args.only!r}")
 
     table = []
     for label, fn_p, fn_c, pool_p, pool_c in layers:
@@ -345,6 +357,14 @@ def main(argv=None) -> int:
         # both sides walk their pools in step, so each pair times the same inputs
         table.append([label, fn_p, fn_c, itertools.cycle(pool_p),
                       itertools.cycle(pool_c), calls, diff, [], []])
+    label = "cli.help.cold"
+    if args.only in label:
+        fn_p, fn_c = cold_help(args.parent), cold_help(args.change)
+        diff = 0.0 if fn_p() == fn_c() else math.inf
+        table.append([label, fn_p, fn_c, itertools.repeat(()),
+                      itertools.repeat(()), 1, diff, [], []])
+    if not table:
+        parser.error(f"no layer label contains {args.only!r}")
     for r in range(args.rounds):
         for row in table:
             _, fn_p, fn_c, in_p, in_c, calls, _, t_p, t_c = row

@@ -6,7 +6,7 @@ star decompositions with their sphere geometry, and sampled curves with
 the null-phase property.
 """
 
-from .config import RunConfig, TAU_DEG, TAU_LEAD, TAU_NPC
+from .config import TAU_DEG, TAU_LEAD, TAU_NPC
 from .core import (
     DegenerateTriadError,
     bargmann,

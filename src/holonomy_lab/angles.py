@@ -74,7 +74,7 @@ class CanonicalParamsN2:
 class CanonicalParamsN3(CanonicalParamsN2):
     """Six independent angles of a dimension-3 triad (adds xi)."""
 
-    xi: float = np.pi / 4
+    xi: float
 
     def __post_init__(self) -> None:
         super().__post_init__()

@@ -1,9 +1,12 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 for usage or input-parse errors and when
-memory runs out, 2 when the input is semantically invalid or a
-verification fails.  All output is deterministic for a fixed seed and
-configuration.
+Each command reads its input files and, from its own flags, the run
+settings it passes to the library (``--grid``, ``--subgrid`` or
+``--seed``) and ``--output``; a setting out of its range is a usage
+error.  Exit codes: 0 on success, 1 for usage or input-parse errors and
+when memory runs out, 2 when the input is semantically invalid or a
+verification fails.  All output is deterministic for fixed inputs and
+flags.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import angles as ang
 from . import core, curves, decompose, formats, majorana, selftest
-from .config import RunConfig
+from .config import DEFAULT_GRID, DEFAULT_SUBGRID
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,19 +53,19 @@ def _load(path: str, reader):
         raise _InputError(f"{path}: {exc}") from exc
 
 
-def _emit(text: str, config: RunConfig) -> None:
-    if config.output:
+def _emit(text: str, output: str | None) -> None:
+    if output:
         try:
-            with open(config.output, "w", encoding="utf-8") as handle:
+            with open(output, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            raise _InputError(f"cannot write {config.output}: {exc}") from exc
+            raise _InputError(f"cannot write {output}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _emit_json(obj, config: RunConfig) -> None:
-    _emit(formats.json_dumps(formats.result_to_jsonable(obj)), config)
+def _emit_json(obj, output: str | None) -> None:
+    _emit(formats.json_dumps(formats.result_to_jsonable(obj)), output)
 
 
 def _float_field(d: dict, key: str) -> float:
@@ -80,31 +83,33 @@ def _float_field(d: dict, key: str) -> float:
     return value
 
 
-# One row per RunConfig field a flag may set: flag, type, help.  Each
-# command takes only the fields it passes to the library.
-_SETTINGS = {
-    "seed": ("--seed", int, "seed for randomized checks"),
-    "grid": ("--grid", int, "curve sample count"),
-    "subgrid": ("--subgrid", int, "samples for the null-phase check"),
-}
+def _at_least(least: int, odd: bool = False):
+    """argparse type of a run setting: an integer no smaller than
+    ``least``, and odd if ``odd`` is set; any other value is a usage error."""
+    rule = f"must be {'odd and ' if odd else ''}at least {least}"
 
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.config:
+    def parse(text: str) -> int:
         try:
-            config = RunConfig.from_file(args.config)
-        except OSError as exc:
-            raise _InputError(f"cannot read {args.config}: {exc}") from exc
-        except ValueError as exc:
-            raise _InputError(f"{args.config}: {exc}") from exc
-    else:
-        config = RunConfig()
-    # a command's namespace holds only the settings its parser defines
-    overrides = {name: getattr(args, name, None) for name in _SETTINGS}
-    try:
-        return config.replace(output=args.output, **overrides)
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least or (odd and value % 2 == 0):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+
+    return parse
+
+
+# One row per run setting a flag may set: flag, type, default, help.  Each
+# command takes only the settings it passes to the library.  The connection
+# integral runs Simpson's rule over the grid; a grid of 5 estimates its
+# error against the trapezoid rule, since every other sample leaves only 3.
+_SETTINGS = {
+    "seed": ("--seed", _at_least(0), 0, "seed for randomized checks"),
+    "grid": ("--grid", _at_least(5, odd=True), DEFAULT_GRID, "curve sample count"),
+    "subgrid": ("--subgrid", _at_least(3), DEFAULT_SUBGRID,
+                "samples for the null-phase check"),
+}
 
 
 def _phase_of(invariant: complex) -> float:
@@ -124,7 +129,7 @@ def _angles_dict(a: ang.IntrinsicAngles) -> dict:
 # command handlers
 
 
-def _cmd_bi(args, config: RunConfig) -> int:
+def _cmd_bi(args) -> int:
     states = _load(args.states, lambda t: formats.states_from_dict(
         formats.json_loads(t)))
     states = [core.normalize(s) for s in states]
@@ -133,21 +138,21 @@ def _cmd_bi(args, config: RunConfig) -> int:
         "order": len(states),
         "bargmann_invariant": delta,
         "geometric_phase": _phase_of(delta),
-    }, config)
+    }, args.output)
     return 0
 
 
-def _cmd_angles(args, config: RunConfig) -> int:
+def _cmd_angles(args) -> int:
     states = _load(args.triad, lambda t: formats.states_from_dict(
         formats.json_loads(t)))
     if len(states) != 3:
         raise ValueError(f"angle extraction needs exactly 3 states, got {len(states)}")
     got = ang.extract_angles(*states)
-    _emit_json(_angles_dict(got), config)
+    _emit_json(_angles_dict(got), args.output)
     return 0
 
 
-def _cmd_reconstruct(args, config: RunConfig) -> int:
+def _cmd_reconstruct(args) -> int:
     params = _load(args.params, formats.json_loads)
     if not isinstance(params, dict):
         raise _InputError("parameter file must hold a JSON object")
@@ -162,7 +167,7 @@ def _cmd_reconstruct(args, config: RunConfig) -> int:
             "labels": labels,
             "derived": {"theta_23": theta_23, "phi_g": phi_g,
                         "r": p.r, "r_prime": p.r_prime},
-        }, config)
+        }, args.output)
         return 0
     phi = _float_field(params, "phi")
     phi_12 = _float_field(params, "phi_12")
@@ -178,11 +183,11 @@ def _cmd_reconstruct(args, config: RunConfig) -> int:
         theta_23, phi_g = ang.solve_dependent_n2(t12, t31, phi)
     out = formats.states_to_dict(triad)
     out["derived"] = {"theta_23": theta_23, "phi_g": phi_g}
-    _emit_json(out, config)
+    _emit_json(out, args.output)
     return 0
 
 
-def _cmd_phase(args, config: RunConfig) -> int:
+def _cmd_phase(args) -> int:
     params = _load(args.params, formats.json_loads)
     if not isinstance(params, dict):
         raise _InputError("parameter file must hold a JSON object")
@@ -192,73 +197,73 @@ def _cmd_phase(args, config: RunConfig) -> int:
     formula = args.formula or ("n3" if "xi" in params else "n2")
     xi = _float_field(params, "xi") if formula == "n3" else None
     phase = ang.pancharatnam_phase(t12, t31, phi, xi=xi)
-    _emit_json({"formula": formula, "phase": phase}, config)
+    _emit_json({"formula": formula, "phase": phase}, args.output)
     return 0
 
 
-def _cmd_majorana(args, config: RunConfig) -> int:
+def _cmd_majorana(args) -> int:
     if args.action == "rebuild":
         rep = _load(args.state, lambda t: formats.rep_from_dict(
             formats.json_loads(t)))
         psi = majorana.roots_to_coefficients(rep)
-        _emit_json(formats.state_to_dict(psi), config)
+        _emit_json(formats.state_to_dict(psi), args.output)
         return 0
     state = _load(args.state, lambda t: formats.state_from_dict(
         formats.json_loads(t)))
     rep = majorana.coefficients_to_roots(state)
     if args.action == "roots":
-        _emit_json(formats.rep_to_dict(rep), config)
+        _emit_json(formats.rep_to_dict(rep), args.output)
     else:
-        _emit(formats.stars_to_rows(rep.stars()), config)
+        _emit(formats.stars_to_rows(rep.stars()), args.output)
     return 0
 
 
-def _cmd_npc_generate(args, config: RunConfig) -> int:
+def _cmd_npc_generate(args) -> int:
     # the family has three nonzero components whatever the dimension, so
     # the lift is built from them and the first three basis vectors; a
     # dimension below 3 is still refused by the profile generator
     profile = curves.generate_npc_profile(args.theta0, min(args.dim, 3), args.eps,
-                                          grid=config.grid)
+                                          grid=args.grid)
     frame = curves.CurveFrame(np.eye(3, args.dim, dtype=complex), args.theta0)
     lift = curves.profile_to_lift(frame, profile)
-    _emit(formats.curve_to_csv(lift), config)
+    _emit(formats.curve_to_csv(lift), args.output)
     return 0
 
 
-def _cmd_npc_verify(args, config: RunConfig) -> int:
+def _cmd_npc_verify(args) -> int:
     lift = _load(args.curve, formats.curve_from_csv)
-    report = curves.verify_npc(lift, subgrid=config.subgrid)
+    report = curves.verify_npc(lift, subgrid=args.subgrid)
     _emit_json({
         "checked": report.checked,
         "violations": report.violations,
         "min_real": report.min_real,
         "max_rel_imag": report.max_rel_imag,
         "ok": report.ok,
-    }, config)
+    }, args.output)
     return 0 if report.ok else 2
 
 
-def _cmd_npc_phase(args, config: RunConfig) -> int:
+def _cmd_npc_phase(args) -> int:
     lift = _load(args.curve, formats.curve_from_csv)
     integral, endpoint, phase = curves.open_curve_phase(lift)
     _emit_json({
         "connection_integral": integral,
         "endpoint_phase": endpoint,
         "geometric_phase": phase,
-    }, config)
+    }, args.output)
     return 0
 
 
-def _cmd_npc_loop(args, config: RunConfig) -> int:
+def _cmd_npc_loop(args) -> int:
     segments = [_load(path, formats.curve_from_csv)
                 for path in args.curves + args.more]
-    loop = curves.loop_geometric_phase(segments, subgrid=config.subgrid)
+    loop = curves.loop_geometric_phase(segments, subgrid=args.subgrid)
     vertex = _phase_of(core.bargmann([seg.psi[0] for seg in segments]))
-    _emit_json({"loop_phase": loop, "vertex_phase": vertex}, config)
+    _emit_json({"loop_phase": loop, "vertex_phase": vertex}, args.output)
     return 0
 
 
-def _cmd_decompose(args, config: RunConfig) -> int:
+def _cmd_decompose(args) -> int:
     states = _load(args.triad, lambda t: formats.states_from_dict(
         formats.json_loads(t)))
     if len(states) != 3:
@@ -283,19 +288,19 @@ def _cmd_decompose(args, config: RunConfig) -> int:
         solid = decompose.solid_angle_pair(red)
         out["solid_angles"] = solid
         out["half_sum"] = 0.5 * sum(solid)
-    _emit_json(out, config)
+    _emit_json(out, args.output)
     return 0
 
 
-def _cmd_stars(args, config: RunConfig) -> int:
+def _cmd_stars(args) -> int:
     lift = _load(args.curve, formats.curve_from_csv)
     traj = decompose.star_trajectory(lift)
-    _emit(formats.star_trajectory_to_csv(lift.s, traj), config)
+    _emit(formats.star_trajectory_to_csv(lift.s, traj), args.output)
     return 0
 
 
-def _cmd_selftest(args, config: RunConfig) -> int:
-    results = selftest.run(config.seed, numbers=args.criterion)
+def _cmd_selftest(args) -> int:
+    results = selftest.run(args.seed, numbers=args.criterion)
     if not results:
         raise _InputError("no matching criteria selected")
     lines = []
@@ -304,7 +309,7 @@ def _cmd_selftest(args, config: RunConfig) -> int:
         lines.append(f"{status} {r.number:>2}  {r.name}  [{r.detail}]")
     failed = sum(not r.passed for r in results)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    _emit("\n".join(lines) + "\n", config)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0 if failed == 0 else 2
 
 
@@ -313,14 +318,12 @@ def _cmd_selftest(args, config: RunConfig) -> int:
 
 
 def _command(sub, name: str, func, settings=(), **kwargs) -> _Parser:
-    """A sub-command taking --config, --output and the named settings."""
+    """A sub-command taking --output and the named settings."""
     p = sub.add_parser(name, **kwargs)
     group = p.add_argument_group("run configuration")
-    group.add_argument("--config", metavar="FILE",
-                       help="JSON file with RunConfig fields")
     for field in settings:
-        flag, kind, text = _SETTINGS[field]
-        group.add_argument(flag, type=kind, dest=field, help=text)
+        flag, kind, default, text = _SETTINGS[field]
+        group.add_argument(flag, type=kind, default=default, dest=field, help=text)
     group.add_argument("--output", metavar="FILE",
                        help="write output here instead of stdout")
     p.set_defaults(func=func)
@@ -407,8 +410,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return args.func(args, config)
+        return args.func(args)
     except _InputError as exc:
         print(f"holonomy-lab: error: {exc}", file=sys.stderr)
         return 1

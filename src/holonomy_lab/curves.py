@@ -72,16 +72,18 @@ class CurveLift(object):
             raise ValueError("a curve needs at least 3 samples")
         if psi.ndim != 2 or psi.shape[0] != s.size:
             raise ValueError("psi must have one row per sample")
-        # s is scanned before it is differenced, so infinite samples raise
-        # without NumPy's warning on inf - inf; rounding is monotone, so the
-        # largest |step - first| is hi - first or first - lo, and a step that
-        # overflowed fails before either is formed
-        if not np.isfinite(s).all():
-            raise ValueError("non-finite sample in curve")
+        # the span, taken in Python floats, bounds every step: when it is
+        # finite no difference below can overflow or meet inf - inf, so
+        # NumPy warns of neither (the ufunc reductions skip the overhead of
+        # the max/min methods); rounding is monotone, so the largest
+        # |step - first| is hi - first or first - lo
+        if not math.isfinite(float(np.maximum.reduce(s)) - float(np.minimum.reduce(s))):
+            if not np.isfinite(s).all():
+                raise ValueError("non-finite sample in curve")
+            raise ValueError("sample grid must be uniform and increasing")
         steps = s[1:] - s[:-1]
         first, lo, hi = steps[0], steps.min(), steps.max()
-        if not (lo > 0 and hi < math.inf
-                and max(hi - first, first - lo) <= 1e-9 * first):
+        if not (lo > 0 and max(hi - first, first - lo) <= 1e-9 * first):
             raise ValueError("sample grid must be uniform and increasing")
         conj = np.conjugate(psi)
         norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)

@@ -538,6 +538,10 @@ CRITERIA = (
 
 def run(seed: int = 0, numbers=None) -> list[CheckResult]:
     """Run the selected checks (all by default) and collect results."""
+    if seed < 0:
+        # criterion k seeds its generator with seed + 1000 k, which NumPy
+        # refuses when negative
+        raise ValueError("seed must be at least 0")
     chosen = set(numbers) if numbers is not None else None
     results = []
     for number, name, func in CRITERIA:

@@ -89,6 +89,17 @@ def test_numbering_is_complete():
             assert math.isfinite(m.bound) and m.bound > 0, (number, m)
 
 
+def test_negative_seed_rejected_before_any_check(monkeypatch):
+    # criterion k seeds NumPy with seed + 1000 k, which may not be negative
+    ran = []
+    monkeypatch.setattr("holonomy_lab.selftest.CRITERIA",
+                        [(0, "recorded", lambda rng: ran.append(rng) or [])])
+    with pytest.raises(ValueError, match="seed must be at least 0"):
+        run(-1)
+    assert ran == []
+    assert run(0)[0].name == "recorded" and len(ran) == 1
+
+
 def times_nan(route):
     return lambda *args, **kwargs: route(*args, **kwargs) * math.nan
 

@@ -246,6 +246,8 @@ class TestNonFiniteParameters:
             ang.pancharatnam_phase(1.0, 1.2, 0.7, xi=bad)
         with pytest.raises(ValueError, match="xi"):
             ang.CanonicalParamsN3(1.0, 1.2, 0.3, 0.4, 0.7, bad)
+        with pytest.raises(TypeError, match="xi"):  # xi has no default
+            ang.CanonicalParamsN3(1.0, 1.2, 0.3, 0.4, 0.7)
 
     @pytest.mark.parametrize("bad", BAD)
     @pytest.mark.parametrize("slot", range(5))

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import cli, core, formats
-from holonomy_lab.config import RunConfig
+from holonomy_lab.config import DEFAULT_SUBGRID
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -317,7 +317,7 @@ class TestNpc:
         (MemoryError(), "holonomy-lab: error: out of memory\n"),
     ], ids=["message", "bare"])
     def test_out_of_memory_is_one_line(self, capsys, monkeypatch, exc, line):
-        def exhausted(args, config):
+        def exhausted(args):
             raise exc
         monkeypatch.setattr(cli, "_cmd_npc_generate", exhausted)
         code, out, err = run(["npc", "generate", "--theta0", "1.9"], capsys)
@@ -416,9 +416,8 @@ class TestNpc:
         names = self.loop_sides(tmp_path, random_triad(rng, 3))
         segments = [formats.curve_from_csv(pathlib.Path(n).read_text())
                     for n in names]
-        config = RunConfig()
         want = formats.json_dumps(formats.result_to_jsonable({
-            "loop_phase": loop_geometric_phase(segments, subgrid=config.subgrid),
+            "loop_phase": loop_geometric_phase(segments, subgrid=DEFAULT_SUBGRID),
             "vertex_phase": core.bi_phase(*(seg.psi[0] for seg in segments)),
         }))
         code, out, err = run(["npc", "loop", *names], capsys)
@@ -533,31 +532,21 @@ class TestImport:
 
 
 class TestConfigPlumbing:
-    def test_config_file_and_flag_precedence(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"grid": 17}))
-        out_cfg = tmp_path / "a.csv"
-        code, _, _ = run(["npc", "generate", "--theta0", "1.0",
-                          "--config", str(cfg), "--output", str(out_cfg)],
-                         capsys)
-        assert code == 0
-        assert len(out_cfg.read_text().splitlines()) == 18
-        out_flag = tmp_path / "b.csv"
-        code, _, _ = run(["npc", "generate", "--theta0", "1.0",
-                          "--config", str(cfg), "--grid", "9",
-                          "--output", str(out_flag)], capsys)
-        assert code == 0
-        assert len(out_flag.read_text().splitlines()) == 10
-
-    @pytest.mark.parametrize("grid", ["256", "3"])
-    def test_unusable_grid_is_usage_error(self, tmp_path, capsys, grid):
-        # the connection integral needs an odd grid of at least 5 samples
-        with pytest.raises(ValueError, match="odd"):
-            RunConfig(grid=int(grid))
-        code, _, err = run(["npc", "generate", "--theta0", "1.0", "--grid",
-                            grid, "--output", str(tmp_path / "c.csv")], capsys)
-        assert code == 1 and "odd" in err
-        assert not (tmp_path / "c.csv").exists()
+    # each run setting's flag refuses what the library cannot use: the
+    # connection integral needs an odd grid of at least 5 samples, the
+    # null-phase check three samples, and selftest a seed of at least 0
+    @pytest.mark.parametrize("argv, rule", [
+        ("npc generate --theta0 1.0 --grid 256", "--grid: must be odd and at least 5"),
+        ("npc generate --theta0 1.0 --grid 3", "--grid: must be odd and at least 5"),
+        ("npc verify {curve} --subgrid 2", "--subgrid: must be at least 3"),
+        ("selftest --seed -1", "--seed: must be at least 0"),
+    ], ids=["256", "3", "subgrid-2", "seed-minus-1"])
+    def test_unusable_grid_is_usage_error(self, tmp_path, capsys, argv, rule):
+        target = tmp_path / "c.out"
+        words = argv.format(curve=write_curve(tmp_path)).split()
+        err = usage_error(words + ["--output", str(target)], capsys)
+        assert err.startswith("usage: ") and err.splitlines()[-1].endswith(rule)
+        assert not target.exists()
 
     @pytest.mark.parametrize("grid", ["5", "7", "9"])
     def test_short_grids_run_end_to_end(self, tmp_path, capsys, grid):
@@ -569,45 +558,6 @@ class TestConfigPlumbing:
         assert out["connection_integral"] == 0.0
         assert out["geometric_phase"] == out["endpoint_phase"]
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        # the tolerances are not settings: the library reads TAU_DEG,
-        # TAU_NPC and TAU_LEAD from config, so a file may not set them
-        cfg = tmp_path / "cfg.json"
-        for entry in ({"gird": 17}, {"tau_deg": 1e-12}, {"tau_npc": 1e-10},
-                      {"tau_lead": 1e-10}):
-            cfg.write_text(json.dumps(entry))
-            code, out, err = run(["npc", "generate", "--theta0", "1.0",
-                                  "--config", str(cfg)], capsys)
-            assert code == 1 and out == ""
-            assert f"unknown config keys: {next(iter(entry))}" in err
-
-    @pytest.mark.parametrize("entry, message", [
-        ('"grid": 17.5', "grid must be an integer"),
-        ('"grid": 17.0', "grid must be an integer"),
-        ('"subgrid": "21"', "subgrid must be an integer"),
-        ('"seed": "a"', "seed must be an integer"),
-        ('"seed": false', "seed must be an integer"),
-        ('"output": 3', "output must be a file name"),
-    ])
-    def test_config_value_of_the_wrong_type(self, tmp_path, octant_file, capsys,
-                                            entry, message):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{%s}" % entry)
-        with pytest.raises(ValueError, match=message):
-            RunConfig.from_file(str(cfg))
-        for argv in (["bi", octant_file],
-                     ["npc", "generate", "--theta0", "1.0"]):
-            code, out, err = run(argv + ["--config", str(cfg)], capsys)
-            assert code == 1 and message in err
-            assert out == "" and "Traceback" not in err
-
-    def test_config_integers_and_reals_accepted(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"grid": 17, "seed": -3, "output": "out.json"}')
-        config = RunConfig.from_file(str(cfg))
-        assert (config.grid, config.seed) == (17, -3)
-        assert RunConfig(grid=np.int64(9), seed=np.int32(1)).grid == 9
-
     @pytest.mark.parametrize("argv", [
         "stars {curve} --tol-lead 0.5",
         "majorana roots {state} --tol-lead 1e-10",
@@ -615,6 +565,7 @@ class TestConfigPlumbing:
         "npc phase {curve} --theta0 2",
         "reconstruct {params} --grid 9",
         "bi {states} --seed 1",
+        "bi {states} --config cfg.json",
         "selftest --criterion 0 --grid 9",
         "selftest --criterion 0 --tol-npc 1e-9",
         "bi {states} --tol-deg 1e-9",
@@ -646,8 +597,8 @@ class TestConfigPlumbing:
 
 
 # The options each entry point accepts besides --help.  Each command takes
-# --config, --output and the run settings it passes to the library.
-IO = {"--config", "--output"}
+# --output and the run settings it passes to the library.
+IO = {"--output"}
 OPTIONS = {
     ("bi",): IO,
     ("angles",): IO,
@@ -682,10 +633,10 @@ class TestParser:
     def test_each_entry_point_takes_exactly_its_options(self):
         got = dict(entry_points(cli.build_parser()))
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 38
+        assert sum(map(len, got.values())) == 24
 
     def test_readme_settings_table_matches_parser(self):
-        # every entry point's options but --config and --output, as listed
+        # every entry point's options but --output, as listed
         # in the README's "Command | Settings" table
         text = README.read_text()
         rows = text[text.index("| Command | Settings |"):].split("\n\n")[0]

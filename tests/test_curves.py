@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import core, curves, selftest
-from holonomy_lab.config import TAU_NPC, TAU_PROFILE, RunConfig
+from holonomy_lab.config import TAU_NPC, TAU_PROFILE
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -192,12 +192,16 @@ class TestGridCheck:
             assert not oracle_grid_ok(s) and not grid_decision(s)
 
     def test_finite_grid_whose_first_step_overflows(self):
-        # the step is inf, and inf - inf is NaN: the np.diff form compared
-        # that NaN and let the grid through; it is not uniform
-        s = np.array([-1.7e308, 1e308, 1.5e308])
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError, match="uniform"):
-                CurveLift(s, np.tile([1.0 + 0j, 0.0], (3, 1)))
+        # the first step is inf, and inf - inf is NaN: the np.diff form
+        # compared that NaN and let the grid through; it is not uniform.
+        # A grid whose span overflows is refused before any step is formed,
+        # so NumPy warns of no overflow, even when every step is finite.
+        for s in ([-1.7e308, 1e308, 1.5e308], [-1.7e308, 1.7e308, 1.75e308],
+                  [-1.7e308, 0.0, 1.7e308]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="uniform"):
+                    CurveLift(np.array(s), np.tile([1.0 + 0j, 0.0], (3, 1)))
 
 
 class TestCurveFrame:
@@ -715,9 +719,6 @@ class TestVerifyNpc:
 
     @pytest.mark.parametrize("subgrid", [2, 1, 0, -1])
     def test_subgrid_below_three_rejected(self, rng, subgrid):
-        # the same rule and message as RunConfig
-        with pytest.raises(ValueError, match="subgrid must be at least 3"):
-            RunConfig(subgrid=subgrid)
         with pytest.raises(ValueError, match="subgrid must be at least 3"):
             verify_npc(make_geodesic(rng, grid=9), subgrid=subgrid)
 
