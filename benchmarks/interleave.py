@@ -16,8 +16,10 @@ where OLD is a checkout of the parent commit (``git clone`` or
 defaults to this checkout's ``src``.  The cases are
 
 - those of ``bench_stars.py``, and besides ``su2_apply`` on one state at
-  n = 2, 5 and 9 (with 3 and 8, the range of the ``stars`` workload) and
-  ``coefficients_to_roots`` on one state at n = 5;
+  n = 2, 5 and 9 (with 3 and 8, the range of the ``stars`` workload),
+  ``coefficients_to_roots`` on one state at n = 5, and
+  ``coefficients_to_roots`` and ``MajoranaRep.stars`` on a batch of 257
+  states at n = 3, the batch ``star_trajectory`` factors;
 - ``stars.op`` for each kind of operation of the ``stars`` workload of
   ``perfbench``, on inputs drawn by its own makers: ``roundtrip``
   factors a state and expands it again (two of each n = 2, 3, 8, 20, one
@@ -176,7 +178,7 @@ def cases(lab):
     mj, dec, cv = lab.majorana, lab.decompose, lab.curves
     out = []
     for n, rows in [(2, 1), (3, 1), (5, 1), (8, 1), (20, 1),
-                    (2, 1000), (3, 1000), (8, 1000), (20, 1000)]:
+                    (2, 1000), (3, 257), (3, 1000), (8, 1000), (20, 1000)]:
         out.append((f"majorana.coefficients_to_roots.n{n}.B{rows}",
                     mj.coefficients_to_roots, bs.state_pool(n, rows)))
     for n, rows in itertools.product([2, 3, 8, 20], [1, 1000]):
@@ -186,9 +188,9 @@ def cases(lab):
     for n in (2, 3, 5, 8, 9, 20):
         out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, bs.su2_pool(n)))
     out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply, bs.su2_pool(20, 1000)))
-    for n in (3, 20):
-        out.append((f"MajoranaRep.stars.n{n}.B1000", mj.MajoranaRep.stars,
-                    bs.rep_pool(mj.coefficients_to_roots, n, 1000)))
+    for n, rows in [(3, 257), (3, 1000), (20, 1000)]:
+        out.append((f"MajoranaRep.stars.n{n}.B{rows}", mj.MajoranaRep.stars,
+                    bs.rep_pool(mj.coefficients_to_roots, n, rows)))
     out.append(("decompose.star_trajectory.g257", dec.star_trajectory,
                 bs.trajectory_pool()))
     ops = star_operations(lab)

@@ -132,7 +132,9 @@ def bi_factorization(red: CanonicalReduction) -> np.ndarray:
     modulo 2*pi; the moduli differ from it only by a positive overall
     normalization.
     """
-    spinors = red.rep3.spinors
+    # the kernel's spinors are a transposed view, on which the product
+    # rounds some factors differently
+    spinors = np.ascontiguousarray(red.rep3.spinors)
     factors = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
     if (np.abs(factors) <= TAU_DEG).any():
         raise DegenerateTriadError("vanishing two-level factor")
@@ -221,8 +223,9 @@ _LEX_WEIGHTS = np.array([4.0, 2.0, 1.0])  # the first differing coordinate decid
 
 
 def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    p = a * b  # summed in np.sum's order over the last axis, without its reduce
-    return np.arccos(np.clip(p[..., 0] + p[..., 1] + p[..., 2], -1.0, 1.0))
+    """Angles between the unit vectors a[:, ...] and b[:, ...], coordinates first."""
+    p = a * b  # summed in np.sum's order over the coordinates, without its reduce
+    return np.arccos(np.clip(p[0] + p[1] + p[2], -1.0, 1.0))
 
 
 def star_trajectory(lift) -> np.ndarray:
@@ -236,26 +239,26 @@ def star_trajectory(lift) -> np.ndarray:
     swapping costs less.  The lexicographic order counts coordinates
     within the same 1e-12 as equal, so rounding noise on a coordinate
     whose exact value both stars share does not decide it.  Returns an
-    array of shape (samples, 2, 3).
+    array of shape (samples, 2, 3), the transpose of the (3, 2, samples)
+    array the matching runs on.
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
     # the lift has checked its samples: finite, unit and one row each
-    stars = _factor(lift.psi).stars()
-    # gaps[i, j, k]: from star j of sample i to star k of sample i + 1
-    gaps = _geodesic_gap(stars[:-1, :, None], stars[1:, None, :])
-    keep = gaps[:, 0, 0] + gaps[:, 1, 1]
-    swap = gaps[:, 0, 1] + gaps[:, 1, 0]
+    stars = _factor(lift.psi).stars().T  # (coordinate, star, sample)
+    # gaps[j, k, i]: from star j of sample i to star k of sample i + 1
+    gaps = _geodesic_gap(stars[:, :, None, :-1], stars[:, None, :, 1:])
+    keep = gaps[0, 0] + gaps[1, 1]
+    swap = gaps[0, 1] + gaps[1, 0]
     restart = np.concatenate([[True], np.abs(keep - swap) < 1e-12])
     flips = np.logical_xor.accumulate(
         np.concatenate([[False], swap < keep]) & ~restart)
     # a restart sorts the pair; the first coordinate that differs by more
     # than the tie tolerance outweighs the rest
     starts = np.flatnonzero(restart)
-    gap = stars[starts, 1] - stars[starts, 0]
+    gap = stars[:, 1, starts] - stars[:, 0, starts]
     ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
-    lex = ahead @ _LEX_WEIGHTS < 0
+    lex = _LEX_WEIGHTS @ ahead < 0
     last = np.cumsum(restart) - 1  # index in starts of each sample's restart
     flip = lex[last] ^ flips ^ flips[starts][last]
-    return np.where(flip[:, None, None], stars[:, ::-1], stars)
-
+    return np.where(flip, stars[:, ::-1], stars).T

@@ -30,6 +30,9 @@ from .core import normalize
 _DOUBLE_ROOT = 4.0 * math.sqrt(np.finfo(float).eps)
 _TINY = np.finfo(float).tiny  # smallest normal float
 _UP = 2.0 ** 600  # lifts a subnormal modulus into the normal range, exactly
+# north- and south-pole spinors (1, 0) and (0, 1) as (2, 1, 1) columns
+_NORTH = np.array([1.0, 0.0])[:, None, None]
+_SOUTH = np.array([0.0, 1.0])[:, None, None]
 
 SIGMA = np.array([
     [[0.0, 1.0], [1.0, 0.0]],
@@ -54,7 +57,9 @@ class MajoranaRep:
     its norm, so ``stars()`` reads unit spinors without normalizing again.
     The star kernel builds its spinors unit to a few ulp and hands them
     over as they are: they pass the same two checks but are not divided
-    again (see ``_kernel_rep``).
+    again (see ``_kernel_rep``).  They are then the transpose of a
+    component-major (2, n-1, B) buffer, and ``stars()`` is the transpose
+    of a (3, n-1, B) one: same shapes and values, other strides.
     """
 
     spinors: np.ndarray
@@ -128,12 +133,16 @@ def spinor_to_star(xi) -> np.ndarray:
 
 
 def _unit_spinor_to_star(xi: np.ndarray) -> np.ndarray:
-    a, b = xi[..., 0], xi[..., 1]
+    """Stars of unit spinors, component-major: the (..., 3) result is the
+    transpose of a (3, ...) buffer whose axes run in the reverse order of
+    xi's, so the star kernel's transposed spinors are read and the three
+    coordinates written along contiguous rows."""
+    a, b = xi[..., 0].T, xi[..., 1].T
     ab = np.conjugate(a) * b
-    star = np.empty(ab.shape + (3,))
-    star[..., 0], star[..., 1] = 2.0 * ab.real, 2.0 * ab.imag
-    star[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
-    return star
+    star = np.empty((3,) + ab.shape)
+    star[0], star[1] = 2.0 * ab.real, 2.0 * ab.imag
+    star[2] = np.abs(a) ** 2 - np.abs(b) ** 2
+    return star.T
 
 
 def _check_unit_vectors(nhat, shape) -> np.ndarray:
@@ -170,28 +179,33 @@ def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _horner(desc: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Row r of desc (highest power first) evaluated at the points x[r].
+    """Column b of desc (one row per power, highest first) at the points x[:, b].
 
-    desc has more than one column, or x has one: the first step of
-    np.polyval, 0 * x + desc[:, 0], is desc[:, 0] up to the sign of zero,
-    so it is skipped.
+    desc has more than one row: the first step of np.polyval,
+    0 * x + desc[0], is desc[0] up to the sign of zero, so it is skipped.
     """
-    y = desc[:, :1]
-    for c in desc.T[1:, :, None]:
-        y = y * x + c  # as np.polyval; in-place products may round differently
+    y = desc[0]
+    for c in desc[1:]:
+        y = y * x + c  # as np.polyval
     return y
 
 
 def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """One guarded Newton step per root (row r of desc at the points roots[r]).
+    """One guarded Newton step per root (column b of desc at the points roots[:, b]).
 
     Companion-matrix roots are backward stable but can lose a few digits
     on clusters.  A step is taken only when it is small and reduces |p|,
     which leaves multiple roots untouched instead of scattering them.
+    p and p' share one Horner pass over the stacked coefficient rows: p'
+    has a row fewer, so p takes its last step alone, and neither half
+    starts from the 0 * x of np.polyval.
     """
-    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
-    p = _horner(desc, roots)
-    dp = _horner(deriv, roots)
+    d = desc.shape[0] - 1
+    both = np.stack([desc[:-1], desc[:-1] * np.arange(d, 0, -1)[:, None]], axis=1)
+    y = both[0, :, None]
+    for c in both[1:, :, None]:
+        y = y * roots + c
+    p, dp = y[0] * roots + desc[-1], y[1]
     step = np.divide(-p, dp, out=np.zeros_like(roots), where=dp != 0)
     small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
     candidate = roots + np.where(small, step, 0.0)
@@ -243,78 +257,110 @@ def coefficients_to_roots(psi) -> MajoranaRep:
     zero when fixing the effective degree, and each missing degree
     contributes a north-pole spinor (1, 0), listed first.  Rows with equal
     degree and equal count m of nonzero roots (the others are exact zeros)
-    form one group.  Each row gets the integer key degree * n + zeros;
-    when every key equals the first, as for a single state, the batch is
-    one group, and only otherwise does np.unique list the groups.  For
-    m = 1 the root is the entry of the 1x1 companion matrix; for m = 2
-    both come in closed form, larger first, and a double root comes out
-    exact (see _quadratic_roots).  For m >= 3 the group shares one
-    eigvals call on companion matrices built as np.roots builds them, and
-    one guarded Newton step polishes those roots.  A root w becomes the
-    unit spinor along (-w, 1) whose first entry is real and nonnegative,
-    the phase star_to_spinor fixes; a root at 0 gives (0, 1).
+    form one group.  When every row has full degree and no root at 0, as
+    for most batches, the batch is one group; otherwise each row gets the
+    integer key degree * n + zeros, and only when the keys differ does
+    np.unique list the groups.  For m = 1 the root is the entry of the 1x1
+    companion matrix; for m = 2 both come in closed form, larger first,
+    and a double root comes out exact (see _quadratic_roots).  For m >= 3
+    the group shares one eigvals call on companion matrices built as
+    np.roots builds them, and one guarded Newton step polishes those
+    roots.  A root w becomes the unit spinor along (-w, 1) whose first
+    entry is real and nonnegative, the phase star_to_spinor fixes; a root
+    at 0 gives (0, 1).
     """
     return _factor(_check_states(psi))
 
 
 def _factor(psi: np.ndarray) -> MajoranaRep:
-    """coefficients_to_roots of a complex state or (B, n) batch already checked."""
+    """coefficients_to_roots of a complex state or (B, n) batch already checked.
+
+    The kernel works component-major: row k of an (n, B) array holds
+    coefficient k of every state, so each per-state reduction (peak,
+    degree, zero count) runs over contiguous rows of length B rather than
+    along a short inner axis.  The spinors fill a (2, n-1, B) buffer,
+    handed out as its (B, n-1, 2) transpose.  Elementwise complex *, /
+    and sqrt round the same on contiguous, strided and one-element
+    arrays, which keeps every bit as in a row-major kernel, with two
+    exceptions taken care of here and in decompose.bi_factorization:
+
+    - beta.prod(axis=-1) over a short contiguous axis runs NumPy's
+      multiply reduce loop, which can round differently from the
+      elementwise b0 * b1 (where the latter fuses a multiply-add), and
+      np.multiply.reduce(beta, axis=0) takes that reduce loop only on an
+      (m, 1) array.  A lead product along axis 0 would make a single
+      state differ from its row in a batch, so the lead is taken in row
+      order, from a contiguous (B, m) copy.
+    - spinors @ conj(xi) in bi_factorization changes the last bit of some
+      factors when the spinors are a transposed view, so it is given a
+      contiguous copy.
+    """
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
-    coeffs = batch * _weights(n)[0]
+    coeffs = np.multiply(batch.T, _weights(n)[0][:, None], order="C")
     mags = np.abs(coeffs)
-    peak = mags.max(axis=1)
+    peak = mags.max(axis=0)
     if not peak.all():
         raise ValueError("zero vector has no star decomposition")
-    degree = n - 1 - (mags[:, ::-1] > TAU_LEAD * peak[:, None]).argmax(axis=1)
-    zeros = (mags != 0).argmax(axis=1)
-    spinors = np.empty((count, n - 1, 2), dtype=complex)
+    cut = TAU_LEAD * peak
+    spinors = np.empty((2, n - 1, count), dtype=complex)
     lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)
-    key = degree * n + zeros  # one integer per (degree, zeros) group
-    single = count == 1 or (key == key[0]).all()
-    for k in key[:1] if single else np.unique(key):
-        d, z = divmod(int(k), n)
-        rows = slice(None) if single else np.flatnonzero(key == k)
-        if d < n - 1:  # each missing degree is a star at the north pole
-            spinors[rows, :n - 1 - d] = 1.0, 0.0
-        if z:  # each root at 0 is a star at the south pole
-            spinors[rows, n - 1 - z:] = 0.0, 1.0
-        desc, m = coeffs[rows, d::-1], d - z
+    if (mags[-1] > cut).all() and mags[0].all():  # full degree, no root at 0
+        groups = [(n - 1, 0, slice(None))]
+        top = coeffs[-1]
+    else:
+        rank = np.arange(n)[:, None]
+        degree = np.where(mags > cut, rank, 0).max(axis=0)
+        zeros = np.where(mags != 0, rank, n).min(axis=0)
+        key = degree * n + zeros  # one integer per (degree, zeros) group
+        single = count == 1 or (key == key[0]).all()
+        groups = [(*divmod(int(k), n), slice(None) if single else np.flatnonzero(key == k))
+                  for k in (key[:1] if single else np.unique(key))]
+        top = coeffs[degree, np.arange(count)]
+    for d, z, rows in groups:
+        # each missing degree is a star at the north pole, each root at 0
+        # one at the south pole
+        if d < n - 1:
+            spinors[:, :n - 1 - d, rows] = _NORTH
+        if z:
+            spinors[:, n - 1 - z:, rows] = _SOUTH
+        desc, m = coeffs[d::-1, rows], d - z
         if m == 0:
             continue
-        top = -desc[:, 1:m + 1] / desc[:, :1]  # first row of the companion matrix
+        first = -desc[1:m + 1] / desc[0]  # first row of the companion matrix
         if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
-            roots = top
+            roots = first
         elif m == 2:
-            roots = np.stack(_quadratic_roots(top[:, 0], top[:, 1]), axis=1)
+            roots = np.stack(_quadratic_roots(first[0], first[1]))
         else:
-            companion = np.zeros((desc.shape[0], m, m), dtype=complex)
-            companion[:, 0, :] = top
+            companion = np.zeros((desc.shape[1], m, m), dtype=complex)
+            companion[:, 0, :] = first.T
             companion.reshape(-1, m * m)[:, m::m + 1] = 1.0  # ones below the diagonal
-            roots = _polish_roots(desc, np.linalg.eigvals(companion))
+            roots = _polish_roots(desc, np.linalg.eigvals(companion).T)
         mod = np.abs(roots)
         if not mod.max() < math.inf:  # NaN fails too
             raise ValueError("root finding failed")
         # (-w, 1) normalized with alpha real: alpha = |w| / h and
         # beta = -conj(w) / (|w| h), where h = hypot(|w|, 1)
         h = np.hypot(mod, 1.0)
-        spinors[rows, n - 1 - d:n - 1 - z, 0] = mod / h
+        alpha, beta = spinors[:, n - 1 - d:n - 1 - z]
+        alpha[:, rows] = mod / h
         if mod.min() < _TINY:
             # complex / subnormal real forms 1 / |w|, which overflows, so
             # such a root is first scaled by a power of two; a root that
             # underflowed to 0 gives beta = 1
             roots[mod < _TINY] *= _UP
             mod = np.abs(roots)
-            beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
-                             where=mod > 0)
+            b = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
+                          where=mod > 0)
         else:
-            beta = np.conjugate(roots) / -mod
-        beta /= h
-        spinors[rows, n - 1 - d:n - 1 - z, 1] = beta
-        lead[rows] = beta.prod(axis=-1)
+            b = np.conjugate(roots) / -mod
+        b /= h
+        beta[:, rows] = b
+        lead[rows] = np.ascontiguousarray(b.T).prod(axis=-1)
     # the highest surviving coefficient fixes the scale
-    scale = coeffs[np.arange(count), degree] / (math.sqrt(math.factorial(n - 1)) * lead)
-    return _kernel_rep(spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
+    scale = top / (math.sqrt(math.factorial(n - 1)) * lead)
+    return _kernel_rep(spinors.T.reshape(psi.shape[:-1] + (n - 1, 2)),
                        scale.reshape(psi.shape[:-1]))
 
 

@@ -11,12 +11,17 @@ the nine-trace form of the rotation a matrix in SU(2) induces on stars.
 by expanding a stack of spinors slot by slot before it gathered the
 Schwinger sum, and ``oracle_check_su2`` the SU(2) test on the NumPy
 array that came before the test on four Python complex numbers.
+``rowmajor_factor`` and ``rowmajor_stars`` keep the batched kernel as it
+was before it went component-major: one row per state, the spinors in a
+(B, n-1, 2) array and the stars in a (B, n-1, 3) array.  The kernel must
+equal them bit for bit.
 """
 
 import math
 
 import numpy as np
 
+from holonomy_lab import majorana as mj
 from holonomy_lab.majorana import _expand, _min_sum_assignment, _weights
 
 SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -184,3 +189,84 @@ def oracle_check_su2(u):
     if abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0) > 1e-10:
         raise ValueError("matrix must have determinant 1")
     return u
+
+
+def _rowmajor_horner(desc, x):
+    """Row r of desc (highest power first) evaluated at the points x[r]."""
+    y = desc[:, :1]
+    for c in desc.T[1:, :, None]:
+        y = y * x + c
+    return y
+
+
+def _rowmajor_polish(desc, roots):
+    """One guarded Newton step per root (row r of desc at the points roots[r])."""
+    deriv = desc[:, :-1] * np.arange(desc.shape[1] - 1, 0, -1)
+    p = _rowmajor_horner(desc, roots)
+    dp = _rowmajor_horner(deriv, roots)
+    step = np.divide(-p, dp, out=np.zeros_like(roots), where=dp != 0)
+    small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
+    candidate = roots + np.where(small, step, 0.0)
+    better = np.abs(_rowmajor_horner(desc, candidate)) <= np.abs(p)
+    return np.where(small & better, candidate, roots)
+
+
+def rowmajor_factor(psi):
+    """Spinors, (..., n-1, 2), and scales of a state or (B, n) batch, one row
+    per state; the degree cut is read from ``majorana.TAU_LEAD`` at the call."""
+    psi = np.asarray(psi, dtype=complex)
+    batch = psi.reshape(-1, psi.shape[-1])
+    count, n = batch.shape
+    coeffs = batch * _weights(n)[0]
+    mags = np.abs(coeffs)
+    peak = mags.max(axis=1)
+    degree = n - 1 - (mags[:, ::-1] > mj.TAU_LEAD * peak[:, None]).argmax(axis=1)
+    zeros = (mags != 0).argmax(axis=1)
+    spinors = np.empty((count, n - 1, 2), dtype=complex)
+    lead = np.ones(count, dtype=complex)
+    key = degree * n + zeros
+    for k in np.unique(key):
+        d, z = divmod(int(k), n)
+        rows = np.flatnonzero(key == k)
+        spinors[rows, :n - 1 - d] = 1.0, 0.0
+        if z:
+            spinors[rows, n - 1 - z:] = 0.0, 1.0
+        desc, m = coeffs[rows, d::-1], d - z
+        if m == 0:
+            continue
+        top = -desc[:, 1:m + 1] / desc[:, :1]
+        if m == 1:
+            roots = top
+        elif m == 2:
+            roots = np.stack(mj._quadratic_roots(top[:, 0], top[:, 1]), axis=1)
+        else:
+            companion = np.zeros((desc.shape[0], m, m), dtype=complex)
+            companion[:, 0, :] = top
+            companion.reshape(-1, m * m)[:, m::m + 1] = 1.0
+            roots = _rowmajor_polish(desc, np.linalg.eigvals(companion))
+        mod = np.abs(roots)
+        h = np.hypot(mod, 1.0)
+        spinors[rows, n - 1 - d:n - 1 - z, 0] = mod / h
+        if mod.min() < mj._TINY:
+            roots[mod < mj._TINY] *= mj._UP
+            mod = np.abs(roots)
+            beta = np.divide(np.conjugate(roots), -mod, out=np.ones_like(roots),
+                             where=mod > 0)
+        else:
+            beta = np.conjugate(roots) / -mod
+        beta /= h
+        spinors[rows, n - 1 - d:n - 1 - z, 1] = beta
+        lead[rows] = beta.prod(axis=-1)
+    scale = coeffs[np.arange(count), degree] / (math.sqrt(math.factorial(n - 1)) * lead)
+    return (spinors.reshape(psi.shape[:-1] + (n - 1, 2)),
+            scale.reshape(psi.shape[:-1]))
+
+
+def rowmajor_stars(spinors):
+    """Stars (..., 3) of unit spinors (..., 2), one coordinate at a time."""
+    a, b = spinors[..., 0], spinors[..., 1]
+    ab = np.conjugate(a) * b
+    star = np.empty(ab.shape + (3,))
+    star[..., 0], star[..., 1] = 2.0 * ab.real, 2.0 * ab.imag
+    star[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
+    return star

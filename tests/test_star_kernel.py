@@ -1,5 +1,6 @@
 """The batched star kernel against the one-row-at-a-time reference route."""
 
+import itertools
 import json
 from importlib import resources
 from types import SimpleNamespace
@@ -10,11 +11,15 @@ import pytest
 from holonomy_lab import core, curves, decompose, majorana as mj
 from holonomy_lab.decompose import star_trajectory
 
+from conftest import random_triad
+
 from star_oracle import (
     oracle_decomposition,
     oracle_stars,
     oracle_trajectory,
     paired_spinors,
+    rowmajor_factor,
+    rowmajor_stars,
 )
 
 SOUTH = np.array([0.0, 0.0, -1.0])
@@ -94,6 +99,77 @@ class TestKernelParity:
         moved = mj.su2_apply(u, batch)
         for i, psi in enumerate(batch):
             assert np.allclose(moved[i], mj.su2_apply(u, psi), atol=1e-13)
+
+
+ROOT_MODULI = {"tiny": 1e-190, "subnormal": 1e-310, "huge": 1e190}
+
+
+def kernel_batch(rng, n, rows, kinds):
+    """rows states of dimension n, the kinds of row taking turns: "random";
+    one root at |w| = 1e-190 ("tiny"), 1e-310 ("subnormal") or 1e190
+    ("huge"); "degree", 1..n-1 leading amplitudes dropped; and "zeros",
+    1..n-1 trailing amplitudes dropped (roots at 0)."""
+    z = rng.standard_normal((2, rows, n - 1, 2))
+    spinors = z[0] + 1j * z[1]
+    kind = np.resize(np.array(kinds), rows)
+    if n > 1:
+        for name, modulus in ROOT_MODULI.items():
+            # the ray (-w, 1), scaled to entries of modulus at most 1
+            phase = np.exp(2j * np.pi * rng.uniform(size=rows))[kind == name]
+            spinors[kind == name, 0] = np.stack(
+                [-phase * min(modulus, 1.0), np.full_like(phase, min(1.0 / modulus, 1.0))],
+                axis=-1)
+    spinors /= np.linalg.norm(spinors, axis=-1, keepdims=True)
+    batch = mj.roots_to_coefficients(mj.MajoranaRep(spinors, np.ones(rows)))
+    if n > 1:
+        drop = rng.integers(1, n, size=rows)
+        cols = np.arange(n)
+        batch[(kind == "degree")[:, None] & (cols >= n - drop[:, None])] = 0.0
+        batch[(kind == "zeros")[:, None] & (cols < drop[:, None])] = 0.0
+    return batch
+
+
+def assert_rowmajor_bits(psi):
+    rep = mj.coefficients_to_roots(psi)
+    spinors, scale = rowmajor_factor(psi)
+    for got, want in ((rep.spinors, spinors), (np.asarray(rep.scale), scale),
+                      (rep.stars(), rowmajor_stars(spinors))):
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+class TestRowMajorParity:
+    """The component-major kernel equals the row-major one bit for bit."""
+
+    FULL = ("random", "tiny", "subnormal")  # every row of full degree
+    MIXED = FULL + ("huge", "degree", "zeros")
+
+    @pytest.mark.parametrize("rows", [1, 2, 257, 1000])
+    def test_spinors_scale_and_stars(self, rng, monkeypatch, rows):
+        # the smaller degree cut keeps the huge roots, which overflow the
+        # Newton step of both kernels alike
+        cuts = [(mj.TAU_LEAD, self.FULL), (1e-250, self.MIXED)]
+        if rows <= 2:
+            cuts.append((mj.TAU_LEAD, self.MIXED))
+        for n, (cut, kinds) in itertools.product(range(1, 21), cuts):
+            batch = kernel_batch(rng, n, max(rows, 7), kinds)
+            monkeypatch.setattr(mj, "TAU_LEAD", cut)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if rows > 2:
+                    assert_rowmajor_bits(batch[:rows])
+                    continue
+                for i in range(6):  # each kind alone and next to the next kind
+                    assert_rowmajor_bits(batch[i] if rows == 1 else batch[i:i + 2])
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_bi_factorization_reads_the_same_bits(self, rng, n):
+        # the product over the kernel's transposed spinors would round some
+        # factors differently from the one over row-major spinors
+        for _ in range(40):
+            red = decompose.reduce_triad(*random_triad(rng, n))
+            spinors, _ = rowmajor_factor(red.psi3)
+            want = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
+            assert decompose.bi_factorization(red).tobytes() == want.tobytes()
 
 
 def quadratic_rows(c0, c1, c2):
@@ -253,11 +329,27 @@ def through_exact_sample(rng, e):
     return curves.CurveLift(s, rows / np.linalg.norm(rows, axis=1)[:, None])
 
 
+def eps_family_lift(seed, eps, grid):
+    """Lift of an eps-family profile between two random dimension-3 states."""
+    rng = np.random.default_rng(seed)
+    a, b = core.random_state(3, rng), core.random_state(3, rng)
+    frame = curves.frame_from_pair(*curves.in_phase_gauge(a, b))
+    profile = curves.generate_npc_profile(frame.theta0, 3, eps, grid=grid)
+    return curves.profile_to_lift(frame, profile)
+
+
 def assert_same_trajectory(lift):
+    """The trajectory matches the one-sample-at-a-time oracle, and each
+    sample is the row-major kernel's star pair bit for bit, in one order or
+    the other."""
     got = star_trajectory(lift)
     want, ties = oracle_trajectory(lift.psi)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+    bits = np.ascontiguousarray(got).view(np.uint64)
+    stars = rowmajor_stars(rowmajor_factor(lift.psi)[0]).view(np.uint64)
+    assert ((bits == stars).all(axis=(1, 2))
+            | (bits == stars[:, ::-1]).all(axis=(1, 2))).all()
     return ties
 
 
@@ -271,12 +363,20 @@ class TestTrajectoryParity:
 
     def test_eps_family_lifts(self):
         for seed, eps in enumerate((0.1, 0.6, 1.2)):
-            rng = np.random.default_rng(100 + seed)
-            a, b = core.random_state(3, rng), core.random_state(3, rng)
-            frame = curves.frame_from_pair(*curves.in_phase_gauge(a, b))
-            profile = curves.generate_npc_profile(frame.theta0, 3, eps,
-                                                  grid=257)
-            assert_same_trajectory(curves.profile_to_lift(frame, profile))
+            assert_same_trajectory(eps_family_lift(100 + seed, eps, 257))
+
+    def test_eps_family_lift_at_grid_1025(self):
+        assert_same_trajectory(eps_family_lift(103, 0.8, 1025))
+
+    def test_geodesic_from_a_lower_degree_sample(self, rng):
+        # the first sample's last amplitude is exactly 0: its degree is 1
+        # and every later sample's 2, so the batch splits into two groups
+        a, b = core.random_state(3, rng), core.random_state(3, rng)
+        a[2] = 0.0
+        lift = curves.geodesic_lift(*curves.in_phase_gauge(a / np.linalg.norm(a), b),
+                                    grid=257)
+        assert lift.psi[0, 2] == 0.0 and lift.psi[1:, 2].all()
+        assert_same_trajectory(lift)
 
     @pytest.mark.parametrize("key, second", [("meridian_trajectory", 2),
                                              ("two_component_trajectory", 1)])
