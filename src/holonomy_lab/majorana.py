@@ -201,7 +201,11 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     starts from the 0 * x of np.polyval.
     """
     d = desc.shape[0] - 1
-    both = np.stack([desc[:-1], desc[:-1] * np.arange(d, 0, -1)[:, None]], axis=1)
+    # both[k] holds coefficient k of p and of p', filled in place: np.stack
+    # costs more in its Python layers than the shared pass saves on one state
+    both = np.empty((d, 2) + desc.shape[1:], dtype=complex)
+    both[:, 0] = desc[:-1]
+    np.multiply(desc[:-1], np.arange(d, 0, -1)[:, None], out=both[:, 1])
     y = both[0, :, None]
     for c in both[1:, :, None]:
         y = y * roots + c
@@ -331,7 +335,7 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
         if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
             roots = first
         elif m == 2:
-            roots = np.stack(_quadratic_roots(first[0], first[1]))
+            roots = np.array(_quadratic_roots(first[0], first[1]))
         else:
             companion = np.zeros((desc.shape[1], m, m), dtype=complex)
             companion[:, 0, :] = first.T
