@@ -290,7 +290,7 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
 
     - beta.prod(axis=-1) over a short contiguous axis runs NumPy's
       multiply reduce loop, which can round differently from the
-      elementwise b0 * b1 (where the latter fuses a multiply-add), and
+      elementwise b0 * b1 (whose loop may fuse a multiply-add), and
       np.multiply.reduce(beta, axis=0) takes that reduce loop only on an
       (m, 1) array.  A lead product along axis 0 would make a single
       state differ from its row in a batch, so the lead is taken in row
