@@ -6,7 +6,7 @@ side that take turns, parent, change, parent, change, ... (the first
 side alternates between rounds).  A host speed phase that starts or ends
 inside a round then falls on both sides, so the paired ratio separates
 gaps of a few percent that two separate runs of ``perfbench`` cannot.
-Tier-1 does not collect this file; run it as
+It is the repository's one per-layer harness; run it as
 
     python benchmarks/interleave.py --parent OLD/src [--change NEW/src] [--json PATH]
     python benchmarks/interleave.py --trajectory BENCH_18.json BENCH_19.json ...
@@ -15,43 +15,58 @@ where OLD is a checkout of the parent commit (``git clone`` or
 ``git archive`` into a directory outside the repository) and NEW
 defaults to this checkout's ``src``.  The cases are
 
-- those of ``bench_stars.py``, and besides ``su2_apply`` on one state at
-  n = 2, 5 and 9 (with 3 and 8, the range of the ``stars`` workload),
-  ``coefficients_to_roots`` on one state at n = 5, and
-  ``coefficients_to_roots`` and ``MajoranaRep.stars`` on a batch of 257
-  states at n = 3, the batch ``star_trajectory`` factors;
+- the star path: ``coefficients_to_roots`` on one state at n = 2, 3, 5,
+  8 and 20 and on batches of 1000 states at n = 2, 3, 8 and 20 and of
+  257 at n = 3 (the batch ``star_trajectory`` factors);
+  ``roots_to_coefficients`` on one state and on 1000 at n = 2, 3, 8 and
+  20; ``su2_apply`` on one state at n = 2, 3, 5, 8, 9 and 20 and on 1000
+  at n = 20; ``MajoranaRep.stars`` on 257 and 1000 states at n = 3 and on
+  1000 at n = 20; and ``star_trajectory`` on dimension-3 geodesic and
+  eps-family lifts of 257 samples;
 - ``stars.op`` for each kind of operation of the ``stars`` workload of
-  ``perfbench``, on inputs drawn by its own makers: ``roundtrip``
-  factors a state and expands it again (two of each n = 2, 3, 8, 20, one
-  of the n = 8 pair with forced zero amplitudes, one of the n = 20 pair
-  a pure product), ``su2_apply`` moves a state of n = 2 to 9, and
-  ``trajectory`` matches the stars of a dimension-3 lift of 257 samples;
-- ``bargmann``, ``extract_angles``, ``reduce_triad`` and
-  ``bi_factorization`` from ``bench_triad.py`` at n = 2, 3, 5 and 8, and
+  ``perfbench``: ``roundtrip`` factors a state and expands it again (two
+  of each n = 2, 3, 8, 20, one of the n = 8 pair with forced zero
+  amplitudes, one of the n = 20 pair a pure product), ``su2_apply``
+  moves a state of n = 2 to 9, and ``trajectory`` matches the stars of
+  a dimension-3 lift of 257 samples;
+- the triad layers ``bargmann``, ``extract_angles``, ``reduce_triad``
+  and ``bi_factorization`` at n = 2, 3, 5 and 8, and
   ``phase_from_solid_angles_n3`` and ``solid_angle_pair`` at n = 3;
 - ``triads.op`` at n = 2, 3, 5 and 8: one operation of the ``triads``
   workload of ``perfbench`` (``bargmann``, ``extract_angles``,
   ``reduce_triad`` and ``bi_factorization``, and at n = 3 the half-sum
   of solid angles);
-- ``verify_npc`` on accepted and on rejected lifts and
-  ``loop_geometric_phase`` on geodesic and family triangles, from
-  ``bench_curves.py``, and from there too ``CurveLift``,
-  ``geodesic_lift``, ``profile_to_lift`` and ``connection_integral`` at
-  grids 257 and 1025 and ``validate_profile`` at 1025;
+- the curve layers, in dimensions 3 and 5: ``verify_npc`` on accepted
+  eps-family lifts and on rejected latitude arcs at grid 257,
+  ``loop_geometric_phase`` on dimension-3 triangles of geodesic sides
+  with and without one eps-family side, ``CurveLift`` (from the samples
+  of latitude arcs), ``geodesic_lift``, ``profile_to_lift`` and
+  ``connection_integral`` (on latitude arcs, where it is not 0) at grids
+  257 and 1025, and ``validate_profile`` at 1025;
 - ``curves.op`` for each kind of operation of the ``curves`` workload of
   ``perfbench``: ``geodesic``, ``profile`` and ``arc`` build a lift (from
   an in-phase pair, a frame and profile, or sample arrays), check it and
   integrate it; ``loop`` builds three sides, one of them on every other
-  loop from a profile, and takes the loop's geometric phase;
+  loop from a profile, and takes the loop's geometric phase; and
+  ``curves.op.lift.g1025`` runs ``arc`` on the samples of accepted
+  geodesics at grid 1025;
 - ``cli.help.cold``: a cold ``python -m holonomy_lab.cli --help``, each
   call a new interpreter that imports the tree's CLI and prints the
   command list, timed from outside as one call per block; its output
   difference is 0 when both trees print the same bytes.
 
+Every input is drawn by a maker of ``perfbench/workloads.py`` (each
+operation's own maker, ``random_state``, ``random_triad``,
+``su2_input``, ``trajectory_input``, ``geodesic_input``,
+``profile_input``, ``arc_input`` and ``loop_input``), which runs on the
+change tree's ``holonomy_lab``, except the batches of 257 and 1000
+states, each drawn by one generator call; an ``su2_apply`` input at a
+fixed n pairs ``su2_input``'s matrix with such a state.  Both sides share the inputs; what a layer's pool derives from
+them (lifts, loop sides, decompositions and triad reductions) each tree
+builds itself.  A pool is built only when its layer is timed.
+
 Every layer is called with positional inputs only, so a keyword that
-one tree has and the other lacks cannot split them.  Inputs come from
-the change tree and are shared by both sides, except decompositions,
-which each tree makes itself.
+one tree has and the other lacks cannot split them.
 
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
@@ -85,6 +100,7 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +109,7 @@ HERE = Path(__file__).resolve().parent
 BLOCK_S = 0.004  # time of one side's calls, per layer and round
 SWITCHES = 4  # short blocks per side and round, the sides taking turns
 MIN_CALLS = 8  # calls in one block, however slow the layer
+POOL = 20  # inputs per layer; the calls of a block walk through them in turn
 
 
 def load_tree(src: Path, name: str):
@@ -106,6 +123,87 @@ def load_tree(src: Path, name: str):
     return module
 
 
+def drawn(maker: str, seed: int, js) -> list[tuple]:
+    """POOL inputs from the maker of this name in perfbench/workloads.py,
+    the i-th drawn as maker(rng, js[i mod len(js)]), each as a tuple of
+    arguments."""
+    import workloads
+
+    make = getattr(workloads, maker)
+    rng = np.random.default_rng(seed)
+    pool = []
+    for i in range(POOL):
+        args = make(rng, js[i % len(js)])
+        pool.append(args if isinstance(args, tuple) else (args,))
+    return pool
+
+
+def operation_pool(workload: str, kind: str, seed: int) -> list[tuple]:
+    """POOL inputs of one kind of a perfbench workload; input j is the
+    (j mod count)-th of its kind in a block, so every position comes up."""
+    import workloads
+
+    return drawn(workloads.MAKERS[kind].__name__, seed,
+                 range(workloads.MIXES[workload][kind]))
+
+
+def at_grid(maker: str, seed: int, grid: int) -> list[tuple]:
+    """POOL inputs of perfbench's geodesic_input, profile_input or
+    arc_input at one grid: each draws grid 257 at j = 0, 1 and grid 1025 at
+    j = 2, 3, in dimensions 3 and 5 in turn."""
+    first = {257: 0, 1025: 2}[grid]
+    return drawn(maker, seed, (first, first + 1))
+
+
+def states(n: int, rows: int) -> list[tuple]:
+    """POOL inputs at n: one state from perfbench's random_state (rows = 1)
+    or a (rows, n) batch of unit rows drawn by one generator call."""
+    if rows == 1:
+        return drawn("random_state", 300 + n, (n,))
+    rng = np.random.default_rng(300 + n)
+    pool = []
+    for _ in range(POOL):
+        z = rng.standard_normal((rows, 2 * n)).view(complex)
+        pool.append((z / np.linalg.norm(z, axis=1)[:, None],))
+    return pool
+
+
+def su2_pairs(n: int, rows: int = 1) -> list[tuple]:
+    """POOL pairs (u, psi) of an SU(2) matrix from perfbench's su2_input and
+    a states(n, rows) input."""
+    import workloads
+
+    rng = np.random.default_rng(400 + n)
+    return [(workloads.su2_input(rng, 0)[0], psi) for psi, in states(n, rows)]
+
+
+def triads(n: int) -> list[tuple]:
+    """POOL triads of n-state vectors from perfbench's random_triad."""
+    return drawn("random_triad", 100 + n, (n,))
+
+
+def arcs(seed: int, grid: int) -> list[tuple]:
+    """Sample arrays (s, psi) of perfbench's latitude arcs at one grid;
+    an arc is not a null phase curve, and its connection integral is not 0."""
+    return [args[:2] for args in at_grid("arc_input", seed, grid)]
+
+
+def derived(build, pool) -> list[tuple]:
+    """What build makes of each input that pool() returns (a lift, a loop's
+    sides, a decomposition or a triad reduction), each as one argument."""
+    return [(build(*args),) for args in pool()]
+
+
+def loop_sides(cv, triad, pairs, swap) -> list:
+    """The sides of a perfbench loop: geodesics at grid 257 between the
+    in-phase pairs, one of them an eps-family lift when swap is given."""
+    sides = [cv.geodesic_lift(v1, v2, 257) for v1, v2 in pairs]
+    if swap is not None:
+        side, frame, profile = swap
+        sides[side] = cv.profile_to_lift(frame, profile)
+    return sides
+
+
 def star_operations(lab) -> dict:
     """One operation of each kind of the ``stars`` workload of perfbench on
     the tree lab, by kind, each a function of that kind's inputs."""
@@ -117,20 +215,6 @@ def star_operations(lab) -> dict:
 
     return {"roundtrip": roundtrip, "su2_apply": mj.su2_apply,
             "trajectory": lab.decompose.star_trajectory}
-
-
-def star_operation_inputs(kind: str, seed: int) -> list[tuple]:
-    """POOL inputs of one kind of the ``stars`` workload, drawn by the makers
-    of ``perfbench/workloads.py``; input j is the (j mod count)-th of its
-    kind in a block, so every position of the block comes up."""
-    import bench_triad as bt
-    import workloads as wl
-
-    maker = {"roundtrip": wl.roundtrip_input, "su2_apply": wl.su2_input,
-             "trajectory": lambda rng, j: (wl.trajectory_input(rng, j),)}[kind]
-    count = wl.MIXES["stars"][kind]
-    rng = np.random.default_rng(seed)
-    return [maker(rng, j % count) for j in range(bt.POOL)]
 
 
 def triad_operation(lab):
@@ -150,96 +234,90 @@ def triad_operation(lab):
 
 def curve_operations(lab) -> dict:
     """One operation of each kind of the ``curves`` workload of perfbench
-    on the tree lab, by kind, each a function of that kind's inputs."""
+    on the tree lab, by kind, each a function of that kind's inputs; arc
+    also takes sample arrays alone."""
     cv = lab.curves
 
     def scan(lift):
         return cv.verify_npc(lift), cv.connection_integral(lift)
 
-    def loop(pairs, swap):
-        sides = [cv.geodesic_lift(v1, v2, 257) for v1, v2 in pairs]
-        if swap is not None:
-            side, frame, profile = swap
-            sides[side] = cv.profile_to_lift(frame, profile)
-        return cv.loop_geometric_phase(sides)
-
     return {"geodesic": lambda v1, v2, grid: scan(cv.geodesic_lift(v1, v2, grid)),
             "profile": lambda frame, profile: scan(cv.profile_to_lift(frame, profile)),
-            "arc": lambda s, psi: scan(cv.CurveLift(s, psi)),
-            "loop": loop}
+            "arc": lambda s, psi, *exact: scan(cv.CurveLift(s, psi)),
+            "loop": lambda *loop: cv.loop_geometric_phase(loop_sides(cv, *loop))}
 
 
 def cases(lab):
-    """(label, function, pool) of every layer, for one loaded tree."""
-    import bench_curves as bc
-    import bench_stars as bs
-    import bench_triad as bt
-
+    """(label, function, pool) of every layer for one loaded tree, where
+    pool builds that layer's inputs when called."""
     mj, dec, cv = lab.majorana, lab.decompose, lab.curves
     out = []
     for n, rows in [(2, 1), (3, 1), (5, 1), (8, 1), (20, 1),
                     (2, 1000), (3, 257), (3, 1000), (8, 1000), (20, 1000)]:
         out.append((f"majorana.coefficients_to_roots.n{n}.B{rows}",
-                    mj.coefficients_to_roots, bs.state_pool(n, rows)))
+                    mj.coefficients_to_roots, partial(states, n, rows)))
     for n, rows in itertools.product([2, 3, 8, 20], [1, 1000]):
         out.append((f"majorana.roots_to_coefficients.n{n}.B{rows}",
                     mj.roots_to_coefficients,
-                    bs.rep_pool(mj.coefficients_to_roots, n, rows)))
+                    partial(derived, mj.coefficients_to_roots,
+                            partial(states, n, rows))))
     for n in (2, 3, 5, 8, 9, 20):
-        out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, bs.su2_pool(n)))
-    out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply, bs.su2_pool(20, 1000)))
+        out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, partial(su2_pairs, n)))
+    out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply,
+                partial(su2_pairs, 20, 1000)))
     for n, rows in [(3, 257), (3, 1000), (20, 1000)]:
         out.append((f"MajoranaRep.stars.n{n}.B{rows}", mj.MajoranaRep.stars,
-                    bs.rep_pool(mj.coefficients_to_roots, n, rows)))
+                    partial(derived, mj.coefficients_to_roots,
+                            partial(states, n, rows))))
     out.append(("decompose.star_trajectory.g257", dec.star_trajectory,
-                bs.trajectory_pool()))
+                partial(drawn, "trajectory_input", 500, (0, 1))))
     ops = star_operations(lab)
     for kind, seed in (("roundtrip", 600), ("su2_apply", 601), ("trajectory", 602)):
-        out.append((f"stars.op.{kind}", ops[kind], star_operation_inputs(kind, seed)))
+        out.append((f"stars.op.{kind}", ops[kind],
+                    partial(operation_pool, "stars", kind, seed)))
     for n in (2, 3, 5, 8):
-        triads = bt.triad_pool(n)
         out.append((f"core.bargmann.n{n}", lab.core.bargmann,
-                    [(t,) for t in triads]))
+                    lambda n=n: [(t,) for t in triads(n)]))
         out.append((f"angles.extract_angles.n{n}", lab.angles.extract_angles,
-                    triads))
-        out.append((f"decompose.reduce_triad.n{n}", dec.reduce_triad, triads))
+                    partial(triads, n)))
+        out.append((f"decompose.reduce_triad.n{n}", dec.reduce_triad,
+                    partial(triads, n)))
         out.append((f"decompose.bi_factorization.n{n}", dec.bi_factorization,
-                    [(dec.reduce_triad(*t),) for t in triads]))
+                    partial(derived, dec.reduce_triad, partial(triads, n))))
     out.append(("decompose.phase_from_solid_angles_n3",
-                dec.phase_from_solid_angles_n3, bt.triad_pool(3)))
+                dec.phase_from_solid_angles_n3, partial(triads, 3)))
     out.append(("decompose.solid_angle_pair", dec.solid_angle_pair,
-                [(dec.reduce_triad(*t),) for t in bt.triad_pool(3)]))
+                partial(derived, dec.reduce_triad, partial(triads, 3))))
     for n in (2, 3, 5, 8):
-        out.append((f"triads.op.n{n}", triad_operation(lab), bt.triad_pool(n)))
+        out.append((f"triads.op.n{n}", triad_operation(lab), partial(triads, n)))
     out.append(("curves.verify_npc.accept", cv.verify_npc,
-                [(lift,) for lift in bc.family_lifts(301, 257)]))
+                partial(derived, cv.profile_to_lift,
+                        partial(at_grid, "profile_input", 301, 257))))
     out.append(("curves.verify_npc.reject", cv.verify_npc,
-                [(lift,) for lift in bc.family_lifts(302, 257, wobble=0.3)]))
-    for kind in ("geodesic", "family"):
+                partial(derived, cv.CurveLift, partial(arcs, 302, 257))))
+    for kind, j in (("geodesic", 0), ("family", 1)):
         out.append((f"curves.loop_geometric_phase.{kind}", cv.loop_geometric_phase,
-                    bc.triangle_loops(306, kind == "family")))
+                    partial(derived, partial(loop_sides, cv),
+                            partial(drawn, "loop_input", 306, (j,)))))
     for grid in (257, 1025):
         out.append((f"curves.CurveLift.g{grid}", cv.CurveLift,
-                    [(lift.s, lift.psi) for lift in bc.twisted_geodesics(300, grid)]))
+                    partial(arcs, 300, grid)))
         out.append((f"curves.geodesic_lift.g{grid}", cv.geodesic_lift,
-                    bc.pair_inputs(309, (grid,))))
-        rng = np.random.default_rng(304)
+                    partial(at_grid, "geodesic_input", 309, grid)))
         out.append((f"curves.profile_to_lift.g{grid}", cv.profile_to_lift,
-                    [bc.frame_and_profile(rng, grid) for _ in range(bt.POOL)]))
+                    partial(at_grid, "profile_input", 304, grid)))
         out.append((f"curves.connection_integral.g{grid}", cv.connection_integral,
-                    [(lift,) for lift in bc.twisted_geodesics(303, grid)]))
-    rng = np.random.default_rng(305)
+                    partial(derived, cv.CurveLift, partial(arcs, 303, grid))))
     out.append(("curves.validate_profile.g1025", cv.validate_profile,
-                [(profile, frame.theta0) for frame, profile in
-                 (bc.frame_and_profile(rng, 1025) for _ in range(bt.POOL))]))
+                lambda: [(profile, frame.theta0) for frame, profile in
+                         at_grid("profile_input", 305, 1025)]))
     ops = curve_operations(lab)
-    arcs = [arc for pair in zip(bc.latitude_arcs(308, 257), bc.latitude_arcs(310, 1025))
-            for arc in pair]
-    for kind, pool in (("geodesic", bc.pair_inputs(311)),
-                       ("profile", bc.profile_inputs(312)),
-                       ("arc", arcs),
-                       ("loop", bc.loop_inputs(313))):
-        out.append((f"curves.op.{kind}", ops[kind], pool))
+    for kind, seed in (("geodesic", 311), ("profile", 312), ("arc", 308), ("loop", 313)):
+        out.append((f"curves.op.{kind}", ops[kind],
+                    partial(operation_pool, "curves", kind, seed)))
+    out.append(("curves.op.lift.g1025", ops["arc"],
+                lambda: [(lift.s, lift.psi) for lift, in derived(
+                    cv.geodesic_lift, partial(at_grid, "geodesic_input", 307, 1025))]))
     return out
 
 
@@ -345,15 +423,16 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
-    # the bench modules and perfbench's input makers build their inputs
-    # with the change tree's holonomy_lab
-    sys.path[:0] = [str(args.change), str(HERE), str(HERE.parent / "perfbench")]
+    # perfbench's input makers build their inputs with the change tree's
+    # holonomy_lab
+    sys.path[:0] = [str(args.change), str(HERE.parent / "perfbench")]
     trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
     layers = [(p[0], p[1], c[1], p[2], c[2]) for p, c in
               zip(*(cases(lab) for lab in trees)) if args.only in p[0]]
 
     table = []
-    for label, fn_p, fn_c, pool_p, pool_c in layers:
+    for label, fn_p, fn_c, make_p, make_c in layers:
+        pool_p, pool_c = make_p(), make_c()
         diff = max_difference(fn_p, fn_c, pool_p, pool_c)
         calls = calls_for(fn_c, pool_c, BLOCK_S / SWITCHES)
         # both sides walk their pools in step, so each pair times the same inputs

@@ -129,7 +129,8 @@ class CurveFrame:
 
 @dataclass(frozen=True)
 class RealProfile:
-    """Real n-component profile x(s) sampled on a uniform grid."""
+    """Real profile x(s) of m >= 2 components sampled on a uniform grid of
+    at least 3 samples, as a lift needs."""
 
     s: np.ndarray
     x: np.ndarray  # shape (len(s), m), real
@@ -139,8 +140,13 @@ class RealProfile:
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "x", x)
+        if s.size < 3:
+            raise ValueError("a profile needs at least 3 samples")
         if x.ndim != 2 or x.shape[0] != s.size:
             raise ValueError("x must have one row per sample")
+        # the end condition (cos(theta0/2), sin(theta0/2), 0, ...) names two
+        if x.shape[1] < 2:
+            raise ValueError("a profile needs at least 2 components")
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(x))):
             raise ValueError("non-finite sample in profile")
 

@@ -388,6 +388,18 @@ class TestProfileFamily:
         with pytest.raises(ValueError, match="eps"):
             generate_npc_profile(1.0, 3, np.pi / 2)
 
+    @pytest.mark.parametrize("grid", [0, 1, 2])
+    def test_grid_below_three_samples_is_rejected(self, grid):
+        # validate_profile indexes the first and last sample, and no lift
+        # can be built from fewer than three
+        with pytest.raises(ValueError, match="at least 3 samples"):
+            generate_npc_profile(1.0, 3, 0.3, grid=grid)
+
+    def test_single_component_is_rejected(self):
+        # the end condition (C0, S0, 0, ...) needs a second component
+        with pytest.raises(ValueError, match="at least 2 components"):
+            RealProfile(np.linspace(0.0, 1.0, 5), np.ones((5, 1)))
+
     def test_family_profiles_validate(self):
         for eps in (0.0, 0.5, 1.2):
             profile = generate_npc_profile(2.0, 4, eps, grid=65)
