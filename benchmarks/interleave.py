@@ -19,10 +19,10 @@ defaults to this checkout's ``src``.  The cases are
   8 and 20 and on batches of 1000 states at n = 2, 3, 8 and 20 and of
   257 at n = 3 (the batch ``star_trajectory`` factors);
   ``roots_to_coefficients`` on one state and on 1000 at n = 2, 3, 8 and
-  20; ``su2_apply`` on one state at n = 2, 3, 5, 8, 9 and 20 and on 1000
-  at n = 20; ``MajoranaRep.stars`` on 257 and 1000 states at n = 3 and on
-  1000 at n = 20; and ``star_trajectory`` on dimension-3 geodesic and
-  eps-family lifts of 257 samples;
+  20; ``su2_apply`` on one state at n = 2, 3, 5, 8, 9, 20 and 64 and on
+  1000 at n = 20; ``MajoranaRep.stars`` on 257 and 1000 states at n = 3
+  and on 1000 at n = 20; and ``star_trajectory`` on dimension-3 geodesic
+  and eps-family lifts of 257 samples;
 - ``stars.op`` for each kind of operation of the ``stars`` workload of
   ``perfbench``: ``roundtrip`` factors a state and expands it again (two
   of each n = 2, 3, 8, 20, one of the n = 8 pair with forced zero
@@ -265,6 +265,7 @@ def cases(lab):
         out.append((f"majorana.su2_apply.n{n}", mj.su2_apply, partial(su2_pairs, n)))
     out.append(("majorana.su2_apply.n20.B1000", mj.su2_apply,
                 partial(su2_pairs, 20, 1000)))
+    out.append(("majorana.su2_apply.n64", mj.su2_apply, partial(su2_pairs, 64)))
     for n, rows in [(3, 257), (3, 1000), (20, 1000)]:
         out.append((f"MajoranaRep.stars.n{n}.B{rows}", mj.MajoranaRep.stars,
                     partial(derived, mj.coefficients_to_roots,

@@ -123,8 +123,8 @@ def rep_from_dict(d) -> MajoranaRep:
     if not isinstance(d, dict) or "spinors" not in d or "scale" not in d:
         raise ValueError("expected a JSON object with 'spinors' and 'scale'")
     rows = d["spinors"]
-    if not isinstance(rows, list) or not rows:
-        raise ValueError("'spinors' must be a non-empty list")
+    if not isinstance(rows, list):  # empty for a dimension-1 state
+        raise ValueError("'spinors' must be a list")
     spinors = np.empty((len(rows), 2), dtype=complex)
     for k, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != 2:

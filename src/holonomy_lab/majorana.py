@@ -11,7 +11,8 @@ n_hat = spinor^dagger sigma spinor.  Roots w map to spinors along (-w, 1);
 missing degrees map to (1, 0), a star at the north pole.  The multiset of
 stars plus the complex scale determines the vector exactly.  A matrix u
 in SU(2) moves every spinor to u times it; on the amplitudes that is the
-Schwinger matrix D^j(u), which su2_apply applies without factoring.
+Schwinger matrix D^j(u), which su2_apply builds from the Euler angles of
+u and the eigenvectors of J_y, and applies without factoring.
 """
 
 from __future__ import annotations
@@ -431,15 +432,15 @@ def overlap_general(rep_prime: MajoranaRep, rep: MajoranaRep) -> complex:
     return complex(np.conjugate(rep_prime.scale) * rep.scale * permanent(gram))
 
 
-def _check_su2(u) -> np.ndarray:
-    """u as a complex 2x2 array, after the SU(2) tests on its four entries.
+def _check_su2(u) -> tuple[np.ndarray, complex, complex]:
+    """u as a complex 2x2 array and its entries u00, u10, after SU(2) tests.
 
-    In order: shape, finite entries, unitarity (each entry of
-    u^dagger u - 1, summed as conj(x) y) and determinant 1 (ad - bc),
-    each deviation at most 1e-10.  The entries are Python complex numbers,
-    on which the tests take a fraction of the time of array arithmetic on
-    a 2x2 matrix.  Huge finite entries overflow |a|^2 + |c|^2 to inf,
-    which fails.
+    In order: shape, finite entries, unitarity (u^dagger u - 1, summed as
+    conj(x) y; its (1, 0) entry is the exact conjugate of its (0, 1) entry)
+    and determinant 1 (ad - bc), each deviation at most 1e-10.  The tests
+    run on Python complex numbers, in a fraction of the time of array
+    arithmetic on a 2x2 matrix.  Huge finite entries overflow
+    |a|^2 + |c|^2 to inf, which fails.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (2, 2):
@@ -448,25 +449,28 @@ def _check_su2(u) -> np.ndarray:
     if not (cmath.isfinite(a) and cmath.isfinite(b)
             and cmath.isfinite(c) and cmath.isfinite(d)):
         raise ValueError("matrix must be finite")
-    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
-    gram = (ac * a + cc * c - 1.0, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d - 1.0)
-    if not _all_within(gram):
+    ac, cc = a.conjugate(), c.conjugate()
+    if not _all_within(ac * a + cc * c - 1.0, ac * b + cc * d,
+                       b.conjugate() * b + d.conjugate() * d - 1.0):
         raise ValueError("matrix is not unitary")
-    if not _all_within((a * d - b * c - 1.0,)):
+    if not _all_within(a * d - b * c - 1.0):
         raise ValueError("matrix must have determinant 1")
-    return u
+    return u, a, c
 
 
-def _all_within(deviations) -> bool:
+def _all_within(*deviations: complex) -> bool:
     """Whether every complex deviation has modulus at most 1e-10.
 
     abs rounds as NumPy's abs does (both are the C hypot); where finite
     parts give an infinite modulus, it raises OverflowError, a failure.
     """
     try:
-        return all(abs(x) <= 1e-10 for x in deviations)
+        for x in deviations:
+            if not abs(x) <= 1e-10:  # NaN fails too
+                return False
     except OverflowError:
         return False
+    return True
 
 
 def su2_rotation(u) -> np.ndarray:
@@ -474,73 +478,65 @@ def su2_rotation(u) -> np.ndarray:
 
     R_ij = Re tr(sigma_i u sigma_j u^dagger) / 2.
     """
-    u = _check_su2(u)
+    u = _check_su2(u)[0]
     return 0.5 * np.einsum("iab,bc,jcd,ad->ij", SIGMA, u, SIGMA, u.conj()).real
 
 
 @lru_cache(maxsize=None)
-def _schwinger_layout(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only terms of the Schwinger sum for the dimension-n D^j(u).
+def _jy_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only V and conj(V), and the exponents 2 m_k = n-1-2k as complex
+    numbers (complex factors multiply them without a cast).
 
-    Basis state l is the product of n-1-l spinors e0 and l spinors e1,
-    scaled by 1 / f_l (f = sqrt(k! (n-1-k)!)); u moves e0 and e1 to its
-    columns.  Coefficient m of (u00 + u10 z)^(n-1-l) (u01 + u11 z)^l,
-    times f_m / f_l, is amplitude m of D^j(u) e_l, entry (l, m) of the
-    transpose:
-
-        sum_k C(n-1-l, k) C(l, m-k) f_m / f_l
-              u00^(n-1-l-k) u10^k u01^(l-m+k) u11^(m-k),
-
-    k from max(0, m-l) to min(n-1-l, m).  The terms run over the entries
-    (l, m) in row-major order, k ascending.  The arrays are each term's
-    coefficient, the positions of its four powers in the flattened
-    (2, 2, n) table u[..., None] ** exponents, where each entry's terms
-    start, and the exponents 0 .. n-1.
+    Column k of V is a unit eigenvector of J_y paired with its exact
+    eigenvalue m_k = j - k, the weight of basis state k: eigh lists the
+    eigenvalues ascending, one apart, so its columns are reversed.
     """
-    l, m, k = np.indices((n, n, n)).reshape(3, -1)
-    keep = (k <= n - 1 - l) & (k <= m) & (m - k <= l)
-    l, m, k = l[keep], m[keep], k[keep]
-    binomial = np.array([[math.comb(p, q) for q in range(n)] for p in range(n)], dtype=float)
-    f = _weights(n)[1]
-    coef = binomial[n - 1 - l, k] * binomial[l, m - k] * (f[m] / f[l])
-    # the power u_rc^e sits at (2 r + c) n + e of the flattened table
-    powers = np.stack([n - 1 - l - k, n + l - m + k, 2 * n + k, 3 * n + m - k])
-    starts = np.flatnonzero(k == np.maximum(m - l, 0))
-    exponents = np.arange(n)
-    for a in (coef, powers, starts, exponents):
-        a.flags.writeable = False
-    return coef, powers, starts, exponents
+    vectors = np.linalg.eigh(spin_matrices(n)[1])[1][:, ::-1]
+    basis = np.stack([vectors, vectors.conj()])
+    exponents = np.arange(n - 1, -n, -2.0).astype(complex)
+    basis.flags.writeable = exponents.flags.writeable = False
+    return basis, exponents
 
 
-def _schwinger_transpose(u: np.ndarray, n: int) -> np.ndarray:
-    """Transpose of D^j(u), the matrix of u in SU(2) on dimension-n amplitudes.
+def _wigner_transpose(u: np.ndarray, a: complex, c: complex, n: int) -> np.ndarray:
+    """Transpose of D^j(u) on dimension-n amplitudes; a = u00 and c = u10.
 
-    One power table of the four entries, one gather of each term's four
-    powers, their products and one sum over k per entry, whatever n is.
-    For u = 1 only the k = 0 terms of the diagonal are nonzero, each
-    1 * 1 * 1 * 1 (0 ** 0 is 1), so the transpose is exactly the identity.
+    u = diag(A, conj(A)) exp(-i beta sigma_y / 2) diag(G, conj(G)), with
+    beta = 2 atan2(|c|, |a|), A^2 = e^(i(arg a - arg c)) and
+    G^2 = e^(i(arg a + arg c)).  With V the cached J_y basis, m its
+    weights and h = e^(-i beta m / 2), D^j(u) is S0 S1^T, where
+    S0 = diag(A^(2m)) V diag(h) and S1 = diag(G^(2m)) conj(V) diag(h).
+    For n >= 3 only u's first column enters; a = 0 needs no branch, as
+    cmath.phase(0) is 0.  Exact cases: n = 2 gives u, and c = 0 the
+    diagonal powers of a / |a|, so the identity gives the identity.
     """
-    coef, powers, starts, exponents = _schwinger_layout(n)
-    table = u[..., None] ** exponents
-    terms = table.ravel()[powers].prod(axis=0)
-    terms *= coef
-    return np.add.reduceat(terms, starts).reshape(n, n)
+    if n == 2:
+        return u.T
+    basis, exponents = _jy_basis(n)
+    if c == 0:
+        return np.diag((a / abs(a)) ** exponents)
+    p, q = cmath.phase(a), cmath.phase(c)
+    beta = 2.0 * math.atan2(abs(c), abs(a))
+    coef = np.array([0.5j * (p - q), 0.5j * (p + q), -0.25j * beta])
+    phases = np.exp(coef[:, None] * exponents)  # A^(2m), G^(2m) and h
+    factors = basis * (phases[:2, :, None] * phases[2])
+    return factors[1] @ factors[0].T
 
 
 def su2_apply(u, psi) -> np.ndarray:
     """Apply D^j(u), the spin-j matrix of u in SU(2), to a state or a batch.
 
     D^j(u) is the Schwinger two-oscillator action: a state is a polynomial
-    in the two oscillators, and u moves each oscillator to its image.  Each
-    entry of D^j(u) is the closed-form Schwinger sum of binomial terms in
-    the four entries of u, all gathered from one table of their powers.
-    One matrix product applies it, so the map is exactly linear and the
-    identity returns psi unchanged.  The stars of the result are the stars
-    of psi rotated by su2_rotation(u).
+    in the two oscillators, and u moves each oscillator to its image.  It
+    is built from the Euler angles of u and the cached eigenbasis of J_y
+    (see _wigner_transpose), unitary to rounding at every n.  One matrix
+    product applies it, so the map is exactly linear and the identity
+    returns psi unchanged.  The stars of the result are the stars of psi
+    rotated by su2_rotation(u).
     """
-    u = _check_su2(u)
+    u, a, c = _check_su2(u)
     psi = _check_states(psi)
-    return psi @ _schwinger_transpose(u, psi.shape[-1])
+    return psi @ _wigner_transpose(u, a, c, psi.shape[-1])
 
 
 def random_su2(seed=None) -> np.ndarray:

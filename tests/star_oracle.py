@@ -8,9 +8,12 @@ and a loop that orders each sample against the previous one.  The parity
 tests compare the kernel against them.  ``oracle_su2_rotation`` keeps
 the nine-trace form of the rotation a matrix in SU(2) induces on stars.
 ``oracle_schwinger_transpose`` keeps the D^j(u) that the library built
-by expanding a stack of spinors slot by slot before it gathered the
-Schwinger sum, and ``oracle_check_su2`` the SU(2) test on the NumPy
-array that came before the test on four Python complex numbers.
+by expanding a stack of spinors slot by slot, before it built D^j(u)
+from the eigenbasis of J_y, and ``oracle_schwinger_sum`` the closed-form
+Schwinger sum in 60-digit arithmetic (mpmath, which the tests import
+only when it is installed).  ``oracle_check_su2`` keeps the SU(2) test
+on the NumPy array that came before the test on four Python complex
+numbers.
 ``rowmajor_factor`` and ``rowmajor_stars`` keep the batched kernel as it
 was before it went component-major: one row per state, the spinors in a
 (B, n-1, 2) array and the stars in a (B, n-1, 3) array.  The kernel must
@@ -175,6 +178,33 @@ def oracle_schwinger_transpose(u, n):
     pick = (np.add.outer(np.arange(n), np.arange(n - 1)) >= n - 1).astype(np.intp)
     f = _weights(n)[1]
     return _expand(u.T[pick]) * (f / f[:, None])
+
+
+def oracle_schwinger_sum(u, n):
+    """D^j(u) on dimension n from the closed-form Schwinger sum in 60-digit
+    arithmetic (mpmath): entry (m, l) is coefficient m of
+    (u00 + u10 z)^(n-1-l) (u01 + u11 z)^l times f_m / f_l,
+
+        sum_k C(n-1-l, k) C(l, m-k) f_m / f_l
+              u00^(n-1-l-k) u10^k u01^(l-m+k) u11^(m-k),
+
+    k from max(0, m-l) to min(n-1-l, m)."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        entries = [mpmath.mpc(z) for z in np.asarray(u, dtype=complex).ravel().tolist()]
+        u00, u01, u10, u11 = [[x ** e for e in range(n)] for x in entries]
+        f = [mpmath.sqrt(mpmath.factorial(k) * mpmath.factorial(n - 1 - k))
+             for k in range(n)]
+        out = np.empty((n, n), dtype=complex)
+        for l in range(n):
+            for m in range(n):
+                total = mpmath.mpc(0)
+                for k in range(max(0, m - l), min(n - 1 - l, m) + 1):
+                    total += (math.comb(n - 1 - l, k) * math.comb(l, m - k)
+                              * u00[n - 1 - l - k] * u10[k] * u01[l - m + k] * u11[m - k])
+                out[m, l] = complex(total * f[m] / f[l])
+    return out
 
 
 def oracle_check_su2(u):

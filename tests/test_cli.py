@@ -275,6 +275,17 @@ class TestMajorana:
         rebuilt = formats.state_from_dict(back)
         assert np.allclose(rebuilt, psi, atol=1e-9)
 
+    def test_round_trip_at_dimension_one(self, tmp_path, capsys):
+        # a dimension-1 state has no stars, only its scale
+        state_path = tmp_path / "state.json"
+        state_path.write_text(json.dumps({"dim": 1, "amplitudes": [[0.6, 0.8]]}))
+        rep = run_json(["majorana", "roots", str(state_path)], capsys)
+        assert (rep["dim"], rep["spinors"]) == (1, [])
+        rep_path = tmp_path / "rep.json"
+        rep_path.write_text(json.dumps(rep))
+        back = run_json(["majorana", "rebuild", str(rep_path)], capsys)
+        assert np.allclose(formats.state_from_dict(back), [0.6 + 0.8j], atol=1e-15)
+
     def test_basis_state_stars(self, tmp_path, capsys):
         path = tmp_path / "e2.json"
         path.write_text(json.dumps(

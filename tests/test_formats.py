@@ -86,6 +86,13 @@ class TestMajoranaRep:
         assert np.allclose(back.spinors, rep.spinors, atol=1e-14)
         assert back.scale == pytest.approx(rep.scale)
 
+    def test_dimension_one_has_no_spinors(self):
+        rep = formats.rep_from_dict({"dim": 1, "scale": [0.6, 0.8], "spinors": []})
+        assert rep.dim == 1 and rep.spinors.shape == (0, 2)
+        assert rep.scale == 0.6 + 0.8j
+        with pytest.raises(ValueError, match="'spinors' must be a list"):
+            formats.rep_from_dict({"scale": [1.0, 0.0], "spinors": {}})
+
     def test_rows_renormalized_within_tolerance(self):
         d = {"dim": 2, "scale": [1.0, 0.0],
              "spinors": [[[1.0 + 3e-10, 0.0], [0.0, 0.0]]]}

@@ -16,6 +16,7 @@ from star_oracle import (
     _canonical_spinor,
     oracle_check_su2,
     oracle_expand,
+    oracle_schwinger_sum,
     oracle_schwinger_transpose,
     oracle_su2_apply,
     oracle_su2_rotation,
@@ -533,9 +534,52 @@ class TestSchwingerMatrix:
             with pytest.raises(ValueError, match="nonempty state"):
                 mj.su2_apply(u, bad)
 
+    @pytest.mark.parametrize("n", [64, 200])
+    def test_group_laws_at_large_n(self, rng, n):
+        bound = 100 * n * EPS
+        for _ in range(2):
+            u1, u2 = mj.random_su2(rng), mj.random_su2(rng)
+            d1, d2 = spin_matrix(u1, n), spin_matrix(u2, n)
+            assert np.max(np.abs(spin_matrix(u1 @ u2, n) - d1 @ d2)) <= bound
+            assert np.max(np.abs(d1.conj().T @ d1 - np.eye(n))) <= bound
+            assert np.max(np.abs(spin_matrix(u1.conj().T, n) - d1.conj().T)) <= bound
+
+    def test_entries_when_u00_is_zero(self):
+        # u e0 = c e1 and u e1 = -conj(c) e0, so D^j(u) e_k is
+        # c^(n-1-k) (-conj(c))^k e_(n-1-k)
+        for c in (1.0, 1j, np.exp(0.7j)):
+            u = np.array([[0.0, -np.conj(c)], [c, 0.0]])
+            for n in range(1, 21):
+                want = np.zeros((n, n), dtype=complex)
+                k = np.arange(n)
+                want[n - 1 - k, k] = c ** (n - 1 - k) * (-np.conj(c)) ** k
+                assert np.max(np.abs(spin_matrix(u, n) - want)) <= 2e-14
+
+    def test_entries_when_u10_is_zero(self):
+        # diag(a, conj(a)) acts as diag(a^(n-1-2k)): powers of i and of -1
+        # come out exact, and others within rounding
+        for a in (1j, -1.0, -1j):
+            for n in range(1, 21):
+                want = np.diag([a ** e for e in range(n - 1, -n, -2)])
+                assert np.array_equal(spin_matrix(np.diag([a, np.conj(a)]), n), want)
+        a = np.exp(0.7j)
+        for n in range(1, 21):
+            want = np.diag(np.exp(0.7j * np.arange(n - 1, -n, -2)))
+            got = spin_matrix(np.diag([a, np.conj(a)]), n)
+            assert np.max(np.abs(got - want)) <= n * 4 * EPS
+
+    def test_matches_a_60_digit_schwinger_sum(self):
+        # at n = 30 the gathered sum this replaced was 7.3e-13 off
+        pytest.importorskip("mpmath")
+        beta, n = 1.6, 30
+        a, c = math.cos(beta / 2) * np.exp(0.3j), math.sin(beta / 2) * np.exp(0.8j)
+        u = np.array([[a, -np.conj(c)], [c, np.conj(a)]])
+        assert np.max(np.abs(spin_matrix(u, n) - oracle_schwinger_sum(u, n))) <= 1e-14
+
 
 class TestSchwingerGather:
-    """The gathered Schwinger sum against the stack-and-expand D^j(u)."""
+    """D^j(u) against the stack-and-expand oracle, its exact cases and the
+    cached J_y basis it is built from."""
 
     def test_matches_the_stack_and_expand(self, rng):
         for n in range(1, 21):
@@ -548,18 +592,27 @@ class TestSchwingerGather:
     def test_spin_half_matches_bitwise(self, rng):
         for _ in range(50):
             u = mj.random_su2(rng)
-            got = mj._schwinger_transpose(u, 2)
-            assert np.array_equal(got, oracle_schwinger_transpose(u, 2))
-            assert np.array_equal(got, u.T)
+            got = spin_matrix(u, 2)
+            assert np.array_equal(got.T, oracle_schwinger_transpose(u, 2))
+            assert np.array_equal(got, u)
 
     def test_identity_is_exactly_the_identity(self):
         for n in range(1, 21):
-            assert np.array_equal(mj._schwinger_transpose(np.eye(2, dtype=complex), n),
-                                  np.eye(n))
+            assert np.array_equal(spin_matrix(np.eye(2, dtype=complex), n), np.eye(n))
 
-    def test_layout_is_read_only(self):
-        for a in mj._schwinger_layout(5):
-            assert not a.flags.writeable
+    def test_basis_is_read_only(self):
+        for n in (1, 5, 64):
+            basis, exponents = mj._jy_basis(n)
+            assert (basis.shape, exponents.shape) == ((2, n, n), (n,))
+            assert not (basis.flags.writeable or exponents.flags.writeable)
+            # column k of V is the eigenvector of J_y with eigenvalue j - k
+            vectors, conjugate = basis
+            weights = mj.dim_to_spin(n) - np.arange(n)
+            assert np.array_equal(exponents, 2.0 * weights)
+            residual = mj.spin_matrices(n)[1] @ vectors - vectors * weights
+            assert np.max(np.abs(residual)) <= 10 * n * EPS
+            assert np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) <= 10 * n * EPS
+            assert np.array_equal(conjugate, vectors.conj())
 
 
 class TestCheckSu2:
@@ -625,23 +678,28 @@ class TestCheckSu2:
         for _ in range(100):
             u = mj.random_su2(rng)
             assert self.assert_same_decision(u) == (True, None)
-            assert np.array_equal(mj._check_su2(u), u)
+            assert np.array_equal(mj._check_su2(u)[0], u)
 
 
 class TestSpinMatrices:
+    # su2_apply builds D^j(u) from J_y, so the algebra is checked up to
+    # n = 200, to a few rounding errors of |J|^2 = j (j + 1)
+
     def test_commutators(self):
-        for n in (2, 3, 5):
+        for n in (2, 3, 5, 64, 200):
+            j = mj.dim_to_spin(n)
             j1, j2, j3 = mj.spin_matrices(n)
-            assert np.allclose(j1 @ j2 - j2 @ j1, 1j * j3, atol=1e-12)
-            assert np.allclose(j2 @ j3 - j3 @ j2, 1j * j1, atol=1e-12)
-            assert np.allclose(j3 @ j1 - j1 @ j3, 1j * j2, atol=1e-12)
+            tol = 8 * EPS * j * (j + 1)
+            assert np.max(np.abs(j1 @ j2 - j2 @ j1 - 1j * j3)) <= tol
+            assert np.max(np.abs(j2 @ j3 - j3 @ j2 - 1j * j1)) <= tol
+            assert np.max(np.abs(j3 @ j1 - j1 @ j3 - 1j * j2)) <= tol
 
     def test_casimir(self):
-        n = 4
-        j = mj.dim_to_spin(n)
-        j1, j2, j3 = mj.spin_matrices(n)
-        total = j1 @ j1 + j2 @ j2 + j3 @ j3
-        assert np.allclose(total, j * (j + 1) * np.eye(n), atol=1e-12)
+        for n in (4, 64, 200):
+            j = mj.dim_to_spin(n)
+            j1, j2, j3 = mj.spin_matrices(n)
+            total = j1 @ j1 + j2 @ j2 + j3 @ j3
+            assert np.max(np.abs(total - j * (j + 1) * np.eye(n))) <= 8 * EPS * j * (j + 1)
 
     def test_weight_ordering(self):
         _, _, j3 = mj.spin_matrices(3)
