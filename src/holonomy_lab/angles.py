@@ -64,10 +64,9 @@ class CanonicalParamsN2:
     phi: float
 
     def __post_init__(self) -> None:
-        _check_open_interval("theta_12", self.theta_12, 0.0, np.pi)
-        _check_open_interval("theta_31", self.theta_31, 0.0, np.pi)
-        for name in ("phi_12", "phi_31", "phi"):
-            _check_finite(name, getattr(self, name))
+        _check_triad_angles(self.theta_12, self.theta_31, self.phi)
+        _check_finite("phi_12", self.phi_12)
+        _check_finite("phi_31", self.phi_31)
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,12 @@ class CanonicalParamsN3(CanonicalParamsN2):
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_xi(self.xi)
-        if self.xi == 0.0 or self.xi == np.pi / 2:
-            warnings.warn(
-                "xi at the boundary reduces the triad to a dimension-2 configuration",
-                stacklevel=3,
-            )
+        if self.xi == 0.0:
+            warnings.warn("xi = 0 is the boundary where the triad spans only "
+                          "two dimensions", stacklevel=3)
+        elif self.xi == np.pi / 2:
+            warnings.warn("xi = pi/2 is the boundary where phi drops out of "
+                          "the geometric phase", stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -95,9 +95,7 @@ class CoherentTriadParams:
     phi_prime: float
 
     def __post_init__(self) -> None:
-        _check_open_interval("theta_12", self.theta_12, 0.0, np.pi)
-        _check_open_interval("theta_31", self.theta_31, 0.0, np.pi)
-        _check_finite("phi_prime", self.phi_prime)
+        _check_triad_angles(self.theta_12, self.theta_31, self.phi_prime, "phi_prime")
 
     @property
     def r(self) -> float:
@@ -106,11 +104,6 @@ class CoherentTriadParams:
     @property
     def r_prime(self) -> float:
         return float(np.sqrt(-2.0 * np.log(np.cos(self.theta_31 / 2.0))))
-
-
-def _check_open_interval(name: str, value: float, lo: float, hi: float) -> None:
-    if not lo < value < hi:  # NaN fails too
-        raise ValueError(f"{name} must lie strictly inside ({lo}, {hi})")
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -123,10 +116,13 @@ def _check_xi(xi: float) -> None:
         raise ValueError("xi must lie in [0, pi/2]")
 
 
-def _check_triad_angles(theta_12: float, theta_31: float, phi: float) -> None:
-    _check_open_interval("theta_12", theta_12, 0.0, np.pi)
-    _check_open_interval("theta_31", theta_31, 0.0, np.pi)
-    _check_finite("phi", phi)
+def _check_triad_angles(theta_12: float, theta_31: float, phi: float,
+                        phi_name: str = "phi") -> None:
+    """theta_12 and theta_31 strictly inside (0, pi), and the phase finite."""
+    for name, theta in (("theta_12", theta_12), ("theta_31", theta_31)):
+        if not 0.0 < theta < np.pi:  # NaN fails too
+            raise ValueError(f"{name} must lie strictly inside (0.0, {np.pi})")
+    _check_finite(phi_name, phi)
 
 
 def extract_angles(psi1, psi2, psi3) -> IntrinsicAngles:
@@ -155,7 +151,7 @@ def extract_angles(psi1, psi2, psi3) -> IntrinsicAngles:
 
 
 def _dependent_overlap(theta_12: float, theta_31: float, phi: float,
-                       xi: float = 0.0) -> complex:
+                       xi: float) -> complex:
     """w = C12*C31 + exp(i phi) * S12*S31 * cos(xi) of a canonical triad.
 
     Its modulus is cos(theta_23 / 2) and its argument is -phi_g; xi = 0
@@ -180,87 +176,76 @@ def _solve_dependent(w: complex) -> tuple[float, float]:
     return _dependent_theta(c23), principal_angle(-float(np.angle(w)))
 
 
-def solve_dependent_n2(theta_12: float, theta_31: float,
-                       phi: float) -> tuple[float, float]:
-    """Dependent pair (theta_23, phi_g) of a dimension-2 triad.
+def solve_dependent_n3(theta_12: float, theta_31: float, phi: float,
+                       xi: float) -> tuple[float, float]:
+    """Dependent pair (theta_23, phi_g) of a triad with angles up to xi.
 
     With C = cos(theta/2) and S = sin(theta/2) per index pair, the triad
     constraint pins the remaining overlap:
 
-        cos(theta_23 / 2) * exp(-i phi_g) = C12*C31 + exp(i phi) * S12*S31.
+        cos(theta_23 / 2) * exp(-i phi_g) = C12*C31 + exp(i phi) * S12*S31 * cos(xi).
 
     Raises when the derived overlap hits either boundary of (0, 1).
     """
-    _check_triad_angles(theta_12, theta_31, phi)
-    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi))
-
-
-def solve_dependent_n3(theta_12: float, theta_31: float, phi: float,
-                       xi: float) -> tuple[float, float]:
-    """Dependent pair for a dimension-3 triad; xi = 0 recovers the n=2 case."""
     _check_triad_angles(theta_12, theta_31, phi)
     _check_xi(xi)
     return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi, xi))
 
 
-def build_canonical_n2(params: CanonicalParamsN2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical dimension-2 triad realizing the five given angles.
+def solve_dependent_n2(theta_12: float, theta_31: float,
+                       phi: float) -> tuple[float, float]:
+    """Dependent pair of a dimension-2 triad: the xi = 0 case of solve_dependent_n3."""
+    return solve_dependent_n3(theta_12, theta_31, phi, 0.0)
 
-    The residual U(2) freedom is spent exactly as in the canonical form:
 
-        psi1 = (1, 0)
-        psi2 = e^{i phi_12} (C12, S12)
-        psi3 = e^{-i phi_31} (C31, e^{i phi} S31)
+def _canonical_triad(params: CanonicalParamsN2,
+                     xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical dimension-3 triad of the five angles in params and xi.
+
+    The residual U(3) freedom is spent exactly as in the canonical form:
+
+        psi1 = (1, 0, 0)
+        psi2 = e^{i phi_12} (C12, S12, 0)
+        psi3 = e^{-i phi_31} (C31, e^{i phi} S31 cos(xi), S31 sin(xi))
 
     The derived pair is checked to stay interior before returning.
     """
     # raises on boundary hits of the derived pair
-    solve_dependent_n2(params.theta_12, params.theta_31, params.phi)
-    c12, s12 = np.cos(params.theta_12 / 2), np.sin(params.theta_12 / 2)
-    c31, s31 = np.cos(params.theta_31 / 2), np.sin(params.theta_31 / 2)
-    psi1 = np.array([1.0, 0.0], dtype=complex)
-    psi2 = np.exp(1j * params.phi_12) * np.array([c12, s12], dtype=complex)
-    psi3 = np.exp(-1j * params.phi_31) * np.array(
-        [c31, np.exp(1j * params.phi) * s31], dtype=complex)
-    return psi1, psi2, psi3
-
-
-def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical dimension-3 triad for six independent angles.
-
-    psi3 picks up the third direction through xi:
-
-        psi3 = e^{-i phi_31} (C31, e^{i phi} S31 cos(xi), S31 sin(xi))
-    """
-    solve_dependent_n3(params.theta_12, params.theta_31, params.phi, params.xi)
+    solve_dependent_n3(params.theta_12, params.theta_31, params.phi, xi)
     c12, s12 = np.cos(params.theta_12 / 2), np.sin(params.theta_12 / 2)
     c31, s31 = np.cos(params.theta_31 / 2), np.sin(params.theta_31 / 2)
     psi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
     psi2 = np.exp(1j * params.phi_12) * np.array([c12, s12, 0.0], dtype=complex)
     psi3 = np.exp(-1j * params.phi_31) * np.array(
-        [c31,
-         np.exp(1j * params.phi) * s31 * np.cos(params.xi),
-         s31 * np.sin(params.xi)],
+        [c31, np.exp(1j * params.phi) * s31 * np.cos(xi), s31 * np.sin(xi)],
         dtype=complex)
     return psi1, psi2, psi3
 
 
+def build_canonical_n2(params: CanonicalParamsN2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical dimension-2 triad realizing the five given angles: the first
+    two entries of the xi = 0 canonical triad, whose third entries are 0."""
+    return tuple(psi[:2] for psi in _canonical_triad(params, 0.0))
+
+
+def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical dimension-3 triad for six independent angles; psi3 picks
+    up the third direction through xi (see _canonical_triad)."""
+    return _canonical_triad(params, params.xi)
+
+
 def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
-                       xi: float | None = None) -> float:
-    """Closed-form geometric phase of a canonical triad.
+                       xi: float = 0.0) -> float:
+    """Closed-form geometric phase of a canonical triad,
 
-    Without ``xi`` this is the dimension-2 expression
+        -arg(1 + e^{i phi} tan(theta_12/2) tan(theta_31/2) cos(xi)).
 
-        -arg(1 + e^{i phi} tan(theta_12/2) tan(theta_31/2)),
-
-    and with ``xi`` the tangent product picks up a factor cos(xi).  The
+    xi = 0, the default, is Pancharatnam's dimension-2 expression.  The
     argument of the complex quantity must stay away from zero.
     """
     _check_triad_angles(theta_12, theta_31, phi)
-    factor = np.tan(theta_12 / 2) * np.tan(theta_31 / 2)
-    if xi is not None:
-        _check_xi(xi)
-        factor *= np.cos(xi)
+    _check_xi(xi)
+    factor = np.tan(theta_12 / 2) * np.tan(theta_31 / 2) * np.cos(xi)
     w = 1.0 + np.exp(1j * phi) * factor
     if abs(w) <= TAU_DEG:
         raise DegenerateTriadError("phase singularity: expression vanishes")

@@ -194,10 +194,9 @@ def _cmd_phase(args) -> int:
     t12 = _float_field(params, "theta_12")
     t31 = _float_field(params, "theta_31")
     phi = _float_field(params, "phi")
-    formula = args.formula or ("n3" if "xi" in params else "n2")
-    xi = _float_field(params, "xi") if formula == "n3" else None
+    xi = _float_field(params, "xi") if "xi" in params else 0.0
     phase = ang.pancharatnam_phase(t12, t31, phi, xi=xi)
-    _emit_json({"formula": formula, "phase": phase}, args.output)
+    _emit_json({"formula": "n3" if "xi" in params else "n2", "phase": phase}, args.output)
     return 0
 
 
@@ -352,8 +351,6 @@ def build_parser() -> _Parser:
 
     p = _command(sub, "phase", _cmd_phase,
                  help="closed-form triad phase from angles")
-    p.add_argument("--formula", choices=("n2", "n3"),
-                   help="default: n3 when 'xi' is present")
     p.add_argument("params", help="parameter JSON file, or - for stdin")
 
     p = sub.add_parser("majorana", help="star decomposition of a state")

@@ -19,8 +19,8 @@ TAU_DEG = 1e-12
 # before the null-phase check reports a violation.
 TAU_NPC = 1e-10
 
-# Polynomial coefficients below TAU_LEAD times the largest coefficient are
-# treated as zero when deciding the effective degree of a star polynomial.
+# Star-polynomial coefficients whose amplitude is below TAU_LEAD times the
+# largest amplitude are treated as zero when deciding the effective degree.
 TAU_LEAD = 1e-10
 
 # Largest estimated quadrature error the connection integral accepts.

@@ -23,6 +23,7 @@ from .majorana import (
     _factor,
     _pure_product,
     _unit_spinor_to_star,
+    _weights,
     star_to_spinor,
 )
 
@@ -117,8 +118,7 @@ def _reduce(v: list[np.ndarray]) -> CanonicalReduction:
     out = np.array(v) @ u.T
     rep3 = _factor(out[2])
     # the spinor product's constant term rebuilds the overlap of psi3 with e1
-    rebuilt = rep3.scale * np.prod(rep3.spinors[:, 0]) * math.sqrt(
-        math.factorial(n - 1))
+    rebuilt = rep3.scale * np.prod(rep3.spinors[:, 0]) * _weights(n)[1][0]
     if abs(rebuilt.conjugate() - ov31) > 1e-8:
         raise ValueError("star factorization failed to reproduce the triad overlap")
     return CanonicalReduction(out[0], out[1], out[2], u, xi, rep3)

@@ -88,19 +88,16 @@ def states_to_dict(states) -> dict:
     return {"states": [state_to_dict(psi) for psi in states]}
 
 
-def states_from_dict(d, minimum: int = 3) -> list[np.ndarray]:
-    """Read ``{"states": [...]}``; a bare state object is wrapped as one."""
-    if isinstance(d, dict) and "amplitudes" in d and "states" not in d:
-        states = [state_from_dict(d)]
-    else:
-        if not isinstance(d, dict) or "states" not in d:
-            raise ValueError("expected a JSON object with a 'states' list")
-        raw = d["states"]
-        if not isinstance(raw, list):
-            raise ValueError("'states' must be a list")
-        states = [state_from_dict(s, f"states[{k}]") for k, s in enumerate(raw)]
-    if len(states) < minimum:
-        raise ValueError(f"need at least {minimum} states, got {len(states)}")
+def states_from_dict(d) -> list[np.ndarray]:
+    """Read ``{"states": [...]}``: three or more states of one dimension."""
+    if not isinstance(d, dict) or "states" not in d:
+        raise ValueError("expected a JSON object with a 'states' list")
+    raw = d["states"]
+    if not isinstance(raw, list):
+        raise ValueError("'states' must be a list")
+    states = [state_from_dict(s, f"states[{k}]") for k, s in enumerate(raw)]
+    if len(states) < 3:
+        raise ValueError(f"need at least 3 states, got {len(states)}")
     dims = {psi.size for psi in states}
     if len(dims) > 1:
         raise ValueError(f"states have mixed dimensions {sorted(dims)}")

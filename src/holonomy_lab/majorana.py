@@ -167,12 +167,16 @@ def star_to_spinor(nhat) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _weights(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only weights sqrt(C(n-1, k)) and sqrt(k! (n-1-k)!).
+    """Read-only float weights sqrt(C(n-1, k)) and sqrt(k! (n-1-k)!).
 
     The first turns amplitudes into star-polynomial coefficients; the
-    second turns the expanded spinor product back into amplitudes.
+    second turns the expanded spinor product back into amplitudes, and its
+    entry k = 0, sqrt((n-1)!), is the Schwinger normalization of the scale.
     """
-    binomial = np.sqrt([math.comb(n - 1, k) for k in range(n)])
+    if n > 171:  # (n-1)! passes the float range
+        raise ValueError(f"dimension {n} exceeds 171: sqrt((n-1)!) overflows a float")
+    # as floats: C(n-1, k) passes the int64 range from n = 69
+    binomial = np.sqrt(np.array([math.comb(n - 1, k) for k in range(n)], dtype=float))
     factorial = np.array([math.sqrt(math.factorial(k) * math.factorial(n - 1 - k))
                           for k in range(n)])
     binomial.flags.writeable = factorial.flags.writeable = False
@@ -199,7 +203,8 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     which leaves multiple roots untouched instead of scattering them.
     p and p' share one Horner pass over the stacked coefficient rows: p'
     has a row fewer, so p takes its last step alone, and neither half
-    starts from the 0 * x of np.polyval.
+    starts from the 0 * x of np.polyval.  A pass that overflows gives a
+    non-finite step, which fails the size test, so it goes unreported.
     """
     d = desc.shape[0] - 1
     # both[k] holds coefficient k of p and of p', filled in place: np.stack
@@ -207,14 +212,15 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     both = np.empty((d, 2) + desc.shape[1:], dtype=complex)
     both[:, 0] = desc[:-1]
     np.multiply(desc[:-1], np.arange(d, 0, -1)[:, None], out=both[:, 1])
-    y = both[0, :, None]
-    for c in both[1:, :, None]:
-        y = y * roots + c
-    p, dp = y[0] * roots + desc[-1], y[1]
-    step = np.divide(-p, dp, out=np.zeros_like(roots), where=dp != 0)
-    small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
-    candidate = roots + np.where(small, step, 0.0)
-    better = np.abs(_horner(desc, candidate)) <= np.abs(p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = both[0, :, None]
+        for c in both[1:, :, None]:
+            y = y * roots + c
+        p, dp = y[0] * roots + desc[-1], y[1]
+        step = np.divide(-p, dp, out=np.zeros_like(roots), where=dp != 0)
+        small = np.abs(step) <= 1e-6 * (1.0 + np.abs(roots))
+        candidate = roots + np.where(small, step, 0.0)
+        better = np.abs(_horner(desc, candidate)) <= np.abs(p)
     return np.where(small & better, candidate, roots)
 
 
@@ -258,14 +264,14 @@ def _check_states(psi) -> np.ndarray:
 def coefficients_to_roots(psi) -> MajoranaRep:
     """Factor a state, or each row of a (B, n) batch, into n-1 spinors and a scale.
 
-    Coefficients below ``TAU_LEAD`` times the largest one are treated as
-    zero when fixing the effective degree, and each missing degree
-    contributes a north-pole spinor (1, 0), listed first.  Rows with equal
-    degree and equal count m of nonzero roots (the others are exact zeros)
-    form one group.  When every row has full degree and no root at 0, as
-    for most batches, the batch is one group; otherwise each row gets the
-    integer key degree * n + zeros, and only when the keys differ does
-    np.unique list the groups.  For m = 1 the root is the entry of the 1x1
+    Coefficients whose amplitude is below ``TAU_LEAD`` times the largest
+    amplitude are treated as zero when fixing the effective degree, and
+    each missing degree contributes a north-pole spinor (1, 0), listed
+    first.  Rows with equal degree and equal count m of nonzero roots (the
+    others are exact zeros) form one group.  When every row has full
+    degree and no root at 0, as for most batches, the batch is one group;
+    otherwise each row gets the integer key degree * n + zeros, and only
+    when the keys differ does np.unique list the groups.  For m = 1 the root is the entry of the 1x1
     companion matrix; for m = 2 both come in closed form, larger first,
     and a double root comes out exact (see _quadratic_roots).  For m >= 3
     the group shares one eigvals call on companion matrices built as
@@ -302,8 +308,11 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
     """
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
-    coeffs = np.multiply(batch.T, _weights(n)[0][:, None], order="C")
-    mags = np.abs(coeffs)
+    binomial, factorial = _weights(n)
+    amps = np.ascontiguousarray(batch.T)
+    coeffs = amps * binomial[:, None]
+    # the cut reads amplitudes, where rounding noise lives (weights pass 1e8 at n = 58)
+    mags = np.abs(amps)
     peak = mags.max(axis=0)
     if not peak.all():
         raise ValueError("zero vector has no star decomposition")
@@ -364,7 +373,7 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
         beta[:, rows] = b
         lead[rows] = np.ascontiguousarray(b.T).prod(axis=-1)
     # the highest surviving coefficient fixes the scale
-    scale = top / (math.sqrt(math.factorial(n - 1)) * lead)
+    scale = top / (factorial[0] * lead)
     return _kernel_rep(spinors.T.reshape(psi.shape[:-1] + (n - 1, 2)),
                        scale.reshape(psi.shape[:-1]))
 

@@ -120,7 +120,7 @@ def _check_closed_form(rng, n: int) -> tuple[Measure, ...]:
     for p, triad in _canonical_triads(rng, n, 1000):
         direct = core.bi_phase(*triad)
         formula = ang.pancharatnam_phase(p.theta_12, p.theta_31, p.phi,
-                                         xi=p.xi if n == 3 else None)
+                                         xi=p.xi if n == 3 else 0.0)
         errs.append(_wrap_err(direct, formula))
     return (_measure("1000 triads, max phase error", errs, 1e-10),)
 

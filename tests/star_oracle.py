@@ -69,12 +69,13 @@ def _polish_roots(desc, roots):
 
 def oracle_decomposition(psi):
     """Spinors (n-1, 2) and scale of one state by ``np.roots``, with the
-    library's degree cut of 1e-10 written out."""
+    library's degree cut of 1e-10, relative to the largest amplitude,
+    written out."""
     psi = np.asarray(psi, dtype=complex)
     n = psi.size
-    coeffs = psi * np.sqrt([math.comb(n - 1, k) for k in range(n)])
-    cutoff = 1e-10 * np.max(np.abs(coeffs))
-    degree = int(np.max(np.flatnonzero(np.abs(coeffs) > cutoff)))
+    coeffs = psi * np.sqrt([float(math.comb(n - 1, k)) for k in range(n)])
+    cutoff = 1e-10 * np.max(np.abs(psi))
+    degree = int(np.max(np.flatnonzero(np.abs(psi) > cutoff)))
     spinors = [np.array([1.0, 0.0], dtype=complex)] * (n - 1 - degree)
     if degree > 0:
         desc = coeffs[degree::-1]
@@ -248,7 +249,7 @@ def rowmajor_factor(psi):
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
     coeffs = batch * _weights(n)[0]
-    mags = np.abs(coeffs)
+    mags = np.abs(batch)
     peak = mags.max(axis=1)
     degree = n - 1 - (mags[:, ::-1] > mj.TAU_LEAD * peak[:, None]).argmax(axis=1)
     zeros = (mags != 0).argmax(axis=1)

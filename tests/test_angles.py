@@ -1,5 +1,7 @@
 """Intrinsic angles, canonical triads and the coherent-state family."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import assert_angle_close, random_triad
 from holonomy_lab import angles as ang
 from holonomy_lab import core, curves
-from holonomy_lab.core import DegenerateTriadError
+from holonomy_lab.core import DegenerateTriadError, principal_angle
 # independent number-basis oracle for coherent-state overlaps
 from holonomy_lab.selftest import _fock_coherent as fock_expansion
 
@@ -137,8 +139,18 @@ class TestCanonicalTriads:
         assert got.theta_23 == pytest.approx(theta_23)
 
     def test_xi_boundary_warns(self):
-        with pytest.warns(UserWarning, match="boundary"):
-            ang.CanonicalParamsN3(1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
+        with pytest.warns(UserWarning, match="spans only two dimensions"):
+            p = ang.CanonicalParamsN3(1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
+        assert ang.build_canonical_n3(p)[2][2] == 0.0
+
+    def test_xi_right_angle_warns_that_phi_drops_out(self):
+        # the triad keeps rank 3 there; only phi leaves the phase
+        with pytest.warns(UserWarning, match="phi drops out"):
+            p = ang.CanonicalParamsN3(1.0, 1.0, 0.0, 0.0, 1.0, np.pi / 2)
+        assert np.linalg.matrix_rank(np.array(ang.build_canonical_n3(p))) == 3
+        phases = [ang.pancharatnam_phase(1.0, 1.0, phi, np.pi / 2)
+                  for phi in (0.3, 1.0, 2.0)]
+        assert np.ptp(phases) <= 1e-15
 
     def test_degenerate_parameters_rejected_up_front(self):
         with pytest.raises(DegenerateTriadError):
@@ -162,6 +174,43 @@ class TestClosedFormPhase:
     def test_singularity_raises(self):
         with pytest.raises(DegenerateTriadError):
             ang.pancharatnam_phase(np.pi / 2, np.pi / 2, np.pi)
+
+    def test_xi_none_is_refused(self):
+        with pytest.raises(TypeError):
+            ang.pancharatnam_phase(0.9, 1.4, 2.8, xi=None)
+
+
+class TestQubitSlice:
+    """The dimension-2 forms are the xi = 0 slice of the dimension-3 ones,
+    bit for bit, against the qubit formulas written out."""
+
+    @staticmethod
+    def qubit_triad(t12, t31, phi_12, phi_31, phi):
+        c12, s12 = np.cos(t12 / 2), np.sin(t12 / 2)
+        c31, s31 = np.cos(t31 / 2), np.sin(t31 / 2)
+        return (np.array([1.0, 0.0], dtype=complex),
+                np.exp(1j * phi_12) * np.array([c12, s12], dtype=complex),
+                np.exp(-1j * phi_31) * np.array([c31, np.exp(1j * phi) * s31],
+                                                dtype=complex))
+
+    def test_builder_solver_and_phase(self, rng):
+        for _ in range(200):
+            t12, t31 = rng.uniform(0.2, np.pi - 0.2, size=2)
+            phi_12, phi_31, phi = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            w = (np.cos(t12 / 2) * np.cos(t31 / 2)
+                 + np.exp(1j * phi) * np.sin(t12 / 2) * np.sin(t31 / 2))
+            if not 1e-3 <= abs(w) <= 1.0 - 1e-6:
+                continue
+            got = ang.build_canonical_n2(
+                ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
+            for a, b in zip(got, self.qubit_triad(t12, t31, phi_12, phi_31, phi)):
+                assert a.tobytes() == b.tobytes()
+            theta_23 = 2.0 * math.acos(abs(complex(w)))
+            phi_g = principal_angle(-float(np.angle(w)))
+            assert ang.solve_dependent_n2(t12, t31, phi) == (theta_23, phi_g)
+            tangents = 1.0 + np.exp(1j * phi) * (np.tan(t12 / 2) * np.tan(t31 / 2))
+            assert ang.pancharatnam_phase(t12, t31, phi) == principal_angle(
+                -float(np.angle(tangents)))
 
 
 class TestCoherent:

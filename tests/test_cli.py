@@ -242,13 +242,6 @@ class TestPhase:
         assert out_n3["formula"] == "n3"
         assert out_n2["phase"] != out_n3["phase"]
 
-    def test_explicit_formula_ignores_extra_key(self, tmp_path, capsys):
-        base = {"theta_12": 1.0, "theta_31": 1.1, "phi": 0.9, "xi": 0.7}
-        path = tmp_path / "p.json"
-        path.write_text(json.dumps(base))
-        out = run_json(["phase", "--formula", "n2", str(path)], capsys)
-        assert out["formula"] == "n2"
-
     @pytest.mark.parametrize("text", [
         '{"theta_12": 1.0, "theta_31": 1.0, "phi": NaN}',
         '{"theta_12": 1.0, "theta_31": 1.0, "phi": -Infinity}',
@@ -285,6 +278,22 @@ class TestMajorana:
         rep_path.write_text(json.dumps(rep))
         back = run_json(["majorana", "rebuild", str(rep_path)], capsys)
         assert np.allclose(formats.state_from_dict(back), [0.6 + 0.8j], atol=1e-15)
+
+    @pytest.mark.parametrize("n, code", [(69, 0), (172, 2)])
+    def test_roots_at_large_dimension(self, tmp_path, capsys, rng, n, code):
+        # binomials pass the int64 range from n = 69, and sqrt((n-1)!)
+        # the float range from n = 172
+        path = tmp_path / "state.json"
+        path.write_text(formats.json_dumps(
+            formats.state_to_dict(core.random_state(n, rng))))
+        got, out, err = run(["majorana", "roots", str(path)], capsys)
+        assert got == code, err
+        if code:
+            assert out == ""
+            assert err == ("holonomy-lab: error: dimension 172 exceeds 171: "
+                           "sqrt((n-1)!) overflows a float\n")
+        else:
+            assert len(json.loads(out)["spinors"]) == n - 1
 
     def test_basis_state_stars(self, tmp_path, capsys):
         path = tmp_path / "e2.json"
@@ -615,7 +624,7 @@ OPTIONS = {
     ("angles",): IO,
     ("decompose",): IO,
     ("reconstruct",): IO | {"--space"},
-    ("phase",): IO | {"--formula"},
+    ("phase",): IO,
     ("majorana", "roots"): IO,
     ("majorana", "stars"): IO,
     ("majorana", "rebuild"): IO,
@@ -644,7 +653,7 @@ class TestParser:
     def test_each_entry_point_takes_exactly_its_options(self):
         got = dict(entry_points(cli.build_parser()))
         assert got == OPTIONS
-        assert sum(map(len, got.values())) == 24
+        assert sum(map(len, got.values())) == 23
 
     def test_readme_settings_table_matches_parser(self):
         # every entry point's options but --output, as listed

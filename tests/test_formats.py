@@ -59,11 +59,10 @@ class TestStates:
             with pytest.raises(ValueError, match="non-finite"):
                 formats.state_from_dict(d)
 
-    def test_bare_state_wraps_to_singleton(self, rng):
-        psi = core.random_state(2, rng)
-        got = formats.states_from_dict(formats.state_to_dict(psi), minimum=1)
-        assert len(got) == 1
-        assert np.allclose(got[0], psi, atol=1e-14)
+    def test_bare_state_is_refused(self, rng):
+        d = formats.state_to_dict(core.random_state(2, rng))
+        with pytest.raises(ValueError, match="'states' list"):
+            formats.states_from_dict(d)
 
     def test_minimum_count_enforced(self, rng):
         d = formats.states_to_dict([core.random_state(2, rng)] * 2)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import warnings
 from importlib import resources
 from types import SimpleNamespace
 
@@ -69,7 +70,7 @@ class TestKernelParity:
     def test_degree_zero_rows_are_north(self, rng):
         batch = np.zeros((4, 6), dtype=complex)
         batch[:, 0] = np.exp(1j * rng.uniform(0, 2 * np.pi, size=4))
-        batch[1, 3] = 1e-12  # below TAU_LEAD times the largest coefficient
+        batch[1, 3] = 1e-12  # below TAU_LEAD times the largest amplitude
         rep = assert_matches_oracle(batch)
         assert np.array_equal(rep.stars(), np.tile(NORTH, (4, 5, 1)))
 
@@ -136,6 +137,49 @@ def assert_rowmajor_bits(psi):
                       (rep.stars(), rowmajor_stars(spinors))):
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def haar_rows(rng, n, rows):
+    x = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+    return x / np.linalg.norm(x, axis=1)[:, None]
+
+
+def assert_round_trip(batch, tol=1e-12):
+    """Each row rebuilds within tol of its largest amplitude, and the
+    factorization raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = mj.coefficients_to_roots(batch)
+    err = np.abs(mj.roots_to_coefficients(rep) - batch).max(axis=1)
+    assert (err <= tol * np.abs(batch).max(axis=1)).all()
+
+
+class TestDegreeCut:
+    """The cut compares amplitudes: the binomial weights pass 1e8 near
+    n = 58, and a cut on the weighted coefficients dropped real top
+    amplitudes there (and below 1e-8 of the rest already at n = 20)."""
+
+    @pytest.mark.parametrize("n, top", [(20, 1e-8), (57, 1e-3), (64, 1e-3)])
+    def test_small_top_amplitude_keeps_its_degree(self, rng, n, top):
+        batch = haar_rows(rng, n, 20)
+        batch[:, -1] *= top
+        assert_round_trip(batch)
+
+    @pytest.mark.parametrize("n", [57, 130])
+    def test_overflowing_newton_step_stays_quiet(self, rng, n):
+        # a top amplitude 1e-9 of the rest puts roots where the polish's
+        # Horner pass overflows; those roots keep their eigvals value
+        batch = haar_rows(rng, n, 5)
+        batch[:, -1] *= 1e-9
+        assert_round_trip(batch, tol=1e-8)
+
+    @pytest.mark.parametrize("n", [69, 100])
+    def test_binomials_beyond_int64(self, rng, n):
+        assert_round_trip(haar_rows(rng, n, 10))
+
+    def test_factorial_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="exceeds 171"):
+            mj.coefficients_to_roots(np.ones(172))
 
 
 class TestRowMajorParity:
