@@ -53,7 +53,6 @@ from .curves import (
     CurveFrame,
     CurveLift,
     NpcReport,
-    ProfileReport,
     RealProfile,
     connection_integral,
     frame_from_pair,

@@ -72,7 +72,7 @@ def _float_field(d: dict, key: str) -> float:
     if key not in d:
         raise _InputError(f"missing parameter '{key}'")
     value = d[key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not formats.is_number(value):
         raise _InputError(f"parameter '{key}' must be a number")
     try:
         value = float(value)
@@ -218,12 +218,8 @@ def _cmd_majorana(args) -> int:
 
 
 def _cmd_npc_generate(args) -> int:
-    # the family has three nonzero components whatever the dimension, so
-    # the lift is built from them and the first three basis vectors; a
-    # dimension below 3 is still refused by the profile generator
-    profile = curves.generate_npc_profile(args.theta0, min(args.dim, 3), args.eps,
-                                          grid=args.grid)
-    frame = curves.CurveFrame(np.eye(3, args.dim, dtype=complex), args.theta0)
+    profile = curves.generate_npc_profile(args.theta0, args.eps, grid=args.grid)
+    frame = curves.CurveFrame(np.eye(3, args.dim), args.theta0)
     lift = curves.profile_to_lift(frame, profile)
     _emit(formats.curve_to_csv(lift), args.output)
     return 0
@@ -373,7 +369,7 @@ def build_parser() -> _Parser:
                  help="sample a member of the null-phase family")
     p.add_argument("--theta0", type=float, required=True, help="opening angle")
     p.add_argument("--eps", type=float, default=0.0, help="family parameter")
-    p.add_argument("--dim", type=int, default=3, help="ambient dimension")
+    p.add_argument("--dim", type=_at_least(3), default=3, help="ambient dimension")
     p = _command(actions, "verify", _cmd_npc_verify, ["subgrid"],
                  help="check the null-phase condition along a curve")
     p.add_argument("curve", help="curve CSV file, or - for stdin")

@@ -152,17 +152,6 @@ class RealProfile:
 
 
 @dataclass
-class ProfileReport:
-    """Validation outcome for a real profile; empty violations means valid."""
-
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
 class NpcReport:
     """Outcome of the null-phase check on a subgrid of samples.
 
@@ -233,38 +222,32 @@ def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID) -> CurveLift:
     return CurveLift._owned(t, psi)
 
 
-def frame_from_pair(psi_a, psi_b, size: int = 3) -> CurveFrame:
-    """Orthonormal frame whose first two vectors span an in-phase pair.
+def frame_from_pair(psi_a, psi_b) -> CurveFrame:
+    """Three-vector frame of the null-phase family for a pair of states.
 
-    The remaining ``size - 2`` vectors are a deterministic orthonormal
-    completion from the singular vectors of the span.
+    After the pair is brought in phase, v1 and e2 span it and the third
+    vector is the first orthonormal completion of that span from its
+    singular vectors.  The pair must lie in dimension 3 or more.
     """
     v1, v2 = in_phase_gauge(psi_a, psi_b)
+    if v1.size < 3:
+        raise ValueError(f"the family's frame needs dimension at least 3, "
+                         f"got {v1.size}")
     e2, theta0 = _pair_plane(v1, v2)
-    dim = v1.size
-    if size < 2 or size > dim:
-        raise ValueError(f"frame size must lie in [2, {dim}]")
-    rows = [v1, e2]
-    if size > 2:
-        a = np.conjugate(np.array(rows))
-        _, _, vh = np.linalg.svd(a, full_matrices=True)
-        complement = np.conjugate(vh[2:])
-        rows.extend(complement[: size - 2])
-    return CurveFrame(np.array(rows), theta0)
+    _, _, vh = np.linalg.svd(np.conjugate(np.array([v1, e2])), full_matrices=True)
+    return CurveFrame(np.array([v1, e2, np.conjugate(vh[2])]), theta0)
 
 
-def generate_npc_profile(theta0: float, n: int, eps: float,
+def generate_npc_profile(theta0: float, eps: float,
                          grid: int = DEFAULT_GRID) -> RealProfile:
     """Nonnegative three-component profile family on s in [0, 1].
 
-        x(s) = (cos a, sin a cos b, sin a sin b, 0, ...),
+        x(s) = (cos a, sin a cos b, sin a sin b),
         a = s * theta0 / 2,  b = eps * sin(pi s).
 
-    eps = 0 reduces to the geodesic profile.  Nongeodesic members need at
-    least three frame directions, hence n >= 3.
+    eps = 0 reduces to the geodesic profile.  The dimension enters only
+    through the three-vector frame the profile is lifted in.
     """
-    if n < 3:
-        raise ValueError("nongeodesic profiles need n >= 3")
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly inside (0, pi)")
     if not 0.0 <= eps < np.pi / 2:
@@ -272,11 +255,9 @@ def generate_npc_profile(theta0: float, n: int, eps: float,
     s = np.linspace(0.0, 1.0, grid)
     a = 0.5 * theta0 * s
     b = eps * np.sin(np.pi * s)
-    x = np.zeros((grid, n))
-    x[:, 0] = np.cos(a)
-    x[:, 1] = np.sin(a) * np.cos(b)
-    x[:, 2] = np.sin(a) * np.sin(b)
-    return RealProfile(s, x)
+    sin_a = np.sin(a)
+    return RealProfile(s, np.column_stack([np.cos(a), sin_a * np.cos(b),
+                                           sin_a * np.sin(b)]))
 
 
 def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray) -> bool:
@@ -322,8 +303,9 @@ def _nonlocal_violations(x: np.ndarray) -> list:
             for i, j in zip(*np.nonzero(bad))]
 
 
-def validate_profile(profile: RealProfile, theta0: float) -> ProfileReport:
-    """Check boundary, local and nonlocal conditions of a profile.
+def validate_profile(profile: RealProfile, theta0: float) -> list:
+    """Violations of the boundary, local and nonlocal conditions of a
+    profile, one dict each; an empty list means the profile is valid.
 
     Boundary: x starts at (1, 0, ...) and ends at (cos(theta0/2),
     sin(theta0/2), 0, ...).  Local: unit norm, x_1 > 0 and
@@ -335,7 +317,7 @@ def validate_profile(profile: RealProfile, theta0: float) -> ProfileReport:
     """
     if not 0.0 < theta0 < np.pi:
         raise ValueError("theta0 must lie strictly inside (0, pi)")
-    report = ProfileReport()
+    violations = []
     x = profile.x
     n_samples, m = x.shape
     c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
@@ -344,11 +326,11 @@ def validate_profile(profile: RealProfile, theta0: float) -> ProfileReport:
     end = np.zeros(m)
     end[0], end[1] = c0, s0
     if np.max(np.abs(x[0] - start)) > TAU_PROFILE:
-        report.violations.append({"kind": "boundary", "index": 0,
-                                  "detail": "profile must start at (1, 0, ...)"})
+        violations.append({"kind": "boundary", "index": 0,
+                           "detail": "profile must start at (1, 0, ...)"})
     if np.max(np.abs(x[-1] - end)) > TAU_PROFILE:
-        report.violations.append({"kind": "boundary", "index": n_samples - 1,
-                                  "detail": "profile must end at (C0, S0, 0, ...)"})
+        violations.append({"kind": "boundary", "index": n_samples - 1,
+                           "detail": "profile must end at (C0, S0, 0, ...)"})
     # one contiguous copy with a row per component: every reduction below
     # runs along rows, where reductions down the columns of x are strided
     columns = np.ascontiguousarray(x.T)
@@ -361,17 +343,17 @@ def validate_profile(profile: RealProfile, theta0: float) -> ProfileReport:
     if not (max(norms.max() - 1.0, 1.0 - norms.min()) <= TAU_PROFILE
             and columns[0].min() > 0.0 and combo.min() > 0.0):
         for i in np.flatnonzero(np.abs(norms - 1.0) > TAU_PROFILE):
-            report.violations.append({"kind": "local", "index": int(i),
-                                      "detail": f"norm {norms[i]:.12f} is not 1"})
+            violations.append({"kind": "local", "index": int(i),
+                               "detail": f"norm {norms[i]:.12f} is not 1"})
         for i in np.flatnonzero(columns[0] <= 0.0):
-            report.violations.append({"kind": "local", "index": int(i),
-                                      "detail": "first component not positive"})
+            violations.append({"kind": "local", "index": int(i),
+                               "detail": "first component not positive"})
         for i in np.flatnonzero(combo <= 0.0):
-            report.violations.append({"kind": "local", "index": int(i),
-                                      "detail": "C0 x1 + S0 x2 not positive"})
+            violations.append({"kind": "local", "index": int(i),
+                               "detail": "C0 x1 + S0 x2 not positive"})
     if not _nonlocal_certified(columns, squares):
-        report.violations.extend(_nonlocal_violations(x))
-    return report
+        violations.extend(_nonlocal_violations(x))
+    return violations
 
 
 def profile_to_lift(frame: CurveFrame, profile: RealProfile) -> CurveLift:
@@ -382,11 +364,10 @@ def profile_to_lift(frame: CurveFrame, profile: RealProfile) -> CurveLift:
     m = frame.vectors.shape[0]
     if profile.x.shape[1] != m:
         raise ValueError("profile width does not match the frame size")
-    report = validate_profile(profile, frame.theta0)
-    if not report.ok:
-        first = report.violations[0]
-        raise ValueError(f"invalid profile: {first['detail']} "
-                         f"({len(report.violations)} violations)")
+    violations = validate_profile(profile, frame.theta0)
+    if violations:
+        raise ValueError(f"invalid profile: {violations[0]['detail']} "
+                         f"({len(violations)} violations)")
     # profile.s belongs to the caller, so only the grid is copied
     psi = profile.x.astype(complex) @ frame.vectors
     return CurveLift._owned(profile.s.copy(), psi)

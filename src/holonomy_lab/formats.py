@@ -29,11 +29,17 @@ def _pair(z: complex) -> list[float]:
     return [round15(z.real), round15(z.imag)]
 
 
+def is_number(value) -> bool:
+    """Whether a decoded JSON value is a number; JSON's true and false
+    decode to bool, a subclass of int, and are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _as_complex(pair, label: str) -> complex:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(v, (int, float)) for v in pair)
+        or not all(is_number(v) for v in pair)
     ):
         raise ValueError(f"{label}: expected a [re, im] pair, got {pair!r}")
     try:
@@ -74,7 +80,7 @@ def state_from_dict(d, label: str = "state") -> np.ndarray:
     amps = d["amplitudes"]
     if not isinstance(amps, list) or not amps:
         raise ValueError(f"{label}: 'amplitudes' must be a non-empty list")
-    if "dim" in d and d["dim"] != len(amps):
+    if "dim" in d and not (is_number(d["dim"]) and d["dim"] == len(amps)):
         raise ValueError(
             f"{label}: 'dim' is {d['dim']} but {len(amps)} amplitudes given"
         )
@@ -129,7 +135,7 @@ def rep_from_dict(d) -> MajoranaRep:
         spinors[k, 0] = _as_complex(row[0], f"spinors[{k}][0]")
         spinors[k, 1] = _as_complex(row[1], f"spinors[{k}][1]")
     scale = _as_complex(d["scale"], "scale")
-    if "dim" in d and d["dim"] != len(rows) + 1:
+    if "dim" in d and not (is_number(d["dim"]) and d["dim"] == len(rows) + 1):
         raise ValueError(
             f"'dim' is {d['dim']} but {len(rows)} spinors imply {len(rows) + 1}"
         )

@@ -274,7 +274,7 @@ def _check_npc_verifier(rng) -> tuple[Measure, ...]:
     for eps in np.arange(0.1, 1.25, 0.1):
         for theta0 in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3,
                        5 * np.pi / 6):
-            profile = curves.generate_npc_profile(theta0, 3, float(eps))
+            profile = curves.generate_npc_profile(theta0, float(eps))
             frame = curves.CurveFrame(np.eye(3, dtype=complex), theta0)
             lift = curves.profile_to_lift(frame, profile)
             report = curves.verify_npc(lift)
@@ -328,8 +328,8 @@ def _check_loop_phase(rng) -> tuple[Measure, ...]:
         direct = core.bi_phase(*triad)
         base_errs.append(_wrap_err(base, direct))
         for a in range(3):
-            frame = curves.frame_from_pair(triad[a], triad[(a + 1) % 3], size=3)
-            profile = curves.generate_npc_profile(frame.theta0, 3, 0.5)
+            frame = curves.frame_from_pair(triad[a], triad[(a + 1) % 3])
+            profile = curves.generate_npc_profile(frame.theta0, 0.5)
             replaced = list(sides)
             replaced[a] = curves.profile_to_lift(frame, profile)
             looped = curves.loop_geometric_phase(replaced)
@@ -501,9 +501,8 @@ def _check_golden(rng) -> tuple[Measure, ...]:
                                      _two_component_stars))
 
     fix = g["positive_overlap_profile"]
-    profile = curves.generate_npc_profile(fix["theta0"], fix["dim"],
-                                          fix["eps"], grid=fix["grid"])
-    frame = curves.CurveFrame(np.eye(fix["dim"], dtype=complex), fix["theta0"])
+    profile = curves.generate_npc_profile(fix["theta0"], fix["eps"], grid=fix["grid"])
+    frame = curves.CurveFrame(np.eye(3, fix["dim"]), fix["theta0"])
     lift = curves.profile_to_lift(frame, profile)
     gram = np.conjugate(lift.psi) @ lift.psi.T
     if not (np.min(gram.real) > 0.0 and np.max(gram.real) <= 1.0 + 1e-12):

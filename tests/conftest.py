@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab.core import principal_angle, random_state
+from holonomy_lab.curves import RealProfile
 from holonomy_lab.selftest import _triad
 
 
@@ -36,6 +37,14 @@ def random_polygon(rng, k, n):
         mods = [abs(np.vdot(a, b)) for a, b in zip(states, states[1:] + states[:1])]
         if min(mods) >= 0.05 and max(mods) <= 1.0 - 1e-6:
             return states
+
+
+def widened(profile, m):
+    """The family profile with m - 3 zero components appended, for lifting
+    through m frame vectors."""
+    x = np.zeros((profile.s.size, m))
+    x[:, :3] = profile.x
+    return RealProfile(profile.s, x)
 
 
 @pytest.fixture

@@ -25,7 +25,7 @@ from holonomy_lab.curves import (
     profile_to_lift,
 )
 
-from conftest import assert_angle_close, random_polygon, random_triad
+from conftest import assert_angle_close, random_polygon, random_triad, widened
 from npc_oracle import oracle_report
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -108,6 +108,16 @@ class TestBi:
     def test_missing_file(self, capsys):
         code, _, err = run(["bi", "/no/such/file.json"], capsys)
         assert code == 1
+
+    def test_boolean_amplitude_is_a_parse_error(self, tmp_path, capsys):
+        # JSON true and false are not numbers, though Python's bool is an int
+        states = json.loads(json.dumps(OCTANT))
+        states["states"][0]["amplitudes"][0] = [True, False]
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps(states))
+        code, out, err = run(["bi", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert "states[0].amplitudes[0]: expected a [re, im] pair" in err
 
     def test_zero_vector_is_a_validation_error(self, tmp_path, capsys):
         bad = {"states": [{"dim": 2, "amplitudes": [[0, 0], [0, 0]]}] * 3}
@@ -279,6 +289,14 @@ class TestMajorana:
         back = run_json(["majorana", "rebuild", str(rep_path)], capsys)
         assert np.allclose(formats.state_from_dict(back), [0.6 + 0.8j], atol=1e-15)
 
+    def test_boolean_scale_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "rep.json"
+        path.write_text('{"dim": 2, "scale": [true, 0], '
+                        '"spinors": [[[1, 0], [0, 0]]]}')
+        code, out, err = run(["majorana", "rebuild", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert "scale: expected a [re, im] pair" in err
+
     @pytest.mark.parametrize("n, code", [(69, 0), (172, 2)])
     def test_roots_at_large_dimension(self, tmp_path, capsys, rng, n, code):
         # binomials pass the int64 range from n = 69, and sqrt((n-1)!)
@@ -315,9 +333,9 @@ class TestNpc:
 
     @pytest.mark.parametrize("dim", range(3, 9))
     def test_generate_matches_the_full_frame(self, capsys, dim):
-        # the lift is built from three frame vectors; the identity frame of
-        # the whole space gives the same file
-        profile = generate_npc_profile(1.9, dim, 0.6, grid=33)
+        # the lift is built from three frame vectors; the widened profile on
+        # the identity frame of the whole space gives the same file
+        profile = widened(generate_npc_profile(1.9, 0.6, grid=33), dim)
         frame = CurveFrame(np.eye(dim, dtype=complex), 1.9)
         want = formats.curve_to_csv(profile_to_lift(frame, profile))
         code, out, err = run(["npc", "generate", "--theta0", "1.9", "--eps",
@@ -326,10 +344,10 @@ class TestNpc:
         assert out == want
 
     def test_generate_below_dimension_three(self, capsys):
-        code, out, err = run(["npc", "generate", "--theta0", "1.9", "--dim", "2"],
-                             capsys)
-        assert (code, out) == (2, "")
-        assert err == "holonomy-lab: error: nongeodesic profiles need n >= 3\n"
+        for dim in ("2", "0", "-3"):
+            err = usage_error(["npc", "generate", "--theta0", "1.9", "--dim", dim],
+                              capsys)
+            assert err.endswith("error: argument --dim: must be at least 3\n")
 
     @pytest.mark.parametrize("exc, line", [
         (MemoryError("Unable to allocate 149. GiB"),

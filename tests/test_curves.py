@@ -27,7 +27,7 @@ from holonomy_lab.curves import (
 )
 from holonomy_lab.majorana import pure_product_state
 
-from conftest import assert_angle_close, random_polygon, random_triad
+from conftest import assert_angle_close, random_polygon, random_triad, widened
 from lift_oracle import oracle_geodesic_rows, oracle_grid_ok
 from npc_oracle import oracle_pivot_report, oracle_report, oracle_scan
 from profile_oracle import oracle_certified, oracle_violations
@@ -319,10 +319,10 @@ class TestFrameFromPair:
     def test_orthonormal_and_spanning(self, rng):
         a = core.random_state(5, rng)
         b = core.random_state(5, rng)
-        frame = frame_from_pair(a, b, size=4)
+        frame = frame_from_pair(a, b)
         v = frame.vectors
-        assert v.shape == (4, 5)
-        assert np.allclose(np.conjugate(v) @ v.T, np.eye(4), atol=1e-12)
+        assert v.shape == (3, 5)
+        assert np.allclose(np.conjugate(v) @ v.T, np.eye(3), atol=1e-12)
         # both states lie in the span of the first two frame vectors
         v1, v2 = in_phase_gauge(a, b)
         for w in (v1, v2):
@@ -334,13 +334,12 @@ class TestFrameFromPair:
         b = core.random_state(3, rng)
         assert frame_from_pair(a, b).theta0 == pytest.approx(core.ray_angle(a, b)[1])
 
-    def test_size_bounds(self, rng):
-        a = core.random_state(3, rng)
-        b = core.random_state(3, rng)
-        with pytest.raises(ValueError, match="size"):
-            frame_from_pair(a, b, size=4)
-        with pytest.raises(ValueError, match="size"):
-            frame_from_pair(a, b, size=1)
+    def test_dimension_two_is_refused(self, rng):
+        # the family's frame has three vectors
+        a = core.random_state(2, rng)
+        b = core.random_state(2, rng)
+        with pytest.raises(ValueError, match="dimension at least 3, got 2"):
+            frame_from_pair(a, b)
 
 
 def nonlocal_only_profile(theta0):
@@ -370,30 +369,28 @@ def signed_profile(theta0, eps, n=3, grid=257):
 class TestProfileFamily:
     def test_boundary_values(self):
         theta0 = 2 * np.pi / 3
-        profile = generate_npc_profile(theta0, 3, 0.8, grid=33)
+        profile = generate_npc_profile(theta0, 0.8, grid=33)
         assert np.allclose(profile.x[0], [1, 0, 0], atol=1e-15)
         assert np.allclose(profile.x[-1],
                            [np.cos(theta0 / 2), np.sin(theta0 / 2), 0],
                            atol=1e-12)
 
     def test_eps_zero_is_planar(self):
-        profile = generate_npc_profile(1.0, 3, 0.0, grid=33)
+        profile = generate_npc_profile(1.0, 0.0, grid=33)
         assert np.all(profile.x[:, 2] == 0.0)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="n >= 3"):
-            generate_npc_profile(1.0, 2, 0.5)
         with pytest.raises(ValueError, match="theta0"):
-            generate_npc_profile(np.pi, 3, 0.5)
+            generate_npc_profile(np.pi, 0.5)
         with pytest.raises(ValueError, match="eps"):
-            generate_npc_profile(1.0, 3, np.pi / 2)
+            generate_npc_profile(1.0, np.pi / 2)
 
     @pytest.mark.parametrize("grid", [0, 1, 2])
     def test_grid_below_three_samples_is_rejected(self, grid):
         # validate_profile indexes the first and last sample, and no lift
         # can be built from fewer than three
         with pytest.raises(ValueError, match="at least 3 samples"):
-            generate_npc_profile(1.0, 3, 0.3, grid=grid)
+            generate_npc_profile(1.0, 0.3, grid=grid)
 
     def test_single_component_is_rejected(self):
         # the end condition (C0, S0, 0, ...) needs a second component
@@ -402,47 +399,47 @@ class TestProfileFamily:
 
     def test_family_profiles_validate(self):
         for eps in (0.0, 0.5, 1.2):
-            profile = generate_npc_profile(2.0, 4, eps, grid=65)
-            assert validate_profile(profile, 2.0).ok
+            profile = widened(generate_npc_profile(2.0, eps, grid=65), 4)
+            assert validate_profile(profile, 2.0) == []
 
 
 class TestValidateProfile:
     def test_boundary_violation(self):
-        profile = generate_npc_profile(1.0, 3, 0.5, grid=17)
+        profile = generate_npc_profile(1.0, 0.5, grid=17)
         x = profile.x.copy()
         x[0] = [0.0, 1.0, 0.0]
-        report = validate_profile(RealProfile(profile.s, x), 1.0)
-        assert not report.ok
-        assert report.violations[0]["kind"] == "boundary"
+        violations = validate_profile(RealProfile(profile.s, x), 1.0)
+        assert violations
+        assert violations[0]["kind"] == "boundary"
 
     def test_norm_violation(self):
-        profile = generate_npc_profile(1.0, 3, 0.5, grid=17)
+        profile = generate_npc_profile(1.0, 0.5, grid=17)
         x = profile.x.copy()
         x[8] *= 1.5
-        report = validate_profile(RealProfile(profile.s, x), 1.0)
-        assert any(v["kind"] == "local" for v in report.violations)
+        violations = validate_profile(RealProfile(profile.s, x), 1.0)
+        assert any(v["kind"] == "local" for v in violations)
 
     def test_sign_violation(self):
-        profile = generate_npc_profile(1.0, 3, 0.5, grid=17)
+        profile = generate_npc_profile(1.0, 0.5, grid=17)
         x = profile.x.copy()
         x[8, 0] *= -1.0
-        report = validate_profile(RealProfile(profile.s, x), 1.0)
-        kinds = {v["kind"] for v in report.violations}
+        violations = validate_profile(RealProfile(profile.s, x), 1.0)
+        kinds = {v["kind"] for v in violations}
         assert "local" in kinds
 
     def test_nonlocal_violation_alone(self):
         # two interior samples pass every pointwise check yet point almost
         # opposite ways, so only their pairwise overlap trips the scan
         theta0 = 0.4
-        report = validate_profile(nonlocal_only_profile(theta0), theta0)
-        kinds = [v["kind"] for v in report.violations]
+        violations = validate_profile(nonlocal_only_profile(theta0), theta0)
+        kinds = [v["kind"] for v in violations]
         assert kinds and set(kinds) == {"nonlocal"}
 
     @pytest.mark.parametrize("where", ["x", "s"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_sample_is_rejected(self, where, value):
         # NaN compares False both ways, so no check downstream would flag it
-        profile = generate_npc_profile(1.0, 3, 0.5, grid=17)
+        profile = generate_npc_profile(1.0, 0.5, grid=17)
         s, x = profile.s.copy(), profile.x.copy()
         if where == "x":
             x[8, 1] = value
@@ -454,7 +451,7 @@ class TestValidateProfile:
     @pytest.mark.parametrize("theta0", [np.nan, 0.0, np.pi, -1.0, np.inf])
     def test_theta0_outside_the_open_interval_is_rejected(self, theta0):
         # a NaN end point fails every comparison, so no violation is named
-        profile = generate_npc_profile(1.0, 3, 0.3)
+        profile = generate_npc_profile(1.0, 0.3)
         with pytest.raises(ValueError,
                            match=r"theta0 must lie strictly inside \(0, pi\)"):
             validate_profile(profile, theta0)
@@ -465,15 +462,15 @@ class TestValidateProfile:
 class TestProfileToLift:
     def test_width_mismatch(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
-        profile = generate_npc_profile(frame.theta0, 4, 0.5, grid=17)
+                                core.random_state(4, rng))
+        profile = widened(generate_npc_profile(frame.theta0, 0.5, grid=17), 4)
         with pytest.raises(ValueError, match="width"):
             profile_to_lift(frame, profile)
 
     def test_invalid_profile_raises(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
-        profile = generate_npc_profile(frame.theta0, 3, 0.5, grid=17)
+                                core.random_state(4, rng))
+        profile = generate_npc_profile(frame.theta0, 0.5, grid=17)
         x = profile.x.copy()
         x[5] *= 1.01
         bad = RealProfile(profile.s, x)
@@ -482,9 +479,9 @@ class TestProfileToLift:
 
     def test_lift_keeps_its_own_grid(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
+                                core.random_state(4, rng))
         s = np.linspace(0.0, 1.0, 33)
-        want = generate_npc_profile(frame.theta0, 3, 0.7, grid=33)
+        want = generate_npc_profile(frame.theta0, 0.7, grid=33)
         lift = profile_to_lift(frame, RealProfile(s, want.x))
         s *= 2.0  # the profile holds the caller's grid, the lift a copy
         assert np.array_equal(lift.s, want.s)
@@ -492,8 +489,8 @@ class TestProfileToLift:
 
     def test_lift_matches_frame_combination(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
-        profile = generate_npc_profile(frame.theta0, 3, 0.7, grid=33)
+                                core.random_state(4, rng))
+        profile = generate_npc_profile(frame.theta0, 0.7, grid=33)
         lift = profile_to_lift(frame, profile)
         want = profile.x.astype(complex) @ frame.vectors
         assert np.allclose(lift.psi, want)
@@ -515,7 +512,7 @@ class TestProfileCheckMatchesFullScan:
         return calls
 
     def assert_parity(self, profile, theta0, tol=TAU_PROFILE):
-        got = validate_profile(profile, theta0).violations
+        got = validate_profile(profile, theta0)
         assert got == oracle_violations(profile, theta0, tol=tol)
         return got
 
@@ -524,7 +521,7 @@ class TestProfileCheckMatchesFullScan:
     def test_eps_family(self, n, grid):
         for eps in (0.0, 0.8, 1.2):
             for theta0 in (np.pi / 6, 5 * np.pi / 6):
-                profile = generate_npc_profile(theta0, n, eps, grid=grid)
+                profile = widened(generate_npc_profile(theta0, eps, grid=grid), n)
                 assert self.assert_parity(profile, theta0) == []
 
     def test_eps_family_never_reaches_the_scan(self, monkeypatch):
@@ -536,8 +533,9 @@ class TestProfileCheckMatchesFullScan:
             for grid in (5, 17, 257, 1025):
                 for eps in (0.0, 0.3, 0.8, 1.2, 1.5):
                     for theta0 in (0.05, np.pi / 2, 3.0):
-                        profile = generate_npc_profile(theta0, n, eps, grid=grid)
-                        assert validate_profile(profile, theta0).ok
+                        profile = widened(
+                            generate_npc_profile(theta0, eps, grid=grid), n)
+                        assert validate_profile(profile, theta0) == []
 
     @pytest.mark.parametrize("theta0, eps", [(2.5, 0.9), (2.8, 0.3), (3.0, 1.2)])
     @pytest.mark.parametrize("n", [3, 5])
@@ -564,7 +562,7 @@ class TestProfileCheckMatchesFullScan:
         # squared norm, 1 + tol + gap (gap = +-0.5 stands for +-tol/2)
         monkeypatch.setattr(curves, "TAU_PROFILE", tol)
         theta0 = 1.0
-        profile = generate_npc_profile(theta0, 3, 0.5, grid=17)
+        profile = generate_npc_profile(theta0, 0.5, grid=17)
         x = profile.x.copy()
         x[9] = x[8]
         shift = gap * tol if abs(gap) == 0.5 else gap
@@ -623,7 +621,7 @@ class TestProfileCheckMatchesFullScan:
         # certified families, rows that fail the local checks, and signed
         # components that leave the decision to the scan
         theta0 = 2.2
-        family = generate_npc_profile(theta0, m, 0.8, grid=257)
+        family = widened(generate_npc_profile(theta0, 0.8, grid=257), m)
         cases = [family.x, signed_profile(2.8, 0.3, n=m).x]
         bent = family.x.copy()
         bent[5] *= 1.01
@@ -647,7 +645,7 @@ class TestProfileCheckMatchesFullScan:
                 assert not (profile.x.flags.c_contiguous
                             or profile.x.flags.f_contiguous)
             before = len(scans)
-            got = validate_profile(profile, theta0).violations
+            got = validate_profile(profile, theta0)
             assert repr(got) == repr(oracle_violations(profile, theta0))
             certified = len(scans) == before
             assert certified == oracle_certified(profile.x)
@@ -715,8 +713,8 @@ class TestVerifyNpc:
 
     def test_component_wobble_is_caught(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
-        profile = generate_npc_profile(frame.theta0, 3, 0.6, grid=129)
+                                core.random_state(4, rng))
+        profile = generate_npc_profile(frame.theta0, 0.6, grid=129)
         lift = profile_to_lift(frame, profile)
         psi = lift.psi.copy()
         psi[:, 2] *= np.exp(0.3j * np.sin(np.pi * lift.s))
@@ -756,8 +754,8 @@ class TestVerifyNpc:
 def wobble(rng, amplitude, grid=129):
     """Eps-family lift whose third frame component picks up a phase."""
     frame = frame_from_pair(core.random_state(4, rng),
-                            core.random_state(4, rng), size=3)
-    lift = profile_to_lift(frame, generate_npc_profile(frame.theta0, 3, 0.6,
+                            core.random_state(4, rng))
+    lift = profile_to_lift(frame, generate_npc_profile(frame.theta0, 0.6,
                                                        grid=grid))
     psi = lift.psi.copy()
     psi[:, 2] *= np.exp(1j * amplitude * np.sin(np.pi * lift.s))
@@ -820,13 +818,12 @@ class TestPivotCheckMatchesTripleScan:
     def test_eps_family(self, rng, eps):
         for theta0 in (np.pi / 6, np.pi / 2, 5 * np.pi / 6):
             frame = CurveFrame(np.eye(3, dtype=complex), theta0)
-            lift = profile_to_lift(frame, generate_npc_profile(theta0, 3, eps))
+            lift = profile_to_lift(frame, generate_npc_profile(theta0, eps))
             got, _ = self.assert_parity(lift)
             assert got.ok
             frame = frame_from_pair(core.random_state(5, rng),
-                                    core.random_state(5, rng), size=4)
-            lift = profile_to_lift(frame, generate_npc_profile(
-                frame.theta0, 4, eps))
+                                    core.random_state(5, rng))
+            lift = profile_to_lift(frame, generate_npc_profile(frame.theta0, eps))
             got, _ = self.assert_parity(lift)
             assert got.ok
 
@@ -1050,9 +1047,9 @@ class TestEstimateMatchesTwoPass:
         yield latitude_arc(1.1, 1.5, dim, grid=grid)
         if dim >= 3:
             frame = frame_from_pair(core.random_state(dim, rng),
-                                    core.random_state(dim, rng), size=3)
+                                    core.random_state(dim, rng))
             yield profile_to_lift(
-                frame, generate_npc_profile(frame.theta0, 3, 0.8, grid=grid))
+                frame, generate_npc_profile(frame.theta0, 0.8, grid=grid))
 
     def test_result_and_estimate(self, rng, monkeypatch, grid, dim):
         for lift in self.lifts(rng, dim, grid):
@@ -1128,9 +1125,9 @@ class TestLoopPhase:
             triad[1] = core.normalize(vertex)
             for a in (0, 1):
                 sides = self.sides(triad)
-                frame = frame_from_pair(triad[a], triad[a + 1], size=3)
+                frame = frame_from_pair(triad[a], triad[a + 1])
                 sides[a] = profile_to_lift(
-                    frame, generate_npc_profile(frame.theta0, 3, 0.5))
+                    frame, generate_npc_profile(frame.theta0, 0.5))
                 got = loop_geometric_phase(sides)
                 assert_angle_close(got, -np.angle(core.bargmann(triad)), tol=1e-8)
 
@@ -1142,8 +1139,8 @@ class TestLoopPhase:
 
     def test_non_npc_segment_rejected(self, rng):
         frame = frame_from_pair(core.random_state(4, rng),
-                                core.random_state(4, rng), size=3)
-        profile = generate_npc_profile(frame.theta0, 3, 0.6, grid=257)
+                                core.random_state(4, rng))
+        profile = generate_npc_profile(frame.theta0, 0.6, grid=257)
         lift = profile_to_lift(frame, profile)
         psi = lift.psi.copy()
         psi[:, 2] *= np.exp(0.4j * np.sin(np.pi * lift.s))

@@ -51,6 +51,15 @@ class TestStates:
         with pytest.raises(ValueError, match="pair"):
             formats.state_from_dict({"amplitudes": [[1.0, 0.0], [2.0]]})
 
+    def test_booleans_are_not_numbers(self):
+        # JSON true and false decode to bool, a subclass of int
+        for text, message in (
+                ('{"amplitudes": [[true, false]]}', r"amplitudes\[0\]: expected"),
+                ('{"amplitudes": [[1, 0], [0, true]]}', r"amplitudes\[1\]: expected"),
+                ('{"dim": true, "amplitudes": [[1, 0]]}', "'dim' is True")):
+            with pytest.raises(ValueError, match=message):
+                formats.state_from_dict(formats.json_loads(text))
+
     def test_non_finite_amplitude_rejected(self):
         # json.loads reads NaN and Infinity as floats, and integers of any size
         for text in ('[NaN, 0]', '[0, Infinity]', f'[1{"0" * 400}, 0]'):
@@ -109,6 +118,15 @@ class TestMajoranaRep:
              "spinors": [[[1.0, 0.0], [0.0, 0.0]]]}
         with pytest.raises(ValueError, match="dim"):
             formats.rep_from_dict(d)
+
+    def test_booleans_are_not_numbers(self):
+        for d, message in (
+                ({"dim": True, "scale": [1.0, 0.0], "spinors": []}, "'dim' is True"),
+                ({"scale": [True, 0], "spinors": []}, "scale: expected"),
+                ({"scale": [1.0, 0.0], "spinors": [[[1.0, 0.0], [False, 0.0]]]},
+                 r"spinors\[0\]\[1\]: expected")):
+            with pytest.raises(ValueError, match=message):
+                formats.rep_from_dict(d)
 
     def test_missing_keys(self):
         with pytest.raises(ValueError, match="spinors"):

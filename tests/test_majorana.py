@@ -248,6 +248,35 @@ class TestCheckRep:
         assert self.decision(mj._check_rep, np.zeros((3, 0, 2)), np.ones(3)) == (True, None)
 
 
+def north_spinors(shape):
+    xi = np.zeros(shape, dtype=complex)
+    xi[..., 0] = 1.0
+    return xi
+
+
+class TestRepShapes:
+    """The spinors' leading axes are the scale's shape; none are regrouped."""
+
+    def test_batch_against_one_scale_is_refused(self):
+        # regrouped, five decompositions of two spinors read as one of ten
+        with pytest.raises(ValueError, match=r"shape \(5, 2, 2\) .* shape \(\)"):
+            mj.MajoranaRep(north_spinors((5, 2, 2)), 1.0)
+
+    def test_spinors_are_not_split_among_scales(self):
+        # regrouped, four spinors read as two decompositions of two
+        with pytest.raises(ValueError, match=r"shape \(4, 2\) .* shape \(2,\)"):
+            mj.MajoranaRep(north_spinors((4, 2)), np.ones(2))
+
+    @pytest.mark.parametrize("shape, scales, stored", [
+        ((2,), (), (1, 2)), ((3, 2), (), (3, 2)), ((0, 2), (), (0, 2)),
+        ((4, 2), (4,), (4, 1, 2)), ((4, 3, 2), (4,), (4, 3, 2)),
+        ((4, 0, 2), (4,), (4, 0, 2))])
+    def test_fitting_shapes_are_kept(self, shape, scales, stored):
+        rep = mj.MajoranaRep(north_spinors(shape), np.ones(scales))
+        assert rep.spinors.shape == stored
+        assert np.shape(rep.scale) == scales
+
+
 class TestRootsAndCoefficients:
     def test_basis_state_has_antipodal_stars(self):
         rep = mj.coefficients_to_roots(np.array([0, 1, 0], dtype=complex))

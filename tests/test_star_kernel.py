@@ -215,6 +215,17 @@ class TestRowMajorParity:
             want = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
             assert decompose.bi_factorization(red).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_star_route_of_criterion_11_reads_the_same_bits(self, rng, n):
+        # selftest criterion 11 moves the kernel's transposed spinors by u
+        # with no contiguous copy; the product must round as over a copy
+        for _ in range(200):
+            rep = mj.coefficients_to_roots(core.random_state(n, rng))
+            u = mj.random_su2(rng)
+            assert n == 2 or not rep.spinors.flags.c_contiguous
+            want = np.ascontiguousarray(rep.spinors) @ u.T
+            assert (rep.spinors @ u.T).tobytes() == want.tobytes()
+
 
 def quadratic_rows(c0, c1, c2):
     """n = 3 states whose star polynomial is c2 z^2 + c1 z + c0."""
@@ -378,7 +389,7 @@ def eps_family_lift(seed, eps, grid):
     rng = np.random.default_rng(seed)
     a, b = core.random_state(3, rng), core.random_state(3, rng)
     frame = curves.frame_from_pair(*curves.in_phase_gauge(a, b))
-    profile = curves.generate_npc_profile(frame.theta0, 3, eps, grid=grid)
+    profile = curves.generate_npc_profile(frame.theta0, eps, grid=grid)
     return curves.profile_to_lift(frame, profile)
 
 
