@@ -2,11 +2,11 @@
 
 Each command reads its input files and, from its own flags, the run
 settings it passes to the library (``--grid``, ``--subgrid`` or
-``--seed``) and ``--output``; a setting out of its range is a usage
-error.  Exit codes: 0 on success, 1 for usage or input-parse errors and
-when memory runs out, 2 when the input is semantically invalid or a
-verification fails.  All output is deterministic for fixed inputs and
-flags.
+``--seed``) and ``--output``; a setting or family parameter out of its
+range is a usage error.  Exit codes: 0 on success, 1 for usage or
+input-parse errors and when memory runs out, 2 when the input is
+semantically invalid or a verification fails.  All output is
+deterministic for fixed inputs and flags.
 """
 
 from __future__ import annotations
@@ -83,21 +83,28 @@ def _float_field(d: dict, key: str) -> float:
     return value
 
 
-def _at_least(least: int, odd: bool = False):
-    """argparse type of a run setting: an integer no smaller than
-    ``least``, and odd if ``odd`` is set; any other value is a usage error."""
-    rule = f"must be {'odd and ' if odd else ''}at least {least}"
+def _value(kind, rule: str, inside):
+    """argparse type of a flag: ``kind`` read from the text, for which
+    ``inside`` holds; any other value, NaN and inf among them, is a usage
+    error."""
 
-    def parse(text: str) -> int:
+    def parse(text: str):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < least or (odd and value % 2 == 0):
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not inside(value):
             raise argparse.ArgumentTypeError(rule)
         return value
 
     return parse
+
+
+def _at_least(least: int, odd: bool = False):
+    """An integer no smaller than ``least``, and odd if ``odd`` is set."""
+    return _value(int, f"must be {'odd and ' if odd else ''}at least {least}",
+                  lambda v: v >= least and not (odd and v % 2 == 0))
 
 
 # One row per run setting a flag may set: flag, type, default, help.  Each
@@ -296,8 +303,6 @@ def _cmd_stars(args) -> int:
 
 def _cmd_selftest(args) -> int:
     results = selftest.run(args.seed, numbers=args.criterion)
-    if not results:
-        raise _InputError("no matching criteria selected")
     lines = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -367,8 +372,10 @@ def build_parser() -> _Parser:
                                parser_class=_Parser)
     p = _command(actions, "generate", _cmd_npc_generate, ["grid"],
                  help="sample a member of the null-phase family")
-    p.add_argument("--theta0", type=float, required=True, help="opening angle")
-    p.add_argument("--eps", type=float, default=0.0, help="family parameter")
+    p.add_argument("--theta0", required=True, help="opening angle", type=_value(
+        float, "must lie strictly inside (0, pi)", lambda t: 0.0 < t < math.pi))
+    p.add_argument("--eps", default=0.0, help="family parameter", type=_value(
+        float, "must lie in [0, pi/2)", lambda e: 0.0 <= e < math.pi / 2))
     p.add_argument("--dim", type=_at_least(3), default=3, help="ambient dimension")
     p = _command(actions, "verify", _cmd_npc_verify, ["subgrid"],
                  help="check the null-phase condition along a curve")
@@ -393,7 +400,8 @@ def build_parser() -> _Parser:
 
     p = _command(sub, "selftest", _cmd_selftest, ["seed"],
                  help="run the built-in acceptance checks at the library defaults")
-    p.add_argument("--criterion", type=int, action="append",
+    p.add_argument("--criterion", type=int, action="append", metavar="N",
+                   choices=[number for number, _, _ in selftest.CRITERIA],
                    help="run only this criterion number (repeatable)")
 
     return parser

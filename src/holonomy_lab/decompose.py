@@ -222,43 +222,38 @@ def solid_angle_pair(red: CanonicalReduction) -> tuple[float, float]:
 _LEX_WEIGHTS = np.array([4.0, 2.0, 1.0])  # the first differing coordinate decides
 
 
-def _geodesic_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Angles between the unit vectors a[:, ...] and b[:, ...], coordinates first."""
-    p = a * b  # summed in np.sum's order over the coordinates, without its reduce
-    return np.arccos(np.clip(p[0] + p[1] + p[2], -1.0, 1.0))
-
-
 def star_trajectory(lift) -> np.ndarray:
     """Star pairs along a dimension-3 curve, matched for continuity.
 
     All samples are factored in one call.  The first sample is ordered
-    lexicographically; every later sample is ordered to minimize the
-    total great-circle motion relative to the previous one, with ties
-    (costs within 1e-12) broken lexicographically.  Swapping the previous
-    pair swaps the two costs, so between ties the order flips where
-    swapping costs less.  The lexicographic order counts coordinates
-    within the same 1e-12 as equal, so rounding noise on a coordinate
-    whose exact value both stars share does not decide it.  Returns an
-    array of shape (samples, 2, 3), the transpose of the (3, 2, samples)
-    array the matching runs on.
+    lexicographically; every later sample is ordered for the least total
+    squared-chord motion relative to the previous one.  For unit stars
+    keeping the order costs 2 (a0 - a1).(b0 - b1) less than swapping it,
+    so the sign of that product of two consecutive star separations
+    decides, and the order flips where it is negative.  A sample ties
+    when the product is below about 1e-12 in modulus (the great-circle
+    rule this replaces tied only when its two costs were within 1e-12)
+    and is then ordered lexicographically.  The lexicographic order
+    counts coordinates within the same 1e-12 as equal, so rounding noise
+    on a coordinate whose exact value both stars share does not decide
+    it.  Returns an array of shape (samples, 2, 3), the transpose of the
+    (3, 2, samples) array the matching runs on.
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
     # the lift has checked its samples: finite, unit and one row each
     stars = _factor(lift.psi).stars().T  # (coordinate, star, sample)
-    # gaps[j, k, i]: from star j of sample i to star k of sample i + 1
-    gaps = _geodesic_gap(stars[:, :, None, :-1], stars[:, None, :, 1:])
-    keep = gaps[0, 0] + gaps[1, 1]
-    swap = gaps[0, 1] + gaps[1, 0]
-    restart = np.concatenate([[True], np.abs(keep - swap) < 1e-12])
-    flips = np.logical_xor.accumulate(
-        np.concatenate([[False], swap < keep]) & ~restart)
+    diff = stars[:, 0] - stars[:, 1]
+    p = diff[:, :-1] * diff[:, 1:]
+    d = p[0] + p[1] + p[2]
+    restart = np.concatenate([[True], np.abs(d) < 1e-12])
+    flips = np.logical_xor.accumulate(np.concatenate([[False], d < 0]) & ~restart)
     # a restart sorts the pair; the first coordinate that differs by more
     # than the tie tolerance outweighs the rest
     starts = np.flatnonzero(restart)
-    gap = stars[:, 1, starts] - stars[:, 0, starts]
+    gap = diff[:, starts]
     ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
-    lex = _LEX_WEIGHTS @ ahead < 0
+    lex = _LEX_WEIGHTS @ ahead > 0
     last = np.cumsum(restart) - 1  # index in starts of each sample's restart
     flip = lex[last] ^ flips ^ flips[starts][last]
     return np.where(flip, stars[:, ::-1], stars).T

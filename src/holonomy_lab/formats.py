@@ -213,23 +213,17 @@ def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:
 
 
 def result_to_jsonable(obj):
-    """Recursively convert numpy scalars/arrays into JSON-friendly values."""
+    """Recursively convert a result into JSON-friendly values: NumPy arrays
+    and scalars become Python values, complex numbers [real, imag] pairs
+    and floats 15 significant digits."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {k: result_to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [result_to_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
+    if isinstance(obj, complex):
         return _pair(obj)
-    if isinstance(obj, (float, np.floating)):
-        return round15(float(obj))
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            if obj.ndim == 1:
-                return [_pair(z) for z in obj]
-            return [result_to_jsonable(row) for row in obj]
-        return [result_to_jsonable(v) for v in obj]
+    if isinstance(obj, float):
+        return round15(obj)
     return obj

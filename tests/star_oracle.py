@@ -4,9 +4,11 @@ The library factors whole batches of star polynomials in one array
 kernel and orders a trajectory without a per-sample loop.  These helpers
 keep the straightforward route it replaced: one ``np.roots`` call per
 state, one guarded Newton step per root, one ``np.convolve`` per spinor,
-and a loop that orders each sample against the previous one.  The parity
-tests compare the kernel against them.  ``oracle_su2_rotation`` keeps
-the nine-trace form of the rotation a matrix in SU(2) induces on stars.
+and a loop that orders each sample against the previous one by
+great-circle arcs (``oracle_order``; the library compares squared chords
+instead).  The parity tests compare the kernel against them.
+``oracle_su2_rotation`` keeps the nine-trace form of the rotation a
+matrix in SU(2) induces on stars.
 ``oracle_schwinger_transpose`` keeps the D^j(u) that the library built
 by expanding a stack of spinors slot by slot, before it built D^j(u)
 from the eigenbasis of J_y, and ``oracle_schwinger_sum`` the closed-form
@@ -135,16 +137,16 @@ def paired_spinors(got, want):
     return want[_min_sum_assignment(cost)]
 
 
-def oracle_trajectory(psi_rows):
-    """Star pairs of dimension-3 samples, matched one sample at a time.
+def oracle_order(star_rows):
+    """Star pairs (samples, 2, 3) ordered one sample at a time by the least
+    total great-circle motion.
 
-    Returns the (samples, 2, 3) trajectory and the indices of the later
-    samples whose two costs tied, which were sorted lexicographically.
+    Returns the ordered pairs and the indices of the later samples whose
+    two costs tied within 1e-12, which were sorted lexicographically.
     """
-    out = np.empty((len(psi_rows), 2, 3))
+    out = np.empty((len(star_rows), 2, 3))
     ties = []
-    for i, sample in enumerate(psi_rows):
-        stars = oracle_stars(sample)
+    for i, stars in enumerate(star_rows):
         if i == 0:
             out[0] = _lex_pair(stars)
             continue
@@ -159,6 +161,12 @@ def oracle_trajectory(psi_rows):
         else:
             out[i] = stars[::-1]
     return out, ties
+
+
+def oracle_trajectory(psi_rows):
+    """Star pairs of dimension-3 samples, each factored by ``oracle_stars``
+    and matched by ``oracle_order``."""
+    return oracle_order([oracle_stars(sample) for sample in psi_rows])
 
 
 def oracle_su2_rotation(u):

@@ -541,9 +541,14 @@ class TestSelftest:
         assert out.rstrip().endswith("1/1 checks passed")
 
     def test_unknown_criterion(self, capsys):
-        code, _, err = run(["selftest", "--criterion", "99"], capsys)
-        assert code == 1
-        assert "no matching criteria" in err
+        err = usage_error(["selftest", "--criterion", "99"], capsys)
+        assert "--criterion: invalid choice: 99" in err
+
+    def test_unknown_criterion_among_known_ones(self, capsys):
+        # a number that names no check is refused, not skipped
+        err = usage_error(["selftest", "--criterion", "12", "--criterion", "99"],
+                          capsys)
+        assert "--criterion: invalid choice: 99" in err
 
 
 class TestImport:
@@ -572,13 +577,27 @@ class TestImport:
 class TestConfigPlumbing:
     # each run setting's flag refuses what the library cannot use: the
     # connection integral needs an odd grid of at least 5 samples, the
-    # null-phase check three samples, and selftest a seed of at least 0
+    # null-phase check three samples, selftest a seed of at least 0, and
+    # the null-phase family an opening angle in (0, pi) and eps in [0, pi/2)
     @pytest.mark.parametrize("argv, rule", [
         ("npc generate --theta0 1.0 --grid 256", "--grid: must be odd and at least 5"),
         ("npc generate --theta0 1.0 --grid 3", "--grid: must be odd and at least 5"),
         ("npc verify {curve} --subgrid 2", "--subgrid: must be at least 3"),
         ("selftest --seed -1", "--seed: must be at least 0"),
-    ], ids=["256", "3", "subgrid-2", "seed-minus-1"])
+        ("npc generate --theta0 0", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 3.2", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 4", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 -1", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 nan", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 inf", "--theta0: must lie strictly inside (0, pi)"),
+        ("npc generate --theta0 1.0 --eps -0.1", "--eps: must lie in [0, pi/2)"),
+        ("npc generate --theta0 1.0 --eps 1.6", "--eps: must lie in [0, pi/2)"),
+        ("npc generate --theta0 1.0 --eps 2", "--eps: must lie in [0, pi/2)"),
+        ("npc generate --theta0 1.0 --eps nan", "--eps: must lie in [0, pi/2)"),
+    ], ids=["256", "3", "subgrid-2", "seed-minus-1",
+            "theta0-0", "theta0-3.2", "theta0-4", "theta0-minus-1",
+            "theta0-nan", "theta0-inf",
+            "eps-minus-0.1", "eps-1.6", "eps-2", "eps-nan"])
     def test_unusable_grid_is_usage_error(self, tmp_path, capsys, argv, rule):
         target = tmp_path / "c.out"
         words = argv.format(curve=write_curve(tmp_path)).split()

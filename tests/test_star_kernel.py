@@ -16,6 +16,7 @@ from conftest import random_triad
 
 from star_oracle import (
     oracle_decomposition,
+    oracle_order,
     oracle_stars,
     oracle_trajectory,
     paired_spinors,
@@ -456,6 +457,75 @@ class TestTrajectoryParity:
             e[k] = 1.0
             ties = assert_same_trajectory(through_exact_sample(rng, e))
             assert 32 in ties or 33 in ties
+
+
+def endpoint(kind, rng):
+    """A dimension-3 state: random, a double star, 1e-7 from a double star,
+    or a basis vector."""
+    if kind == "random":
+        return core.random_state(3, rng)
+    if kind == "basis":
+        e = np.zeros(3, dtype=complex)
+        e[int(rng.integers(3))] = 1.0
+        return e
+    double = mj.pure_product_state(core.random_state(2, rng), 3)
+    if kind == "double":
+        return double
+    near = double + 1e-7 * core.random_state(3, rng)
+    return near / np.linalg.norm(near)
+
+
+ENDPOINT_PAIRS = [("random", "random"), ("double", "double"), ("random", "double"),
+                  ("near", "random"), ("near", "near"), ("basis", "random"),
+                  ("basis", "double"), ("double", "near"), ("basis", "near")]
+
+
+def kind_lift(pair, grid, eps):
+    """Geodesic (eps 0) or eps-family lift between the endpoints of one of
+    ENDPOINT_PAIRS, drawn from a generator seeded by its index."""
+    rng = np.random.default_rng([0, ENDPOINT_PAIRS.index(pair)])
+    a, b = (endpoint(kind, rng) for kind in pair)
+    if eps == 0.0:
+        return curves.geodesic_lift(*curves.in_phase_gauge(a, b), grid=grid)
+    frame = curves.frame_from_pair(a, b)
+    profile = curves.generate_npc_profile(frame.theta0, eps, grid=grid)
+    return curves.profile_to_lift(frame, profile)
+
+
+# the one lift of the grid below on which the squared-chord rule and the
+# great-circle oracle order a sample differently
+PARTED = (("basis", "near"), 33, 0.4)
+
+
+class TestSquaredChordOrder:
+    # the kernel's own stars, ordered by the great-circle oracle: unlike
+    # oracle_trajectory, this holds on samples with a double star, which
+    # np.roots scatters by about 1e-8
+    def test_orders_as_the_arc_oracle(self):
+        parted = []
+        for key in itertools.product(ENDPOINT_PAIRS, (33, 257, 1025), (0.0, 0.4)):
+            lift = kind_lift(*key)
+            want, _ = oracle_order(mj.coefficients_to_roots(lift.psi).stars())
+            if star_trajectory(lift).tobytes() != want.tobytes():
+                parted.append(key)
+        assert parted == [PARTED]
+
+    def test_rules_part_where_the_costs_nearly_tie(self):
+        # the last sample's stars are 1e-3 apart; keeping the previous
+        # order costs 1.4e-5 rad less in arcs but 1.4e-5 more in squared
+        # chords, far outside either tie band, so the two rules swap it
+        lift = kind_lift(*PARTED)
+        stars = mj.coefficients_to_roots(lift.psi).stars()
+        got = star_trajectory(lift)
+        want, _ = oracle_order(stars)
+        assert got[:-1].tobytes() == want[:-1].tobytes()
+        assert got[-1].tobytes() == want[-1, ::-1].tobytes()
+        # swapping the oracle's last pair minus keeping it, in arcs and
+        # in squared chords
+        prev, last = got[-2], want[-1]
+        arcs = np.arccos(prev @ last.T)
+        assert 1e-6 < arcs[0, 1] + arcs[1, 0] - arcs[0, 0] - arcs[1, 1] < 1e-4
+        assert -1e-4 < 2.0 * (prev[0] - prev[1]) @ (last[0] - last[1]) < -1e-6
 
 
 class TestNonFinite:
