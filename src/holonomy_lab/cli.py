@@ -109,8 +109,8 @@ def _at_least(least: int, odd: bool = False):
 
 # One row per run setting a flag may set: flag, type, default, help.  Each
 # command takes only the settings it passes to the library.  The connection
-# integral runs Simpson's rule over the grid; a grid of 5 estimates its
-# error against the trapezoid rule, since every other sample leaves only 3.
+# integral needs an odd grid of at least 5 samples: its Richardson steps
+# take every other sample, and its error estimate every fourth.
 _SETTINGS = {
     "seed": ("--seed", _at_least(0), 0, "seed for randomized checks"),
     "grid": ("--grid", _at_least(5, odd=True), DEFAULT_GRID, "curve sample count"),

@@ -4,13 +4,13 @@ A null phase curve is a ray-space path on which the three-point invariant
 of any three samples is real and positive.  Geodesics have this property
 in every dimension; from dimension 3 on there are others, generated here
 from real profiles x(s) in an orthonormal frame.  Curves are represented
-by uniform sampling and integrals by composite Simpson quadrature.  The
-connection Im (psi, dpsi/ds) is taken from the overlaps of each sample
-with its neighbours, which is what a fourth-order finite-difference
-stencil reduces to; no derivative array is formed.  The quadrature error
-estimate repeats the rule on every other sample, whose neighbour overlaps
+by uniform sampling.  The connection integral of a sampled curve is the
+sum of the phases of its neighbour overlaps, which with the endpoint
+overlap make up the Bargmann invariant of the sample polygon; a
+Richardson step on every other sample makes it fourth order, and the same
+step on every fourth sample estimates its error.  Those samples' overlaps
 are the fine grid's lag-2 and lag-4 overlaps, so no sample is conjugated
-twice.
+twice and no derivative is formed.
 
 A lift holds read-only copies of its grid and samples, together with the
 conjugate samples and the lag-1 overlaps that its own checks form; the
@@ -446,89 +446,50 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     )
 
 
-@lru_cache(maxsize=256)
-def _simpson_weights(n_samples: int) -> np.ndarray:
-    """Read-only composite Simpson weights 1, 4, 2, 4, ..., 2, 4, 1."""
-    weights = np.ones(n_samples)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights.flags.writeable = False
-    return weights
+def _polygon_phase(lift: CurveLift) -> tuple[float, float]:
+    """(R(h), its error estimate) from the neighbour overlaps of the samples.
 
-
-def _simpson(values: np.ndarray, h: float) -> float:
-    n = values.size
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd number of samples")
-    return float(np.dot(_simpson_weights(n), values) * h / 3.0)
-
-
-# One-sided fourth-order derivative stencils of the first two samples, over
-# samples 0..4, in units of 1/(12 h); the last two samples take the mirror
-# image with the opposite sign.  Both are stored complex, as the samples
-# they multiply, so no product casts them; each is negated while still real,
-# so every imaginary part is +0, as a cast gives.
-_HEAD_STENCIL = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                          [-3.0, -10.0, 18.0, -6.0, 1.0]])
-_TAIL_STENCIL = (-_HEAD_STENCIL[::-1, ::-1]).astype(complex)
-_HEAD_STENCIL = _HEAD_STENCIL.astype(complex)
-
-
-def _lag_overlaps(conj: np.ndarray, psi: np.ndarray, lag: int,
-                  step: int = 1) -> np.ndarray:
-    """Im (psi_i, psi_{i+lag}) at every ``step``-th sample i with a partner."""
-    return np.einsum("ij,ij->i", conj[:-lag:step], psi[lag::step]).imag
-
-
-def _integrand_from_overlaps(conj: np.ndarray, psi: np.ndarray, a1: np.ndarray,
-                             a2: np.ndarray, h: float) -> np.ndarray:
-    """Im (psi, dpsi/ds) at each sample of a grid with spacing h.
-
-    The fourth-order derivative stencil enters only through the overlaps
-    of each sample with its neighbours.  With a_k(i) = Im (psi_i, psi_{i+k})
-    given as ``a1`` and ``a2``, and Im (psi_i, psi_i) = 0, the central
-    stencil gives
-
-        f_i = [8 (a_1(i-1) + a_1(i)) - (a_2(i-2) + a_2(i))] / (12 h),
-
-    while each of the two samples at either end is paired with its
-    one-sided stencil over the five samples at that end.
-    """
-    f = np.empty(psi.shape[0])
-    f[2:-2] = 8.0 * (a1[1:-2] + a1[2:-1]) - (a2[:-2] + a2[2:])
-    f[:2] = np.einsum("ij,ij->i", conj[:2], _HEAD_STENCIL @ psi[:5]).imag
-    f[-2:] = np.einsum("ij,ij->i", conj[-2:], _TAIL_STENCIL @ psi[-5:]).imag
-    return f / (12.0 * h)
-
-
-def connection_integral(lift: CurveLift) -> float:
-    """Quadrature of -i (psi, dpsi/ds) along the lift.
-
-    Vanishes for lifts with real pairwise overlaps; for a general lift of
-    a null phase curve it equals the argument of the endpoint overlap.
-    The error is estimated against Simpson's rule on every other sample
-    when those form an odd grid of at least 5 samples, and otherwise
-    against the trapezoid rule.  The conjugate samples and the lag-1
-    overlaps are the lift's own, formed when it was built.  On every other
-    sample the lag-1 overlaps are the fine grid's lag-2 overlaps at even
-    samples, and the lag-2 overlaps its lag-4 ones, so the estimate
-    conjugates nothing again.
-    Raises when the estimate exceeds ``MAX_QUAD_ERROR``, or is NaN.
+    D(h) = sum_i arg (psi_i, psi_{i+1}) over the steps of a grid of spacing
+    h is the argument of the product of neighbour overlaps; with the
+    endpoint overlap that product closes into the Bargmann invariant of
+    the sample polygon, so D(h) is the discrete connection integral.  Its
+    error expands in even powers of h, and R(h) = (4 D(h) - D(2h)) / 3
+    removes the h^2 term, D(2h) summing the lag-2 overlaps of the even
+    samples.  The estimate |R(h) - R(2h)| / 15, with D(4h) from the lag-4
+    overlaps of every fourth sample, is taken on the longest prefix that
+    every fourth sample spans: all samples when (n - 1) is divisible by 4,
+    else all but the last two.  The lag-1 overlaps are the lift's own.
     """
     n = lift.s.size
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
-    h = float(lift.s[1] - lift.s[0])
     psi, conj = lift.psi, lift._conj
-    a2 = _lag_overlaps(conj, psi, 2)
-    integrand = _integrand_from_overlaps(conj, psi, lift._lag1.imag, a2, h)
-    result = _simpson(integrand, h)
-    if (n - 1) % 4 == 0 and n >= 9:
-        coarse = _integrand_from_overlaps(conj[::2], psi[::2], a2[::2],
-                                          _lag_overlaps(conj, psi, 4, 2), 2.0 * h)
-        estimate = abs(result - _simpson(coarse, 2.0 * h)) / 15.0
-    else:
-        estimate = abs(result - float(np.trapezoid(integrand, dx=h)))
+    k = (n - 1) // 4  # the prefix ends at sample 4k
+    turn1 = np.angle(lift._lag1)
+    turn2 = np.angle(np.einsum("ij,ij->i", conj[:-2:2], psi[2::2]))
+    turn4 = np.angle(np.einsum("ij,ij->i", conj[:4 * k:4], psi[4:4 * k + 1:4]))
+    d1, d2 = float(turn1[:4 * k].sum()), float(turn2[:2 * k].sum())
+    # past the prefix lie at most two turns, summed in Python
+    result = (4.0 * (d1 + sum(turn1[4 * k:].tolist()))
+              - (d2 + sum(turn2[2 * k:].tolist()))) / 3.0
+    # R(h) - R(2h) on the prefix is (4 d1 - 5 d2 + d4) / 3
+    return result, abs(4.0 * d1 - 5.0 * d2 + float(turn4.sum())) / 45.0
+
+
+def connection_integral(lift: CurveLift) -> float:
+    """Integral of -i (psi, dpsi/ds) along the lift, from the Bargmann
+    invariant of its samples (see ``_polygon_phase``).
+
+    Vanishes exactly for lifts with real positive neighbour overlaps; for
+    a general lift of a null phase curve it equals the argument of the
+    endpoint overlap.  A gauge twist e^{i chi(s)} shifts the result by
+    chi(1) - chi(0) and leaves the error estimate as it was, up to
+    rounding, as long as it turns no overlap the sums read (neighbours,
+    every other sample, every fourth sample) past pi.  The grid must be
+    odd, of at least 5 samples.  Raises when the error estimate exceeds
+    ``MAX_QUAD_ERROR``, or is NaN.
+    """
+    result, estimate = _polygon_phase(lift)
     if not estimate <= MAX_QUAD_ERROR:
         raise ValueError(
             f"grid too coarse: estimated quadrature error {estimate:.3e}"

@@ -300,7 +300,7 @@ def _random_real_lift(rng, dim: int, grid: int) -> tuple[curves.CurveLift, np.nd
 
 
 def _check_horizontal_lifts(rng) -> tuple[Measure, ...]:
-    grid = 1025  # 1024 quadrature panels
+    grid = 1025
     flat_errs, shift_errs = [], []
     for i in range(100):
         dim = 3 + i % 3
@@ -313,7 +313,36 @@ def _check_horizontal_lifts(rng) -> tuple[Measure, ...]:
         shifted = curves.connection_integral(twisted)
         shift_errs.append(abs(shifted - flat - (chi[-1] - chi[0])))
     return (_measure("100 real lifts, max |integral|", flat_errs, 1e-8),
-            _measure("100 gauge twists, max twist-shift error", shift_errs, 1e-8))
+            _measure("100 gauge twists, max twist-shift error", shift_errs, 1e-8),
+            # over 40 independent draws of these arcs the worst error read
+            # 1.2e-10, so 1e-9 leaves 8x; the plain phase sum, without the
+            # Richardson step, reads 5e-6 at seed 0
+            _measure("40 latitude arcs, max error vs exact value",
+                     _latitude_arc_errors(rng), 1e-9))
+
+
+def _latitude_arc_errors(rng) -> list[float]:
+    """|connection_integral - exact| on spin-coherent latitude arcs.
+
+    Ten arcs for each n = 3, 5 and grid 257, 1025: the star of the
+    pure product state runs a latitude at polar angle theta through an
+    azimuth span, and the exact integral is (n - 1) sin^2(theta/2) span.
+    A gauge twist moves the integral by the same amount at every grid,
+    so it cannot test the quadrature; these arcs do.
+    """
+    errs = []
+    for n in (3, 5):
+        for grid in (257, 1025):
+            s = np.linspace(0.0, 1.0, grid)
+            for _ in range(10):
+                theta = rng.uniform(0.3, np.pi - 0.3)
+                phi0 = rng.uniform(0.0, 2.0 * np.pi)
+                span = rng.uniform(0.5, 2.0)
+                b = np.exp(1j * (phi0 + span * s)) * np.sin(theta / 2)
+                psi = majorana._pure_product(np.cos(theta / 2), b[:, None], n)
+                got = curves.connection_integral(curves.CurveLift(s, psi))
+                errs.append(abs(got - (n - 1) * np.sin(theta / 2) ** 2 * span))
+    return errs
 
 
 def _check_loop_phase(rng) -> tuple[Measure, ...]:
@@ -536,12 +565,21 @@ CRITERIA = (
 
 
 def run(seed: int = 0, numbers=None) -> list[CheckResult]:
-    """Run the selected checks (all by default) and collect results."""
+    """Run the selected checks (all by default) and collect results.
+
+    A negative seed, or a number that names no criterion, raises
+    ``ValueError`` before any check runs.
+    """
     if seed < 0:
         # criterion k seeds its generator with seed + 1000 k, which NumPy
         # refuses when negative
         raise ValueError("seed must be at least 0")
     chosen = set(numbers) if numbers is not None else None
+    if chosen is not None:
+        unknown = sorted(chosen - {number for number, _, _ in CRITERIA})
+        if unknown:
+            raise ValueError(f"no selftest criterion numbered "
+                             f"{', '.join(map(str, unknown))}")
     results = []
     for number, name, func in CRITERIA:
         if chosen is not None and number not in chosen:

@@ -1,21 +1,63 @@
-"""Reference connection integrand: a full derivative array, then a row sum.
+"""Reference routes for the connection integral.
 
-The library forms Im (psi, dpsi/ds) from the overlaps of each sample with
-its neighbours.  This keeps the route it replaced: the fourth-order
-finite-difference derivative of every component, central in the interior
-and one-sided at the two samples of each end, paired with the conjugate
-sample and summed.  The parity tests compare ``connection_integral``
-against the Simpson quadrature of this integrand.
+The library sums the phases of neighbour overlaps, the Bargmann invariant
+of the sample polygon, with a Richardson step.  Two routes it does not
+take are kept here.
 
-It also keeps the two-pass error estimate: the overlap integrand formed
-afresh on every other sample, at twice the spacing, and integrated again.
-The library takes that coarse integrand from the fine grid's overlaps, and
-must reproduce both the result and the estimate of this route bit for bit.
+The polygon route of ``oracle_polygon`` takes the same sums one overlap
+at a time, in Python, with exactly rounded sums; it pins the result and
+the error estimate, and which samples each sum covers.
+
+The stencil route integrates Im (psi, dpsi/ds) with fourth-order finite
+differences, central in the interior and one-sided at the two samples of
+each end, by composite Simpson quadrature, and estimates its error
+against Simpson's rule on every other sample (grids with (n - 1)
+divisible by 4, from 9 samples on) or against the trapezoid rule.  The
+integrand is formed either from a full derivative array or from the lag-1
+and lag-2 overlaps of the samples, which the stencil reduces to.  It is
+an independent value of the same integral, with an error of its own.
 """
+
+import cmath
+import math
 
 import numpy as np
 
-from holonomy_lab.curves import _simpson
+
+def oracle_turns(lift, lag, stop=None):
+    """arg (psi_i, psi_{i+lag}) for i = 0, lag, 2 lag, ... up to ``stop``."""
+    psi = lift.psi
+    stop = psi.shape[0] - 1 if stop is None else stop
+    return [cmath.phase(np.vdot(psi[i], psi[i + lag]))
+            for i in range(0, stop - lag + 1, lag)]
+
+
+def oracle_polygon(lift):
+    """(R(h), |R(h) - R(2h)| / 15) with R(h) = (4 D(h) - D(2h)) / 3.
+
+    D(h) sums the neighbour-overlap phases on the whole grid for R(h); the
+    estimate takes D(h), D(2h) and D(4h) over the samples up to the last
+    one whose index is a multiple of 4.
+    """
+    n = lift.s.size
+    if n < 5 or n % 2 == 0:
+        raise ValueError("odd grid of at least 5 samples needed")
+    end = 4 * ((n - 1) // 4)
+    d1, d2 = math.fsum(oracle_turns(lift, 1)), math.fsum(oracle_turns(lift, 2))
+    p1, p2, p4 = (math.fsum(oracle_turns(lift, lag, end)) for lag in (1, 2, 4))
+    fine, coarse = (4.0 * p1 - p2) / 3.0, (4.0 * p2 - p4) / 3.0
+    return (4.0 * d1 - d2) / 3.0, abs(fine - coarse) / 15.0
+
+
+def simpson(values, h):
+    """Composite Simpson quadrature on an odd grid of spacing h."""
+    n = values.size
+    if n < 3 or n % 2 == 0:
+        raise ValueError("composite Simpson needs an odd number of samples")
+    weights = np.ones(n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return float(np.dot(weights, values) * h / 3.0)
 
 
 def oracle_derivative(values, h):
@@ -44,7 +86,7 @@ def oracle_integrand(psi, h):
 def oracle_connection_integral(lift):
     """Composite Simpson quadrature of the stencil integrand along the lift."""
     h = float(lift.s[1] - lift.s[0])
-    return _simpson(oracle_integrand(lift.psi, h), h)
+    return simpson(oracle_integrand(lift.psi, h), h)
 
 
 # one-sided fourth-order stencils of the first two samples in units of
@@ -67,7 +109,7 @@ def overlap_integrand(psi, h):
 
 
 def oracle_two_pass(lift):
-    """(integral, error estimate), forming the coarse integrand a second time.
+    """(integral, error estimate) of the stencil route.
 
     The estimate is |S_h - S_2h| / 15 against Simpson's rule on every other
     sample when those form an odd grid of at least 5, and otherwise the gap
@@ -76,8 +118,8 @@ def oracle_two_pass(lift):
     n = lift.s.size
     h = float(lift.s[1] - lift.s[0])
     integrand = overlap_integrand(lift.psi, h)
-    result = _simpson(integrand, h)
+    result = simpson(integrand, h)
     if (n - 1) % 4 == 0 and n >= 9:
-        coarse = _simpson(overlap_integrand(lift.psi[::2], 2.0 * h), 2.0 * h)
+        coarse = simpson(overlap_integrand(lift.psi[::2], 2.0 * h), 2.0 * h)
         return result, abs(result - coarse) / 15.0
     return result, abs(result - float(np.trapezoid(integrand, dx=h)))

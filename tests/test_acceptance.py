@@ -100,6 +100,20 @@ def test_negative_seed_rejected_before_any_check(monkeypatch):
     assert run(0)[0].name == "recorded" and len(ran) == 1
 
 
+def test_unknown_criterion_rejected_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setattr("holonomy_lab.selftest.CRITERIA",
+                        [(12, "recorded", lambda rng: ran.append(rng) or [])])
+    with pytest.raises(ValueError, match="numbered 99$"):
+        run(0, numbers=[99])
+    with pytest.raises(ValueError, match="numbered 99$"):
+        run(0, numbers=[12, 99])
+    with pytest.raises(ValueError, match="numbered 13, 99$"):
+        run(0, numbers=[99, 12, 13])
+    assert ran == []
+    assert [r.name for r in run(0, numbers=[12])] == ["recorded"]
+
+
 def times_nan(route):
     return lambda *args, **kwargs: route(*args, **kwargs) * math.nan
 

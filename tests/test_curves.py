@@ -22,7 +22,7 @@ from holonomy_lab.curves import (
     validate_profile,
     verify_npc,
     _pivot_pairs,
-    _simpson,
+    _polygon_phase,
     _subgrid_indices,
 )
 from holonomy_lab.majorana import pure_product_state
@@ -34,7 +34,9 @@ from profile_oracle import oracle_certified, oracle_violations
 from quadrature_oracle import (
     oracle_connection_integral,
     oracle_derivative,
+    oracle_polygon,
     oracle_two_pass,
+    simpson,
 )
 
 
@@ -922,6 +924,11 @@ class TestPivotCheckMatchesTripleScan:
         assert rejected >= 12
 
 
+def arc_integral(theta, span, n):
+    """Exact connection integral of ``latitude_arc``."""
+    return (n - 1) * np.sin(theta / 2) ** 2 * span
+
+
 class TestQuadrature:
     def test_derivative_accuracy(self):
         s = np.linspace(0.0, 1.0, 201)
@@ -935,11 +942,11 @@ class TestQuadrature:
     def test_simpson_exact_on_cubics(self):
         s = np.linspace(0.0, 2.0, 21)
         vals = s**3 - 2 * s
-        assert _simpson(vals, s[1] - s[0]) == pytest.approx(4.0 - 4.0)
+        assert simpson(vals, s[1] - s[0]) == pytest.approx(4.0 - 4.0)
 
     def test_simpson_rejects_even_grids(self):
         with pytest.raises(ValueError, match="odd"):
-            _simpson(np.zeros(10), 0.1)
+            simpson(np.zeros(10), 0.1)
 
     def test_even_grid_rejected(self, rng):
         lift = make_geodesic(rng, grid=64)
@@ -947,42 +954,83 @@ class TestQuadrature:
             connection_integral(lift)
 
     def test_twist_integral_both_error_branches(self, rng):
-        # grid 257 triggers the halved-grid estimate, 259 the trapezoid one
+        # grid 257 takes its error estimate on all samples, 259 on the
+        # first 257; a geodesic's own overlaps are real, so the twist is
+        # all there is to integrate
         for grid in (257, 259):
             lift = make_geodesic(rng, grid=grid)
             twisted = twist(lift, lambda s: 0.5 * s + 0.3 * np.sin(2 * np.pi * s))
-            assert connection_integral(twisted) == pytest.approx(0.5, abs=1e-8)
+            assert connection_integral(twisted) == pytest.approx(0.5, abs=1e-13)
 
     def test_real_lift_has_exactly_zero_integral(self, rng):
-        # real samples give a real integrand, so the result is exact zero;
-        # a complex frame leaves only arithmetic roundoff
+        # real positive overlaps have argument exactly 0, so the result is
+        # exact zero; a complex frame leaves only arithmetic roundoff
         c = np.linspace(0, 1, 257)
         x = np.stack([np.cos(0.7 * c), np.sin(0.7 * c)], axis=1)
         lift = CurveLift(c, x.astype(complex))
         assert connection_integral(lift) == 0.0
         assert abs(connection_integral(make_geodesic(rng))) < 1e-14
 
-    def test_undersampled_twist_raises(self, rng):
-        lift = make_geodesic(rng, grid=33)
-        rough = twist(lift, lambda s: 3.0 * np.sin(30 * np.pi * s))
+    def test_undersampled_arc_raises(self):
+        # 12 rad of azimuth over 64 steps: the estimate reads about 1e-4
         with pytest.raises(ValueError, match="too coarse"):
-            connection_integral(rough)
+            connection_integral(latitude_arc(1.1, 12.0, 3, grid=65))
 
     @pytest.mark.parametrize("grid", [5, 7, 9])
-    def test_short_grids_integrate(self, rng, monkeypatch, grid):
-        # grid 5 halves to 3 samples, too few for the stencil, so it takes
-        # the trapezoid estimate like grid 7; grid 9 halves to 5
-        monkeypatch.setattr(curves, "MAX_QUAD_ERROR", 1e-3)
+    def test_short_grids_integrate(self, rng, grid):
+        # grids 5 and 9 take the error estimate on all samples, grid 7 on
+        # the first 5
         twisted = twist(make_geodesic(rng, grid=grid), lambda s: 0.5 * s)
-        got = connection_integral(twisted)
-        assert got == pytest.approx(0.5, abs=1e-3)
+        assert connection_integral(twisted) == pytest.approx(0.5, abs=1e-14)
 
     def test_nan_error_estimate_fails(self, rng, monkeypatch):
         lift = make_geodesic(rng)
-        monkeypatch.setattr(curves, "_integrand_from_overlaps",
-                            lambda conj, psi, a1, a2, h: np.full(psi.shape[0], np.nan))
+        monkeypatch.setattr(curves, "_polygon_phase", lambda lift: (0.0, np.nan))
         with pytest.raises(ValueError, match="too coarse"):
             connection_integral(lift)
+
+    def test_fourth_order_rate(self):
+        # the h^4 term sets both errors here, far above the rounding; a
+        # plain phase sum would give 16
+        for n in (3, 5):
+            exact = arc_integral(1.1, 6.0, n)
+            coarse, fine = (connection_integral(latitude_arc(1.1, 6.0, n, grid=g)) - exact
+                            for g in (257, 1025))
+            assert 250.0 < coarse / fine < 262.0
+
+    def test_estimate_tracks_the_error(self):
+        for n in (2, 3, 5):
+            for theta in (0.7, 1.6, 2.8):
+                for span in (3.0, 6.0):
+                    lift = latitude_arc(theta, span, n)
+                    result, estimate = _polygon_phase(lift)
+                    error = abs(result - arc_integral(theta, span, n))
+                    assert 0.5 * error < estimate < 2.0 * error
+
+    def test_prefix_estimate(self):
+        # a grid of 259 estimates its error on the first 257 samples and
+        # integrates all 259
+        lift = latitude_arc(1.1, 1.5, 3, grid=259)
+        head = CurveLift(lift.s[:257], lift.psi[:257])
+        result, estimate = _polygon_phase(lift)
+        assert estimate == pytest.approx(_polygon_phase(head)[1], rel=1e-12)
+        assert result == pytest.approx(arc_integral(1.1, 1.5, 3), abs=1e-10)
+
+    def test_gauge_covariance(self, rng):
+        # a twist moves every phase sum by chi(1) - chi(0) on the samples
+        # it spans, so the result moves by that and the estimate not at all
+        frame = frame_from_pair(core.random_state(4, rng), core.random_state(4, rng))
+        for grid in (9, 257, 259):
+            lifts = [latitude_arc(1.1, 1.5, 3, grid=grid),
+                     profile_to_lift(frame, generate_npc_profile(frame.theta0, 0.8,
+                                                                 grid=grid))]
+            for lift in lifts:
+                result, estimate = _polygon_phase(lift)
+                for c in rng.uniform(-1.0, 1.0, size=(3, 3)):
+                    chi = lambda s: c[0] + c[1] * s + c[2] * np.sin(2 * np.pi * s)
+                    moved, moved_estimate = _polygon_phase(twist(lift, chi))
+                    assert abs(moved - result - (chi(1.0) - chi(0.0))) < 1e-13
+                    assert abs(moved_estimate - estimate) < 1e-15
 
 
 def real_lift(rng, dim, grid):
@@ -993,13 +1041,25 @@ def real_lift(rng, dim, grid):
     return CurveLift(s, (x / np.linalg.norm(x, axis=1)[:, None]).astype(complex))
 
 
+def assert_matches_polygon_oracle(lift):
+    """Result and error estimate against ``oracle_polygon``; returns both."""
+    result, estimate = _polygon_phase(lift)
+    want, want_estimate = oracle_polygon(lift)
+    assert abs(result - want) < 1e-13
+    assert abs(estimate - want_estimate) < 1e-13
+    return result, estimate
+
+
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 @pytest.mark.parametrize("grid", [5, 7, 9, 257, 259, 1025])
 class TestIntegralMatchesStencilOracle:
-    """The overlap integrand against the derivative array of ``quadrature_oracle``.
+    """The result against the stencil route of ``quadrature_oracle``, within
+    that route's own error, and result and estimate against its polygon
+    route at every grid.
 
-    Grids 5, 7 and 259 take the trapezoid error estimate, 9, 257 and 1025
-    the halved-grid one.
+    The stencil route estimates its error on its halved grid at 257 and
+    1025, where the comparison is made.  Grids 5, 9, 257 and 1025 take the
+    error estimate on all samples, 7 and 259 on the first 5 and 257.
     """
 
     @pytest.fixture(autouse=True)
@@ -1008,34 +1068,43 @@ class TestIntegralMatchesStencilOracle:
         monkeypatch.setattr(curves, "MAX_QUAD_ERROR", 1.0)
 
     @staticmethod
-    def assert_parity(lift):
+    def check(lift):
         got = connection_integral(lift)
-        assert abs(got - oracle_connection_integral(lift)) < 1e-12
+        assert got == assert_matches_polygon_oracle(lift)[0]
+        n = lift.s.size
+        if (n - 1) % 4 == 0 and n >= 129:
+            stencil, stencil_error = oracle_two_pass(lift)
+            # the stencil route's error was measured at up to 2.6 times
+            # its own estimate on these lifts
+            assert abs(got - stencil) <= 4.0 * stencil_error + 1e-14
         return got
 
     def test_real_lifts(self, rng, grid, dim):
         for _ in range(3):
-            assert self.assert_parity(real_lift(rng, dim, grid)) == 0.0
+            lift = real_lift(rng, dim, grid)
+            assert self.check(lift) == 0.0
+            assert _polygon_phase(lift)[1] == 0.0
 
     def test_twisted_geodesics(self, rng, grid, dim):
         for _ in range(3):
             lift = make_geodesic(rng, dim=dim, grid=grid)
-            self.assert_parity(
-                twist(lift, lambda s: 0.9 * s + 0.4 * np.sin(2 * np.pi * s)))
+            got = self.check(twist(lift, lambda s: 0.9 * s + 0.4 * np.sin(2 * np.pi * s)))
+            assert got == pytest.approx(0.9, abs=1e-13)
 
     def test_latitude_arcs(self, grid, dim):
         for theta in (0.7, 2.2):
-            self.assert_parity(latitude_arc(theta, 1.5, dim, grid=grid))
+            got = self.check(latitude_arc(theta, 1.5, dim, grid=grid))
+            if grid >= 257:
+                assert abs(got - arc_integral(theta, 1.5, dim)) < 1e-9
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
 @pytest.mark.parametrize("grid", [7, 9, 11, 17, 257, 1025])
 class TestEstimateMatchesTwoPass:
-    """Result and error estimate against the two-pass route of ``quadrature_oracle``.
-
-    Grids 7 and 11 take the trapezoid estimate; on 9, 17, 257 and 1025 the
-    halved grid's overlaps come from the full grid's, and must give the
-    integral and the estimate of forming them afresh, bit for bit.
+    """Result and error estimate against the polygon route of
+    ``quadrature_oracle``, which forms every overlap afresh in a second
+    pass over the samples, on lifts in C and F order, latitude arcs and
+    eps-family lifts; then the bound as the raise reads it.
     """
 
     @staticmethod
@@ -1053,15 +1122,16 @@ class TestEstimateMatchesTwoPass:
 
     def test_result_and_estimate(self, rng, monkeypatch, grid, dim):
         for lift in self.lifts(rng, dim, grid):
-            want, estimate = oracle_two_pass(lift)
-            assert estimate > 0.0
-            # a bound equal to the estimate passes, one ulp below fails
-            monkeypatch.setattr(curves, "MAX_QUAD_ERROR", estimate)
-            assert connection_integral(lift) == want
-            monkeypatch.setattr(curves, "MAX_QUAD_ERROR",
-                                np.nextafter(estimate, 0.0))
-            with pytest.raises(ValueError, match="too coarse"):
-                connection_integral(lift)
+            assert_matches_polygon_oracle(lift)
+        # a bound equal to the estimate passes, one ulp below fails
+        arc = latitude_arc(1.1, 1.5, dim, grid=grid)
+        result, estimate = _polygon_phase(arc)
+        assert estimate > 0.0
+        monkeypatch.setattr(curves, "MAX_QUAD_ERROR", estimate)
+        assert connection_integral(arc) == result
+        monkeypatch.setattr(curves, "MAX_QUAD_ERROR", np.nextafter(estimate, 0.0))
+        with pytest.raises(ValueError, match="too coarse"):
+            connection_integral(arc)
 
 
 class TestOpenCurvePhase:
