@@ -21,6 +21,7 @@ from .core import DegenerateTriadError, _unit, as_state, check_modulus, norm, no
 from .majorana import (
     MajoranaRep,
     _factor,
+    _kernel_spinors,
     _pure_product,
     _unit_spinor_to_star,
     _weights,
@@ -225,35 +226,51 @@ _LEX_WEIGHTS = np.array([4.0, 2.0, 1.0])  # the first differing coordinate decid
 def star_trajectory(lift) -> np.ndarray:
     """Star pairs along a dimension-3 curve, matched for continuity.
 
-    All samples are factored in one call.  The first sample is ordered
-    lexicographically; every later sample is ordered for the least total
-    squared-chord motion relative to the previous one.  For unit stars
-    keeping the order costs 2 (a0 - a1).(b0 - b1) less than swapping it,
-    so the sign of that product of two consecutive star separations
-    decides, and the order flips where it is negative.  A sample ties
-    when the product is below about 1e-12 in modulus (the great-circle
-    rule this replaces tied only when its two costs were within 1e-12)
-    and is then ordered lexicographically.  The lexicographic order
-    counts coordinates within the same 1e-12 as equal, so rounding noise
-    on a coordinate whose exact value both stars share does not decide
-    it.  Returns an array of shape (samples, 2, 3), the transpose of the
-    (3, 2, samples) array the matching runs on.
+    All samples go through the star kernel's spinor stage in one call,
+    and the stars are read off its unit spinors; no scale is formed.  A
+    unit dimension-3 sample always has a finite nonzero scale: the degree
+    cut keeps its top amplitude above 1e-10 times its peak, which bounds
+    each root's modulus and so keeps the lead product far from underflow.
+    The first sample is ordered lexicographically; every later sample is
+    ordered for the least total squared-chord motion relative to the
+    previous one.  For unit stars keeping the order costs
+    2 (a0 - a1).(b0 - b1) less than swapping it, so the sign of that
+    product of two consecutive star separations decides, and the order
+    flips where it is negative.  A sample ties when the product is below
+    about 1e-12 in modulus (the great-circle rule this replaces tied only
+    when its two costs were within 1e-12) and is then ordered
+    lexicographically.  The lexicographic order counts coordinates within
+    the same 1e-12 as equal, so rounding noise on a coordinate whose
+    exact value both stars share does not decide it.  When no sample
+    after the first ties, the order is that of the first sample XOR the
+    accumulated flips; only a track with ties runs the restart
+    bookkeeping.  Returns an array of shape (samples, 2, 3), the
+    transpose of the (3, 2, samples) array the matching runs on.
     """
     if lift.dim != 3:
         raise ValueError("star trajectories are defined for dimension-3 curves")
     # the lift has checked its samples: finite, unit and one row each
-    stars = _factor(lift.psi).stars().T  # (coordinate, star, sample)
+    spinors = _kernel_spinors(lift.psi)[0]
+    stars = _unit_spinor_to_star(spinors.T).T  # (coordinate, star, sample)
     diff = stars[:, 0] - stars[:, 1]
     p = diff[:, :-1] * diff[:, 1:]
     d = p[0] + p[1] + p[2]
-    restart = np.concatenate([[True], np.abs(d) < 1e-12])
-    flips = np.logical_xor.accumulate(np.concatenate([[False], d < 0]) & ~restart)
-    # a restart sorts the pair; the first coordinate that differs by more
-    # than the tie tolerance outweighs the rest
-    starts = np.flatnonzero(restart)
-    gap = diff[:, starts]
-    ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
-    lex = _LEX_WEIGHTS @ ahead > 0
-    last = np.cumsum(restart) - 1  # index in starts of each sample's restart
-    flip = lex[last] ^ flips ^ flips[starts][last]
+    tied = np.abs(d) < 1e-12
+    turns = np.concatenate([[False], d < 0])
+    if tied.any():
+        restart = np.concatenate([[True], tied])
+        flips = np.logical_xor.accumulate(turns & ~restart)
+        starts = np.flatnonzero(restart)
+        last = np.cumsum(restart) - 1  # index in starts of each sample's restart
+        flip = _lex_ahead(diff[:, starts])[last] ^ flips ^ flips[starts][last]
+    else:
+        flip = _lex_ahead(diff[:, :1])[0] ^ np.logical_xor.accumulate(turns)
     return np.where(flip, stars[:, ::-1], stars).T
+
+
+def _lex_ahead(gap: np.ndarray) -> np.ndarray:
+    """Whether each column of star separations (3, k) puts the second
+    star first: a restart sorts the pair, and the first coordinate that
+    differs by more than the tie tolerance outweighs the rest."""
+    ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
+    return _LEX_WEIGHTS @ ahead > 0

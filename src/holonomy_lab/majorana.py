@@ -61,9 +61,10 @@ class MajoranaRep:
     its norm, so ``stars()`` reads unit spinors without normalizing again.
     The star kernel builds its spinors unit to a few ulp and hands them
     over as they are: they pass the same two checks but are not divided
-    again (see ``_kernel_rep``).  They are then the transpose of a
-    component-major (2, n-1, B) buffer, and ``stars()`` is the transpose
-    of a (3, n-1, B) one: same shapes and values, other strides.
+    again (see ``_kernel_spinors`` and ``_kernel_rep``).  They are then
+    the transpose of a component-major (2, n-1, B) buffer, and
+    ``stars()`` is the transpose of a (3, n-1, B) one: same shapes and
+    values, other strides.
     """
 
     spinors: np.ndarray
@@ -93,9 +94,16 @@ class MajoranaRep:
 def _check_rep(spinors: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Norms of the spinors; the scale must be finite and nonzero and
     every norm 1 within 1e-12."""
+    _check_scale(scale)
+    return _check_norms(_spinor_norms(spinors))
+
+
+def _check_scale(scale: np.ndarray) -> None:
     if not (np.isfinite(scale).all() and scale.all()):
         raise ValueError("scale must be finite and nonzero")
-    norms = _spinor_norms(spinors)
+
+
+def _check_norms(norms: np.ndarray) -> np.ndarray:
     # NaN fails the comparison; no spinors at all (n = 1) pass
     if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-12:
         raise ValueError("spinors must be unit normalized")
@@ -106,12 +114,11 @@ def _kernel_rep(spinors: np.ndarray, scale: np.ndarray) -> MajoranaRep:
     """MajoranaRep of the star kernel's complex spinors and scales.
 
     The shapes are already right and the spinors unit to a few ulp, so
-    the constructor's conversion and division are skipped.  The two
-    checks that the kernel's output can fail stay: its lead product can
-    underflow to a non-finite scale, and a spinor off unit norm would be
-    a kernel fault.
+    the constructor's conversion and division are skipped.  The spinor
+    stage has run the unit-norm check; the scale check stays, as the
+    lead product can underflow to a non-finite scale.
     """
-    _check_rep(spinors, scale)
+    _check_scale(scale)
     rep = object.__new__(MajoranaRep)
     object.__setattr__(rep, "spinors", spinors)
     object.__setattr__(rep, "scale", scale if scale.ndim else complex(scale))
@@ -244,16 +251,21 @@ def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.nda
     error of the monic polynomial, can open a double root into a gap of
     4 sqrt(eps) (1 + |t0| + |t1|); a gap within that is set to 0 and both
     roots are t0 / 2 exactly, the roots of the nearest double-root
-    polynomial.
+    polynomial.  The cut's moduli |u0| and |u1| / r are taken as
+    |t0| r and |t1| r, from the moduli the scaling reads.  The two forms
+    differ only where a part of t0, t1, u0 or u1 is subnormal; there the
+    cut is set by r or the gap lies near 1, far from the cut, so no root
+    changes a bit.
     """
-    size = np.frexp(np.maximum(np.abs(t0), np.sqrt(np.abs(t1))))[1]
+    m0, m1 = np.abs(t0), np.abs(t1)
+    size = np.frexp(np.maximum(m0, np.sqrt(m1)))[1]
     r = np.ldexp(1.0, -np.maximum(size, -1020))  # 1 / r stays finite
     u0, u1 = t0 * r, t1 * r * r
     square = u0 * u0 + 4.0 * u1
     disc = np.sqrt(square)
     np.negative(disc, out=disc, where=(np.conjugate(u0) * disc).real < 0)
     # r (1 + |t0| + |t1|) in the scaled variables; it cannot overflow
-    single = np.abs(disc) > _DOUBLE_ROOT * (r + np.abs(u0) + np.abs(u1) / r)
+    single = np.abs(disc) > _DOUBLE_ROOT * (r + m0 * r + m1 * r)
     disc *= single
     q = 0.5 * (t0 + disc / r)
     return q, np.divide(-t1, q, out=q.copy(), where=single)
@@ -294,31 +306,52 @@ def coefficients_to_roots(psi) -> MajoranaRep:
 def _factor(psi: np.ndarray) -> MajoranaRep:
     """coefficients_to_roots of a complex state or (B, n) batch already checked.
 
-    The kernel works component-major: row k of an (n, B) array holds
-    coefficient k of every state, so each per-state reduction (peak,
-    degree, zero count) runs over contiguous rows of length B rather than
-    along a short inner axis.  The spinors fill a (2, n-1, B) buffer,
-    handed out as its (B, n-1, 2) transpose.  Elementwise complex *, /
-    and sqrt round the same on contiguous, strided and one-element
-    arrays, which keeps every bit as in a row-major kernel, with two
-    exceptions taken care of here and in decompose.bi_factorization:
-
-    - beta.prod(axis=-1) over a short contiguous axis runs NumPy's
-      multiply reduce loop, which can round differently from the
-      elementwise b0 * b1 (whose loop may fuse a multiply-add), and
-      np.multiply.reduce(beta, axis=0) takes that reduce loop only on an
-      (m, 1) array.  A lead product along axis 0 would make a single
-      state differ from its row in a batch, so the lead is taken in row
-      order, from a contiguous (B, m) copy.
-    - spinors @ conj(xi) in bi_factorization changes the last bit of some
-      factors when the spinors are a transposed view, so it is given a
-      contiguous copy.
+    The rep stage of the star kernel: the spinor stage (_kernel_spinors)
+    fills the spinors, and this takes each row's lead, the top
+    coefficient of prod(alpha + beta z), as the product of its root
+    spinors' betas.  beta.prod(axis=-1) over a short contiguous axis runs
+    NumPy's multiply reduce loop, which can round differently from the
+    elementwise b0 * b1 (whose loop may fuse a multiply-add), and
+    np.multiply.reduce(beta, axis=0) takes that reduce loop only on an
+    (m, 1) array.  A lead product along axis 0 would make a single state
+    differ from its row in a batch, so the lead is taken in row order,
+    from a contiguous (B, m) copy.  The highest surviving coefficient
+    over sqrt((n-1)!) times the lead is the scale, which must be finite
+    and nonzero.  The spinors are handed out as the (B, n-1, 2)
+    transpose of the stage's buffer.
     """
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
-    binomial, factorial = _weights(n)
+    spinors, groups, top = _kernel_spinors(batch)
+    betas = spinors[1].T  # (B, n-1)
+    lead = np.ones(count, dtype=complex)
+    for d, z, rows in groups:
+        if d > z:
+            lead[rows] = np.ascontiguousarray(betas[rows, n - 1 - d:n - 1 - z]).prod(axis=-1)
+    scale = top / (_weights(n)[1][0] * lead)
+    return _kernel_rep(spinors.T.reshape(psi.shape[:-1] + (n - 1, 2)),
+                       scale.reshape(psi.shape[:-1]))
+
+
+def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """Spinor stage of the star kernel on a checked (B, n) batch.
+
+    Returns the (2, n-1, B) spinor buffer, checked unit within 1e-12,
+    the row groups (degree, zeros, rows) and each row's highest surviving
+    coefficient.  The stage works component-major: row k of an (n, B)
+    array holds coefficient k of every state, so each per-state reduction
+    (peak, degree, zero count) runs over contiguous rows of length B
+    rather than along a short inner axis.  Elementwise complex *, / and
+    sqrt round the same on contiguous, strided and one-element arrays,
+    which keeps every bit as in a row-major kernel; the exceptions are
+    the lead product (see _factor) and decompose.bi_factorization's
+    product over the transposed spinors, which is given a contiguous
+    copy.  The norms are taken over the buffer's contiguous rows and
+    decide as the constructor's check does.
+    """
+    count, n = batch.shape
     amps = np.ascontiguousarray(batch.T)
-    coeffs = amps * binomial[:, None]
+    coeffs = amps * _weights(n)[0][:, None]
     # the cut reads amplitudes, where rounding noise lives (weights pass 1e8 at n = 58)
     mags = np.abs(amps)
     peak = mags.max(axis=0)
@@ -326,7 +359,6 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
         raise ValueError("zero vector has no star decomposition")
     cut = TAU_LEAD * peak
     spinors = np.empty((2, n - 1, count), dtype=complex)
-    lead = np.ones(count, dtype=complex)  # top coefficient of prod(alpha + beta z)
     if (mags[-1] > cut).all() and mags[0].all():  # full degree, no root at 0
         groups = [(n - 1, 0, slice(None))]
         top = coeffs[-1]
@@ -379,29 +411,46 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
             b = np.conjugate(roots) / -mod
         b /= h
         beta[:, rows] = b
-        lead[rows] = np.ascontiguousarray(b.T).prod(axis=-1)
-    # the highest surviving coefficient fixes the scale
-    scale = top / (factorial[0] * lead)
-    return _kernel_rep(spinors.T.reshape(psi.shape[:-1] + (n - 1, 2)),
-                       scale.reshape(psi.shape[:-1]))
+    mod = np.abs(spinors)
+    _check_norms(np.hypot(mod[0], mod[1]))
+    return spinors, groups, top
 
 
 def _expand(spinors: np.ndarray) -> np.ndarray:
-    """Coefficients of prod_k (alpha_k + beta_k z), lowest power first."""
-    count = spinors.shape[-2]
-    poly = np.zeros(spinors.shape[:-2] + (count + 1,), dtype=complex)
-    poly[..., :2] = spinors[..., 0, :] if count else 1.0
+    """Coefficients of prod_k (alpha_k + beta_k z), power-major.
+
+    Row j of the result holds power j (lowest first) of every product,
+    the batch axes following in reverse order: the result is the
+    transpose of the (..., count+1) coefficient array.  The product runs
+    on spinors.T, for the star kernel's spinors its contiguous
+    (2, n-1, B) buffer, and factor k updates the rows it reaches,
+    poly[:k+2], in place over contiguous rows of length B.  Each entry
+    sees the same multiplies and adds in the same order as in a row-major
+    loop, so the values are the same; only a power no factor has reached
+    yet stays +0 instead of taking the sign of zero arithmetic, which can
+    show in the sign of an exactly zero amplitude of hand-built spinors.
+    """
+    sp = spinors.T  # (2, count, ...): the batch axes reversed
+    count = sp.shape[1]
+    poly = np.zeros((count + 1,) + sp.shape[2:], dtype=complex)
+    poly[:2] = sp[:, 0] if count else 1.0
     for k in range(1, count):
-        shifted = poly[..., :-1] * spinors[..., k, 1, None]
-        poly *= spinors[..., k, 0, None]
-        poly[..., 1:] += shifted
+        shifted = poly[:k + 1] * sp[1, k]
+        poly[:k + 1] *= sp[0, k]
+        poly[1:k + 2] += shifted
     return poly
 
 
 def roots_to_coefficients(rep: MajoranaRep) -> np.ndarray:
-    """Expand a spinor multiset times scale (or a batch of them) into amplitudes."""
-    scale = np.asarray(rep.scale)[..., None]
-    return scale * _expand(rep.spinors) * _weights(rep.dim)[1]
+    """Expand a spinor multiset times scale (or a batch of them) into amplitudes.
+
+    The scale multiplies the power-major expansion, and the weights are
+    applied in the pass that writes the row-major amplitudes.  The scale
+    stays the left operand: NumPy's complex multiply may fuse a
+    multiply-add, and then b * a can round differently from a * b.
+    """
+    amps = np.asarray(rep.scale).T * _expand(rep.spinors)
+    return np.multiply(amps.T, _weights(rep.dim)[1], order="C")
 
 
 def pure_product_state(xi, n: int) -> np.ndarray:

@@ -19,7 +19,12 @@ numbers.
 ``rowmajor_factor`` and ``rowmajor_stars`` keep the batched kernel as it
 was before it went component-major: one row per state, the spinors in a
 (B, n-1, 2) array and the stars in a (B, n-1, 3) array.  The kernel must
-equal them bit for bit.
+equal them bit for bit.  ``rowmajor_expand`` keeps the spinor product
+as it ran along the last axis before it went power-major, and
+``hypot_quadratic_roots`` the closed-form pair with the cut's moduli
+taken from the scaled coefficients.  ``restart_order`` keeps the
+trajectory matching that runs the restart bookkeeping on every track,
+also one whose only restart is its first sample.
 """
 
 import math
@@ -186,7 +191,7 @@ def oracle_schwinger_transpose(u, n):
     u = np.asarray(u, dtype=complex)
     pick = (np.add.outer(np.arange(n), np.arange(n - 1)) >= n - 1).astype(np.intp)
     f = _weights(n)[1]
-    return _expand(u.T[pick]) * (f / f[:, None])
+    return _expand(u.T[pick]).T * (f / f[:, None])
 
 
 def oracle_schwinger_sum(u, n):
@@ -309,3 +314,50 @@ def rowmajor_stars(spinors):
     star[..., 0], star[..., 1] = 2.0 * ab.real, 2.0 * ab.imag
     star[..., 2] = np.abs(a) ** 2 - np.abs(b) ** 2
     return star
+
+
+def rowmajor_expand(spinors):
+    """Coefficients of prod_k (alpha_k + beta_k z), lowest power first,
+    every power updated by every factor along the last axis."""
+    count = spinors.shape[-2]
+    poly = np.zeros(spinors.shape[:-2] + (count + 1,), dtype=complex)
+    poly[..., :2] = spinors[..., 0, :] if count else 1.0
+    for k in range(1, count):
+        shifted = poly[..., :-1] * spinors[..., k, 1, None]
+        poly *= spinors[..., k, 0, None]
+        poly[..., 1:] += shifted
+    return poly
+
+
+def hypot_quadratic_roots(t0, t1):
+    """``majorana._quadratic_roots`` with the cut's moduli |u0| and
+    |u1| / r taken from the scaled coefficients."""
+    size = np.frexp(np.maximum(np.abs(t0), np.sqrt(np.abs(t1))))[1]
+    r = np.ldexp(1.0, -np.maximum(size, -1020))
+    u0, u1 = t0 * r, t1 * r * r
+    disc = np.sqrt(u0 * u0 + 4.0 * u1)
+    np.negative(disc, out=disc, where=(np.conjugate(u0) * disc).real < 0)
+    single = np.abs(disc) > mj._DOUBLE_ROOT * (r + np.abs(u0) + np.abs(u1) / r)
+    disc *= single
+    q = 0.5 * (t0 + disc / r)
+    return q, np.divide(-t1, q, out=q.copy(), where=single)
+
+
+def restart_order(stars):
+    """Star pairs (samples, 2, 3) of unordered pairs (samples, 2, 3), each
+    sample kept or swapped by the sign of the product of consecutive star
+    separations and every restart (sample 0 and each tie) sorted
+    lexicographically, through the restart bookkeeping for every track."""
+    stars = stars.T  # (coordinate, star, sample)
+    diff = stars[:, 0] - stars[:, 1]
+    p = diff[:, :-1] * diff[:, 1:]
+    d = p[0] + p[1] + p[2]
+    restart = np.concatenate([[True], np.abs(d) < 1e-12])
+    flips = np.logical_xor.accumulate(np.concatenate([[False], d < 0]) & ~restart)
+    starts = np.flatnonzero(restart)
+    gap = diff[:, starts]
+    ahead = np.sign(gap, where=np.abs(gap) > 1e-12, out=np.zeros_like(gap))
+    lex = np.array([4.0, 2.0, 1.0]) @ ahead > 0
+    last = np.cumsum(restart) - 1
+    flip = lex[last] ^ flips ^ flips[starts][last]
+    return np.where(flip, stars[:, ::-1], stars).T

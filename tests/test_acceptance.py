@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import angles, curves, decompose, majorana
-from holonomy_lab.selftest import CRITERIA, run
+from holonomy_lab.selftest import CRITERIA, _spin_exponential, run
 
 
 @functools.cache
@@ -74,6 +74,22 @@ def test_criterion_10_loop_phase_three_segments():
 
 def test_criterion_11_rotation_covariance():
     by_number(11)
+
+
+def test_criterion_11_exponential_needs_no_eigenbasis(monkeypatch):
+    # the series exponential checks su2_apply, which diagonalizes J_y, by
+    # a route of its own: it matches SciPy's expm with eigh unavailable
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(11)
+    cases = [(majorana.random_su2(rng), n) for n in range(1, 21) for _ in range(5)]
+    monkeypatch.setattr(np.linalg, "eigh", None)
+    for u, n in cases:
+        a = -0.5 * np.einsum("kab,ba->k", majorana.SIGMA, u).imag
+        theta = 2.0 * math.atan2(np.linalg.norm(a), 0.5 * np.trace(u).real)
+        nhat = a / np.linalg.norm(a)
+        generator = sum(c * j for c, j in zip(nhat, majorana.spin_matrices(n)))
+        want = expm(-1j * theta * generator)
+        assert np.max(np.abs(_spin_exponential(u, n) - want)) <= 1e-13
 
 
 def test_criterion_12_phase_covariance():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holonomy_lab import core, majorana as mj
+from holonomy_lab import core, curves, majorana as mj
+from holonomy_lab.decompose import star_trajectory
 
 from conftest import assert_unitary
 from star_oracle import (
@@ -194,10 +195,17 @@ class TestKernelRep:
             mj._kernel_rep(np.array([[[1.0, 0.0]], [[0.0, 1.0]]], dtype=complex),
                            np.array([1.0, scale], dtype=complex))
 
-    def test_off_unit_spinor_raises(self):
-        spinors = np.array([[1.0, 0.0], [0.6, 0.8 * (1.0 + 1e-9)]], dtype=complex)
-        with pytest.raises(ValueError, match="unit normalized"):
-            mj._kernel_rep(spinors, np.array(1.0 + 0j))
+    def test_off_unit_spinor_raises(self, monkeypatch):
+        # the spinor stage checks the norms, so a kernel fault that builds
+        # an off-unit spinor is refused by the factoring and by the star
+        # trajectory, which never form a MajoranaRep of their own
+        monkeypatch.setattr(mj, "_NORTH", np.array([1.0 + 1e-9, 0.0])[:, None, None])
+        s = np.linspace(0.0, 1.0, 5)
+        lower = np.array([[math.cos(t), math.sin(t), 0.0] for t in s], dtype=complex)
+        for call in (lambda: mj.coefficients_to_roots(lower),
+                     lambda: star_trajectory(curves.CurveLift(s, lower))):
+            with pytest.raises(ValueError, match="unit normalized"):
+                call()
 
 
 def oracle_check_rep(spinors, scale):

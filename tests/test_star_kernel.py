@@ -15,11 +15,14 @@ from holonomy_lab.decompose import star_trajectory
 from conftest import random_triad
 
 from star_oracle import (
+    hypot_quadratic_roots,
     oracle_decomposition,
     oracle_order,
     oracle_stars,
     oracle_trajectory,
     paired_spinors,
+    restart_order,
+    rowmajor_expand,
     rowmajor_factor,
     rowmajor_stars,
 )
@@ -228,6 +231,39 @@ class TestRowMajorParity:
             assert (rep.spinors @ u.T).tobytes() == want.tobytes()
 
 
+class TestPowerMajorExpansion:
+    """_expand runs power-major on spinors.T and keeps the row-major values."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 257])
+    def test_kernel_spinors_keep_every_bit(self, rng, rows):
+        for n in range(1, 21):
+            batch = mixed_batch(rng, n, max(rows, 6))[:rows] if n > 1 else np.ones((rows, 1))
+            for psi in (batch, batch[0]):
+                rep = mj.coefficients_to_roots(psi)
+                got = mj._expand(rep.spinors).T
+                assert got.tobytes() == rowmajor_expand(rep.spinors).tobytes()
+                amps = mj.roots_to_coefficients(rep)
+                assert amps.flags.c_contiguous
+                assert amps.tobytes() == (np.asarray(rep.scale)[..., None]
+                                          * rowmajor_expand(rep.spinors)
+                                          * mj._weights(n)[1]).tobytes()
+
+    def test_hand_built_spinors_keep_every_value(self, rng):
+        # spinors of any phase, poles included: a power that no factor has
+        # reached stays +0, where the row-major loop may leave -0, so only
+        # the sign of an exactly zero coefficient can differ
+        for n, lead in itertools.product(range(1, 12), ((), (2,), (2, 3))):
+            z = rng.standard_normal(lead + (n - 1, 2, 2)) @ [1.0, 1j]
+            if n > 2:
+                z[..., 0, :] = [np.exp(2j * np.pi * rng.uniform()), 0.0]
+                z[..., -1, :] = [0.0, -1.0]
+            spinors = z / np.linalg.norm(z, axis=-1, keepdims=True)
+            got, want = mj._expand(spinors).T, rowmajor_expand(spinors)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            got = np.ascontiguousarray(got).view(float)
+            assert (got[got != want.view(float)] == 0.0).all()
+
+
 def quadratic_rows(c0, c1, c2):
     """n = 3 states whose star polynomial is c2 z^2 + c1 z + c0."""
     return np.stack(np.broadcast_arrays(c0, c1 / np.sqrt(2.0), c2),
@@ -358,6 +394,25 @@ class TestClosedFormPairs:
             assert np.array_equal(single.spinors, rep.spinors[i])
             assert single.scale == rep.scale[i]
 
+    def test_cut_moduli_keep_the_root_bits(self, rng):
+        # |t0| r and |t1| r stand in for |u0| and |u1| / r; over the whole
+        # exponent range, subnormal parts included, the roots keep every bit
+        count = 200_000
+        exps = rng.integers(-1080, 1024, size=(4, count))
+        parts = np.ldexp(rng.uniform(0.5, 1.0, size=(4, count)), exps)
+        parts *= rng.choice([-1.0, 1.0], size=(4, count))
+        t0, t1 = parts[0] + 1j * parts[1], parts[2] + 1j * parts[3]
+        # a tenth with both parts of one size, a tenth with t1 = 0, and a
+        # tenth near a double root, where the cut decides
+        t0[::10] *= np.exp(2j * np.pi * rng.uniform(size=t0[::10].size))
+        t1[1::10] = 0.0
+        with np.errstate(all="ignore"):
+            w = t0[2::10] / 2.0
+            t1[2::10] = -w * w * (1.0 + 1e-7 * rng.uniform(-10.0, 10.0, size=w.size))
+            got, want = mj._quadratic_roots(t0, t1), hypot_quadratic_roots(t0, t1)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
     def test_su2_apply_keeps_double_stars(self, rng):
         xis = [mj.as_spinor(core.random_state(2, rng)) for _ in range(50)]
         batch = np.array([mj.pure_product_state(xi, 3) for xi in xis])
@@ -457,6 +512,84 @@ class TestTrajectoryParity:
             e[k] = 1.0
             ties = assert_same_trajectory(through_exact_sample(rng, e))
             assert 32 in ties or 33 in ties
+
+
+def trajectory_lifts(rng):
+    """Geodesic and eps-family lifts, a lift from a lower-degree sample, the
+    golden fixtures with ties and lifts with ties in the middle."""
+    lifts = []
+    for seed in range(4):
+        gen = np.random.default_rng(seed)
+        a, b = core.random_state(3, gen), core.random_state(3, gen)
+        lifts.append(curves.geodesic_lift(*curves.in_phase_gauge(a, b), grid=257))
+    lifts += [eps_family_lift(100 + seed, eps, 257) for seed, eps in enumerate((0.1, 1.2))]
+    a, b = core.random_state(3, rng), core.random_state(3, rng)
+    a[2] = 0.0
+    lifts.append(curves.geodesic_lift(*curves.in_phase_gauge(a / np.linalg.norm(a), b),
+                                      grid=257))
+    lifts += [golden_lift("meridian_trajectory", 2),
+              golden_lift("two_component_trajectory", 1)]
+    for k in (0, 2):
+        e = np.zeros(3, dtype=complex)
+        e[k] = 1.0
+        lifts.append(through_exact_sample(rng, e))
+    return lifts
+
+
+def interior_ties(stars):
+    """Whether any sample after the first ties, for stars (samples, 2, 3)."""
+    diff = stars[:, 0] - stars[:, 1]
+    return bool((np.abs(np.sum(diff[:-1] * diff[1:], axis=1)) < 1e-12).any())
+
+
+class TestSpinorStage:
+    """star_trajectory reads its stars off the kernel's spinor stage and
+    forms no scale; the stars and their order keep every bit."""
+
+    def test_stars_are_the_factored_stars_reordered(self, rng):
+        for lift in trajectory_lifts(rng):
+            got = star_trajectory(lift)
+            stars = mj.coefficients_to_roots(lift.psi).stars()
+            assert got.shape == stars.shape
+            bits, want = np.ascontiguousarray(got), np.ascontiguousarray(stars)
+            kept = (bits == want).all(axis=(1, 2))
+            swapped = (bits == want[:, ::-1]).all(axis=(1, 2))
+            assert (kept | swapped).all()
+            assert bits.tobytes() == np.where((~kept)[:, None, None], want[:, ::-1],
+                                              want).tobytes()
+
+    def test_tracks_with_and_without_interior_restarts(self, rng):
+        # a track whose only restart is sample 0 skips the restart
+        # bookkeeping; both kinds match the general matching code
+        seen = set()
+        for lift in trajectory_lifts(rng):
+            stars = mj.coefficients_to_roots(lift.psi).stars()
+            seen.add(interior_ties(stars))
+            assert star_trajectory(lift).tobytes() == restart_order(stars).tobytes()
+        assert seen == {False, True}
+
+    def test_restart_order_ignores_rounding_noise_in_the_stars(self, monkeypatch):
+        # as test_restart_order_ignores_rounding_noise, with the noise put
+        # into the stars the trajectory reads off the spinor stage
+        lift = golden_lift("meridian_trajectory", 2)
+        want = star_trajectory(lift)
+        stars = mj.coefficients_to_roots(lift.psi).stars()
+        for noise in (1e-30, -1e-30):
+            noisy = stars.copy()
+            noisy[:, 0, 0] += noise
+            monkeypatch.setattr(decompose, "_unit_spinor_to_star", lambda xi: noisy)
+            assert np.max(np.abs(star_trajectory(lift) - want)) <= 1e-12
+
+    def test_unit_dimension_3_samples_keep_a_finite_scale(self, rng):
+        # the trajectory forms no scale, so no unit sample may need the
+        # scale check: the degree cut keeps |A2| above 1e-10 times the
+        # peak, which bounds the roots and the lead product away from 0
+        sizes = [0.0, 5e-324, 1e-300, 1e-150, 1.0000001e-10, 1e-5, 0.5, 1.0]
+        rows = np.array([r for r in itertools.product(sizes, repeat=3) if max(r) == 1.0])
+        rows = rows * np.exp(2j * np.pi * rng.uniform(size=rows.shape))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        scale = np.abs(mj.coefficients_to_roots(rows).scale)
+        assert 1e-12 < scale.min() and scale.max() < 1e12
 
 
 def endpoint(kind, rng):
