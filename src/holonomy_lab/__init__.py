@@ -35,7 +35,6 @@ from .angles import (
 from .majorana import (
     MajoranaRep,
     coefficients_to_roots,
-    dim_to_spin,
     overlap_general,
     permanent,
     pure_product_state,

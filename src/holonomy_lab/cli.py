@@ -12,6 +12,7 @@ deterministic for fixed inputs and flags.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -51,6 +52,21 @@ def _load(path: str, reader):
         return reader(text)
     except ValueError as exc:
         raise _InputError(f"{path}: {exc}") from exc
+
+
+def _states(path: str, task: str | None = None) -> list[np.ndarray]:
+    """The states of a JSON file; exactly three when ``task`` needs a triad."""
+    states = _load(path, lambda t: formats.states_from_dict(formats.json_loads(t)))
+    if task and len(states) != 3:
+        raise ValueError(f"{task} needs exactly 3 states, got {len(states)}")
+    return states
+
+
+def _params(path: str) -> dict:
+    params = _load(path, formats.json_loads)
+    if not isinstance(params, dict):
+        raise _InputError("parameter file must hold a JSON object")
+    return params
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -125,11 +141,7 @@ def _phase_of(invariant: complex) -> float:
 
 
 def _angles_dict(a: ang.IntrinsicAngles) -> dict:
-    return {
-        "theta_12": a.theta_12, "theta_23": a.theta_23, "theta_31": a.theta_31,
-        "phi_12": a.phi_12, "phi_23": a.phi_23, "phi_31": a.phi_31,
-        "phi_g": a.phi_g,
-    }
+    return {**dataclasses.asdict(a), "phi_g": a.phi_g}
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +149,7 @@ def _angles_dict(a: ang.IntrinsicAngles) -> dict:
 
 
 def _cmd_bi(args) -> int:
-    states = _load(args.states, lambda t: formats.states_from_dict(
-        formats.json_loads(t)))
-    states = [core.normalize(s) for s in states]
+    states = [core.normalize(s) for s in _states(args.states)]
     delta = core.bargmann(states)
     _emit_json({
         "order": len(states),
@@ -150,19 +160,13 @@ def _cmd_bi(args) -> int:
 
 
 def _cmd_angles(args) -> int:
-    states = _load(args.triad, lambda t: formats.states_from_dict(
-        formats.json_loads(t)))
-    if len(states) != 3:
-        raise ValueError(f"angle extraction needs exactly 3 states, got {len(states)}")
-    got = ang.extract_angles(*states)
+    got = ang.extract_angles(*_states(args.triad, "angle extraction"))
     _emit_json(_angles_dict(got), args.output)
     return 0
 
 
 def _cmd_reconstruct(args) -> int:
-    params = _load(args.params, formats.json_loads)
-    if not isinstance(params, dict):
-        raise _InputError("parameter file must hold a JSON object")
+    params = _params(args.params)
     t12 = _float_field(params, "theta_12")
     t31 = _float_field(params, "theta_31")
     if args.space == "coherent":
@@ -195,9 +199,7 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_phase(args) -> int:
-    params = _load(args.params, formats.json_loads)
-    if not isinstance(params, dict):
-        raise _InputError("parameter file must hold a JSON object")
+    params = _params(args.params)
     t12 = _float_field(params, "theta_12")
     t31 = _float_field(params, "theta_31")
     phi = _float_field(params, "phi")
@@ -209,13 +211,11 @@ def _cmd_phase(args) -> int:
 
 def _cmd_majorana(args) -> int:
     if args.action == "rebuild":
-        rep = _load(args.state, lambda t: formats.rep_from_dict(
-            formats.json_loads(t)))
+        rep = _load(args.state, lambda t: formats.rep_from_dict(formats.json_loads(t)))
         psi = majorana.roots_to_coefficients(rep)
         _emit_json(formats.state_to_dict(psi), args.output)
         return 0
-    state = _load(args.state, lambda t: formats.state_from_dict(
-        formats.json_loads(t)))
+    state = _load(args.state, lambda t: formats.state_from_dict(formats.json_loads(t)))
     rep = majorana.coefficients_to_roots(state)
     if args.action == "roots":
         _emit_json(formats.rep_to_dict(rep), args.output)
@@ -266,11 +266,7 @@ def _cmd_npc_loop(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    states = _load(args.triad, lambda t: formats.states_from_dict(
-        formats.json_loads(t)))
-    if len(states) != 3:
-        raise ValueError(f"decomposition needs exactly 3 states, got {len(states)}")
-    triad = [core.normalize(s) for s in states]
+    triad = [core.normalize(s) for s in _states(args.triad, "decomposition")]
     angles = ang.extract_angles(*triad)
     red = decompose.reduce_triad(*triad)
     factors = decompose.bi_factorization(red)

@@ -40,14 +40,15 @@ from .core import inner, normalize, principal_angle, ray_angle
 class CurveLift(object):
     """Uniformly sampled unit-norm path in Hilbert space.
 
-    ``s`` and ``psi`` are read-only copies of the inputs, so a caller that
-    writes to its own arrays afterwards changes nothing here.  The
-    conjugate samples and the lag-1 overlaps (psi_i, psi_{i+1}), which the
-    unit-norm and degeneracy checks form, are kept read-only as well, for
-    :func:`connection_integral` and :func:`verify_npc` to read.  The lift
-    builders of this module and the CSV reader hand over arrays they have
-    just made through ``_owned``, which runs the same checks without the
-    copy; geodesic lifts of one size hold the same cached grid.
+    ``s`` (1-D, never flattened) and ``psi`` are read-only copies of the
+    inputs, so a caller that writes to its own arrays afterwards changes
+    nothing here.  The conjugate samples and the lag-1 overlaps
+    (psi_i, psi_{i+1}), which the unit-norm and degeneracy checks form,
+    are kept read-only as well, for :func:`connection_integral` and
+    :func:`verify_npc` to read.  The lift builders of this module and the
+    CSV reader hand over arrays they have just made through ``_owned``,
+    which runs the same checks without the copy; geodesic lifts of one
+    size hold the same cached grid.
     """
 
     s: np.ndarray
@@ -56,8 +57,10 @@ class CurveLift(object):
     _lag1: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._seal(np.array(self.s, dtype=float).reshape(-1),
-                   np.array(self.psi, dtype=complex))
+        s = np.array(self.s, dtype=float)
+        if s.ndim != 1:
+            raise ValueError(f"sample grid must be 1-D, got shape {s.shape}")
+        self._seal(s, np.array(self.psi, dtype=complex))
 
     @classmethod
     def _owned(cls, s: np.ndarray, psi: np.ndarray) -> "CurveLift":
@@ -129,17 +132,19 @@ class CurveFrame:
 
 @dataclass(frozen=True)
 class RealProfile:
-    """Real profile x(s) of m >= 2 components sampled on a uniform grid of
-    at least 3 samples, as a lift needs."""
+    """Real profile x(s) of m >= 2 components sampled on a uniform 1-D grid
+    of at least 3 samples, as a lift needs."""
 
     s: np.ndarray
     x: np.ndarray  # shape (len(s), m), real
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.s, dtype=float).reshape(-1)
+        s = np.asarray(self.s, dtype=float)
         x = np.asarray(self.x, dtype=float)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "x", x)
+        if s.ndim != 1:
+            raise ValueError(f"sample grid must be 1-D, got shape {s.shape}")
         if s.size < 3:
             raise ValueError("a profile needs at least 3 samples")
         if x.ndim != 2 or x.shape[0] != s.size:

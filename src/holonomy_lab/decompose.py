@@ -158,8 +158,9 @@ def solid_angle(n1, n2, n3) -> float:
 
 
 def _vertex(nhat) -> tuple[list[float], list[complex]]:
-    """A star as three floats, with its spinor from star_to_spinor."""
-    star = np.asarray(nhat, dtype=float).reshape(3)
+    """A star as three floats, with its spinor from star_to_spinor (which
+    refuses any shape but (3,))."""
+    star = np.asarray(nhat, dtype=float)
     return star.tolist(), star_to_spinor(star).tolist()
 
 

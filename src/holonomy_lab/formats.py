@@ -183,19 +183,17 @@ def curve_from_csv(text: str) -> CurveLift:
     for k in range(dim):
         if header[1 + 2 * k] != f"re_{k}" or header[2 + 2 * k] != f"im_{k}":
             raise ValueError(f"curve CSV header: expected re_{k},im_{k} columns")
-    svals = np.empty(len(rows) - 1)
-    psi = np.empty((len(rows) - 1, dim), dtype=complex)
-    for i, row in enumerate(rows[1:]):
+    values = []
+    for i, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
-            raise ValueError(f"curve CSV row {i + 1} has {len(row)} fields")
+            raise ValueError(f"curve CSV row {i} has {len(row)} fields")
         try:
-            vals = [float(c) for c in row]
+            values.append([float(c) for c in row])
         except ValueError as exc:
-            raise ValueError(f"curve CSV row {i + 1}: {exc}") from exc
-        svals[i] = vals[0]
-        psi[i] = np.array(vals[1::2]) + 1j * np.array(vals[2::2])
-    # both arrays were just parsed here, so the lift takes them uncopied
-    return CurveLift._owned(svals, psi)
+            raise ValueError(f"curve CSV row {i}: {exc}") from exc
+    table = np.array(values)
+    # both arrays were just made here, so the lift takes them uncopied
+    return CurveLift._owned(table[:, 0].copy(), table[:, 1::2] + 1j * table[:, 2::2])
 
 
 def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:

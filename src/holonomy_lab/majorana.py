@@ -135,7 +135,7 @@ def as_spinor(xi) -> np.ndarray:
     """Unit spinor, or unit rows of a (..., 2) array of spinors."""
     xi = np.asarray(xi, dtype=complex)
     if xi.shape[-1:] != (2,):
-        xi = xi.reshape(2)
+        raise ValueError(f"spinors must have shape (..., 2), got {xi.shape}")
     n = _spinor_norms(xi)[..., None]
     # complex division by a subnormal norm gives inf and NaN; NaN fails too
     if not (_TINY <= n.min(initial=1.0) and n.max(initial=1.0) < math.inf):
@@ -161,9 +161,13 @@ def _unit_spinor_to_star(xi: np.ndarray) -> np.ndarray:
     return star.T
 
 
-def _check_unit_vectors(nhat, shape) -> np.ndarray:
-    """nhat as floats of the given (..., 3) shape; each row a finite unit vector."""
-    nhat = np.asarray(nhat, dtype=float).reshape(shape)
+def _check_unit_vectors(nhat, ndim: int) -> np.ndarray:
+    """nhat as floats: one star (3,) if ndim is 1, a set (m, 3) if it is 2;
+    each row a finite unit vector."""
+    nhat = np.asarray(nhat, dtype=float)
+    if nhat.ndim != ndim or nhat.shape[-1:] != (3,):
+        raise ValueError(f"stars must have shape {('(3,)', '(m, 3)')[ndim - 1]},"
+                         f" got {nhat.shape}")
     # hypot does not overflow; NaN fails the comparison
     if not (abs(np.hypot.reduce(nhat, axis=-1) - 1.0) <= 1e-12).all():
         raise ValueError("star must be a finite unit vector")
@@ -172,7 +176,7 @@ def _check_unit_vectors(nhat, shape) -> np.ndarray:
 
 def star_to_spinor(nhat) -> np.ndarray:
     """Inverse of spinor_to_star with the phase fixed: alpha real >= 0."""
-    nhat = _check_unit_vectors(nhat, 3)
+    nhat = _check_unit_vectors(nhat, 1)
     a = math.sqrt(max(0.0, (1.0 + nhat[2]) / 2.0))
     if a < 1e-14:
         return np.array([0.0, 1.0], dtype=complex)
@@ -615,10 +619,9 @@ def random_su2(seed=None) -> np.ndarray:
 def spin_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spin operators (J1, J2, J3) in the fixed M-descending basis."""
     j = dim_to_spin(n)
-    jp = np.zeros((n, n), dtype=complex)
-    for k in range(1, n):
-        jp[k - 1, k] = math.sqrt(k * (n - k))  # sqrt((j-m)(j+m+1)) at m = j-k
-    j3 = np.diag([j - k for k in range(n)]).astype(complex)
+    k = np.arange(n)  # sqrt((j-m)(j+m+1)) at m = j-k lies in column k of J+
+    jp = np.diag(np.sqrt(k[1:] * (n - k[1:])), 1).astype(complex)
+    j3 = np.diag(j - k).astype(complex)
     j1 = (jp + jp.conj().T) / 2.0
     j2 = (jp - jp.conj().T) / 2.0j
     return j1, j2, j3
@@ -631,7 +634,7 @@ def weight_residual(psi, nhat) -> float:
     is, the pure product whose stars all sit at n_hat.
     """
     psi = normalize(psi)
-    nhat = _check_unit_vectors(nhat, 3)
+    nhat = _check_unit_vectors(nhat, 1)
     n = psi.size
     j1, j2, j3 = spin_matrices(n)
     h = nhat[0] * j1 + nhat[1] * j2 + nhat[2] * j3
@@ -678,8 +681,8 @@ def _min_sum_assignment(cost: np.ndarray) -> np.ndarray:
 
 def star_matching_distance(stars_a, stars_b) -> float:
     """Largest chordal distance under the min-sum pairing of two star sets."""
-    a = _check_unit_vectors(stars_a, (-1, 3))
-    b = _check_unit_vectors(stars_b, (-1, 3))
+    a = _check_unit_vectors(stars_a, 2)
+    b = _check_unit_vectors(stars_b, 2)
     if a.shape != b.shape:
         raise ValueError("star sets must have equal size")
     if a.shape[0] == 0:

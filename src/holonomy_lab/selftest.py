@@ -208,14 +208,12 @@ def _round_trip_errors(psi: np.ndarray) -> np.ndarray:
 def _check_root_round_trip(rng) -> tuple[Measure, ...]:
     errs = []
     for n in range(2, 21):
-        batch = np.empty((1000, n), dtype=complex)
-        for i in range(1000):
-            psi = core.random_state(n, rng)
-            if i < 100:
-                zeros = 1 if n == 2 else int(rng.integers(1, 3))
-                psi[n - zeros:] = 0.0
-                psi = core.normalize(psi)
-            batch[i] = psi
+        parts = rng.standard_normal((1000, 2, n))
+        batch = parts[:, 0] + 1j * parts[:, 1]
+        # the first 100 rows lose their last one or two amplitudes
+        zeros = 1 if n == 2 else rng.integers(1, 3, size=(100, 1))
+        np.copyto(batch[:100], 0.0, where=np.arange(n) >= n - zeros)
+        batch /= np.linalg.norm(batch, axis=1)[:, None]
         errs.append(_round_trip_errors(batch))
     return (_measure("19000 vectors (n = 2..20, 100 per n with forced leading"
                      " zeros), max relative error", errs, 1e-8),)
@@ -289,12 +287,10 @@ def _check_npc_verifier(rng) -> tuple[Measure, ...]:
 def _random_real_lift(rng, dim: int, grid: int) -> tuple[curves.CurveLift, np.ndarray]:
     """Smooth random real-profile lift; returns the lift and its grid."""
     s = np.linspace(0.0, 1.0, grid)
-    x = np.empty((grid, dim))
-    for k in range(dim):
-        c = rng.uniform(-1.0, 1.0, size=3)
-        x[:, k] = 1.0 + 0.3 * (c[0] * np.cos(np.pi * s)
-                               + c[1] * np.cos(2 * np.pi * s) / 2
-                               + c[2] * np.cos(3 * np.pi * s) / 3)
+    c = rng.uniform(-1.0, 1.0, size=(dim, 3))  # one row of weights per column
+    x = 1.0 + 0.3 * (c[:, 0] * np.cos(np.pi * s)[:, None]
+                     + c[:, 1] * np.cos(2 * np.pi * s)[:, None] / 2
+                     + c[:, 2] * np.cos(3 * np.pi * s)[:, None] / 3)
     x /= np.linalg.norm(x, axis=1)[:, None]
     return curves.CurveLift(s, x.astype(complex)), s
 

@@ -58,6 +58,12 @@ class TestCurveLift:
         with pytest.raises(ValueError, match="3 samples"):
             CurveLift(np.array([0.0, 1.0]), psi)
 
+    def test_grid_of_two_axes_is_refused(self):
+        # a (3, 3) grid is not flattened into nine samples
+        psi = np.tile([1.0 + 0j, 0.0], (9, 1))
+        with pytest.raises(ValueError, match=r"1-D, got shape \(3, 3\)"):
+            CurveLift(np.linspace(0, 1, 9).reshape(3, 3), psi)
+
     def test_non_uniform_grid(self):
         psi = np.tile([1.0 + 0j, 0.0], (3, 1))
         with pytest.raises(ValueError, match="uniform"):
@@ -393,6 +399,11 @@ class TestProfileFamily:
         # can be built from fewer than three
         with pytest.raises(ValueError, match="at least 3 samples"):
             generate_npc_profile(1.0, 0.3, grid=grid)
+
+    def test_grid_of_two_axes_is_refused(self):
+        # a (3, 3) grid is not flattened into nine samples
+        with pytest.raises(ValueError, match=r"1-D, got shape \(3, 3\)"):
+            RealProfile(np.linspace(0.0, 1.0, 9).reshape(3, 3), np.ones((9, 2)))
 
     def test_single_component_is_rejected(self):
         # the end condition (C0, S0, 0, ...) needs a second component

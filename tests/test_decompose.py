@@ -139,6 +139,11 @@ class TestSolidAngle:
         with pytest.raises(ValueError, match="antipodal"):
             solid_angle(Z, -Z, X)
 
+    def test_column_vertex_is_refused(self):
+        # a (3, 1) vertex is not reshaped into a star
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(3, 1\)"):
+            solid_angle([[1.0], [0.0], [0.0]], [0, 1.0, 0], [0, 0, 1.0])
+
     @pytest.mark.parametrize("z", [1e-7, 1e-9])
     def test_near_hemisphere(self, z):
         # next to a hemisphere the half-angle excess formulas lose half

@@ -285,6 +285,39 @@ class TestRepShapes:
         assert np.shape(rep.scale) == scales
 
 
+class TestStarShapes:
+    """Spinors are (..., 2), one star (3,) and a star set (m, 3); misshaped
+    arrays are refused, not reshaped to fit."""
+
+    def test_six_floats_are_not_two_stars(self):
+        with pytest.raises(ValueError, match=r"shape \(m, 3\), got \(1, 6\)"):
+            mj.star_matching_distance([[0, 0, 1, 0, 0, -1]], [[0, 0, -1], [0, 0, 1]])
+
+    def test_one_star_is_not_a_set(self):
+        with pytest.raises(ValueError, match=r"shape \(m, 3\), got \(3,\)"):
+            mj.star_matching_distance([0, 0, 1.0], [0, 0, 1.0])
+
+    @pytest.mark.parametrize("call", [mj.star_to_spinor,
+                                      lambda n: mj.weight_residual([1.0, 0, 0], n)],
+                             ids=["star_to_spinor", "weight_residual"])
+    def test_column_star_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"shape \(3,\), got \(3, 1\)"):
+            call([[0.0], [0.0], [1.0]])
+
+    @pytest.mark.parametrize("call", [mj.as_spinor, mj.spinor_to_star,
+                                      lambda xi: mj.pure_product_state(xi, 3)],
+                             ids=["as_spinor", "spinor_to_star", "pure_product_state"])
+    def test_column_spinor_is_refused(self, call):
+        with pytest.raises(ValueError, match=r"shape \(\.\.\., 2\), got \(2, 1\)"):
+            call([[1.0], [0.0]])
+
+    def test_fitting_shapes_are_kept(self):
+        assert mj.star_to_spinor([0, 0, 1.0]).shape == (2,)
+        assert mj.spinor_to_star([[1.0, 0], [0, 1.0]]).shape == (2, 3)
+        assert mj.spinor_to_star(np.ones((4, 3, 2))).shape == (4, 3, 3)
+        assert mj.star_matching_distance(np.empty((0, 3)), np.empty((0, 3))) == 0.0
+
+
 class TestRootsAndCoefficients:
     def test_basis_state_has_antipodal_stars(self):
         rep = mj.coefficients_to_roots(np.array([0, 1, 0], dtype=complex))

@@ -4,7 +4,6 @@ import itertools
 import json
 import warnings
 from importlib import resources
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -494,18 +493,6 @@ class TestTrajectoryParity:
     def test_golden_fixtures_with_ties(self, key, second):
         assert assert_same_trajectory(golden_lift(key, second))
 
-    def test_restart_order_ignores_rounding_noise(self, monkeypatch):
-        # both meridian stars have x = 0: a restart orders them by y, not by
-        # the sign of whatever rounding leaves in x
-        lift = golden_lift("meridian_trajectory", 2)
-        want = star_trajectory(lift)
-        for noise in (1e-30, -1e-30):
-            stars = mj.coefficients_to_roots(lift.psi).stars()
-            stars[:, 0, 0] += noise
-            monkeypatch.setattr(decompose, "_factor",
-                                lambda psi: SimpleNamespace(stars=lambda: stars))
-            assert np.max(np.abs(star_trajectory(lift) - want)) <= 1e-12
-
     def test_ties_in_the_middle(self, rng):
         for k in (0, 2):  # both stars north (degree 0) or both south
             e = np.zeros(3, dtype=complex)
@@ -569,8 +556,9 @@ class TestSpinorStage:
         assert seen == {False, True}
 
     def test_restart_order_ignores_rounding_noise_in_the_stars(self, monkeypatch):
-        # as test_restart_order_ignores_rounding_noise, with the noise put
-        # into the stars the trajectory reads off the spinor stage
+        # both meridian stars have x = 0: a restart orders them by y, not by
+        # the sign of whatever rounding leaves in x; the noise goes into the
+        # stars the trajectory reads off the spinor stage
         lift = golden_lift("meridian_trajectory", 2)
         want = star_trajectory(lift)
         stars = mj.coefficients_to_roots(lift.psi).stars()
