@@ -24,18 +24,12 @@ defaults to this checkout's ``src``.  The cases are
   and on 1000 at n = 20; and ``star_trajectory`` on dimension-3 geodesic
   and eps-family lifts of 257 samples;
 - ``stars.op`` for each kind of operation of the ``stars`` workload of
-  ``perfbench``: ``roundtrip`` factors a state and expands it again (two
-  of each n = 2, 3, 8, 20, one of the n = 8 pair with forced zero
-  amplitudes, one of the n = 20 pair a pure product), ``su2_apply``
-  moves a state of n = 2 to 9, and ``trajectory`` matches the stars of
-  a dimension-3 lift of 257 samples;
+  ``perfbench`` (``roundtrip``, ``su2_apply`` and ``trajectory``);
 - the triad layers ``bargmann``, ``extract_angles``, ``reduce_triad``
   and ``bi_factorization`` at n = 2, 3, 5 and 8, and
   ``phase_from_solid_angles_n3`` and ``solid_angle_pair`` at n = 3;
-- ``triads.op`` at n = 2, 3, 5 and 8: one operation of the ``triads``
-  workload of ``perfbench`` (``bargmann``, ``extract_angles``,
-  ``reduce_triad`` and ``bi_factorization``, and at n = 3 the half-sum
-  of solid angles);
+- ``triads.op`` at n = 2, 3, 5 and 8: the operation of the ``triads``
+  workload of ``perfbench`` on triads of that n;
 - the curve layers, in dimensions 3 and 5: ``verify_npc`` on accepted
   eps-family lifts and on rejected latitude arcs at grid 257,
   ``loop_geometric_phase`` on dimension-3 triangles of geodesic sides
@@ -44,29 +38,30 @@ defaults to this checkout's ``src``.  The cases are
   ``connection_integral`` (on latitude arcs, where it is not 0) at grids
   257 and 1025, and ``validate_profile`` at 1025;
 - ``curves.op`` for each kind of operation of the ``curves`` workload of
-  ``perfbench``: ``geodesic``, ``profile`` and ``arc`` build a lift (from
-  an in-phase pair, a frame and profile, or sample arrays), check it and
-  integrate it; ``loop`` builds three sides, one of them on every other
-  loop from a profile, and takes the loop's geometric phase; and
-  ``curves.op.lift.g1025`` runs ``arc`` on the samples of accepted
-  geodesics at grid 1025;
+  ``perfbench`` (``geodesic``, ``profile``, ``arc`` and ``loop``), and
+  ``curves.op.lift.g1025``, which runs ``arc`` on the samples of
+  accepted geodesics at grid 1025;
 - ``cli.help.cold``: a cold ``python -m holonomy_lab.cli --help``, each
   call a new interpreter that imports the tree's CLI and prints the
   command list, timed from outside as one call per block; its output
   difference is 0 when both trees print the same bytes.
 
-Every input is drawn by a maker of ``perfbench/workloads.py`` (each
-operation's own maker, ``random_state``, ``random_triad``,
+``perfbench/workloads.py`` is loaded once per tree, with its
+``holonomy_lab`` import bound to that tree.  An operation row calls the
+tree's ``RUNS[kind]`` with a ``NullTracer``, which is exactly the
+operation ``perfbench`` times; every other layer is called with
+positional inputs only, so a keyword that one tree has and the other
+lacks cannot split them.
+
+Every input is drawn by a maker of the change tree's workloads module
+(each operation's own maker, ``random_state``, ``random_triad``,
 ``su2_input``, ``trajectory_input``, ``geodesic_input``,
-``profile_input``, ``arc_input`` and ``loop_input``), which runs on the
-change tree's ``holonomy_lab``, except the batches of 257 and 1000
-states, each drawn by one generator call; an ``su2_apply`` input at a
-fixed n pairs ``su2_input``'s matrix with such a state.  Both sides share the inputs; what a layer's pool derives from
+``profile_input``, ``arc_input`` and ``loop_input``), except the batches
+of 257 and 1000 states, each drawn by one generator call; an
+``su2_apply`` input at a fixed n pairs ``su2_input``'s matrix with such
+a state.  Both sides share the inputs; what a layer's pool derives from
 them (lifts, loop sides, decompositions and triad reductions) each tree
 builds itself.  A pool is built only when its layer is timed.
-
-Every layer is called with positional inputs only, so a keyword that
-one tree has and the other lacks cannot split them.
 
 Before timing, each layer's outputs on its whole pool are compared
 between the trees; the largest difference, relative to the largest
@@ -106,21 +101,41 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
 BLOCK_S = 0.004  # time of one side's calls, per layer and round
 SWITCHES = 4  # short blocks per side and round, the sides taking turns
 MIN_CALLS = 8  # calls in one block, however slow the layer
 POOL = 20  # inputs per layer; the calls of a block walk through them in turn
 
 
-def load_tree(src: Path, name: str):
-    """The holonomy_lab package under src, imported as the package name."""
-    pkg = src / "holonomy_lab"
+def load(name: str, path: Path, search=None):
+    """The module (or, given search locations, package) at path, imported
+    as name."""
     spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+        name, path, submodule_search_locations=search)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_tree(src: Path, name: str):
+    """perfbench/workloads.py, imported as name + "_workloads", with its
+    holonomy_lab import bound to the package under src, imported as name;
+    its core, angles, majorana, decompose and curves are that tree's."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))  # workloads imports tracing
+    pkg = src / "holonomy_lab"
+    lab = load(name, pkg / "__init__.py", [str(pkg)])
+    saved = sys.modules.get("holonomy_lab")
+    sys.modules["holonomy_lab"] = lab
+    try:
+        return load(f"{name}_workloads", PERFBENCH / "workloads.py")
+    finally:
+        if saved is None:
+            del sys.modules["holonomy_lab"]
+        else:
+            sys.modules["holonomy_lab"] = saved
 
 
 def drawn(maker: str, seed: int, js) -> list[tuple]:
@@ -139,12 +154,14 @@ def drawn(maker: str, seed: int, js) -> list[tuple]:
 
 
 def operation_pool(workload: str, kind: str, seed: int) -> list[tuple]:
-    """POOL inputs of one kind of a perfbench workload; input j is the
-    (j mod count)-th of its kind in a block, so every position comes up."""
+    """POOL inputs of one kind of a perfbench workload, each as the one
+    argument of its run; input j is the (j mod count)-th of its kind in a
+    block, so every position comes up."""
     import workloads
 
-    return drawn(workloads.MAKERS[kind].__name__, seed,
-                 range(workloads.MIXES[workload][kind]))
+    make, count = workloads.MAKERS[kind], workloads.MIXES[workload][kind]
+    rng = np.random.default_rng(seed)
+    return [(make(rng, j % count),) for j in range(POOL)]
 
 
 def at_grid(maker: str, seed: int, grid: int) -> list[tuple]:
@@ -204,53 +221,12 @@ def loop_sides(cv, triad, pairs, swap) -> list:
     return sides
 
 
-def star_operations(lab) -> dict:
-    """One operation of each kind of the ``stars`` workload of perfbench on
-    the tree lab, by kind, each a function of that kind's inputs."""
-    mj = lab.majorana
-
-    def roundtrip(psi, xi):
-        rep = mj.coefficients_to_roots(psi)
-        return rep, mj.roots_to_coefficients(rep)
-
-    return {"roundtrip": roundtrip, "su2_apply": mj.su2_apply,
-            "trajectory": lab.decompose.star_trajectory}
-
-
-def triad_operation(lab):
-    """One ``triads`` operation of perfbench on the tree lab, as a function
-    of the three states."""
-    core, angles, dec = lab.core, lab.angles, lab.decompose
-
-    def operation(t1, t2, t3):
-        out = [core.bargmann([t1, t2, t3]), angles.extract_angles(t1, t2, t3),
-               dec.bi_factorization(dec.reduce_triad(t1, t2, t3))]
-        if t1.size == 3:
-            out.append(dec.phase_from_solid_angles_n3(t1, t2, t3))
-        return out
-
-    return operation
-
-
-def curve_operations(lab) -> dict:
-    """One operation of each kind of the ``curves`` workload of perfbench
-    on the tree lab, by kind, each a function of that kind's inputs; arc
-    also takes sample arrays alone."""
-    cv = lab.curves
-
-    def scan(lift):
-        return cv.verify_npc(lift), cv.connection_integral(lift)
-
-    return {"geodesic": lambda v1, v2, grid: scan(cv.geodesic_lift(v1, v2, grid)),
-            "profile": lambda frame, profile: scan(cv.profile_to_lift(frame, profile)),
-            "arc": lambda s, psi, *exact: scan(cv.CurveLift(s, psi)),
-            "loop": lambda *loop: cv.loop_geometric_phase(loop_sides(cv, *loop))}
-
-
-def cases(lab):
-    """(label, function, pool) of every layer for one loaded tree, where
-    pool builds that layer's inputs when called."""
-    mj, dec, cv = lab.majorana, lab.decompose, lab.curves
+def cases(wl):
+    """(label, function, pool) of every layer for one tree's workloads
+    module from load_tree, where pool builds that layer's inputs when
+    called."""
+    mj, dec, cv = wl.majorana, wl.decompose, wl.curves
+    run = {kind: partial(fn, wl.NullTracer()) for kind, fn in wl.RUNS.items()}
     out = []
     for n, rows in [(2, 1), (3, 1), (5, 1), (8, 1), (20, 1),
                     (2, 1000), (3, 257), (3, 1000), (8, 1000), (20, 1000)]:
@@ -272,14 +248,13 @@ def cases(lab):
                             partial(states, n, rows))))
     out.append(("decompose.star_trajectory.g257", dec.star_trajectory,
                 partial(drawn, "trajectory_input", 500, (0, 1))))
-    ops = star_operations(lab)
     for kind, seed in (("roundtrip", 600), ("su2_apply", 601), ("trajectory", 602)):
-        out.append((f"stars.op.{kind}", ops[kind],
+        out.append((f"stars.op.{kind}", run[kind],
                     partial(operation_pool, "stars", kind, seed)))
     for n in (2, 3, 5, 8):
-        out.append((f"core.bargmann.n{n}", lab.core.bargmann,
+        out.append((f"core.bargmann.n{n}", wl.core.bargmann,
                     lambda n=n: [(t,) for t in triads(n)]))
-        out.append((f"angles.extract_angles.n{n}", lab.angles.extract_angles,
+        out.append((f"angles.extract_angles.n{n}", wl.angles.extract_angles,
                     partial(triads, n)))
         out.append((f"decompose.reduce_triad.n{n}", dec.reduce_triad,
                     partial(triads, n)))
@@ -290,7 +265,8 @@ def cases(lab):
     out.append(("decompose.solid_angle_pair", dec.solid_angle_pair,
                 partial(derived, dec.reduce_triad, partial(triads, 3))))
     for n in (2, 3, 5, 8):
-        out.append((f"triads.op.n{n}", triad_operation(lab), partial(triads, n)))
+        out.append((f"triads.op.n{n}", run["triad"],
+                    lambda n=n: [(t,) for t in triads(n)]))
     out.append(("curves.verify_npc.accept", cv.verify_npc,
                 partial(derived, cv.profile_to_lift,
                         partial(at_grid, "profile_input", 301, 257))))
@@ -312,12 +288,11 @@ def cases(lab):
     out.append(("curves.validate_profile.g1025", cv.validate_profile,
                 lambda: [(profile, frame.theta0) for frame, profile in
                          at_grid("profile_input", 305, 1025)]))
-    ops = curve_operations(lab)
     for kind, seed in (("geodesic", 311), ("profile", 312), ("arc", 308), ("loop", 313)):
-        out.append((f"curves.op.{kind}", ops[kind],
+        out.append((f"curves.op.{kind}", run[kind],
                     partial(operation_pool, "curves", kind, seed)))
-    out.append(("curves.op.lift.g1025", ops["arc"],
-                lambda: [(lift.s, lift.psi) for lift, in derived(
+    out.append(("curves.op.lift.g1025", run["arc"],
+                lambda: [((lift.s, lift.psi, None),) for lift, in derived(
                     cv.geodesic_lift, partial(at_grid, "geodesic_input", 307, 1025))]))
     return out
 
@@ -333,9 +308,12 @@ def cold_help(src: Path):
 
 
 def flat(result) -> np.ndarray:
-    """Every number in a result (array, scalar, tuple or dataclass) as one array."""
+    """Every number in a result (array, scalar, tuple, dict or dataclass) as
+    one array."""
     if dataclasses.is_dataclass(result):
         result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    if isinstance(result, dict):
+        result = list(result.values())
     if isinstance(result, (list, tuple)):
         return np.concatenate([flat(r) for r in result] or [np.zeros(0)])
     return np.ravel(np.asarray(result, dtype=complex))
@@ -424,12 +402,12 @@ def main(argv=None) -> int:
     if args.rounds < 1:
         parser.error("--rounds must be positive")
 
+    trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
     # perfbench's input makers build their inputs with the change tree's
     # holonomy_lab
-    sys.path[:0] = [str(args.change), str(HERE.parent / "perfbench")]
-    trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
+    sys.modules["workloads"] = trees[1]
     layers = [(p[0], p[1], c[1], p[2], c[2]) for p, c in
-              zip(*(cases(lab) for lab in trees)) if args.only in p[0]]
+              zip(*(cases(wl) for wl in trees)) if args.only in p[0]]
 
     table = []
     for label, fn_p, fn_c, make_p, make_c in layers:

@@ -192,8 +192,11 @@ def curve_from_csv(text: str) -> CurveLift:
         except ValueError as exc:
             raise ValueError(f"curve CSV row {i}: {exc}") from exc
     table = np.array(values)
-    # both arrays were just made here, so the lift takes them uncopied
-    return CurveLift._owned(table[:, 0].copy(), table[:, 1::2] + 1j * table[:, 2::2])
+    # the samples read back through curve_to_csv's layout, signed zeros
+    # included; both arrays were just made here, so the lift takes them
+    # uncopied
+    return CurveLift._owned(table[:, 0].copy(),
+                            np.ascontiguousarray(table[:, 1:]).view(complex))
 
 
 def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:

@@ -52,11 +52,8 @@ def dim_to_spin(n: int) -> float:
 class MajoranaRep:
     """Unordered spinor multiset plus a complex scale.
 
-    One decomposition has spinors of shape (n-1, 2) and a complex scale; a
-    batch of B has spinors of shape (B, n-1, 2) and an array of B scales.
-    The spinors' leading axes must be the scale's shape, and none are
-    regrouped: a (2,) spinor against one scale, or (B, 2) spinors against
-    B scales, read as decompositions of one spinor each.
+    The spinors have shape ``scale.shape + (n-1, 2)``: (n-1, 2) against
+    one complex scale, (B, n-1, 2) against an array of B scales.
     Each spinor must have norm 1 within 1e-12 and is stored divided by
     its norm, so ``stars()`` reads unit spinors without normalizing again.
     The star kernel builds its spinors unit to a few ulp and hands them
@@ -73,12 +70,10 @@ class MajoranaRep:
     def __post_init__(self) -> None:
         scale = np.asarray(self.scale, dtype=complex)
         spinors = np.asarray(self.spinors, dtype=complex)
-        if not (spinors.shape[:scale.ndim] == scale.shape
-                and spinors.ndim - scale.ndim in (1, 2) and spinors.shape[-1] == 2):
+        if not (spinors.ndim == scale.ndim + 2 and spinors.shape[-1] == 2
+                and spinors.shape[:scale.ndim] == scale.shape):
             raise ValueError(f"spinors of shape {spinors.shape} do not fit "
                              f"scales of shape {scale.shape}")
-        if spinors.ndim == scale.ndim + 1:
-            spinors = spinors[..., None, :]
         norms = _check_rep(spinors, scale)
         object.__setattr__(self, "spinors", spinors / norms[..., None])
         object.__setattr__(self, "scale", scale if scale.ndim else complex(scale))

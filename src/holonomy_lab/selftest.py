@@ -72,9 +72,8 @@ def _wrap_err(a: float, b: float) -> float:
     return abs(core.principal_angle(float(a) - float(b)))
 
 
-def _triad(rng, n: int, min_overlap: float = 0.05,
-           max_overlap: float = 1.0 - 1e-4):
-    """Random triad with all pairwise overlap moduli inside a safe band.
+def _triad(rng, n: int):
+    """Random triad with all pairwise overlap moduli in [0.05, 1 - 1e-4].
 
     The band keeps every arccos and every argument extraction away from
     its singular endpoints; the rejected region has measure well under a
@@ -84,7 +83,7 @@ def _triad(rng, n: int, min_overlap: float = 0.05,
         t = [core.random_state(n, rng) for _ in range(3)]
         ovs = [abs(core.inner(t[0], t[1])), abs(core.inner(t[1], t[2])),
                abs(core.inner(t[2], t[0]))]
-        if min(ovs) >= min_overlap and max(ovs) <= max_overlap:
+        if min(ovs) >= 0.05 and max(ovs) <= 1.0 - 1e-4:
             return t
 
 

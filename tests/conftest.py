@@ -5,7 +5,6 @@ import pytest
 
 from holonomy_lab.core import principal_angle, random_state
 from holonomy_lab.curves import RealProfile
-from holonomy_lab.selftest import _triad
 
 
 def assert_angle_close(a: float, b: float, tol: float = 1e-10) -> None:
@@ -25,11 +24,6 @@ def assert_unitary(u, tol: float = 1e-12) -> np.ndarray:
     return u
 
 
-def random_triad(rng, n, min_overlap=0.05):
-    """Random triad with pairwise overlaps bounded away from degeneracy."""
-    return _triad(rng, n, min_overlap, max_overlap=1.0 - 1e-6)
-
-
 def random_polygon(rng, k, n):
     """k random states whose cyclically adjacent overlaps stay nondegenerate."""
     while True:
@@ -37,6 +31,11 @@ def random_polygon(rng, k, n):
         mods = [abs(np.vdot(a, b)) for a, b in zip(states, states[1:] + states[:1])]
         if min(mods) >= 0.05 and max(mods) <= 1.0 - 1e-6:
             return states
+
+
+def random_triad(rng, n):
+    """Random triad with pairwise overlaps bounded away from degeneracy."""
+    return random_polygon(rng, 3, n)
 
 
 def widened(profile, m):

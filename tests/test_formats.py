@@ -147,6 +147,18 @@ class TestCsv:
         back = formats.curve_from_csv(text)
         assert formats.curve_to_csv(back) == text
 
+    def test_signed_zeros_are_read_back(self):
+        # -0 in real and imaginary parts keeps its sign bit, so the samples
+        # and the text come back bit for bit
+        text = ("s,re_0,im_0,re_1,im_1\n0,-0.6,-0,0.8,-0\n"
+                "0.5,-0,-0.6,0.8,0\n1,0.6,-0,-0,0.8\n")
+        back = formats.curve_from_csv(text)
+        assert np.array_equal(np.signbit(back.psi.real),
+                              [[True, False], [True, False], [False, True]])
+        assert np.array_equal(np.signbit(back.psi.imag),
+                              [[True, True], [True, False], [True, False]])
+        assert formats.curve_to_csv(back) == text
+
     @staticmethod
     def writer_rows(header, rows):
         """CSV through csv.writer, one formatted cell at a time."""

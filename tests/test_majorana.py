@@ -111,7 +111,7 @@ class TestSpinorsAndStars:
                 with pytest.raises(ValueError, match="finite and nonzero"):
                     mj.as_spinor(np.stack([[1.0, 0.0], row]))
             if abs(norm - 1.0) <= 1e-12:
-                mj.MajoranaRep(row, 1.0)
+                mj.MajoranaRep(row[None], 1.0)
             else:
                 with pytest.raises(ValueError, match="unit normalized"):
                     mj.MajoranaRep(np.stack([[1.0, 0.0], row]), 1.0)
@@ -263,7 +263,7 @@ def north_spinors(shape):
 
 
 class TestRepShapes:
-    """The spinors' leading axes are the scale's shape; none are regrouped."""
+    """The spinors have shape scale.shape + (n-1, 2); none are regrouped."""
 
     def test_batch_against_one_scale_is_refused(self):
         # regrouped, five decompositions of two spinors read as one of ten
@@ -275,10 +275,16 @@ class TestRepShapes:
         with pytest.raises(ValueError, match=r"shape \(4, 2\) .* shape \(2,\)"):
             mj.MajoranaRep(north_spinors((4, 2)), np.ones(2))
 
+    @pytest.mark.parametrize("shape, scales", [((2,), ()), ((4, 2), (4,))],
+                             ids=["one", "four"])
+    def test_one_spinor_per_scale_is_refused(self, shape, scales):
+        # a bare spinor is not a decomposition of one spinor
+        with pytest.raises(ValueError, match="do not fit"):
+            mj.MajoranaRep(north_spinors(shape), np.ones(scales))
+
     @pytest.mark.parametrize("shape, scales, stored", [
-        ((2,), (), (1, 2)), ((3, 2), (), (3, 2)), ((0, 2), (), (0, 2)),
-        ((4, 2), (4,), (4, 1, 2)), ((4, 3, 2), (4,), (4, 3, 2)),
-        ((4, 0, 2), (4,), (4, 0, 2))])
+        ((3, 2), (), (3, 2)), ((0, 2), (), (0, 2)),
+        ((4, 3, 2), (4,), (4, 3, 2)), ((4, 0, 2), (4,), (4, 0, 2))])
     def test_fitting_shapes_are_kept(self, shape, scales, stored):
         rep = mj.MajoranaRep(north_spinors(shape), np.ones(scales))
         assert rep.spinors.shape == stored
