@@ -283,8 +283,9 @@ class TestRepShapes:
             mj.MajoranaRep(north_spinors(shape), np.ones(scales))
 
     @pytest.mark.parametrize("shape, scales, stored", [
-        ((3, 2), (), (3, 2)), ((0, 2), (), (0, 2)),
-        ((4, 3, 2), (4,), (4, 3, 2)), ((4, 0, 2), (4,), (4, 0, 2))])
+        ((1, 2), (), (1, 2)), ((3, 2), (), (3, 2)), ((0, 2), (), (0, 2)),
+        ((4, 1, 2), (4,), (4, 1, 2)), ((4, 3, 2), (4,), (4, 3, 2)),
+        ((4, 0, 2), (4,), (4, 0, 2))])
     def test_fitting_shapes_are_kept(self, shape, scales, stored):
         rep = mj.MajoranaRep(north_spinors(shape), np.ones(scales))
         assert rep.spinors.shape == stored
