@@ -94,13 +94,15 @@ def _check_rep(spinors: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _check_scale(scale: np.ndarray) -> None:
-    if not (np.isfinite(scale).all() and scale.all()):
+    # np.count_nonzero counts a few entries in a fraction of the time that
+    # .all() takes; a complex entry counts when either part is nonzero
+    if np.count_nonzero(np.isfinite(scale)) + np.count_nonzero(scale) != 2 * scale.size:
         raise ValueError("scale must be finite and nonzero")
 
 
 def _check_norms(norms: np.ndarray) -> np.ndarray:
     # NaN fails the comparison; no spinors at all (n = 1) pass
-    if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-12:
+    if np.count_nonzero(np.abs(norms - 1.0) <= 1e-12) != norms.size:
         raise ValueError("spinors must be unit normalized")
     return norms
 
@@ -238,8 +240,9 @@ def _polish_roots(desc: np.ndarray, roots: np.ndarray) -> np.ndarray:
     return np.where(small & better, candidate, roots)
 
 
-def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both roots of z^2 = t0 z + t1 for each pair (t0, t1), larger first.
+def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Both roots of z^2 = t0 z + t1 for each pair (t0, t1), larger first,
+    as the two rows of one (2, ...) array.
 
     The square root of the discriminant takes the sign that adds to t0
     without cancellation, so q = (t0 + disc) / 2 is the root of larger
@@ -266,8 +269,10 @@ def _quadratic_roots(t0: np.ndarray, t1: np.ndarray) -> tuple[np.ndarray, np.nda
     # r (1 + |t0| + |t1|) in the scaled variables; it cannot overflow
     single = np.abs(disc) > _DOUBLE_ROOT * (r + m0 * r + m1 * r)
     disc *= single
-    q = 0.5 * (t0 + disc / r)
-    return q, np.divide(-t1, q, out=q.copy(), where=single)
+    pair = np.empty((2,) + t0.shape, dtype=complex)
+    pair[:] = 0.5 * (t0 + disc / r)  # q, the larger root, in both rows
+    np.divide(-t1, pair[0], out=pair[1], where=single)
+    return pair
 
 
 def _check_states(psi) -> np.ndarray:
@@ -275,7 +280,7 @@ def _check_states(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.size == 0:
         raise ValueError("expected a nonempty state or a (B, n) batch of states")
-    if not np.isfinite(psi).all():
+    if np.count_nonzero(np.isfinite(psi)) != psi.size:  # faster than .all()
         raise ValueError("non-finite amplitude")
     return psi
 
@@ -314,19 +319,26 @@ def _factor(psi: np.ndarray) -> MajoranaRep:
     np.multiply.reduce(beta, axis=0) takes that reduce loop only on an
     (m, 1) array.  A lead product along axis 0 would make a single state
     differ from its row in a batch, so the lead is taken in row order,
-    from a contiguous (B, m) copy.  The highest surviving coefficient
-    over sqrt((n-1)!) times the lead is the scale, which must be finite
-    and nonzero.  The spinors are handed out as the (B, n-1, 2)
-    transpose of the stage's buffer.
+    from a contiguous (B, m) copy; when one group holds every row, as on
+    the fast path, that product is the lead, with no array of ones to
+    fill.  The highest surviving coefficient over sqrt((n-1)!) times the
+    lead is the scale, which must be finite and nonzero.  The spinors are
+    handed out as the (B, n-1, 2) transpose of the stage's buffer.  The
+    stage has refused zero rows (off its fast path, which a zero row
+    always fails) and checked the norms, reading |alpha| as Re alpha.
     """
     batch = psi.reshape(-1, psi.shape[-1])
     count, n = batch.shape
     spinors, groups, top = _kernel_spinors(batch)
     betas = spinors[1].T  # (B, n-1)
-    lead = np.ones(count, dtype=complex)
-    for d, z, rows in groups:
-        if d > z:
-            lead[rows] = np.ascontiguousarray(betas[rows, n - 1 - d:n - 1 - z]).prod(axis=-1)
+    (d, z, _), *others = groups
+    if not others and d > z:  # one group of every row: no gather
+        lead = np.ascontiguousarray(betas[:, n - 1 - d:n - 1 - z]).prod(axis=-1)
+    else:
+        lead = np.ones(count, dtype=complex)
+        for d, z, rows in groups:
+            if d > z:
+                lead[rows] = np.ascontiguousarray(betas[rows, n - 1 - d:n - 1 - z]).prod(axis=-1)
     scale = top / (_weights(n)[1][0] * lead)
     return _kernel_rep(spinors.T.reshape(psi.shape[:-1] + (n - 1, 2)),
                        scale.reshape(psi.shape[:-1]))
@@ -346,7 +358,13 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     the lead product (see _factor) and decompose.bi_factorization's
     product over the transposed spinors, which is given a contiguous
     copy.  The norms are taken over the buffer's contiguous rows and
-    decide as the constructor's check does.
+    decide as the constructor's check does.  Every alpha the stage writes
+    is real and nonnegative (|w| / h for a root w, 1 at the north pole,
+    0 at the south pole), so its real part is |alpha| exactly and only
+    the betas take an abs.  The fast path holds batches of full degree
+    with no root at 0; a zero row fails it, since its top amplitude is
+    not above the cut 0, so the zero test runs off the fast path only,
+    before any other test there.
     """
     count, n = batch.shape
     amps = np.ascontiguousarray(batch.T)
@@ -354,14 +372,16 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     # the cut reads amplitudes, where rounding noise lives (weights pass 1e8 at n = 58)
     mags = np.abs(amps)
     peak = mags.max(axis=0)
-    if not peak.all():
-        raise ValueError("zero vector has no star decomposition")
     cut = TAU_LEAD * peak
     spinors = np.empty((2, n - 1, count), dtype=complex)
-    if (mags[-1] > cut).all() and mags[0].all():  # full degree, no root at 0
+    # full degree and no root at 0; np.count_nonzero counts a few entries
+    # in a fraction of the time that .all() takes
+    if np.count_nonzero(mags[-1] > cut) + np.count_nonzero(mags[0]) == 2 * count:
         groups = [(n - 1, 0, slice(None))]
         top = coeffs[-1]
     else:
+        if np.count_nonzero(peak) != count:
+            raise ValueError("zero vector has no star decomposition")
         rank = np.arange(n)[:, None]
         degree = np.where(mags > cut, rank, 0).max(axis=0)
         zeros = np.where(mags != 0, rank, n).min(axis=0)
@@ -384,21 +404,20 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
         if m == 1:  # the eigenvalue of a 1x1 companion matrix is its entry
             roots = first
         elif m == 2:
-            roots = np.array(_quadratic_roots(first[0], first[1]))
+            roots = _quadratic_roots(first[0], first[1])
         else:
             companion = np.zeros((desc.shape[1], m, m), dtype=complex)
             companion[:, 0, :] = first.T
             companion.reshape(-1, m * m)[:, m::m + 1] = 1.0  # ones below the diagonal
             roots = _polish_roots(desc, np.linalg.eigvals(companion).T)
         mod = np.abs(roots)
-        if not mod.max() < math.inf:  # NaN fails too
+        if np.count_nonzero(mod < math.inf) != mod.size:  # NaN fails too
             raise ValueError("root finding failed")
         # (-w, 1) normalized with alpha real: alpha = |w| / h and
         # beta = -conj(w) / (|w| h), where h = hypot(|w|, 1)
         h = np.hypot(mod, 1.0)
-        alpha, beta = spinors[:, n - 1 - d:n - 1 - z]
-        alpha[:, rows] = mod / h
-        if mod.min() < _TINY:
+        spinors[0, n - 1 - d:n - 1 - z][:, rows] = mod / h
+        if np.count_nonzero(mod < _TINY):
             # complex / subnormal real forms 1 / |w|, which overflows, so
             # such a root is first scaled by a power of two; a root that
             # underflowed to 0 gives beta = 1
@@ -409,9 +428,8 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
         else:
             b = np.conjugate(roots) / -mod
         b /= h
-        beta[:, rows] = b
-    mod = np.abs(spinors)
-    _check_norms(np.hypot(mod[0], mod[1]))
+        spinors[1, n - 1 - d:n - 1 - z][:, rows] = b
+    _check_norms(np.hypot(spinors[0].real, np.abs(spinors[1])))
     return spinors, groups, top
 
 

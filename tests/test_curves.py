@@ -1,12 +1,16 @@
 """Lifts, profiles, the null-phase check and connection quadrature."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from holonomy_lab import core, curves, selftest
-from holonomy_lab.config import TAU_NPC, TAU_PROFILE
+from holonomy_lab.config import TAU_DEG, TAU_NPC, TAU_PROFILE
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -38,6 +42,9 @@ from quadrature_oracle import (
     oracle_two_pass,
     simpson,
 )
+
+
+EPS = np.finfo(float).eps
 
 
 def make_geodesic(rng, dim=3, grid=257):
@@ -321,6 +328,49 @@ class TestGeodesic:
         assert geodesic_lift(v1, v2, grid=np.int64(33)).s.size == 33
         with pytest.raises(ValueError, match="3 samples"):
             geodesic_lift(v1, v2, grid=2)
+
+
+def pair_at_overlap(rng, n, c):
+    """Unit n-vectors a and b with |(a, b)| = c, b carrying a random phase."""
+    a = core.random_state(n, rng)
+    w = core.random_state(n, rng)
+    w -= np.vdot(a, w) * a
+    w /= np.linalg.norm(w)
+    phase = np.exp(2j * np.pi * rng.uniform())
+    return a, phase * (c * a + np.sqrt(1.0 - c * c) * w)
+
+
+class TestNearOrthogonalPairs:
+    """A pair that in_phase_gauge accepts, however near orthogonal, gives
+    a geodesic that the null-phase check accepts; the phase of an overlap
+    of modulus c carries about eps / c of rounding, which neither the pair
+    test nor the check counts against it."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_accepted_pairs_give_accepted_lifts(self, rng, n):
+        # c log-uniform from the degeneracy tolerance to 1
+        for c in np.exp(rng.uniform(np.log(TAU_DEG), 0.0, size=60)):
+            v1, v2 = in_phase_gauge(*pair_at_overlap(rng, n, c))
+            lift = geodesic_lift(v1, v2)
+            report = verify_npc(lift)
+            assert report.ok, (c, report.violations[:1])
+            # a geodesic's integral is 0: within the estimate, up to the
+            # rounding of the turns it sums
+            _, estimate = _polygon_phase(lift)
+            assert abs(connection_integral(lift)) <= estimate + lift.s.size * EPS
+
+    def test_a_phase_beyond_rounding_is_refused(self, rng):
+        # Im ov = c sin(1e-3) lies above 2 n eps even at c = 1e-11
+        for c in (1e-4, 1e-8, 1e-11):
+            v1, v2 = in_phase_gauge(*pair_at_overlap(rng, 5, c))
+            with pytest.raises(ValueError, match="in phase"):
+                geodesic_lift(v1, v2 * np.exp(1e-3j))
+
+    def test_wobble_between_near_orthogonal_ends_is_rejected(self, rng):
+        for c in (1e-4, 1e-8, 1e-11):
+            frame = frame_from_pair(*pair_at_overlap(rng, 4, c))
+            assert verify_npc(wobble(rng, 0.0, frame=frame)).ok
+            assert not verify_npc(wobble(rng, 0.3, frame=frame)).ok
 
 
 class TestFrameFromPair:
@@ -693,6 +743,33 @@ class TestSubgridIndices:
                 assert not got.flags.writeable
                 assert _subgrid_indices(n_samples, subgrid) is got
 
+    def test_first_differences_are_the_unique_indices(self):
+        # every sample count below 2100 against every subgrid from 3 to 69,
+        # through the uncached function, so the cache keeps its entries.
+        # One np.unique per subgrid lists the indices of every count, the
+        # rows told apart by 4096 times the count; as each row starts at
+        # its only 0, the concatenated rows equal exactly when each does
+        uncached = _subgrid_indices.__wrapped__
+        for subgrid in range(3, 70):
+            counts = np.arange(subgrid + 1, 2100)
+            grids = np.linspace(0, counts - 1, subgrid, axis=1).round().astype(int)
+            want = np.unique(grids + 4096 * counts[:, None]) % 4096
+            got = np.concatenate([uncached(n, subgrid) for n in counts.tolist()])
+            assert np.array_equal(got, want)
+
+    def test_first_check_imports_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, which took longer
+        # than the whole check of a fresh interpreter's first curve
+        code = ("import sys, numpy as np; from holonomy_lab import curves; "
+                "v = np.eye(3, dtype=complex); "
+                "report = curves.verify_npc(curves.geodesic_lift(v[0], v[0] + v[1])); "
+                "sys.exit(not report.ok or 'numpy.ma' in sys.modules)")
+        src = pathlib.Path(curves.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
 
 class TestPivotPairs:
     def test_cached_mask_matches_the_cleared_copy(self):
@@ -764,10 +841,11 @@ class TestVerifyNpc:
         assert first["delta"] == [report.deltas[0].real, report.deltas[0].imag]
 
 
-def wobble(rng, amplitude, grid=129):
+def wobble(rng, amplitude, grid=129, frame=None):
     """Eps-family lift whose third frame component picks up a phase."""
-    frame = frame_from_pair(core.random_state(4, rng),
-                            core.random_state(4, rng))
+    if frame is None:
+        frame = frame_from_pair(core.random_state(4, rng),
+                                core.random_state(4, rng))
     lift = profile_to_lift(frame, generate_npc_profile(frame.theta0, 0.6,
                                                        grid=grid))
     psi = lift.psi.copy()
@@ -890,9 +968,14 @@ class TestPivotCheckMatchesTripleScan:
         psi[-1] += 4e-13
         near = CurveLift(near.s, psi / np.linalg.norm(psi, axis=1)[:, None])
         assert oracle_scan(near).ok
+        # a geodesic between rays 1e-9 from orthogonal, whose invariants
+        # through its ends pass only with the rounding allowance, and a
+        # wobble between such rays, which fails
+        ends = in_phase_gauge(*pair_at_overlap(rng, 4, 1e-9))
+        frame = frame_from_pair(*ends)
         lifts = [make_geodesic(rng), wobble(rng, 0.3), wobble(rng, 1e-9),
                  latitude_arc(0.7, 1.5, 3), quarter_circle(), octant_edges(),
-                 near]
+                 near, geodesic_lift(*ends), wobble(rng, 0.3, frame=frame)]
         for lift in lifts:
             for subgrid in (3, 9, 21):
                 got = verify_npc(lift, subgrid=subgrid)

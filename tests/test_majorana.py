@@ -349,9 +349,35 @@ class TestRootsAndCoefficients:
         assert rep.stars().shape == (0, 3)
         assert rep.scale == pytest.approx(2.0j)
 
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            mj.coefficients_to_roots(np.zeros(4))
+    def test_zero_vector_rejected(self, rng):
+        # a zero row fails the full-degree fast path, so it is refused off it:
+        # alone, at n = 1, and in batches of 2 and 257, also next to a row
+        # whose roots overflow, which would fail later
+        batch = np.array([core.random_state(4, rng) for _ in range(257)])
+        batch[100] = 0.0
+        overflow = np.array([[1e308, 1.3e308, 1e308], [0.0, 0.0, 0.0]])
+        for psi in (np.zeros(4), np.zeros(1), np.zeros((2, 3)), batch[99:101],
+                    batch, overflow):
+            with pytest.raises(ValueError, match="^zero vector has no star decomposition$"):
+                with np.errstate(over="ignore"):
+                    mj.coefficients_to_roots(psi)
+
+    @pytest.mark.parametrize("bad, message", [
+        # a coefficient past the float range leaves no finite root
+        ([1e308, 1.3e308, 1e308], "root finding failed"),
+        # the root -1 gives the lead 1 / sqrt(2), so the scale is
+        # sqrt(2) 1.7e308, past the float range
+        ([1.7e308, 1.7e308], "scale must be finite and nonzero"),
+    ], ids=["root", "scale"])
+    def test_overflowing_states_rejected(self, rng, bad, message):
+        bad = np.array(bad, dtype=complex)
+        batch = np.array([core.random_state(bad.size, rng) for _ in range(3)])
+        batch[1] = bad
+        for psi in (bad, batch, batch[1:]):
+            with pytest.raises(ValueError, match=f"^{message}$") as info:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    mj.coefficients_to_roots(psi)
+            assert type(info.value) is ValueError
 
     def test_spinor_order_does_not_matter(self, rng):
         rep = mj.coefficients_to_roots(core.random_state(5, rng))
