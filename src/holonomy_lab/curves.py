@@ -429,10 +429,13 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     imaginary part lies within ``TAU_NPC / 3`` of |Delta| plus the
     rounding of Delta, 2 n eps (|G_pj| |G_jk| + |G_jk| |G_kp| +
     |G_kp| |G_pj|), as the phase of an overlap of modulus c carries about
-    eps / c of rounding.  The pivot maximizes its smallest overlap; a
-    sample within ``TAU_DEG`` of orthogonal to it fails.  Violations,
-    ``min_real`` and ``max_rel_imag`` refer to the pivot triples
-    [p, j, k].
+    eps / c of rounding.  Relative to |Delta| that allowance is
+    a(p, j, k) = 2 n eps (1/|G_pj| + 1/|G_jk| + 1/|G_kp|), so once a
+    triple passes through it the subgrid triple [i, j, k] is held only to
+    ``TAU_NPC`` plus a(p, i, j) + a(p, j, k) + a(p, k, i).  The pivot
+    maximizes its smallest overlap; a sample within ``TAU_DEG`` of
+    orthogonal to it fails.  Violations, ``min_real`` and
+    ``max_rel_imag`` refer to the pivot triples [p, j, k].
     """
     if subgrid < 3:
         raise ValueError("subgrid must be at least 3")
@@ -444,23 +447,21 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     pairs, pair_j, pair_k = _pivot_pairs(idx.size, pivot)
     deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
     mags = np.abs(deltas)
-    least = mags.min()
     # a zero invariant has a zero imaginary part, which is divided by 1
-    if not least > 0:
+    if not mags.min() > 0:
         mags = np.where(mags > 0, mags, 1.0)
-        least = mags.min()
     rel_imag = np.abs(deltas.imag) / mags
     good = (deltas.real > 0.0) & (rel_imag <= TAU_NPC / 3.0)
     max_rel_imag = float(rel_imag.max())
     if max_rel_imag > TAU_NPC / 3.0:
-        # the allowance over |Delta| is below 4 n _ROUNDING / least (the
-        # moduli are at most 1 + n eps), so only the failing triples within
-        # that of the test are formed; a curve that is not null phase
-        # rarely has any
+        # the allowance is formed only for the triples that fail the plain
+        # test, so an accepted curve pays nothing for it.  Over |Delta| it
+        # is below 4 n _ROUNDING / min |G|, so when every triple lies
+        # further out than that, as on a curve whose phases are not
+        # rounding, it is not formed at all
         n = lift.psi.shape[1]
-        within = rel_imag <= TAU_NPC / 3.0 + 4.0 * _ROUNDING * n / least
-        if np.count_nonzero(within) > np.count_nonzero(good):
-            cand = np.flatnonzero(within & ~good)
+        if (rel_imag.min() - TAU_NPC / 3.0) * smallest.min() <= 4.0 * n * _ROUNDING:
+            cand = np.flatnonzero(~good)
             j, k = pair_j[cand], pair_k[cand]
             pj, jk, kp = mods[pivot, j], mods[j, k], mods[k, pivot]
             slack = _ROUNDING * n * (pj * jk + jk * kp + kp * pj)

@@ -94,8 +94,9 @@ def _check_rep(spinors: np.ndarray, scale: np.ndarray) -> np.ndarray:
 
 
 def _check_scale(scale: np.ndarray) -> None:
-    # np.count_nonzero counts a few entries in a fraction of the time that
-    # .all() takes; a complex entry counts when either part is nonzero
+    # here and in the kernel's tests, np.count_nonzero counts a few entries
+    # in a fraction of the time that .all() takes; a complex entry counts
+    # when either part is nonzero
     if np.count_nonzero(np.isfinite(scale)) + np.count_nonzero(scale) != 2 * scale.size:
         raise ValueError("scale must be finite and nonzero")
 
@@ -280,7 +281,7 @@ def _check_states(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim not in (1, 2) or psi.size == 0:
         raise ValueError("expected a nonempty state or a (B, n) batch of states")
-    if np.count_nonzero(np.isfinite(psi)) != psi.size:  # faster than .all()
+    if np.count_nonzero(np.isfinite(psi)) != psi.size:
         raise ValueError("non-finite amplitude")
     return psi
 
@@ -374,8 +375,7 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     peak = mags.max(axis=0)
     cut = TAU_LEAD * peak
     spinors = np.empty((2, n - 1, count), dtype=complex)
-    # full degree and no root at 0; np.count_nonzero counts a few entries
-    # in a fraction of the time that .all() takes
+    # full degree and no root at 0
     if np.count_nonzero(mags[-1] > cut) + np.count_nonzero(mags[0]) == 2 * count:
         groups = [(n - 1, 0, slice(None))]
         top = coeffs[-1]

@@ -1,5 +1,6 @@
 """Lifts, profiles, the null-phase check and connection quadrature."""
 
+import itertools
 import os
 import pathlib
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import core, curves, selftest
-from holonomy_lab.config import TAU_DEG, TAU_NPC, TAU_PROFILE
+from holonomy_lab.config import DEFAULT_SUBGRID, TAU_DEG, TAU_NPC, TAU_PROFILE
 from holonomy_lab.curves import (
     CurveFrame,
     CurveLift,
@@ -957,6 +958,32 @@ class TestPivotCheckMatchesTripleScan:
         for subgrid in (3, 4, 9):
             self.assert_parity(make_geodesic(rng), subgrid=subgrid)
             self.assert_parity(wobble(rng, 0.3), subgrid=subgrid)
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_allowance_holds_each_triple_to_its_pivot_triples(self, rng, n):
+        # a pivot triple that passes through the rounding allowance holds
+        # the scanned triple [i, j, k] to TAU_NPC plus the relative
+        # allowances a(p, i, j) + a(p, j, k) + a(p, k, i), not to TAU_NPC
+        plain = []
+        for c in (1e-5, 1e-8, 1e-11, 2.0 * TAU_DEG):
+            lift = geodesic_lift(*in_phase_gauge(*pair_at_overlap(rng, n, c)))
+            assert verify_npc(lift).ok
+            p = lift.psi[curves._subgrid_indices(lift.s.size, DEFAULT_SUBGRID)]
+            gram = np.conjugate(p) @ p.T
+            inv = 1.0 / np.abs(gram)
+            pivot = int(np.argmax(np.abs(gram).min(axis=1)))
+            # the bound on arg Delta(p, x, y) for each pair (x, y); a pair
+            # through the pivot adds no phase
+            pair = TAU_NPC / 3.0 + 2.0 * n * EPS * (inv[pivot][:, None] + inv
+                                                      + inv[:, pivot])
+            pair[pivot] = 0.0
+            pair[:, pivot] = 0.0
+            i, j, k = np.array(list(itertools.combinations(range(p.shape[0]), 3))).T
+            phase = np.abs(np.angle(gram[i, j] * gram[j, k] * gram[k, i]))
+            assert np.all(phase <= pair[i, j] + pair[j, k] + pair[k, i])
+            plain.append(oracle_scan(lift).ok)
+        # the plain bound does not hold on all of them
+        assert not all(plain)
 
     def test_report_matches_pivot_loop(self, rng):
         # a real curve whose samples lie within TAU_DEG of orthogonal to
