@@ -19,17 +19,14 @@ from .core import (
     ray_angle,
 )
 from .angles import (
-    CanonicalParamsN2,
     CanonicalParamsN3,
     CoherentTriadParams,
     IntrinsicAngles,
-    build_canonical_n2,
     build_canonical_n3,
     extract_angles,
     gauge_transform,
     pancharatnam_phase,
     solve_dependent_coherent,
-    solve_dependent_n2,
     solve_dependent_n3,
 )
 from .majorana import (

@@ -6,13 +6,15 @@ The three pairwise overlaps of a triad carry six angle parameters,
 
 taken over the index pairs (1,2), (2,3), (3,1), with theta_jk strictly
 inside (0, pi) and phi_jk in [0, 2*pi).  Only five of the six are
-independent: the pair (theta_23, phi_g) is a function of the rest.  This
-module extracts the angles, rebuilds canonical triads in dimensions 2 and
-3 from an independent parameter set, solves for the dependent pair, and
-evaluates the closed-form phase expressions that generalize Pancharatnam's
-result.  A small analytic model of harmonic-oscillator coherent states is
-included because its triads realize the same structure with five
-invariant angles.
+independent: the pair (theta_23, phi_g) is a function of the rest and,
+from dimension 3 on, of one more angle xi.  This module extracts the
+angles, rebuilds the canonical triad from an independent parameter set,
+solves for the dependent pair, and evaluates the closed-form phase
+expressions that generalize Pancharatnam's result.  One canonical path
+serves both dimensions: the dimension-2 triad is the xi = 0 slice of the
+dimension-3 one, whose third entries are then exactly 0.  A small
+analytic model of harmonic-oscillator coherent states is included because
+its triads realize the same structure with five invariant angles.
 """
 
 from __future__ import annotations
@@ -54,34 +56,23 @@ class IntrinsicAngles:
 
 
 @dataclass(frozen=True)
-class CanonicalParamsN2:
-    """Five independent angles of a dimension-2 triad."""
+class CanonicalParamsN3:
+    """Six independent angles of a canonical triad; xi = 0 is the
+    dimension-2 triad."""
 
     theta_12: float
     theta_31: float
     phi_12: float
     phi_31: float
     phi: float
+    xi: float
 
     def __post_init__(self) -> None:
         _check_triad_angles(self.theta_12, self.theta_31, self.phi)
         _check_finite("phi_12", self.phi_12)
         _check_finite("phi_31", self.phi_31)
-
-
-@dataclass(frozen=True)
-class CanonicalParamsN3(CanonicalParamsN2):
-    """Six independent angles of a dimension-3 triad (adds xi)."""
-
-    xi: float
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
         _check_xi(self.xi)
-        if self.xi == 0.0:
-            warnings.warn("xi = 0 is the boundary where the triad spans only "
-                          "two dimensions", stacklevel=3)
-        elif self.xi == np.pi / 2:
+        if self.xi == np.pi / 2:
             warnings.warn("xi = pi/2 is the boundary where phi drops out of "
                           "the geometric phase", stacklevel=3)
 
@@ -168,14 +159,6 @@ def _dependent_theta(c23: float) -> float:
     return 2.0 * math.acos(check_modulus(c23))
 
 
-def _solve_dependent(w: complex) -> tuple[float, float]:
-    """(theta_23, phi_g) of the canonical solvers; w from _dependent_overlap."""
-    c23 = abs(w)
-    if c23 >= 1.0 + 64.0 * np.finfo(float).eps:
-        raise ValueError(f"internal inconsistency: derived modulus {c23} exceeds 1")
-    return _dependent_theta(c23), principal_angle(-float(np.angle(w)))
-
-
 def solve_dependent_n3(theta_12: float, theta_31: float, phi: float,
                        xi: float) -> tuple[float, float]:
     """Dependent pair (theta_23, phi_g) of a triad with angles up to xi.
@@ -185,22 +168,17 @@ def solve_dependent_n3(theta_12: float, theta_31: float, phi: float,
 
         cos(theta_23 / 2) * exp(-i phi_g) = C12*C31 + exp(i phi) * S12*S31 * cos(xi).
 
-    Raises when the derived overlap hits either boundary of (0, 1).
+    xi = 0 gives the pair of a dimension-2 triad.  Raises when the derived
+    overlap hits either boundary of (0, 1).
     """
     _check_triad_angles(theta_12, theta_31, phi)
     _check_xi(xi)
-    return _solve_dependent(_dependent_overlap(theta_12, theta_31, phi, xi))
+    w = _dependent_overlap(theta_12, theta_31, phi, xi)
+    return _dependent_theta(abs(w)), principal_angle(-float(np.angle(w)))
 
 
-def solve_dependent_n2(theta_12: float, theta_31: float,
-                       phi: float) -> tuple[float, float]:
-    """Dependent pair of a dimension-2 triad: the xi = 0 case of solve_dependent_n3."""
-    return solve_dependent_n3(theta_12, theta_31, phi, 0.0)
-
-
-def _canonical_triad(params: CanonicalParamsN2,
-                     xi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical dimension-3 triad of the five angles in params and xi.
+def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Canonical triad realizing six independent angles.
 
     The residual U(3) freedom is spent exactly as in the canonical form:
 
@@ -208,30 +186,20 @@ def _canonical_triad(params: CanonicalParamsN2,
         psi2 = e^{i phi_12} (C12, S12, 0)
         psi3 = e^{-i phi_31} (C31, e^{i phi} S31 cos(xi), S31 sin(xi))
 
-    The derived pair is checked to stay interior before returning.
+    At xi = 0 every third entry is exactly 0, and the first two entries of
+    each state are the canonical dimension-2 triad.  A derived overlap at
+    either boundary of (0, 1) raises before any state is built.
     """
-    # raises on boundary hits of the derived pair
-    solve_dependent_n3(params.theta_12, params.theta_31, params.phi, xi)
-    c12, s12 = np.cos(params.theta_12 / 2), np.sin(params.theta_12 / 2)
-    c31, s31 = np.cos(params.theta_31 / 2), np.sin(params.theta_31 / 2)
+    p = params
+    _dependent_theta(abs(_dependent_overlap(p.theta_12, p.theta_31, p.phi, p.xi)))
+    c12, s12 = np.cos(p.theta_12 / 2), np.sin(p.theta_12 / 2)
+    c31, s31 = np.cos(p.theta_31 / 2), np.sin(p.theta_31 / 2)
     psi1 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    psi2 = np.exp(1j * params.phi_12) * np.array([c12, s12, 0.0], dtype=complex)
-    psi3 = np.exp(-1j * params.phi_31) * np.array(
-        [c31, np.exp(1j * params.phi) * s31 * np.cos(xi), s31 * np.sin(xi)],
+    psi2 = np.exp(1j * p.phi_12) * np.array([c12, s12, 0.0], dtype=complex)
+    psi3 = np.exp(-1j * p.phi_31) * np.array(
+        [c31, np.exp(1j * p.phi) * s31 * np.cos(p.xi), s31 * np.sin(p.xi)],
         dtype=complex)
     return psi1, psi2, psi3
-
-
-def build_canonical_n2(params: CanonicalParamsN2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical dimension-2 triad realizing the five given angles: the first
-    two entries of the xi = 0 canonical triad, whose third entries are 0."""
-    return tuple(psi[:2] for psi in _canonical_triad(params, 0.0))
-
-
-def build_canonical_n3(params: CanonicalParamsN3) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonical dimension-3 triad for six independent angles; psi3 picks
-    up the third direction through xi (see _canonical_triad)."""
-    return _canonical_triad(params, params.xi)
 
 
 def pancharatnam_phase(theta_12: float, theta_31: float, phi: float,
@@ -276,7 +244,7 @@ def solve_dependent_coherent(theta_12: float, theta_31: float,
 
 
 # ---------------------------------------------------------------------------
-# gauge helpers used by tests and the CLI
+# gauge helper, used by selftest criterion 12 and the tests
 
 
 def gauge_transform(triad, alphas) -> list[np.ndarray]:

@@ -183,15 +183,13 @@ def _cmd_reconstruct(args) -> int:
     phi = _float_field(params, "phi")
     phi_12 = _float_field(params, "phi_12")
     phi_31 = _float_field(params, "phi_31")
-    if args.space == "n3":
-        xi = _float_field(params, "xi")
-        triad = ang.build_canonical_n3(
-            ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi))
-        theta_23, phi_g = ang.solve_dependent_n3(t12, t31, phi, xi)
-    else:
-        triad = ang.build_canonical_n2(
-            ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
-        theta_23, phi_g = ang.solve_dependent_n2(t12, t31, phi)
+    # the dimension-2 triad is the xi = 0 slice, read off the first two entries
+    xi = _float_field(params, "xi") if args.space == "n3" else 0.0
+    triad = ang.build_canonical_n3(
+        ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi))
+    if args.space == "n2":
+        triad = [psi[:2] for psi in triad]
+    theta_23, phi_g = ang.solve_dependent_n3(t12, t31, phi, xi)
     out = formats.states_to_dict(triad)
     out["derived"] = {"theta_23": theta_23, "phi_g": phi_g}
     _emit_json(out, args.output)

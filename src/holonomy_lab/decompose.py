@@ -110,9 +110,8 @@ def _reduce(v: list[np.ndarray]) -> CanonicalReduction:
     beta = math.sqrt(max(0.0, 1.0 - abs(alpha) ** 2))
     xi = np.array([alpha, beta])
     w_perp = _pure_product(alpha, beta, n)[1:]
+    # both norms are sqrt(1 - c12^2) up to rounding: above 1.4e-6, as c12 < 1 - TAU_DEG
     nv, nw = norm(v_perp), norm(w_perp)
-    if nv <= TAU_DEG or nw <= TAU_DEG:
-        raise DegenerateTriadError("no component orthogonal to e1 to rotate")
     # the second stage fixes e1 and rotates its orthogonal complement
     u[1:] = _unitary_mapping(v_perp / nv, w_perp / nw) @ u[1:]
 
@@ -136,10 +135,9 @@ def bi_factorization(red: CanonicalReduction) -> np.ndarray:
     # the kernel's spinors are a transposed view, on which the product
     # rounds some factors differently
     spinors = np.ascontiguousarray(red.rep3.spinors)
-    factors = red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
-    if (np.abs(factors) <= TAU_DEG).any():
-        raise DegenerateTriadError("vanishing two-level factor")
-    return factors
+    # no factor vanishes: their product is Delta over a positive
+    # normalization, and reduce_triad refused every overlap at or below TAU_DEG
+    return red.xi[0] * (spinors @ red.xi.conj()) * spinors[:, 0].conj()
 
 
 def solid_angle(n1, n2, n3) -> float:

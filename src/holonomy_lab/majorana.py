@@ -296,14 +296,15 @@ def coefficients_to_roots(psi) -> MajoranaRep:
     others are exact zeros) form one group.  When every row has full
     degree and no root at 0, as for most batches, the batch is one group;
     otherwise each row gets the integer key degree * n + zeros, and only
-    when the keys differ does np.unique list the groups.  For m = 1 the root is the entry of the 1x1
-    companion matrix; for m = 2 both come in closed form, larger first,
-    and a double root comes out exact (see _quadratic_roots).  For m >= 3
-    the group shares one eigvals call on companion matrices built as
-    np.roots builds them, and one guarded Newton step polishes those
-    roots.  A root w becomes the unit spinor along (-w, 1) whose first
-    entry is real and nonnegative, the phase star_to_spinor fixes; a root
-    at 0 gives (0, 1).
+    when the keys differ are the groups listed, in ascending key order,
+    from the first differences of the sorted keys.  For m = 1 the root is
+    the entry of the 1x1 companion matrix; for m = 2 both come in closed
+    form, larger first, and a double root comes out exact (see
+    _quadratic_roots).  For m >= 3 the group shares one eigvals call on
+    companion matrices built as np.roots builds them, and one guarded
+    Newton step polishes those roots.  A root w becomes the unit spinor
+    along (-w, 1) whose first entry is real and nonnegative, the phase
+    star_to_spinor fixes; a root at 0 gives (0, 1).
     """
     return _factor(_check_states(psi))
 
@@ -387,8 +388,13 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
         zeros = np.where(mags != 0, rank, n).min(axis=0)
         key = degree * n + zeros  # one integer per (degree, zeros) group
         single = count == 1 or (key == key[0]).all()
+        if single:
+            kinds = key[:1]
+        else:  # np.unique's list, without the numpy.ma import of its first call
+            kinds = np.sort(key)
+            kinds = kinds[np.concatenate(([True], kinds[1:] != kinds[:-1]))]
         groups = [(*divmod(int(k), n), slice(None) if single else np.flatnonzero(key == k))
-                  for k in (key[:1] if single else np.unique(key))]
+                  for k in kinds]
         top = coeffs[degree, np.arange(count)]
     for d, z, rows in groups:
         # each missing degree is a star at the north pole, each root at 0

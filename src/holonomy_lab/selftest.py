@@ -92,7 +92,8 @@ def _triad(rng, n: int):
 
 
 def _canonical_triads(rng, n: int, count: int, max_overlap: float = math.inf):
-    """count canonical (params, triad) pairs of dimension n = 2 or 3.
+    """count canonical (params, triad) pairs of dimension n = 2 or 3; the
+    n = 2 triad is the first two entries of the xi = 0 one.
 
     Draw order: theta_12 and theta_31, phi, xi (n = 3 only), then phi_12
     and phi_31 once the dependent overlap |w| lies in [1e-3, max_overlap].
@@ -105,12 +106,8 @@ def _canonical_triads(rng, n: int, count: int, max_overlap: float = math.inf):
         if not 1e-3 <= abs(ang._dependent_overlap(t12, t31, phi, xi)) <= max_overlap:
             continue
         phi_12, phi_31 = rng.uniform(0.0, 2.0 * np.pi), rng.uniform(0.0, 2.0 * np.pi)
-        if n == 3:
-            params = ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi)
-            yield params, ang.build_canonical_n3(params)
-        else:
-            params = ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi)
-            yield params, ang.build_canonical_n2(params)
+        params = ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, xi)
+        yield params, [psi[:n] for psi in ang.build_canonical_n3(params)]
         done += 1
 
 
@@ -118,8 +115,7 @@ def _check_closed_form(rng, n: int) -> tuple[Measure, ...]:
     errs = []
     for p, triad in _canonical_triads(rng, n, 1000):
         direct = core.bi_phase(*triad)
-        formula = ang.pancharatnam_phase(p.theta_12, p.theta_31, p.phi,
-                                         xi=p.xi if n == 3 else 0.0)
+        formula = ang.pancharatnam_phase(p.theta_12, p.theta_31, p.phi, xi=p.xi)
         errs.append(_wrap_err(direct, formula))
     return (_measure("1000 triads, max phase error", errs, 1e-10),)
 
@@ -127,8 +123,8 @@ def _check_closed_form(rng, n: int) -> tuple[Measure, ...]:
 def _check_dependent_pair_n2(rng) -> tuple[Measure, ...]:
     errs = []
     for p, triad in _canonical_triads(rng, 2, 1000, max_overlap=1.0 - 1e-6):
-        solved_theta, solved_phi_g = ang.solve_dependent_n2(p.theta_12, p.theta_31,
-                                                            p.phi)
+        solved_theta, solved_phi_g = ang.solve_dependent_n3(p.theta_12, p.theta_31,
+                                                            p.phi, 0.0)
         got = ang.extract_angles(*triad)
         errs += [abs(got.theta_23 - solved_theta), _wrap_err(got.phi_g, solved_phi_g)]
     return (_measure("1000 sets, max angle error", errs, 1e-10),
@@ -150,8 +146,8 @@ def _edge_band_theta_errors(rng, count: int) -> list[float]:
             t12 = np.pi - edge if near_pi else edge
             t31 = rng.uniform(0.2, np.pi - 0.2)
             phi, phi_12, phi_31 = rng.uniform(0.0, 2.0 * np.pi, size=3)
-            triad = ang.build_canonical_n2(
-                ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
+            triad = [psi[:2] for psi in ang.build_canonical_n3(
+                ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, 0.0))]
             errs.append(abs(ang.extract_angles(*triad).theta_12 - t12)
                         / np.finfo(float).eps)
     return errs

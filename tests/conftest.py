@@ -1,9 +1,11 @@
 """Shared fixtures and assertion helpers."""
 
+import math
+
 import numpy as np
 import pytest
 
-from holonomy_lab.core import principal_angle, random_state
+from holonomy_lab.core import normalize, principal_angle, random_state
 from holonomy_lab.curves import RealProfile
 
 
@@ -31,6 +33,14 @@ def random_polygon(rng, k, n):
         mods = [abs(np.vdot(a, b)) for a, b in zip(states, states[1:] + states[:1])]
         if min(mods) >= 0.05 and max(mods) <= 1.0 - 1e-6:
             return states
+
+
+def partner(rng, v, overlap):
+    """A unit state whose overlap with the unit state v has modulus ``overlap``."""
+    w = random_state(v.size, rng)
+    w = normalize(w - np.vdot(v, w) * v)
+    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return phase * (overlap * v + math.sqrt(1.0 - overlap ** 2) * w)
 
 
 def random_triad(rng, n):

@@ -153,7 +153,7 @@ NAN_ROUTES = [
     (0, majorana, "overlap_general", times_nan),
     (1, angles, "pancharatnam_phase", times_nan),
     (2, angles, "pancharatnam_phase", times_nan),
-    (3, angles, "solve_dependent_n2", nan_pair),
+    (3, angles, "solve_dependent_n3", nan_pair),
     (4, angles, "solve_dependent_coherent", nan_pair),
     (5, majorana, "roots_to_coefficients", times_nan),
     (6, decompose, "bi_factorization", times_nan),

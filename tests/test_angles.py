@@ -1,6 +1,8 @@
 """Intrinsic angles, canonical triads and the coherent-state family."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -17,16 +19,24 @@ from holonomy_lab.selftest import _fock_coherent as fock_expansion
 from coherent_oracle import oracle_coherent_overlap
 
 
+def qubit_slice(params):
+    """The dimension-2 canonical triad: the first two entries of each
+    state of the xi = 0 triad."""
+    assert params.xi == 0.0
+    return [psi[:2] for psi in ang.build_canonical_n3(params)]
+
+
 class TestExtraction:
     def test_canonical_n2_angles_come_back(self):
-        params = ang.CanonicalParamsN2(1.1, 0.8, 0.3, 4.9, 2.0)
-        triad = ang.build_canonical_n2(params)
+        params = ang.CanonicalParamsN3(1.1, 0.8, 0.3, 4.9, 2.0, 0.0)
+        triad = qubit_slice(params)
+        assert [psi.size for psi in triad] == [2, 2, 2]
         got = ang.extract_angles(*triad)
         assert got.theta_12 == pytest.approx(params.theta_12)
         assert got.theta_31 == pytest.approx(params.theta_31)
         assert_angle_close(got.phi_12, params.phi_12, 1e-12)
         assert_angle_close(got.phi_31, params.phi_31, 1e-12)
-        theta_23, phi_g = ang.solve_dependent_n2(1.1, 0.8, 2.0)
+        theta_23, phi_g = ang.solve_dependent_n3(1.1, 0.8, 2.0, 0.0)
         assert got.theta_23 == pytest.approx(theta_23)
         assert_angle_close(got.phi_g, phi_g, 1e-12)
 
@@ -63,8 +73,7 @@ class TestForwardStableTheta:
     @pytest.mark.parametrize("n", [2, 3])
     def test_close_and_near_orthogonal_rays(self, rng, n, theta):
         if n == 2:
-            triad = ang.build_canonical_n2(
-                ang.CanonicalParamsN2(theta, 1.1, 0.3, 2.0, 0.7))
+            triad = qubit_slice(ang.CanonicalParamsN3(theta, 1.1, 0.3, 2.0, 0.7, 0.0))
         else:
             triad = ang.build_canonical_n3(
                 ang.CanonicalParamsN3(theta, 1.1, 0.3, 2.0, 0.7, 0.6))
@@ -84,25 +93,30 @@ class TestForwardStableTheta:
 
 class TestDependentPair:
     def test_matches_construction(self):
-        theta_23, phi_g = ang.solve_dependent_n2(0.9, 1.3, 0.7)
-        triad = ang.build_canonical_n2(ang.CanonicalParamsN2(0.9, 1.3, 0.0, 0.0, 0.7))
+        theta_23, phi_g = ang.solve_dependent_n3(0.9, 1.3, 0.7, 0.0)
+        triad = qubit_slice(ang.CanonicalParamsN3(0.9, 1.3, 0.0, 0.0, 0.7, 0.0))
         got = ang.extract_angles(*triad)
         assert got.theta_23 == pytest.approx(theta_23, abs=1e-12)
         assert_angle_close(got.phi_g, phi_g, 1e-12)
 
     def test_xi_zero_reduces_to_n2(self):
-        a = ang.solve_dependent_n2(1.0, 0.7, 2.1)
-        b = ang.solve_dependent_n3(1.0, 0.7, 2.1, 0.0)
-        assert a == pytest.approx(b)
+        # at xi = 0 the dimension-3 triad and its dimension-2 slice carry
+        # the same angles, which the solver's pair matches
+        params = ang.CanonicalParamsN3(1.0, 0.7, 0.4, 1.9, 2.1, 0.0)
+        full = ang.extract_angles(*ang.build_canonical_n3(params))
+        assert ang.extract_angles(*qubit_slice(params)) == full
+        theta_23, phi_g = ang.solve_dependent_n3(1.0, 0.7, 2.1, 0.0)
+        assert full.theta_23 == pytest.approx(theta_23, abs=1e-12)
+        assert_angle_close(full.phi_g, phi_g, 1e-12)
 
     def test_orthogonal_result_rejected(self):
         # equal half-angle tangents and opposite phases cancel exactly
         with pytest.raises(DegenerateTriadError):
-            ang.solve_dependent_n2(np.pi / 2, np.pi / 2, np.pi)
+            ang.solve_dependent_n3(np.pi / 2, np.pi / 2, np.pi, 0.0)
 
     def test_theta_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            ang.solve_dependent_n2(0.0, 1.0, 1.0)
+            ang.solve_dependent_n3(0.0, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             ang.solve_dependent_n3(1.0, 1.0, 1.0, -0.1)
 
@@ -127,8 +141,8 @@ class TestDependentPair:
 
 class TestCanonicalTriads:
     def test_n2_overlaps_by_construction(self):
-        p = ang.CanonicalParamsN2(1.2, 0.6, 0.9, 2.8, 1.5)
-        psi1, psi2, psi3 = ang.build_canonical_n2(p)
+        p = ang.CanonicalParamsN3(1.2, 0.6, 0.9, 2.8, 1.5, 0.0)
+        psi1, psi2, psi3 = qubit_slice(p)
         assert core.inner(psi1, psi2) == pytest.approx(
             np.exp(1j * p.phi_12) * np.cos(p.theta_12 / 2))
         assert core.inner(psi3, psi1) == pytest.approx(
@@ -143,10 +157,13 @@ class TestCanonicalTriads:
         theta_23, _ = ang.solve_dependent_n3(1.2, 0.6, 1.5, 0.7)
         assert got.theta_23 == pytest.approx(theta_23)
 
-    def test_xi_boundary_warns(self):
-        with pytest.warns(UserWarning, match="spans only two dimensions"):
+    def test_xi_zero_builds_without_a_warning(self):
+        # xi = 0 is the dimension-2 input, not a boundary to warn about
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             p = ang.CanonicalParamsN3(1.0, 1.0, 0.0, 0.0, 1.0, 0.0)
-        assert ang.build_canonical_n3(p)[2][2] == 0.0
+            triad = ang.build_canonical_n3(p)
+        assert [psi[2] for psi in triad] == [0.0, 0.0, 0.0]
 
     def test_xi_right_angle_warns_that_phi_drops_out(self):
         # the triad keeps rank 3 there; only phi leaves the phase
@@ -159,14 +176,14 @@ class TestCanonicalTriads:
 
     def test_degenerate_parameters_rejected_up_front(self):
         with pytest.raises(DegenerateTriadError):
-            ang.build_canonical_n2(
-                ang.CanonicalParamsN2(np.pi / 2, np.pi / 2, 0.0, 0.0, np.pi))
+            ang.build_canonical_n3(
+                ang.CanonicalParamsN3(np.pi / 2, np.pi / 2, 0.0, 0.0, np.pi, 0.0))
 
 
 class TestClosedFormPhase:
     def test_matches_direct_phase_n2(self):
-        p = ang.CanonicalParamsN2(0.9, 1.4, 1.0, 4.0, 2.8)
-        triad = ang.build_canonical_n2(p)
+        p = ang.CanonicalParamsN3(0.9, 1.4, 1.0, 4.0, 2.8, 0.0)
+        triad = qubit_slice(p)
         assert_angle_close(ang.pancharatnam_phase(0.9, 1.4, 2.8),
                            core.bi_phase(*triad), 1e-12)
 
@@ -186,8 +203,8 @@ class TestClosedFormPhase:
 
 
 class TestQubitSlice:
-    """The dimension-2 forms are the xi = 0 slice of the dimension-3 ones,
-    bit for bit, against the qubit formulas written out."""
+    """The xi = 0 slice of the canonical forms is the dimension-2 one, bit
+    for bit, against the qubit formulas written out."""
 
     @staticmethod
     def qubit_triad(t12, t31, phi_12, phi_31, phi):
@@ -206,13 +223,14 @@ class TestQubitSlice:
                  + np.exp(1j * phi) * np.sin(t12 / 2) * np.sin(t31 / 2))
             if not 1e-3 <= abs(w) <= 1.0 - 1e-6:
                 continue
-            got = ang.build_canonical_n2(
-                ang.CanonicalParamsN2(t12, t31, phi_12, phi_31, phi))
-            for a, b in zip(got, self.qubit_triad(t12, t31, phi_12, phi_31, phi)):
-                assert a.tobytes() == b.tobytes()
+            full = ang.build_canonical_n3(
+                ang.CanonicalParamsN3(t12, t31, phi_12, phi_31, phi, 0.0))
+            assert [psi[2] for psi in full] == [0.0, 0.0, 0.0]
+            for a, b in zip(full, self.qubit_triad(t12, t31, phi_12, phi_31, phi)):
+                assert a[:2].tobytes() == b.tobytes()
             theta_23 = 2.0 * math.acos(abs(complex(w)))
             phi_g = principal_angle(-float(np.angle(w)))
-            assert ang.solve_dependent_n2(t12, t31, phi) == (theta_23, phi_g)
+            assert ang.solve_dependent_n3(t12, t31, phi, 0.0) == (theta_23, phi_g)
             tangents = 1.0 + np.exp(1j * phi) * (np.tan(t12 / 2) * np.tan(t31 / 2))
             assert ang.pancharatnam_phase(t12, t31, phi) == principal_angle(
                 -float(np.angle(tangents)))
@@ -282,7 +300,7 @@ class TestNonFiniteParameters:
         args = [1.0, 1.2, 0.7]
         args[slot] = bad
         with pytest.raises(ValueError):
-            ang.solve_dependent_n2(*args)
+            ang.solve_dependent_n3(*args, 0.0)
         with pytest.raises(ValueError):
             ang.solve_dependent_n3(*args, 0.4)
         with pytest.raises(ValueError):
@@ -309,7 +327,7 @@ class TestNonFiniteParameters:
         args = [1.0, 1.2, 0.3, 0.4, 0.7]
         args[slot] = bad
         with pytest.raises(ValueError):
-            ang.CanonicalParamsN2(*args)
+            ang.CanonicalParamsN3(*args, 0.0)
         with pytest.raises(ValueError):
             ang.CanonicalParamsN3(*args, 0.5)
 
@@ -319,5 +337,18 @@ class TestNonFiniteParameters:
             ang.CoherentTriadParams(1.0, 1.2, bad)
 
     def test_finite_phases_outside_one_turn_still_accepted(self):
-        a = ang.solve_dependent_n2(1.0, 1.2, 0.7)
-        assert ang.solve_dependent_n2(1.0, 1.2, 0.7 + 4 * np.pi) == pytest.approx(a)
+        a = ang.solve_dependent_n3(1.0, 1.2, 0.7, 0.0)
+        assert ang.solve_dependent_n3(1.0, 1.2, 0.7 + 4 * np.pi, 0.0) == pytest.approx(a)
+
+
+# Input refusals no other test reaches, each with its exception and message.
+REFUSALS = [
+    pytest.param(lambda: ang.extract_angles(np.ones(2), np.ones(2), np.ones(3)),
+                 ValueError, "dimension mismatch: 2 vs 2 vs 3", id="extract-dimensions"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

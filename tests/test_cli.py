@@ -370,7 +370,7 @@ class TestNpc:
 
     def test_tampered_curve_fails_verification(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)
-        lift = formats.curve_from_csv(open(path).read())
+        lift = formats.curve_from_csv(pathlib.Path(path).read_text())
         psi = lift.psi.copy()
         psi[:, 2] *= np.exp(0.25j * np.sin(np.pi * lift.s))
         bad = tmp_path / "bad.csv"
@@ -383,13 +383,13 @@ class TestNpc:
         # the report's violations are built from arrays on read; the bytes
         # printed must be those of the list the report once held
         path = self.generate(tmp_path, capsys)
-        lift = formats.curve_from_csv(open(path).read())
+        lift = formats.curve_from_csv(pathlib.Path(path).read_text())
         psi = lift.psi.copy()
         psi[:, 2] *= np.exp(0.25j * np.sin(np.pi * lift.s))
         bad = tmp_path / "bad.csv"
         bad.write_text(formats.curve_to_csv(CurveLift(lift.s, psi)))
         for curve, code in ((path, 0), (str(bad), 2)):
-            want = oracle_report(formats.curve_from_csv(open(curve).read()))
+            want = oracle_report(formats.curve_from_csv(pathlib.Path(curve).read_text()))
             text = formats.json_dumps(formats.result_to_jsonable({
                 "checked": want.checked,
                 "violations": want.violations,
@@ -402,7 +402,7 @@ class TestNpc:
 
     def test_nan_curve_is_rejected(self, tmp_path, capsys):
         path = self.generate(tmp_path, capsys)
-        lines = open(path).read().splitlines()
+        lines = pathlib.Path(path).read_text().splitlines()
         cells = lines[5].split(",")
         cells[3] = "nan"
         lines[5] = ",".join(cells)
@@ -512,6 +512,18 @@ class TestDecompose:
                            out["geometric_phase"], tol=1e-8)
         assert_angle_close(core.principal_angle(sum(out["factor_phases"])),
                            out["geometric_phase"], tol=1e-10)
+
+    def test_tiny_invariant_above_the_edge_decomposes(self, tmp_path, capsys):
+        # every overlap is above TAU_DEG but Delta (9.9e-13) is not; such a
+        # triad used to exit 2 with "vanishing two-level factor"
+        a = 0.1
+        psi2 = np.array([np.cos(a), np.sin(a)], dtype=complex)
+        perp = np.array([-np.sin(a), np.cos(a)], dtype=complex)
+        triad = [np.array([1.0, 0.0], dtype=complex), psi2,
+                 1e-11 * psi2 + np.sqrt(1.0 - 1e-22) * perp]
+        out = run_json(["decompose", write_triad(tmp_path, triad)], capsys)
+        assert len(out["factors"]) == 1
+        assert_angle_close(out["factor_phases"][0], out["geometric_phase"], tol=1e-15)
 
     def test_higher_dimensions_skip_solid_angles(self, tmp_path, capsys, rng):
         triad = random_triad(rng, 5)
@@ -718,3 +730,33 @@ class TestParser:
             # the argument types are str, int and float: no file is opened
             args = parser.parse_args(shlex.split(line)[1:])
             assert callable(args.func), line
+
+
+# Input refusals no other test reaches: argv (PARAMS stands for a file
+# holding the text given), exit code and the line on stderr.
+CLI_REFUSALS = [
+    pytest.param(["reconstruct", "PARAMS"], "[1.0, 2.0]", 1,
+                 "holonomy-lab: error: parameter file must hold a JSON object",
+                 id="params-not-object"),
+    pytest.param(["reconstruct", "PARAMS"], '{"theta_12": "1.0"}', 1,
+                 "holonomy-lab: error: parameter 'theta_12' must be a number",
+                 id="params-not-number"),
+    pytest.param(["selftest", "--seed", "abc"], None, 1,
+                 "holonomy-lab selftest: error: argument --seed: invalid int value: 'abc'",
+                 id="seed-not-int"),
+]
+
+
+@pytest.mark.parametrize("argv, text, code, message", CLI_REFUSALS)
+def test_input_refusals(argv, text, code, message, tmp_path, capsys):
+    path = tmp_path / "params.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [str(path) if a == "PARAMS" else a for a in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert captured.err.splitlines()[-1] == message

@@ -1,5 +1,7 @@
 """Inner products, cyclic invariants and wrapping utilities."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,3 +189,18 @@ class TestRandomSampling:
     def test_assert_unitary_rejects_nan(self):
         with pytest.raises(ValueError, match="not unitary"):
             assert_unitary(np.full((2, 2), np.nan))
+
+
+# Input refusals no other test reaches, each with its exception and message.
+REFUSALS = [
+    pytest.param(lambda: core.bargmann([np.ones(2), np.ones(2), np.ones(3)]),
+                 ValueError, "all states must share one dimension", id="bargmann-dimensions"),
+    pytest.param(lambda: core.random_state(0), ValueError,
+                 "dimension must be at least 1", id="random-state-dimension"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

@@ -3,6 +3,7 @@
 import itertools
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -1342,3 +1343,28 @@ class TestLoopPhase:
         with pytest.raises(ValueError, match="not a null phase curve"):
             loop_geometric_phase(segments)
 
+
+def mixed_dimension_loop():
+    """Three geodesic segments, the second of dimension 4, the others 3."""
+    a, b, c = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=complex)
+    return [geodesic_lift(a, b), geodesic_lift(np.append(b, 0), np.append(c, 0)),
+            geodesic_lift(c, a)]
+
+
+# Input refusals no other test reaches, each with its exception and message.
+REFUSALS = [
+    pytest.param(lambda: CurveLift(np.linspace(0.0, 1.0, 3), np.ones((4, 2))),
+                 ValueError, "psi must have one row per sample", id="lift-rows"),
+    pytest.param(lambda: curves.CurveFrame(np.eye(1, 3), 1.0), ValueError,
+                 "frame needs at least two vectors", id="frame-vectors"),
+    pytest.param(lambda: RealProfile(np.linspace(0.0, 1.0, 3), np.ones((4, 3))),
+                 ValueError, "x must have one row per sample", id="profile-rows"),
+    pytest.param(lambda: loop_geometric_phase(mixed_dimension_loop()), ValueError,
+                 "dimension mismatch: 4 vs 3", id="loop-dimensions"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from holonomy_lab import core
+from holonomy_lab.config import TAU_DEG
 from holonomy_lab.core import DegenerateTriadError
 from holonomy_lab.curves import geodesic_lift, in_phase_gauge
 from holonomy_lab.decompose import (
@@ -18,7 +19,7 @@ from holonomy_lab.decompose import (
 )
 from holonomy_lab.majorana import pure_product_state, spinor_to_star
 
-from conftest import assert_angle_close, assert_unitary, random_triad
+from conftest import assert_angle_close, assert_unitary, partner, random_triad
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -110,6 +111,55 @@ class TestBiFactorization:
         total = float(np.sum(np.angle(factors)))
         assert_angle_close(core.principal_angle(-total),
                            core.bi_phase(*triad), tol=1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_every_accepted_triad_factors_near_the_orthogonal_edge(self, n):
+        # The smallest overlap c is swept log-uniformly from TAU_DEG to 1,
+        # taken by each pair in turn.  The factor phases sum to arg Delta
+        # within K eps / min overlap: over 60000 draws per n (seeds 0, 100,
+        # 200) the worst K read 13.1 at n = 2, 8.9 at n = 3, 5.9 at n = 5
+        # and 6.1 at n = 8, so K = 32 leaves 2.4 times headroom.  Every
+        # overlap stays at most 0.99: toward coincident first rays the sum
+        # loses accuracy as eps / sqrt(1 - c12), a separate edge.
+        rng = np.random.default_rng(3700 + n)
+        eps = np.finfo(float).eps
+        done = 0
+        while done < 300:
+            c = 10.0 ** rng.uniform(math.log10(TAU_DEG), 0.0)
+            pair = done % 3
+            triad = [core.random_state(n, rng) for _ in range(3)]
+            triad[(pair + 1) % 3] = partner(rng, triad[pair], c)
+            least, most = min(overlap_moduli(triad)), max(overlap_moduli(triad))
+            if most > 0.99:
+                continue
+            done += 1
+            try:
+                red = reduce_triad(*triad)
+            except DegenerateTriadError:
+                assert least <= TAU_DEG
+                continue
+            total = float(np.sum(np.angle(bi_factorization(red))))
+            gap = abs(core.principal_angle(total - np.angle(core.bargmann(triad))))
+            assert gap <= 32.0 * eps / least, (c, pair, gap)
+
+    def test_tiny_invariant_of_overlaps_above_the_edge_factors(self):
+        # Delta = 9.9e-13 is below TAU_DEG though every overlap is above
+        # it; the one two-level factor used to be refused as vanishing
+        a = 0.1
+        psi2 = np.array([math.cos(a), math.sin(a)], dtype=complex)
+        perp = np.array([-math.sin(a), math.cos(a)], dtype=complex)
+        triad = [np.array([1.0, 0.0], dtype=complex), psi2,
+                 1e-11 * psi2 + math.sqrt(1.0 - 1e-22) * perp]
+        assert min(overlap_moduli(triad)) == pytest.approx(1e-11)
+        factors = bi_factorization(reduce_triad(*triad))
+        delta = core.bargmann(triad)
+        assert abs(delta) < TAU_DEG < min(overlap_moduli(triad))
+        assert abs(factors[0]) == pytest.approx(abs(delta))
+        assert_angle_close(np.angle(factors[0]), np.angle(delta), tol=1e-15)
+
+
+def overlap_moduli(triad):
+    return [abs(core.inner(a, b)) for a, b in zip(triad, triad[1:] + triad[:1])]
 
 
 class TestSolidAngle:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -243,3 +244,29 @@ class TestResultToJsonable:
     def test_complex_array(self):
         out = formats.result_to_jsonable(np.array([1 + 1j, 2 - 2j]))
         assert out == [[1.0, 1.0], [2.0, -2.0]]
+
+
+# Input refusals no other test reaches, each with its exception and message.
+REFUSALS = [
+    pytest.param(lambda: formats.state_from_dict([1.0]), ValueError,
+                 "state: expected a JSON object, got list", id="state-not-object"),
+    pytest.param(lambda: formats.state_from_dict({"amplitudes": []}), ValueError,
+                 "state: 'amplitudes' must be a non-empty list", id="state-no-amplitudes"),
+    pytest.param(lambda: formats.states_from_dict({"states": {}}), ValueError,
+                 "'states' must be a list", id="states-not-list"),
+    pytest.param(lambda: formats.rep_from_dict({"spinors": [[[1.0, 0.0]]],
+                                                "scale": [1.0, 0.0]}),
+                 ValueError, "spinors[0]: expected two [re, im] pairs", id="spinor-row"),
+    pytest.param(lambda: formats.curve_from_csv("t,re_0,im_0\n0,1,0\n"), ValueError,
+                 "curve CSV header must be s,re_0,im_0,... with one re/im pair per axis",
+                 id="csv-header"),
+    pytest.param(lambda: formats.curve_from_csv("s,re_0,im_0\n0,x,0\n"), ValueError,
+                 "curve CSV row 1: could not convert string to float: 'x'",
+                 id="csv-cell"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

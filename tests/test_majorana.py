@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -877,3 +878,22 @@ class TestStarMatching:
             ours = cost[np.arange(m), mj._min_sum_assignment(cost)]
             assert abs(ours.sum() - cost[rows, cols].sum()) <= 1e-12
             assert mj.star_matching_distance(a, b) == cost[rows, cols].max()
+
+
+# Input refusals no other test reaches, each with its exception and message.
+REFUSALS = [
+    pytest.param(lambda: mj.dim_to_spin(0), ValueError,
+                 "dimension must be at least 1", id="spin-dimension"),
+    pytest.param(lambda: mj.pure_product_state([1.0, 0.0], 0), ValueError,
+                 "dimension must be at least 1", id="pure-product-dimension"),
+    pytest.param(lambda: mj.permanent(np.ones((2, 3))), ValueError,
+                 "permanent needs a square matrix", id="permanent-shape"),
+    pytest.param(lambda: mj.star_matching_distance(np.eye(3)[:2], np.eye(3)),
+                 ValueError, "star sets must have equal size", id="matching-sizes"),
+]
+
+
+@pytest.mark.parametrize("call, exc, message", REFUSALS)
+def test_input_refusals(call, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,10 @@
 
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 from importlib import resources
 
@@ -155,6 +159,34 @@ def assert_round_trip(batch, tol=1e-12):
         rep = mj.coefficients_to_roots(batch)
     err = np.abs(mj.roots_to_coefficients(rep) - batch).max(axis=1)
     assert (err <= tol * np.abs(batch).max(axis=1)).all()
+
+
+class TestGroupListing:
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_groups_are_those_of_np_unique(self, rng, n):
+        batch = mixed_batch(rng, n)[rng.permutation(60)]
+        _, groups, _ = mj._kernel_spinors(batch)
+        mags = np.abs(batch)
+        cut = mj.TAU_LEAD * mags.max(axis=1)[:, None]
+        degree = n - 1 - (mags[:, ::-1] > cut).argmax(axis=1)
+        key = degree * n + (mags != 0).argmax(axis=1)
+        want = np.unique(key)
+        assert len(groups) == want.size > 1
+        for (d, z, rows), k in zip(groups, want.tolist()):
+            assert (d, z) == divmod(k, n)
+            assert np.array_equal(rows, np.flatnonzero(key == k))
+
+    def test_mixed_batches_import_no_masked_arrays(self):
+        # np.unique imports numpy.ma on its first call, which took 12-19 ms
+        # in a fresh interpreter; criterion 5 factors mixed-degree batches
+        code = ("import sys; from holonomy_lab import selftest; "
+                "(result,) = selftest.run(0, [5]); "
+                "sys.exit(not result.passed or 'numpy.ma' in sys.modules)")
+        src = pathlib.Path(mj.__file__).resolve().parents[1]
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestDegreeCut:

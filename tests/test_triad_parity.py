@@ -13,7 +13,7 @@ from holonomy_lab.decompose import (
     solid_angle_pair,
 )
 
-from conftest import random_triad
+from conftest import partner, random_triad
 from star_oracle import oracle_decomposition, paired_spinors
 from triad_oracle import (
     oracle_factors,
@@ -23,14 +23,6 @@ from triad_oracle import (
 )
 
 TOL = 1e-12
-
-
-def partner(rng, v, overlap):
-    """A unit state whose overlap with the unit state v has modulus ``overlap``."""
-    w = core.random_state(v.size, rng)
-    w = core.normalize(w - np.vdot(v, w) * v)
-    phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return phase * (overlap * v + math.sqrt(1.0 - overlap ** 2) * w)
 
 
 def band_edge_triads(rng, n):
