@@ -9,6 +9,7 @@ gaps of a few percent that two separate runs of ``perfbench`` cannot.
 It is the repository's one per-layer harness; run it as
 
     python benchmarks/interleave.py --parent OLD/src [--change NEW/src] [--json PATH]
+        [--perfbench WORKLOAD --pairs K]
     python benchmarks/interleave.py --trajectory BENCH_18.json BENCH_19.json ...
 
 where OLD is a checkout of the parent commit (``git clone`` or
@@ -76,6 +77,20 @@ and the rounds the change won.  ``--json PATH`` writes the same table,
 with each layer's calls per block, the run's wall time in seconds, the
 machine, the Python and NumPy versions and the parent commit (read with
 git when OLD is a clone).
+
+``--perfbench WORKLOAD`` adds the end-to-end rows.  Before the layers,
+and before either tree is imported (on Linux a child's peak RSS counts
+the memory of the process that started it), it runs each tree's own
+``perfbench/run.py --trace 0`` on that workload as a subprocess, K pairs
+of runs (``--pairs``), each pair on one seed (1, 2, ...) for the
+``run_seconds`` of the change tree's ``BENCHMARK.json``, parent and
+change taking turns (the first side alternates between pairs).  For each
+``end_to_end`` metric of that file it prints each tree's median over its
+runs, and writes it with the quartiles, the median of the change/parent
+ratios of the pairs, the pairs the change won (by the metric's own
+direction) and every pair's two values; each run's attempted and failed
+operations are reported.  perfbench itself, its gates and its bounds are
+left as they are.
 
 Each file holds ratios against its own parent, so ``--trajectory`` reads
 a chain: for each layer it prints the product of its ratios over the
@@ -365,6 +380,51 @@ def timed_turns(sides, calls: int) -> list[float]:
     return [t / SWITCHES for t in totals]
 
 
+def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The result line of root/perfbench/run.py on one workload and seed,
+    run untraced in a new interpreter from root."""
+    argv = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(argv, cwd=root, capture_output=True, text=True,
+                         check=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def perfbench_pairs(roots: list[Path], workload: str, pairs: int,
+                    seconds: float) -> list[list[dict]]:
+    """[parent result, change result] of each pair, the first side of a
+    pair alternating from pair to pair."""
+    out = []
+    for k in range(pairs):
+        order = [1, 0] if k % 2 else [0, 1]
+        results = {side: perfbench_run(roots[side], workload, k + 1, seconds)
+                   for side in order}
+        out.append([results[0], results[1]])
+    return out
+
+
+def perfbench_summary(runs: list[list[dict]], specs: list[dict]) -> dict:
+    """Per end_to_end metric: the trees' medians and quartiles, the median
+    paired change/parent ratio, the pairs the change won and the pairs'
+    values; plus each run's attempted and failed operation counts."""
+    metrics = {}
+    for spec in specs:
+        name = spec["name"]
+        values = [[r["metrics"][name]["value"] for r in pair] for pair in runs]
+        sign = 1.0 if spec["better"] == "higher" else -1.0
+        metrics[name] = {
+            "unit": spec["unit"], "better": spec["better"],
+            "parent": statistics.median(p for p, _ in values),
+            "change": statistics.median(c for _, c in values),
+            "parent_quartiles": np.percentile([p for p, _ in values], [25, 75]).tolist(),
+            "change_quartiles": np.percentile([c for _, c in values], [25, 75]).tolist(),
+            "ratio": statistics.median(c / p for p, c in values),
+            "won": sum(sign * (c - p) > 0 for p, c in values),
+            "pairs": values}
+    counts = [[[r["attempted"], r["failed"]] for r in pair] for pair in runs]
+    return {"metrics": metrics, "attempted_failed": counts}
+
+
 def trajectory(paths: list[Path]) -> None:
     """Print each layer's product of parent ratios over the BENCH files."""
     product, files = {}, {}
@@ -393,6 +453,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trajectory", type=Path, nargs="+", metavar="BENCH",
                         help="instead of timing, print each layer's product of "
                         "ratios over these JSON files")
+    parser.add_argument("--perfbench", metavar="WORKLOAD",
+                        choices=("stars", "curves", "triads", "cli"),
+                        help="before the layers, run each tree's perfbench on this "
+                        "workload, the trees taking turns")
+    parser.add_argument("--pairs", type=int, default=5,
+                        help="pairs of perfbench runs (default: 5)")
     args = parser.parse_args(argv)
     if args.trajectory:
         trajectory(args.trajectory)
@@ -401,6 +467,26 @@ def main(argv=None) -> int:
         parser.error("--parent is required unless --trajectory is given")
     if args.rounds < 1:
         parser.error("--rounds must be positive")
+    if args.pairs < 1:
+        parser.error("--pairs must be positive")
+
+    # before the trees and their input pools, which would set each
+    # child's peak RSS
+    end_to_end = None
+    if args.perfbench:
+        roots = [args.parent.resolve().parent, args.change.resolve().parent]
+        spec = json.loads((roots[1] / "BENCHMARK.json").read_text())
+        seconds = spec["run_seconds"]
+        runs = perfbench_pairs(roots, args.perfbench, args.pairs, seconds)
+        end_to_end = {"workload": args.perfbench, "seconds": seconds,
+                      **perfbench_summary(runs, spec["end_to_end"])}
+        print(f"perfbench {args.perfbench}: {args.pairs} pairs of {seconds} s runs")
+        print(f"{'metric':44} {'parent':>10} {'change':>10} {'ratio':>6} {'won':>5}")
+        for name, row in end_to_end["metrics"].items():
+            print(f"{name:44} {row['parent']:10.4g} {row['change']:10.4g} "
+                  f"{row['ratio']:6.3f} {row['won']:>2}/{args.pairs:<2}")
+        print("attempted, failed per pair (parent, change): "
+              f"{end_to_end['attempted_failed']}")
 
     trees = [load_tree(args.parent, "parent_lab"), load_tree(args.change, "change_lab")]
     # perfbench's input makers build their inputs with the change tree's
@@ -453,6 +539,8 @@ def main(argv=None) -> int:
                   "min_calls": MIN_CALLS,
                   "elapsed_s": round(time.perf_counter() - started, 1),
                   "layers": layers}
+        if end_to_end is not None:
+            record["perfbench"] = end_to_end
         args.json.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 

@@ -15,10 +15,16 @@ twice and no derivative is formed.
 A lift holds read-only copies of its grid and samples, together with the
 conjugate samples and the lag-1 overlaps that its own checks form; the
 connection integral and the null-phase check read those rather than
-forming them again.  Geodesic lifts of one size share one cached grid,
-which lies over an immutable buffer.  The null-phase check keeps the
-triples it rejects as an index array and a value array, and builds a
-list of dicts from them only when asked.
+forming them again.  The samples are stored component-major: ``psi`` is
+the (samples, dim) transpose of a C-order (dim, samples) buffer, so row r
+of the buffer holds component r of every sample, and each per-sample pass
+(the geodesic rows, the frame product, the norm and lag-1 checks, the
+lag-2 and lag-4 overlaps) runs along rows as long as the grid rather than
+along an axis of dim entries.  Geodesic lifts of one size share one
+cached grid, which lies over an immutable buffer and is checked once,
+when it is cached.  The null-phase check keeps the triples it rejects as
+an index array and a value array, and builds a list of dicts from them
+only when asked.
 """
 
 from __future__ import annotations
@@ -35,10 +41,34 @@ from .config import (DEFAULT_GRID, DEFAULT_SUBGRID, MAX_QUAD_ERROR, TAU_DEG,
                      TAU_NPC, TAU_PROFILE)
 from .core import inner, normalize, principal_angle, ray_angle
 
+_EPS = float(np.finfo(float).eps)
 # the rounding of an overlap of two unit n-vectors is at most about n eps;
 # this times n is the absolute scale on which near-orthogonal overlaps
 # are judged (measured need: 0.2 of it, over n = 3...8)
-_ROUNDING = 2.0 * np.finfo(float).eps
+_ROUNDING = 2.0 * _EPS
+# the arrays of an accepted curve's report, shared and read-only
+_NO_TRIPLES = np.empty((0, 3), dtype=int)
+_NO_DELTAS = np.empty(0, dtype=complex)
+_NO_TRIPLES.flags.writeable = _NO_DELTAS.flags.writeable = False
+
+
+def _check_grid(s: np.ndarray) -> None:
+    """Raise unless the 1-D float grid s holds at least 3 finite samples,
+    increasing with steps uniform to 1e-9 of the first."""
+    if s.size < 3:
+        raise ValueError("a curve needs at least 3 samples")
+    # the span, taken in Python floats, bounds every step: when it is
+    # finite no difference below can overflow or meet inf - inf, so NumPy
+    # warns of neither; rounding is monotone, so the largest |step - first|
+    # is hi - first or first - lo
+    if not math.isfinite(float(np.maximum.reduce(s)) - float(np.minimum.reduce(s))):
+        if not np.isfinite(s).all():
+            raise ValueError("non-finite sample in curve")
+        raise ValueError("sample grid must be uniform and increasing")
+    steps = s[1:] - s[:-1]
+    first, lo, hi = steps[0], np.minimum.reduce(steps), np.maximum.reduce(steps)
+    if not (lo > 0 and max(hi - first, first - lo) <= 1e-9 * first):
+        raise ValueError("sample grid must be uniform and increasing")
 
 
 @dataclass(frozen=True)
@@ -47,17 +77,21 @@ class CurveLift(object):
 
     ``s`` (1-D, never flattened) and ``psi`` are read-only copies of the
     inputs, so a caller that writes to its own arrays afterwards changes
-    nothing here.  The conjugate samples and the lag-1 overlaps
+    nothing here.  ``psi`` has one row per sample, shape (len(s), dim),
+    and is the transpose of a C-order (dim, len(s)) buffer: it is
+    F-ordered, and ``psi.T`` is that contiguous buffer.  A caller that
+    needs C order takes ``np.ascontiguousarray(lift.psi)``.  The conjugate
+    samples, laid out the same way, and the lag-1 overlaps
     (psi_i, psi_{i+1}), which the unit-norm and degeneracy checks form,
     are kept read-only as well, for :func:`connection_integral` and
     :func:`verify_npc` to read.  The lift builders of this module and the
     CSV reader hand over arrays they have just made through ``_owned``,
-    which runs the same checks without the copy; geodesic lifts of one
-    size hold the same cached grid.
+    which runs the same checks without a further copy; geodesic lifts of
+    one size hold the same cached grid, checked once.
     """
 
     s: np.ndarray
-    psi: np.ndarray  # shape (len(s), dim)
+    psi: np.ndarray  # shape (len(s), dim), the transpose of a (dim, len(s)) buffer
     _conj: np.ndarray = field(init=False, repr=False, compare=False)
     _lag1: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -65,47 +99,46 @@ class CurveLift(object):
         s = np.array(self.s, dtype=float)
         if s.ndim != 1:
             raise ValueError(f"sample grid must be 1-D, got shape {s.shape}")
-        self._seal(s, np.array(self.psi, dtype=complex))
+        # one transposing copy into the component-major buffer
+        self._seal(s, np.array(np.asarray(self.psi).T, dtype=complex, order="C"))
 
     @classmethod
-    def _owned(cls, s: np.ndarray, psi: np.ndarray) -> "CurveLift":
-        """Lift of a 1-D float grid and a complex sample array that no one
-        else holds; both are checked and made read-only, not copied."""
+    def _owned(cls, s: np.ndarray, psi: np.ndarray,
+               uniform: bool = False) -> "CurveLift":
+        """Lift of a 1-D float grid and a complex (samples, dim) array that
+        no one else holds; both are checked and made read-only.  Samples
+        that are already the transpose of a C-order buffer, as the
+        builders make them, keep that buffer; others are copied into one.
+        ``uniform`` marks the grid as ``_unit_grid``'s, checked when it was
+        cached."""
         lift = object.__new__(cls)
-        lift._seal(s, psi)
+        lift._seal(s, np.ascontiguousarray(psi.T), uniform)
         return lift
 
-    def _seal(self, s: np.ndarray, psi: np.ndarray) -> None:
-        if s.size < 3:
-            raise ValueError("a curve needs at least 3 samples")
-        if psi.ndim != 2 or psi.shape[0] != s.size:
+    def _seal(self, s: np.ndarray, buf: np.ndarray, uniform: bool = False) -> None:
+        """Check the grid and the (dim, samples) buffer buf, and keep both."""
+        if not uniform:
+            _check_grid(s)
+        if buf.ndim != 2 or buf.shape[1] != s.size:
             raise ValueError("psi must have one row per sample")
-        # the span, taken in Python floats, bounds every step: when it is
-        # finite no difference below can overflow or meet inf - inf, so
-        # NumPy warns of neither (the ufunc reductions skip the overhead of
-        # the max/min methods); rounding is monotone, so the largest
-        # |step - first| is hi - first or first - lo
-        if not math.isfinite(float(np.maximum.reduce(s)) - float(np.minimum.reduce(s))):
-            if not np.isfinite(s).all():
-                raise ValueError("non-finite sample in curve")
-            raise ValueError("sample grid must be uniform and increasing")
-        steps = s[1:] - s[:-1]
-        first, lo, hi = steps[0], steps.min(), steps.max()
-        if not (lo > 0 and max(hi - first, first - lo) <= 1e-9 * first):
-            raise ValueError("sample grid must be uniform and increasing")
-        conj = np.conjugate(psi)
-        norms = np.sqrt(np.einsum("ij,ij->i", conj, psi).real)
-        # max |norm - 1| by the same monotone rounding; a non-finite entry
-        # makes its row's norm inf or NaN, which fails here
-        if not max(norms.max() - 1.0, 1.0 - norms.min()) <= 1e-9:
-            if not np.all(np.isfinite(psi)):
+        # squared norms from the float view, re and im of a sample side by
+        # side; max |norm - 1| by the same monotone rounding as the grid's
+        # steps, and a non-finite entry makes its sample's norm inf or NaN,
+        # which fails here
+        parts = buf.view(float)
+        squares = np.einsum("ij,ij->j", parts, parts)
+        norms = np.sqrt(squares[0::2] + squares[1::2])
+        if not max(np.maximum.reduce(norms) - 1.0, 1.0 - np.minimum.reduce(norms)) <= 1e-9:
+            if not np.isfinite(buf).all():
                 raise ValueError("non-finite sample in curve")
             raise ValueError("all samples must be unit vectors")
-        lag1 = np.einsum("ij,ij->i", conj[:-1], psi[1:])
-        if np.abs(lag1).min() <= TAU_DEG:
+        conj = np.conjugate(buf)
+        lag1 = np.einsum("ji,ji->i", conj[:, :-1], buf[:, 1:])
+        if np.minimum.reduce(np.abs(lag1)) <= TAU_DEG:
             raise ValueError("consecutive samples are orthogonal; lift is degenerate")
-        for name, value in (("s", s), ("psi", psi), ("_conj", conj), ("_lag1", lag1)):
+        for value in (s, buf, conj, lag1):
             value.flags.writeable = False
+        for name, value in (("s", s), ("psi", buf.T), ("_conj", conj.T), ("_lag1", lag1)):
             object.__setattr__(self, name, value)
 
     @property
@@ -217,22 +250,30 @@ def _pair_plane(v1, v2) -> tuple[np.ndarray, float]:
 @lru_cache(maxsize=256)
 def _unit_grid(grid: int) -> np.ndarray:
     """Uniform grid of ``grid`` samples on [0, 1], shared by every geodesic
-    lift of that size.  It lies over an immutable buffer, so it stays
-    read-only even against a reset of its writeable flag."""
-    return np.frombuffer(np.linspace(0.0, 1.0, grid).tobytes())
+    lift of that size and checked as a lift's grid once, here.  It lies
+    over an immutable buffer, so it stays read-only even against a reset
+    of its writeable flag."""
+    t = np.frombuffer(np.linspace(0.0, 1.0, grid).tobytes())
+    _check_grid(t)
+    return t
 
 
 def geodesic_lift(psi1, psi2, grid: int = DEFAULT_GRID) -> CurveLift:
-    """Horizontal geodesic between an in-phase pair, sampled on [0, 1]."""
+    """Horizontal geodesic between an in-phase pair, sampled on [0, 1].
+
+    Sample i is cos(a_i) v1 + sin(a_i) e2, built component by component
+    into rows of the grid's length; the endpoints are v1 and v2 exactly.
+    """
     v1 = normalize(psi1)
     v2 = normalize(psi2)
     e2, theta0 = _pair_plane(v1, v2)
     t = _unit_grid(operator.index(grid))
     half = 0.5 * theta0 * t
-    psi = np.cos(half)[:, None] * v1 + np.sin(half)[:, None] * e2
-    psi[0] = v1
-    psi[-1] = v2
-    return CurveLift._owned(t, psi)
+    buf = v1[:, None] * np.cos(half)
+    buf += e2[:, None] * np.sin(half)
+    buf[:, 0] = v1
+    buf[:, -1] = v2
+    return CurveLift._owned(t, buf.T, uniform=True)
 
 
 def frame_from_pair(psi_a, psi_b) -> CurveFrame:
@@ -298,11 +339,11 @@ def _nonlocal_certified(columns: np.ndarray, squares: np.ndarray) -> bool:
     may be summed in any order, as the bound on the computed T allows.
     """
     m = columns.shape[0]
-    lo = columns.min(axis=1)
-    hi = columns.max(axis=1)
-    floor = float(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi)).sum())
-    top = float(squares.max())
-    slack = 16.0 * m * m * np.finfo(float).eps * max(top, 1.0)
+    lo = np.minimum.reduce(columns, axis=1)
+    hi = np.maximum.reduce(columns, axis=1)
+    floor = float(np.add.reduce(np.minimum(lo * hi, np.minimum(lo * lo, hi * hi))))
+    top = float(np.maximum.reduce(squares))
+    slack = 16.0 * m * m * _EPS * max(top, 1.0)
     return floor > slack and top + slack <= 1.0 + TAU_PROFILE
 
 
@@ -333,28 +374,28 @@ def validate_profile(profile: RealProfile, theta0: float) -> list:
     violations = []
     x = profile.x
     n_samples, m = x.shape
-    c0, s0 = np.cos(theta0 / 2), np.sin(theta0 / 2)
+    c0, s0 = math.cos(theta0 / 2), math.sin(theta0 / 2)
     start = np.zeros(m)
     start[0] = 1.0
     end = np.zeros(m)
     end[0], end[1] = c0, s0
-    if np.max(np.abs(x[0] - start)) > TAU_PROFILE:
+    if np.maximum.reduce(np.abs(x[0] - start)) > TAU_PROFILE:
         violations.append({"kind": "boundary", "index": 0,
                            "detail": "profile must start at (1, 0, ...)"})
-    if np.max(np.abs(x[-1] - end)) > TAU_PROFILE:
+    if np.maximum.reduce(np.abs(x[-1] - end)) > TAU_PROFILE:
         violations.append({"kind": "boundary", "index": n_samples - 1,
                            "detail": "profile must end at (C0, S0, 0, ...)"})
     # one contiguous copy with a row per component: every reduction below
     # runs along rows, where reductions down the columns of x are strided
     columns = np.ascontiguousarray(x.T)
-    squares = (columns * columns).sum(axis=0)
+    squares = np.add.reduce(columns * columns, axis=0)
     norms = np.sqrt(squares)
     combo = c0 * columns[0] + s0 * columns[1]
     # extremes settle all three local tests on a passing profile (max
     # |norm - 1| by monotone rounding, as for a lift); only a profile that
     # fails one, or holds a NaN, is scanned sample by sample
-    if not (max(norms.max() - 1.0, 1.0 - norms.min()) <= TAU_PROFILE
-            and columns[0].min() > 0.0 and combo.min() > 0.0):
+    if not (max(np.maximum.reduce(norms) - 1.0, 1.0 - np.minimum.reduce(norms)) <= TAU_PROFILE
+            and np.minimum.reduce(columns[0]) > 0.0 and np.minimum.reduce(combo) > 0.0):
         for i in np.flatnonzero(np.abs(norms - 1.0) > TAU_PROFILE):
             violations.append({"kind": "local", "index": int(i),
                                "detail": f"norm {norms[i]:.12f} is not 1"})
@@ -381,9 +422,10 @@ def profile_to_lift(frame: CurveFrame, profile: RealProfile) -> CurveLift:
     if violations:
         raise ValueError(f"invalid profile: {violations[0]['detail']} "
                          f"({len(violations)} violations)")
-    # profile.s belongs to the caller, so only the grid is copied
-    psi = profile.x.astype(complex) @ frame.vectors
-    return CurveLift._owned(profile.s.copy(), psi)
+    # profile.s belongs to the caller, so only the grid is copied; the
+    # samples are formed component-major, sum_r e_r x_r(s) row by row
+    buf = frame.vectors.T @ profile.x.T
+    return CurveLift._owned(profile.s.copy(), buf.T)
 
 
 @lru_cache(maxsize=256)
@@ -442,17 +484,17 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     idx = _subgrid_indices(lift.s.size, subgrid)
     gram = lift._conj[idx] @ lift.psi[idx].T
     mods = np.abs(gram)
-    smallest = mods.min(axis=1)
-    pivot = int(np.argmax(smallest))
+    smallest = np.minimum.reduce(mods, axis=1)
+    pivot = int(smallest.argmax())
     pairs, pair_j, pair_k = _pivot_pairs(idx.size, pivot)
     deltas = (gram[pivot][:, None] * gram * gram[:, pivot])[pairs]
     mags = np.abs(deltas)
     # a zero invariant has a zero imaginary part, which is divided by 1
-    if not mags.min() > 0:
+    if not np.minimum.reduce(mags) > 0:
         mags = np.where(mags > 0, mags, 1.0)
     rel_imag = np.abs(deltas.imag) / mags
     good = (deltas.real > 0.0) & (rel_imag <= TAU_NPC / 3.0)
-    max_rel_imag = float(rel_imag.max())
+    max_rel_imag = float(np.maximum.reduce(rel_imag))
     if max_rel_imag > TAU_NPC / 3.0:
         # the allowance is formed only for the triples that fail the plain
         # test, so an accepted curve pays nothing for it.  Over |Delta| it
@@ -460,7 +502,8 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
         # further out than that, as on a curve whose phases are not
         # rounding, it is not formed at all
         n = lift.psi.shape[1]
-        if (rel_imag.min() - TAU_NPC / 3.0) * smallest.min() <= 4.0 * n * _ROUNDING:
+        if ((np.minimum.reduce(rel_imag) - TAU_NPC / 3.0) * np.minimum.reduce(smallest)
+                <= 4.0 * n * _ROUNDING):
             cand = np.flatnonzero(~good)
             j, k = pair_j[cand], pair_k[cand]
             pj, jk, kp = mods[pivot, j], mods[j, k], mods[k, pivot]
@@ -472,8 +515,8 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
     if not smallest[pivot] > TAU_DEG:
         near = mods[pivot] > TAU_DEG
         good &= (near[:, None] & near)[pairs]
-    if good.all():
-        triples, failed = np.empty((0, 3), dtype=int), np.empty(0, dtype=complex)
+    if np.count_nonzero(good) == good.size:
+        triples, failed = _NO_TRIPLES, _NO_DELTAS
     else:
         bad = ~good
         j, k = pair_j[bad], pair_k[bad]
@@ -483,7 +526,7 @@ def verify_npc(lift: CurveLift, subgrid: int = DEFAULT_SUBGRID) -> NpcReport:
         checked=math.comb(idx.size, 3),
         triples=triples,
         deltas=failed,
-        min_real=float(deltas.real.min()),
+        min_real=float(np.minimum.reduce(deltas.real)),
         max_rel_imag=max_rel_imag,
     )
 
@@ -500,22 +543,28 @@ def _polygon_phase(lift: CurveLift) -> tuple[float, float]:
     samples.  The estimate |R(h) - R(2h)| / 15, with D(4h) from the lag-4
     overlaps of every fourth sample, is taken on the longest prefix that
     every fourth sample spans: all samples when (n - 1) is divisible by 4,
-    else all but the last two.  The lag-1 overlaps are the lift's own.
+    else all but the last two.  The lag-1 overlaps are the lift's own; the
+    lag-2 and lag-4 overlaps are summed over the components down the
+    columns of the lift's (dim, samples) buffers.
     """
     n = lift.s.size
     if n < 5 or n % 2 == 0:
         raise ValueError("connection integral needs an odd grid of at least 5 samples")
-    psi, conj = lift.psi, lift._conj
+    buf, conj = lift.psi.T, lift._conj.T
     k = (n - 1) // 4  # the prefix ends at sample 4k
-    turn1 = np.angle(lift._lag1)
-    turn2 = np.angle(np.einsum("ij,ij->i", conj[:-2:2], psi[2::2]))
-    turn4 = np.angle(np.einsum("ij,ij->i", conj[:4 * k:4], psi[4:4 * k + 1:4]))
-    d1, d2 = float(turn1[:4 * k].sum()), float(turn2[:2 * k].sum())
+    lag1 = lift._lag1
+    lag2 = np.einsum("ji,ji->i", conj[:, :-2:2], buf[:, 2::2])
+    lag4 = np.einsum("ji,ji->i", conj[:, :4 * k:4], buf[:, 4:4 * k + 1:4])
+    turn1 = np.arctan2(lag1.imag, lag1.real)
+    turn2 = np.arctan2(lag2.imag, lag2.real)
+    turn4 = np.arctan2(lag4.imag, lag4.real)
+    add = np.add.reduce
+    d1, d2 = float(add(turn1[:4 * k])), float(add(turn2[:2 * k]))
     # past the prefix lie at most two turns, summed in Python
     result = (4.0 * (d1 + sum(turn1[4 * k:].tolist()))
               - (d2 + sum(turn2[2 * k:].tolist()))) / 3.0
     # R(h) - R(2h) on the prefix is (4 d1 - 5 d2 + d4) / 3
-    return result, abs(4.0 * d1 - 5.0 * d2 + float(turn4.sum())) / 45.0
+    return result, abs(4.0 * d1 - 5.0 * d2 + float(add(turn4))) / 45.0
 
 
 def connection_integral(lift: CurveLift) -> float:

@@ -226,10 +226,12 @@ def star_trajectory(lift) -> np.ndarray:
     """Star pairs along a dimension-3 curve, matched for continuity.
 
     All samples go through the star kernel's spinor stage in one call,
-    and the stars are read off its unit spinors; no scale is formed.  A
-    unit dimension-3 sample always has a finite nonzero scale: the degree
-    cut keeps its top amplitude above 1e-10 times its peak, which bounds
-    each root's modulus and so keeps the lead product far from underflow.
+    and the stars are read off its unit spinors; no scale is formed.  The
+    stage reads the lift's component-major sample buffer as it is, with
+    no transposing copy.  A unit dimension-3 sample always has a finite
+    nonzero scale: the degree cut keeps its top amplitude above 1e-10
+    times its peak, which bounds each root's modulus and so keeps the
+    lead product far from underflow.
     The first sample is ordered lexicographically; every later sample is
     ordered for the least total squared-chord motion relative to the
     previous one.  For unit stars keeping the order costs

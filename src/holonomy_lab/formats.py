@@ -193,10 +193,9 @@ def curve_from_csv(text: str) -> CurveLift:
             raise ValueError(f"curve CSV row {i}: {exc}") from exc
     table = np.array(values)
     # the samples read back through curve_to_csv's layout, signed zeros
-    # included; both arrays were just made here, so the lift takes them
-    # uncopied
-    return CurveLift._owned(table[:, 0].copy(),
-                            np.ascontiguousarray(table[:, 1:]).view(complex))
+    # included; the table was just made here, so the lift copies its
+    # columns once, into its component-major buffer
+    return CurveLift._owned(table[:, 0].copy(), table[:, 1:].view(complex))
 
 
 def star_trajectory_to_csv(s: np.ndarray, traj: np.ndarray) -> str:

@@ -367,6 +367,10 @@ def _kernel_spinors(batch: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     with no root at 0; a zero row fails it, since its top amplitude is
     not above the cut 0, so the zero test runs off the fast path only,
     before any other test there.
+
+    A batch that is the transpose of a C-order (n, B) array, as a curve
+    lift's samples are, is read as it is; any other batch is copied into
+    that layout once.
     """
     count, n = batch.shape
     amps = np.ascontiguousarray(batch.T)

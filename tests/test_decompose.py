@@ -142,6 +142,27 @@ class TestBiFactorization:
             gap = abs(core.principal_angle(total - np.angle(core.bargmann(triad))))
             assert gap <= 32.0 * eps / least, (c, pair, gap)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "CHANGES.md FOUND: toward coincident first rays the factor phase sum "
+        "loses eps / sqrt(1 - c12), the conditioning of the canonical spinor "
+        "xi as a function of c12"))
+    def test_factors_near_coincident_first_rays(self):
+        # c12 = 1 - 1e-9, the third state drawn freely; the bound is the
+        # orthogonal-edge sweep's 32 eps / min overlap.  Measured on the
+        # 100 triads per n: worst K 2.8e4 (n = 2), 3.8e4 (n = 3) and
+        # 4.2e4 (n = 8)
+        eps = np.finfo(float).eps
+        for n in (2, 3, 8):
+            rng = np.random.default_rng(5)
+            for _ in range(100):
+                triad = [core.random_state(n, rng) for _ in range(3)]
+                triad[1] = partner(rng, triad[0], 1.0 - 1e-9)
+                least = min(overlap_moduli(triad))
+                factors = bi_factorization(reduce_triad(*triad))
+                total = float(np.sum(np.angle(factors)))
+                gap = abs(core.principal_angle(total - np.angle(core.bargmann(triad))))
+                assert gap <= 32.0 * eps / least, (n, gap * least / eps)
+
     def test_tiny_invariant_of_overlaps_above_the_edge_factors(self):
         # Delta = 9.9e-13 is below TAU_DEG though every overlap is above
         # it; the one two-level factor used to be refused as vanishing

@@ -46,3 +46,26 @@ def test_operation_rows_run_perfbench_traffic():
         assert fn.func is workloads.RUNS[kinds[label]], label
         (tracer,) = fn.args
         assert type(tracer) is workloads.NullTracer and not fn.keywords, label
+
+
+def test_perfbench_pairs_are_summarized_by_each_metric_direction():
+    interleave = load_interleave()
+    specs = [{"name": "ops_per_s", "unit": "ops/s", "better": "higher"},
+             {"name": "latency_p90_ms", "unit": "ms", "better": "lower"}]
+
+    def result(ops, p90, failed=0):
+        return {"attempted": 10, "failed": failed,
+                "metrics": {"ops_per_s": {"value": ops, "unit": "ops/s"},
+                            "latency_p90_ms": {"value": p90, "unit": "ms"}}}
+
+    runs = [[result(100.0, 2.0), result(110.0, 1.0)],
+            [result(100.0, 2.0), result(90.0, 3.0, failed=1)],
+            [result(200.0, 4.0), result(220.0, 2.0)]]
+    got = interleave.perfbench_summary(runs, specs)
+    ops, p90 = got["metrics"]["ops_per_s"], got["metrics"]["latency_p90_ms"]
+    assert (ops["parent"], ops["change"], ops["ratio"], ops["won"]) == (100.0, 110.0, 1.1, 2)
+    assert (p90["parent"], p90["change"], p90["ratio"], p90["won"]) == (2.0, 2.0, 0.5, 2)
+    assert p90["parent_quartiles"] == [2.0, 3.0]
+    assert p90["pairs"] == [[2.0, 1.0], [2.0, 3.0], [4.0, 2.0]]
+    assert got["attempted_failed"] == [[[10, 0], [10, 0]], [[10, 0], [10, 1]],
+                                       [[10, 0], [10, 0]]]
